@@ -17,7 +17,7 @@ from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigi
                        gen_rational_expansion, read_digit_file, select_progression,
                        write_digit_file)
 from .dispersion import (DispersionResult, ProbabilityVector, SparseStochasticCertificate,
-                         ValidationOutcome, block_distribution_as_code_vector,
+                         UnobservedColumns, ValidationOutcome, block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
                          certificate_from_json_dict, certificate_to_json_dict,
                          compose_certificates, delta_exact, integer_multiple_certificate,
@@ -36,8 +36,8 @@ __all__ = [
     "Alphabet", "BlockDistribution", "CarryAdviceTrace", "CertifiedDigitResult",
     "DigitFileError", "DigitSequence", "DimensionEstimateGrid", "DispersionResult",
     "GridEntry", "InsufficientDigitsError", "ProbabilityVector", "RationalNumber",
-    "SparseStochasticCertificate", "TraceEntry", "UnresolvedCarryError",
-    "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
+    "SparseStochasticCertificate", "TraceEntry", "UnobservedColumns",
+    "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
     "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
     "carry_advice_trace", "certificate_bound_bits", "certificate_from_json_dict",
     "certificate_to_json_dict", "compose_certificates",

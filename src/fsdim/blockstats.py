@@ -49,6 +49,18 @@ class BlockDistribution:
         return {w: Fraction(c, self.n) for w, c in self.counts.items()}
 
 
+def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
+    """Base-k integer codes of the first n aligned l-blocks, as int64.
+
+    Needs k^l <= 2^62 so that every code fits.
+    """
+    k = seq.alphabet.k
+    if l * math.log2(k) > 62:
+        raise ValueError(f"base-{k} blocks of length {l} do not fit in int64 codes")
+    arr = seq.prefix_array(n * l).reshape(n, l).astype(np.int64)
+    return arr @ (k ** np.arange(l - 1, -1, -1, dtype=np.int64))
+
+
 def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     """Count the first n aligned l-blocks of `seq`.
 
@@ -57,18 +69,13 @@ def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
     k = seq.alphabet.k
-    digits = seq.prefix_array(n * l)
     if l * math.log2(k) <= 62:
         # encode each block as a base-k integer and count distinct codes
-        arr = digits[: n * l].reshape(n, l).astype(np.int64)
-        powers = k ** np.arange(l - 1, -1, -1, dtype=np.int64)
-        codes = arr @ powers
-        values, cnts = np.unique(codes, return_counts=True)
+        values, cnts = np.unique(block_codes(seq, l, n), return_counts=True)
         counts = {bytes(int_to_digits(int(v), k, l)): int(c) for v, c in zip(values, cnts)}
     else:
-        raw = bytes(digits)
-        counts = Counter(raw[j * l:(j + 1) * l] for j in range(n))
-        counts = dict(counts)
+        raw = seq.prefix(n * l)
+        counts = dict(Counter(raw[j * l:(j + 1) * l] for j in range(n)))
     return BlockDistribution(seq.alphabet, l, n, counts)
 
 

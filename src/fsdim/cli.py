@@ -227,15 +227,15 @@ def _cmd_delta(args) -> int:
     outcome = validate_certificate(cert,
                                    block_distribution_as_code_vector(dist_a),
                                    block_distribution_as_code_vector(dist_b))
-    rows, cols = cert.support_counts()
+    row_support, col_support = cert.max_degrees()
     payload = {
         "k": seq.alphabet.k, "m": args.m, "l": args.l, "n": args.n,
         "valid": outcome.ok,
         "violation": outcome.violation,
         "declared_m": cert.declared_m,
         "bound_bits": certificate_bound_bits(args.m, seq.alphabet.k, args.l),
-        "row_support": max(rows.values(), default=0),
-        "col_support": max(cols.values(), default=0),
+        "row_support": row_support,
+        "col_support": col_support,
     }
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK if outcome.ok else EXIT_VALIDATION

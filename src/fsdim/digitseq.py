@@ -160,9 +160,9 @@ class DigitSequence:
         return digits_to_int(self.prefix(n), self.alphabet.k)
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """First n digits as a uint8 array (no copy of the shared buffer)."""
+        """First n digits as a uint8 array over one fresh copy of the buffer."""
         self._ensure(n)
-        return np.frombuffer(bytes(self._buf[:n]), dtype=np.uint8)
+        return np.frombuffer(self._buf[:n], dtype=np.uint8)
 
     def prefix_str(self, n: int) -> str:
         return "".join(_DIGIT_CHARS[d] for d in self.prefix(n))

@@ -20,19 +20,25 @@ Everything is exact rational arithmetic; entropies alone are floats.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter, defaultdict
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .blockstats import BlockDistribution, block_frequencies
+import numpy as np
+
+from .blockstats import BlockDistribution, block_codes, block_frequencies
 from .digitseq import DigitSequence, digits_to_int
 from .realarith import UnresolvedCarryError, mul_int_mod1, _multiplier_shape
 
-# materialized certificates index blocks by integer code; larger block spaces
-# would need an implicit-identity representation beyond what callers use
+# block certificates index blocks by integer code; their unobserved columns
+# are implicit, so memory grows with the observed blocks, not with k^l; the
+# cap keeps pair codes x * k^l + y within int64
 MAX_CERTIFICATE_DIMENSION = 16_777_216
 
 
@@ -57,35 +63,86 @@ class ProbabilityVector:
         return self.p[j]
 
 
+_ROW, _COL = itemgetter(0), itemgetter(1)
+
+
+class UnobservedColumns(Set):
+    """The codes in range(n) outside `observed`, without listing them.
+
+    Identity columns of a block certificate are the block codes that never
+    occur in the source; this set answers membership, length and iteration
+    from the observed codes alone, so it costs O(observed) memory whatever n
+    is.  It compares equal to any set with the same members.
+    """
+
+    __slots__ = ("n", "observed")
+
+    def __init__(self, n: int, observed: Iterable[int]):
+        self.n = n
+        self.observed = frozenset(observed)
+        if any(not 0 <= j < n for j in self.observed):
+            raise ValueError(f"observed code outside range({n})")
+
+    def __contains__(self, j) -> bool:
+        return 0 <= j < self.n and j not in self.observed
+
+    def __len__(self) -> int:
+        return self.n - len(self.observed)
+
+    def __iter__(self):
+        return itertools.filterfalse(self.observed.__contains__, range(self.n))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UnobservedColumns):
+            return self.n == other.n and self.observed == other.observed
+        if not isinstance(other, Set):
+            return NotImplemented
+        return len(self) == len(other) and all(j in other for j in self)
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # results of set operators are plain frozensets
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"UnobservedColumns(n={self.n}, observed={len(self.observed)} codes)"
+
+
 @dataclass
 class SparseStochasticCertificate:
     """Column-stochastic nonnegative matrix in sparse (row, col) -> value form.
 
-    `identity_columns` compactly encodes columns that hold a single 1 on the
-    diagonal (used for zero-mass columns of large block-indexed matrices);
-    they are disjoint from the columns of explicit entries.  `declared_m`
-    is the sparsity bound the certificate claims for every row and column.
+    `identity_columns` holds the columns with a single 1 on the diagonal;
+    they are disjoint from the columns of explicit entries.  Block
+    certificates pass an :class:`UnobservedColumns`, so their zero-mass
+    columns stay implicit and every check costs O(explicit entries) rather
+    than O(k^l); small certificates pass a frozenset.  `declared_m` is the
+    sparsity bound the certificate claims for every row and column.
     """
 
     n: int
     entries: Dict[Tuple[int, int], Fraction]
     declared_m: int
-    identity_columns: frozenset = frozenset()
+    identity_columns: Set = frozenset()
 
     def __post_init__(self):
         if self.n < 1 or self.declared_m < 1:
             raise ValueError("dimension and declared_m must be positive")
-        explicit_cols = {j for (_, j) in self.entries}
-        if explicit_cols & self.identity_columns:
+        identity = self.identity_columns
+        if identity and any(j in identity for (_, j) in self.entries):
             raise ValueError("identity columns collide with explicit entries")
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ValueError(f"entry index ({i}, {j}) outside dimension {self.n}")
             if v <= 0:
                 raise ValueError(f"entry ({i}, {j}) must be positive, got {v}")
-        if self.identity_columns and not (0 <= min(self.identity_columns)
-                                          and max(self.identity_columns) < self.n):
-            raise ValueError("identity column outside dimension")
+        if identity:
+            if isinstance(identity, UnobservedColumns):
+                in_range = identity.n <= self.n  # its codes lie in range(identity.n)
+            else:
+                in_range = 0 <= min(identity) and max(identity) < self.n
+            if not in_range:
+                raise ValueError("identity column outside dimension")
 
     def triples(self) -> Iterable[Tuple[int, int, Fraction]]:
         """All nonzero entries as (row, col, value), identity columns included."""
@@ -103,6 +160,7 @@ class SparseStochasticCertificate:
         return dict(sums)
 
     def support_counts(self) -> Tuple[Counter, Counter]:
+        """Entries per row and per column, identity columns included (O(n) for those)."""
         rows: Counter = Counter()
         cols: Counter = Counter()
         rows.update(i for (i, _) in self.entries)
@@ -112,11 +170,23 @@ class SparseStochasticCertificate:
             cols.update(self.identity_columns)
         return rows, cols
 
-    def max_support(self) -> int:
-        rows, cols = self.support_counts()
-        row_max = max(rows.values(), default=0)
+    def max_degrees(self) -> Tuple[int, int]:
+        """(largest row support, largest column support) from the explicit entries.
+
+        An identity column j is a column of degree 1 and adds 1 to row j; a
+        row holding only its identity entry has degree 1.
+        """
+        rows = Counter(map(_ROW, self.entries))
+        cols = Counter(map(_COL, self.entries))
         col_max = max(cols.values(), default=0)
-        return max(row_max, col_max)
+        identity = self.identity_columns
+        if not identity:
+            return max(rows.values(), default=0), col_max
+        row_max = max((c + (i in identity) for i, c in rows.items()), default=0)
+        return max(row_max, 1), max(col_max, 1)
+
+    def max_support(self) -> int:
+        return max(self.max_degrees())
 
     def apply(self, pi) -> Dict[int, Fraction]:
         """Sparse product A*pi as {row: value}, zero rows omitted."""
@@ -125,13 +195,13 @@ class SparseStochasticCertificate:
             pj = _vec_get(pi, j)
             if pj:
                 out[i] += v * pj
-        if self.identity_columns:
+        identity = self.identity_columns
+        if identity:
             if isinstance(pi, dict):
-                hits = self.identity_columns & pi.keys()
+                hits = ((j, pj) for j, pj in pi.items() if j in identity)
             else:
-                hits = (j for j in self.identity_columns if pi[j])
-            for j in hits:
-                pj = _vec_get(pi, j)
+                hits = ((j, _vec_get(pi, j)) for j in identity)
+            for j, pj in hits:
                 if pj:
                     out[j] += pj
         return {i: v for i, v in out.items() if v != 0}
@@ -184,8 +254,8 @@ def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> Validatio
     # identity columns sum to 1 by construction and are disjoint from
     # explicit columns, so coverage is a counting argument
     if len(sums) + len(cert.identity_columns) != n:
-        covered = set(sums) | cert.identity_columns
-        missing = next(j for j in range(n) if j not in covered)
+        missing = next(j for j in range(n)
+                       if j not in sums and j not in cert.identity_columns)
         return ValidationOutcome(False, "stochastic-columns",
                                  f"column {missing} has no entries")
     for j, total in sums.items():
@@ -202,6 +272,9 @@ def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> Validatio
         return ValidationOutcome(False, "marginal-map",
                                  f"(A*pi)[{bad}] = {product.get(bad, 0)} != {target.get(bad, 0)}")
 
+    if max(cert.max_degrees()) <= cert.declared_m:
+        return ValidationOutcome(True)
+    # a violation is rare: name its first row or column as the full counts order them
     rows, cols = cert.support_counts()
     for i, c in rows.items():
         if c > cert.declared_m:
@@ -211,7 +284,7 @@ def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> Validatio
         if c > cert.declared_m:
             return ValidationOutcome(False, "support-bound",
                                      f"column {j} has {c} > {cert.declared_m} entries")
-    return ValidationOutcome(True)
+    raise AssertionError("max_degrees and support_counts disagree")
 
 
 class _BudgetExceeded(Exception):
@@ -530,7 +603,8 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
     l-blocks of alpha equal to x over the aligned blocks of frac(m*alpha)
     they produce: a_{y,x} = #{j < n : block_j(alpha) = x, block_j(m*alpha) = y}
     / #{j < n : block_j(alpha) = x}, with identity columns where x never
-    occurs.  The result is stochastic, maps the block distribution of alpha
+    occurs (kept implicit as :class:`UnobservedColumns`, so building and
+    checking the certificate costs O(n), not O(k^l)).  The result is stochastic, maps the block distribution of alpha
     exactly onto that of m*alpha, and has column support at most (s+1)*m and
     row support at most g*(s+1)*m for g = gcd(m, k^l), so it certifies a
     dispersion bound independent of l and n.
@@ -548,7 +622,8 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
     k = seq.alphabet.k
     dimension = k ** l
     if dimension > MAX_CERTIFICATE_DIMENSION:
-        raise ValueError(f"block space k^l = {dimension} too large to materialize")
+        raise ValueError(f"block space k^l = {dimension} exceeds the certificate cap "
+                         f"{MAX_CERTIFICATE_DIMENSION}")
 
     dist_alpha = block_frequencies(seq, l, n)
     if product_digits is None:
@@ -563,23 +638,22 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
             f"of {n * l} digits")
     dist_product = block_frequencies(product_digits, l, n)
 
-    src = seq.prefix(n * l)
-    dst = product_digits.prefix(n * l)
-    pair_counts: Counter = Counter()
-    for j in range(n):
-        pair_counts[(src[j * l:(j + 1) * l], dst[j * l:(j + 1) * l])] += 1
-
+    # each aligned pair (x, y) becomes the code x * k^l + y; entries keep the
+    # order in which the pairs first occur
+    x_codes = block_codes(seq, l, n)
+    pairs, first, pair_counts = np.unique(x_codes * dimension + block_codes(product_digits, l, n),
+                                          return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    x_values, x_counts = np.unique(x_codes, return_counts=True)
+    x_total = dict(zip(x_values.tolist(), x_counts.tolist()))
     entries: Dict[Tuple[int, int], Fraction] = {}
-    for (x, y), cnt in pair_counts.items():
-        x_code = digits_to_int(x, k)
-        y_code = digits_to_int(y, k)
-        entries[(y_code, x_code)] = Fraction(cnt, dist_alpha.counts[x])
-
-    observed = {digits_to_int(x, k) for x in dist_alpha.counts}
-    identity_cols = frozenset(set(range(dimension)) - observed)
+    for code, cnt in zip(pairs[order].tolist(), pair_counts[order].tolist()):
+        x_code, y_code = divmod(code, dimension)
+        entries[(y_code, x_code)] = Fraction(cnt, x_total[x_code])
 
     _, _, s = _multiplier_shape(m, k)
     g = math.gcd(m, dimension)
     declared = min(g * (s + 1) * m, dimension)
-    cert = SparseStochasticCertificate(dimension, entries, declared, identity_cols)
+    cert = SparseStochasticCertificate(dimension, entries, declared,
+                                       UnobservedColumns(dimension, x_total))
     return cert, dist_alpha, dist_product

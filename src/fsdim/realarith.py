@@ -77,7 +77,11 @@ def _rational_prefix_digits(value: Fraction, k: int, count: int) -> bytearray:
 
 def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
                       count: int, lookahead_cap: int) -> CertifiedDigitResult:
-    """Certified digits of frac(coef * alpha + offset) for the stream's alpha."""
+    """Certified digits of frac(coef * alpha + offset) for the stream's alpha.
+
+    Raises InsufficientDigitsError when a stream without an exact value holds
+    fewer than `count` digits; `unresolved` is kept for k-adic boundaries.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if coef == 0:
@@ -93,8 +97,11 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
         out = DigitSequence(seq.alphabet, digits, exact_value=frac_part)
         return CertifiedDigitResult(out, count, 0, False)
 
-    kc = k ** count
     avail = seq.length_available
+    if count > avail:
+        raise InsufficientDigitsError(
+            f"requested {count} result digits but the stream has only {avail}")
+    kc = k ** count
     max_read = min(count + lookahead_cap, avail if avail != math.inf else count + lookahead_cap)
     max_read = int(max_read)
     guard = 8

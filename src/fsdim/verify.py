@@ -123,9 +123,7 @@ def _certificate_records(leg: str, seq: DigitSequence, m: int, max_block_len: in
             outcome = validate_certificate(cert,
                                            block_distribution_as_code_vector(dist_a),
                                            block_distribution_as_code_vector(dist_b))
-            rows, cols = cert.support_counts()
-            col_support = max(cols.values(), default=0)
-            row_support = max(rows.values(), default=0)
+            row_support, col_support = cert.max_degrees()
             h_a = shannon_entropy(dist_a)
             h_b = shannon_entropy(dist_b)
             delta_h = abs(h_a - h_b)

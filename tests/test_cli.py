@@ -76,6 +76,18 @@ def test_arith_unresolved_exit_code(tmp_path, capsys):
     assert diag == {"unresolved_at": 0}
 
 
+def test_arith_short_stream_exit_code(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "100", "--out", str(src))
+    out = tmp_path / "tripled.txt"
+    code = dispatch(["arith", "mul-int", "--in", str(src), "--m", "3",
+                     "--count", "200", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "unresolved_at" not in captured.out
+    assert "only 100" in captured.err
+
+
 def test_arith_add_rational(tmp_path):
     src = tmp_path / "quarter.txt"
     run(tmp_path, "gen", "rational", "--base", "10", "--count", "40",

@@ -53,6 +53,13 @@ class TestMulInt:
         assert list(res.digits.prefix(5)) == [0, 0, 0, 0, 0]
         assert res.digits.exact_value == 0
 
+    def test_count_beyond_stream_raises(self):
+        # a short stream is an input error, not a carry on a k-adic boundary
+        seq = bare(gen_champernowne(A10, 100).prefix(100))
+        with pytest.raises(InsufficientDigitsError):
+            mul_int_mod1(seq, 3, 200)
+        assert mul_int_mod1(seq, 3, 90).certified_count == 90
+
     def test_rejects_bad_multiplier(self):
         with pytest.raises(ValueError):
             mul_int_mod1(bare([1, 2, 3]), 0, 2)
