@@ -13,9 +13,8 @@ from .blockstats import (BlockDistribution, DimensionEstimateGrid, GridEntry,
                          block_frequencies, dim_estimates, entropy_rate_grid,
                          normality_deviation, shannon_entropy, sliding_frequency)
 from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
-                       RationalNumber, gen_champernowne, gen_dilution,
-                       gen_rational_expansion, read_digit_file, select_progression,
-                       write_digit_file)
+                       gen_champernowne, gen_dilution, gen_rational_expansion,
+                       read_digit_file, select_progression, write_digit_file)
 from .dispersion import (DispersionResult, ProbabilityVector, SparseStochasticCertificate,
                          UnobservedColumns, ValidationOutcome, block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet", "BlockDistribution", "CarryAdviceTrace", "CertifiedDigitResult",
     "DigitFileError", "DigitSequence", "DimensionEstimateGrid", "DispersionResult",
-    "GridEntry", "InsufficientDigitsError", "ProbabilityVector", "RationalNumber",
+    "GridEntry", "InsufficientDigitsError", "ProbabilityVector",
     "SparseStochasticCertificate", "TraceEntry", "UnobservedColumns",
     "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
     "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",

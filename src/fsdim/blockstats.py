@@ -205,7 +205,7 @@ def sliding_frequency(seq: DigitSequence, w, n: int) -> Fraction:
     Counts offsets i < n with seq[i : i+|w|] == w, divided by n; this is the
     occurrence notion under which normal sequences hit k^(-|w|) in the limit.
     """
-    w = _as_block(seq.alphabet, w)
+    w = seq.alphabet.block(w)
     if len(w) < 1:
         raise ValueError("w must be nonempty")
     if n < 1:
@@ -238,9 +238,3 @@ def normality_deviation(seq: DigitSequence, w_max_len: int, n: int) -> Fraction:
         if len(counts) < k ** l:
             worst = max(worst, target)
     return worst
-
-
-def _as_block(alphabet: Alphabet, w) -> bytes:
-    if isinstance(w, str):
-        return bytes(alphabet.char_digit(ch) for ch in w)
-    return bytes(w)

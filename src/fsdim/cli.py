@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .blockstats import dim_estimates, entropy_rate_grid
 from .digitseq import (Alphabet, DigitFileError, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
@@ -20,12 +20,10 @@ from .digitseq import (Alphabet, DigitFileError, InsufficientDigitsError,
 from .dispersion import (ProbabilityVector, block_distribution_as_code_vector,
                          certificate_bound_bits, certificate_to_json_dict, delta_exact,
                          integer_multiple_certificate, validate_certificate)
-from .realarith import (UnresolvedCarryError, add_rational_mod1, div_int,
-                        mul_int_mod1, mul_rational_mod1)
+from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
+                        div_int, mul_int_mod1, mul_rational_mod1)
 from .verify import (verify_contractivity_suite, verify_dilution_counterexample,
                      verify_pseudometric_suite, verify_rational_arithmetic)
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -45,18 +43,9 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _default_threads():
-    try:
-        return int(os.environ.get("FSDIM_THREADS", "0")) or None
-    except ValueError:
-        return None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fsdim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fsdim {__version__}")
-    parser.add_argument("--threads", type=int, default=_default_threads(),
-                        help="cap worker threads (computations are currently serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate digit sequences")
@@ -84,7 +73,7 @@ def _build_parser() -> _Parser:
     arith.add_argument("--num", type=int, help="rational numerator")
     arith.add_argument("--den", type=int, help="rational denominator")
     arith.add_argument("--count", type=int, required=True)
-    arith.add_argument("--lookahead", type=int, default=4096)
+    arith.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD_CAP)
     arith.add_argument("--out", required=True)
     arith.add_argument("--binary", action="store_true")
 
@@ -101,7 +90,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--m", type=int, required=True)
     cert.add_argument("--l", type=int, required=True)
     cert.add_argument("--n", type=int, required=True)
-    cert.add_argument("--lookahead", type=int, default=4096)
+    cert.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD_CAP)
     cert.add_argument("--out", help="write the certificate JSON here")
 
     verify = sub.add_parser("verify", help="verification scenarios")
@@ -138,10 +127,23 @@ def _parse_blocks(csv: str):
     return blocks
 
 
+def _parse_rational(args, what: str) -> Fraction:
+    if args.num is None or args.den is None:
+        raise _CliError(f"{what} needs --num and --den")
+    if args.den < 1:
+        raise _CliError("--den must be positive")
+    return Fraction(args.num, args.den)
+
+
 def _read_distribution(path) -> ProbabilityVector:
     with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
-    entries = tuple(Fraction(x) for x in data["p"])
+    if not isinstance(data, dict) or "p" not in data:
+        raise _CliError(f"distribution file {path}: no \"p\" list of probabilities")
+    try:
+        entries = tuple(Fraction(x) for x in data["p"])
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise _CliError(f"distribution file {path}: bad entry in \"p\": {exc}") from exc
     if "n" in data and data["n"] != len(entries):
         raise _CliError(f"distribution file {path}: n={data['n']} but {len(entries)} entries")
     return ProbabilityVector(entries)
@@ -153,9 +155,8 @@ def _cmd_gen(args) -> int:
     if args.kind == "champernowne":
         seq = gen_champernowne(Alphabet(args.base), args.count, args.order)
     elif args.kind == "rational":
-        if args.num is None or args.den is None:
-            raise _CliError("rational expansion needs --num and --den")
-        seq = gen_rational_expansion(Fraction(args.num, args.den), Alphabet(args.base), args.count)
+        q = _parse_rational(args, "rational expansion")
+        seq = gen_rational_expansion(q, Alphabet(args.base), args.count)
     else:
         if not args.infile:
             raise _CliError("dilution needs --in FILE")
@@ -192,9 +193,7 @@ def _cmd_arith(args) -> int:
         fn = mul_int_mod1 if args.op == "mul-int" else div_int
         result = fn(seq, args.m, args.count, args.lookahead)
     else:
-        if args.num is None or args.den is None:
-            raise _CliError(f"{args.op} needs --num and --den")
-        q = Fraction(args.num, args.den)
+        q = _parse_rational(args, args.op)
         fn = add_rational_mod1 if args.op == "add-q" else mul_rational_mod1
         result = fn(seq, q, args.count, args.lookahead)
     write_digit_file(result.digits, result.certified_count, args.out, binary=args.binary)
@@ -246,9 +245,10 @@ def _cmd_verify(args) -> int:
         seq = read_digit_file(args.infile)
         if seq.alphabet.k != args.base:
             raise _CliError(f"--base {args.base} does not match digit file base {seq.alphabet.k}")
-        if args.den < 1 or args.num == 0:
-            raise _CliError("need --num nonzero and --den positive")
-        report = verify_rational_arithmetic(seq, Fraction(args.num, args.den),
+        q = _parse_rational(args, "wall")
+        if q == 0:
+            raise _CliError("wall needs --num nonzero")
+        report = verify_rational_arithmetic(seq, q,
                                             args.max_block_len, _parse_blocks(args.blocks),
                                             args.tail_fraction)
     elif args.verify_command == "dilution":

@@ -1,15 +1,15 @@
-"""Base-k digit sequences: generation, indexing, and digit-file I/O.
+"""Base-k digit sequences: generation, prefixes, and digit-file I/O.
 
-A :class:`DigitSequence` is an immutable-once-read stream of digits over the
-alphabet {0, ..., k-1}.  Sequences may be materialized buffers, pulled lazily
-from a generator (buffered so positional reads replay deterministically), or
-loaded from digit files.  Sequences produced from a known rational carry the
-exact value along, which downstream arithmetic uses as an exact fast path.
+A :class:`DigitSequence` is a finite, immutable buffer of digits over the
+alphabet {0, ..., k-1}: a generated prefix, the certified output of an
+arithmetic operation, or the contents of a digit file.  Sequences produced
+from a known rational carry the exact value along, which downstream
+arithmetic uses as an exact fast path.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -17,7 +17,15 @@ from typing import Iterator, Optional
 import numpy as np
 
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_DIGIT_VALUES = bytes(range(len(_DIGIT_CHARS)))
 _BINARY_MAGIC = b"FSD1"
+# translate tables: digit value -> character, and character (either case) ->
+# digit value; the second is only applied to text already checked for digits
+_VALUE_TO_CHAR = bytes.maketrans(_DIGIT_VALUES, _DIGIT_CHARS.encode("ascii"))
+_CHAR_TO_VALUE = bytes.maketrans((_DIGIT_CHARS + _DIGIT_CHARS.lower()).encode("ascii"),
+                                 _DIGIT_VALUES * 2)
+# the ASCII characters str.isspace() accepts, which digit files may contain anywhere
+_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 class DigitFileError(ValueError):
@@ -42,14 +50,17 @@ class Alphabet:
         if not isinstance(self.k, int) or not 2 <= self.k <= 36:
             raise ValueError(f"base must be an integer in [2, 36], got {self.k!r}")
 
-    def digit_char(self, d: int) -> str:
-        return _DIGIT_CHARS[d]
-
     def char_digit(self, ch: str) -> int:
         d = _DIGIT_CHARS.find(ch.upper())
         if d < 0 or d >= self.k:
             raise DigitFileError(f"character {ch!r} is not a base-{self.k} digit")
         return d
+
+    def block(self, w) -> bytes:
+        """A block given as digit values or as a string of digit characters."""
+        if isinstance(w, str):
+            return bytes(self.char_digit(ch) for ch in w)
+        return bytes(w)
 
 
 def digits_to_int(digits, k: int) -> int:
@@ -88,93 +99,53 @@ def int_to_digits(v: int, k: int, width: int) -> bytearray:
 
 
 class DigitSequence:
-    """A finite or lazily-extended stream of base-k digits.
+    """A finite, immutable buffer of base-k digits.
 
-    Reads are positional and replayable: the same index always returns the
-    same digit, also for generator-backed sequences (pulled digits are
-    buffered).  `exact_value` is set when the stream is known to be the
-    canonical (terminating-preferred) expansion of that rational.
+    The digits are copied into `bytes` once, on construction.  `exact_value`
+    is set when the digits are a prefix of the canonical
+    (terminating-preferred) expansion of that rational.
     """
 
-    def __init__(self, alphabet: Alphabet, digits=b"", generator: Optional[Iterator[int]] = None,
-                 exact_value: Optional[Fraction] = None, limit: Optional[int] = None):
+    def __init__(self, alphabet: Alphabet, digits, exact_value: Optional[Fraction] = None):
         self.alphabet = alphabet
-        self._buf = bytearray(digits)
-        self._gen = generator
-        self._limit = limit if limit is not None else (None if generator is not None else len(self._buf))
+        self._buf = bytes(digits)
         if exact_value is not None and not 0 <= exact_value < 1:
             raise ValueError("exact_value must lie in [0, 1)")
         self.exact_value = exact_value
-        for d in self._buf:
-            if d >= alphabet.k:
-                raise ValueError(f"digit {d} out of range for base {alphabet.k}")
+        bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
+        if bad:
+            raise ValueError(f"digit {bad[0]} out of range for base {alphabet.k}")
 
     @property
-    def length_available(self):
-        """Digits producible on demand; math.inf for unbounded generators."""
-        if self._limit is None:
-            return math.inf
-        return self._limit
+    def length_available(self) -> int:
+        """Number of digits held."""
+        return len(self._buf)
 
     def _ensure(self, n: int):
-        if n <= len(self._buf):
-            return
-        if self._limit is not None and n > self._limit:
+        if n > len(self._buf):
             raise InsufficientDigitsError(
-                f"requested {n} digits but only {self._limit} are available")
-        k = self.alphabet.k
-        while len(self._buf) < n:
-            try:
-                d = next(self._gen)
-            except StopIteration:
-                self._limit = len(self._buf)
-                self._gen = None
-                raise InsufficientDigitsError(
-                    f"requested {n} digits but generator stopped at {len(self._buf)}")
-            if not 0 <= d < k:
-                raise ValueError(f"generator produced digit {d} out of range for base {k}")
-            self._buf.append(d)
-
-    def digit(self, i: int) -> int:
-        if i < 0:
-            raise IndexError("negative digit index")
-        self._ensure(i + 1)
-        return self._buf[i]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            stop = i.stop
-            if stop is None:
-                raise IndexError("open-ended slices are not supported")
-            self._ensure(stop)
-            return bytes(self._buf[i])
-        return self.digit(i)
+                f"requested {n} digits but only {len(self._buf)} are available")
 
     def prefix(self, n: int) -> bytes:
         """First n digits as raw digit values."""
         self._ensure(n)
-        return bytes(self._buf[:n])
+        return self._buf[:n]
 
     def prefix_int(self, n: int) -> int:
         """Integer value of the first n digits read as a base-k numeral."""
         return digits_to_int(self.prefix(n), self.alphabet.k)
 
     def prefix_array(self, n: int) -> np.ndarray:
-        """First n digits as a uint8 array over one fresh copy of the buffer."""
+        """First n digits as a read-only uint8 view of the buffer."""
         self._ensure(n)
-        return np.frombuffer(self._buf[:n], dtype=np.uint8)
+        return np.frombuffer(self._buf, dtype=np.uint8, count=n)
 
     def prefix_str(self, n: int) -> str:
-        return "".join(_DIGIT_CHARS[d] for d in self.prefix(n))
+        return self.prefix(n).translate(_VALUE_TO_CHAR).decode("ascii")
 
     def materialize(self, n: int) -> "DigitSequence":
         """A value-like copy of the first n digits (exact value preserved)."""
         return DigitSequence(self.alphabet, self.prefix(n), exact_value=self.exact_value)
-
-
-# RationalNumber in the public API is fractions.Fraction: arbitrary-precision
-# integers, positive denominator, lowest terms.
-RationalNumber = Fraction
 
 
 def _champernowne_shortlex(k: int) -> Iterator[int]:
@@ -213,10 +184,7 @@ def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") ->
         gen = _champernowne_integers(alphabet.k)
     else:
         raise ValueError(f"unknown order {order!r}")
-    buf = bytearray()
-    while len(buf) < count:
-        buf.append(next(gen))
-    return DigitSequence(alphabet, buf)
+    return DigitSequence(alphabet, bytes(itertools.islice(gen, count)))
 
 
 def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> DigitSequence:
@@ -274,7 +242,7 @@ def write_digit_file(seq: DigitSequence, count: int, path, binary: bool = False)
             fh.write(bytes([seq.alphabet.k]))
             fh.write(digits)
         return
-    chars = "".join(_DIGIT_CHARS[d] for d in digits)
+    chars = digits.translate(_VALUE_TO_CHAR).decode("ascii")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"k={seq.alphabet.k}\n")
         for start in range(0, len(chars), 80):
@@ -293,21 +261,16 @@ def read_digit_file(path) -> DigitSequence:
             k = base_byte[0]
             if not 2 <= k <= 36:
                 raise DigitFileError(f"binary digit file declares unsupported base {k}")
-            alphabet = Alphabet(k)
             payload = fh.read()
-            for d in payload:
-                if d >= k:
-                    raise DigitFileError(f"binary digit file contains digit {d} >= base {k}")
-            return DigitSequence(alphabet, payload)
+            bad = payload.translate(None, _DIGIT_VALUES[:k])
+            if bad:
+                raise DigitFileError(f"binary digit file contains digit {bad[0]} >= base {k}")
+            return DigitSequence(Alphabet(k), payload)
         rest = head + fh.read()
-    try:
-        text = rest.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise DigitFileError("digit file is neither FSD1 binary nor ASCII") from exc
-    newline = text.find("\n")
-    header = text[:newline] if newline >= 0 else text
-    body = text[newline + 1:] if newline >= 0 else ""
-    header = header.strip()
+    if not rest.isascii():
+        raise DigitFileError("digit file is neither FSD1 binary nor ASCII")
+    header, _, body = rest.partition(b"\n")
+    header = header.decode("ascii").strip()
     if not header.startswith("k="):
         raise DigitFileError(f"malformed header {header!r}, expected 'k=<base>'")
     try:
@@ -316,10 +279,9 @@ def read_digit_file(path) -> DigitSequence:
         raise DigitFileError(f"malformed base in header {header!r}") from exc
     if not 2 <= k <= 36:
         raise DigitFileError(f"unsupported base {k} in digit file")
-    alphabet = Alphabet(k)
-    buf = bytearray()
-    for ch in body:
-        if ch.isspace():
-            continue
-        buf.append(alphabet.char_digit(ch))
-    return DigitSequence(alphabet, buf)
+    chars = body.translate(None, _WHITESPACE)
+    valid = _DIGIT_CHARS[:k].encode("ascii")
+    bad = chars.translate(None, valid + valid.lower())
+    if bad:
+        raise DigitFileError(f"character {chr(bad[0])!r} is not a base-{k} digit")
+    return DigitSequence(Alphabet(k), chars.translate(_CHAR_TO_VALUE))

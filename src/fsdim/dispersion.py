@@ -34,7 +34,8 @@ import numpy as np
 
 from .blockstats import BlockDistribution, block_codes, block_frequencies
 from .digitseq import DigitSequence, digits_to_int
-from .realarith import UnresolvedCarryError, mul_int_mod1, _multiplier_shape
+from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
+                        _multiplier_shape)
 
 # block certificates index blocks by integer code; their unobserved columns
 # are implicit, so memory grows with the observed blocks, not with k^l; the
@@ -595,7 +596,7 @@ def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Frac
 
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
-                                 lookahead_cap: int = 4096,
+                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
                                  product_digits: Optional[DigitSequence] = None):
     """Coupling certificate between block statistics of alpha and m*alpha.
 

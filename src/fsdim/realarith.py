@@ -102,8 +102,7 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
         raise InsufficientDigitsError(
             f"requested {count} result digits but the stream has only {avail}")
     kc = k ** count
-    max_read = min(count + lookahead_cap, avail if avail != math.inf else count + lookahead_cap)
-    max_read = int(max_read)
+    max_read = min(count + lookahead_cap, avail)
     guard = 8
     while True:
         n_read = min(count + guard, max_read)
@@ -205,8 +204,8 @@ def block_image(x, c: int, z, m: int, alphabet: Alphabet) -> bytes:
     if m < 1:
         raise ValueError("m must be a positive integer")
     k = alphabet.k
-    x = _coerce_block(alphabet, x)
-    z = _coerce_block(alphabet, z)
+    x = alphabet.block(x)
+    z = alphabet.block(z)
     r, m_digits, s = _multiplier_shape(m, k)
     if len(z) != r:
         raise ValueError(f"shift-in must have length {r}, got {len(z)}")
@@ -223,12 +222,6 @@ def block_image(x, c: int, z, m: int, alphabet: Alphabet) -> bytes:
         shift += m_digits[i] * inner
     value = (m * digits_to_int(x, k) + c + shift) % (k ** l)
     return bytes(int_to_digits(value, k, l))
-
-
-def _coerce_block(alphabet: Alphabet, w) -> bytes:
-    if isinstance(w, str):
-        return bytes(alphabet.char_digit(ch) for ch in w)
-    return bytes(w)
 
 
 def carry_advice_trace(seq: DigitSequence, m: int, l: int, n_blocks: int,
@@ -279,10 +272,7 @@ def _carry_after(seq: DigitSequence, m_digits: List[int], position: int,
         return total // den
     m = sum(mi * k ** i for i, mi in enumerate(m_digits))
     r = len(m_digits) - 1
-    avail = seq.length_available
-    max_read = min(position + r + lookahead_cap,
-                   avail if avail != math.inf else position + r + lookahead_cap)
-    max_read = int(max_read)
+    max_read = min(position + r + lookahead_cap, seq.length_available)
     window = 16
     while True:
         n_read = max(min(position + r + window, max_read), position + r)

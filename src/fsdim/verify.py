@@ -34,8 +34,8 @@ from .dispersion import (ProbabilityVector, block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
                          compose_certificates, delta_exact, integer_multiple_certificate,
                          majorizes, reverse_certificate, validate_certificate)
-from .realarith import (UnresolvedCarryError, add_rational_mod1, mul_int_mod1,
-                        mul_rational_mod1, _multiplier_shape)
+from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
+                        mul_int_mod1, mul_rational_mod1, _multiplier_shape)
 
 ENTROPY_SLACK = 2.0 ** -30
 
@@ -102,15 +102,14 @@ def _certificate_records(leg: str, seq: DigitSequence, m: int, max_block_len: in
     skipped = []
     _, _, s = _multiplier_shape(m, k)
     # one multiplication covers every (l, n) cell of this leg
-    avail = seq.length_available
-    max_digits = max(n * l for l in range(1, max_block_len + 1) for n in n_schedule)
-    max_digits = int(min(max_digits, avail)) if avail != math.inf else max_digits
+    max_digits = min(max(n * l for l in range(1, max_block_len + 1) for n in n_schedule),
+                     seq.length_available)
     product = mul_int_mod1(seq, m, max_digits, lookahead_cap)
     for l in range(1, max_block_len + 1):
         g = math.gcd(m, k ** l)
         bound = certificate_bound_bits(m, k, l)
         for n in n_schedule:
-            if n * l > seq.length_available or n * l > product.certified_count:
+            if n * l > product.certified_count:
                 skipped.append({"leg": leg, "l": l, "n": n,
                                 "reason": "insufficient certified digits"})
                 continue
@@ -145,7 +144,7 @@ def _certificate_records(leg: str, seq: DigitSequence, m: int, max_block_len: in
 
 def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
                                n_schedule: Sequence[int], tail_fraction: float = 0.5,
-                               lookahead_cap: int = 4096,
+                               lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
                                normality_w_len: int = 3) -> VerificationReport:
     """Finite-scale check that q+alpha and q*alpha carry alpha's dimension.
 
@@ -166,10 +165,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     schedule = sorted(set(int(n) for n in n_schedule))
     # derived streams get guard digits beyond the largest grid cell so the
     # certificate multiplications have lookahead room at the tail
-    target = max_block_len * schedule[-1] + 256
-    avail = seq_alpha.length_available
-    if avail != math.inf:
-        target = min(target, int(avail))
+    target = min(max_block_len * schedule[-1] + 256, seq_alpha.length_available)
 
     sum_result = add_rational_mod1(seq_alpha, q, target, lookahead_cap)
     prod_result = mul_rational_mod1(seq_alpha, q, target, lookahead_cap)

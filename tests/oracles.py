@@ -28,6 +28,52 @@ def frac_digits(value: Fraction, k: int, count: int):
     return long_division_digits(frac_part, k, count)
 
 
+DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def parse_digit_file(path):
+    """(k, digits) of a digit file, parsed one character or byte at a time.
+
+    A malformed file raises ValueError with the message the library's
+    reader gives for it.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] == b"FSD1":
+        if len(raw) < 5:
+            raise ValueError("truncated binary digit file: missing base byte")
+        k = raw[4]
+        if not 2 <= k <= 36:
+            raise ValueError(f"binary digit file declares unsupported base {k}")
+        for d in raw[5:]:
+            if d >= k:
+                raise ValueError(f"binary digit file contains digit {d} >= base {k}")
+        return k, raw[5:]
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError("digit file is neither FSD1 binary nor ASCII") from None
+    header, _, body = text.partition("\n")
+    header = header.strip()
+    if not header.startswith("k="):
+        raise ValueError(f"malformed header {header!r}, expected 'k=<base>'")
+    try:
+        k = int(header[2:])
+    except ValueError:
+        raise ValueError(f"malformed base in header {header!r}") from None
+    if not 2 <= k <= 36:
+        raise ValueError(f"unsupported base {k} in digit file")
+    digits = bytearray()
+    for ch in body:
+        if ch.isspace():
+            continue
+        d = DIGIT_CHARS.find(ch.upper())
+        if d < 0 or d >= k:
+            raise ValueError(f"character {ch!r} is not a base-{k} digit")
+        digits.append(d)
+    return k, bytes(digits)
+
+
 def naive_block_counts(digits: bytes, l: int, n: int):
     counts = {}
     for j in range(n):

@@ -197,6 +197,30 @@ def test_wall_base_mismatch_exits_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "rational", "--base", "10", "--count", "10", "--num", "1", "--den", "0"],
+    ["arith", "add-q", "--num", "1", "--den", "0", "--count", "5"],
+    ["arith", "mul-q", "--num", "1", "--den", "0", "--count", "5"],
+])
+def test_zero_denominator_exits_one(tmp_path, capsys, argv):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "100", "--out", str(src))
+    if argv[0] == "arith":
+        argv = argv + ["--in", str(src)]
+    assert dispatch(argv + ["--out", str(tmp_path / "x.txt")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p_file", [{"n": 2, "q": ["1/2", "1/2"]}, {"n": 2, "p": ["1/0", "1"]}])
+def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
+    pi = tmp_path / "p.json"
+    mu = tmp_path / "u.json"
+    pi.write_text(json.dumps(p_file))
+    mu.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
+    assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

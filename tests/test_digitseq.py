@@ -1,15 +1,20 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                    gen_champernowne, gen_dilution, gen_rational_expansion,
                    read_digit_file, select_progression, write_digit_file)
 from fsdim.digitseq import digits_to_int, int_to_digits
 
-from oracles import long_division_digits
+from oracles import DIGIT_CHARS, long_division_digits, parse_digit_file
+
+FILE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+WHITESPACE = ["", "", "", " ", "\t", "\r", "\n", "\r\n", " \t\n"]
 
 
 def test_alphabet_bounds():
@@ -115,16 +120,19 @@ def test_select_progression():
     assert list(select_progression(seq, 1, 3, 3).prefix(3)) == [1, 4, 7]
 
 
-def test_generator_backed_sequence_is_buffered():
-    def gen():
-        yield from [1, 0, 1, 1, 0]
-    seq = DigitSequence(Alphabet(2), generator=gen())
-    assert seq.length_available == math.inf
-    assert seq.digit(3) == 1
-    assert seq.prefix(4) == bytes([1, 0, 1, 1])
+def test_sequence_is_finite_immutable_buffer():
+    source = bytearray([1, 0, 1, 1, 0])
+    seq = DigitSequence(Alphabet(2), source)
+    source[0] = 0
+    assert type(seq.length_available) is int and seq.length_available == 5
+    assert seq.prefix(5) == bytes([1, 0, 1, 1, 0])
     with pytest.raises(InsufficientDigitsError):
-        seq.prefix(6)
-    assert seq.length_available == 5
+        seq.prefix(seq.length_available + 1)
+    view = seq.prefix_array(4)
+    assert view.tolist() == [1, 0, 1, 1]
+    assert view.flags.writeable is False
+    with pytest.raises(ValueError):
+        DigitSequence(Alphabet(2), bytes([0, 1, 2]))
 
 
 @pytest.mark.parametrize("binary", [False, True])
@@ -170,3 +178,68 @@ def test_rational_sequences_carry_exact_value():
     # a materialized copy keeps it; a bare buffer does not
     assert seq.materialize(10).exact_value == q
     assert DigitSequence(Alphabet(10), seq.prefix(10)).exact_value is None
+
+
+@st.composite
+def digit_files(draw):
+    """(k, digits, ASCII file bytes, binary file bytes) of one random sequence.
+
+    The ASCII body mixes lowercase letters and whitespace among the digits.
+    """
+    k = draw(st.integers(2, 36))
+    digits = draw(st.lists(st.integers(0, k - 1), max_size=200))
+    lower = draw(st.lists(st.booleans(), min_size=len(digits), max_size=len(digits)))
+    gaps = draw(st.lists(st.sampled_from(WHITESPACE), min_size=len(digits) + 1,
+                         max_size=len(digits) + 1))
+    body = gaps[0] + "".join((DIGIT_CHARS[d].lower() if low else DIGIT_CHARS[d]) + gap
+                             for d, low, gap in zip(digits, lower, gaps[1:]))
+    header = f"k={k}" + draw(st.sampled_from(["", " ", "\r"]))
+    ascii_file = (header + "\n" + body).encode("ascii")
+    binary_file = b"FSD1" + bytes([k]) + bytes(digits)
+    return k, bytes(digits), ascii_file, binary_file
+
+
+@FILE_SETTINGS
+@given(case=digit_files())
+def test_read_digit_file_matches_oracle(tmp_path_factory, case):
+    k, digits, ascii_file, binary_file = case
+    path = tmp_path_factory.mktemp("digits") / "seq"
+    for raw in (ascii_file, binary_file):
+        path.write_bytes(raw)
+        seq = read_digit_file(path)
+        assert (seq.alphabet.k, seq.prefix(seq.length_available)) == parse_digit_file(path)
+        assert seq.prefix(seq.length_available) == digits
+
+
+def assert_rejected_like_oracle(path):
+    with pytest.raises(ValueError) as expected:
+        parse_digit_file(path)
+    with pytest.raises(DigitFileError) as got:
+        read_digit_file(path)
+    assert str(got.value) == str(expected.value)
+
+
+def insert_bytes(raw: bytes, start: int, values, data) -> bytes:
+    """`raw` with each of `values` inserted at a drawn position at or after `start`."""
+    for value in values:
+        at = data.draw(st.integers(start, len(raw)))
+        raw = raw[:at] + bytes([value]) + raw[at:]
+    return raw
+
+
+@FILE_SETTINGS
+@given(case=digit_files(), data=st.data())
+def test_read_digit_file_rejects_like_oracle(tmp_path_factory, case, data):
+    k, _, ascii_file, binary_file = case
+    path = tmp_path_factory.mktemp("digits") / "bad"
+    header_end = ascii_file.index(b"\n") + 1
+    invalid = [c for c in range(128)
+               if not chr(c).isspace() and chr(c).upper() not in DIGIT_CHARS[:k]]
+    bad_chars = data.draw(st.lists(st.sampled_from(invalid), min_size=1, max_size=3))
+    non_ascii = data.draw(st.lists(st.integers(128, 255), min_size=1, max_size=2))
+    big_digits = data.draw(st.lists(st.integers(k, 255), min_size=1, max_size=3))
+    for raw in (insert_bytes(ascii_file, header_end, bad_chars, data),
+                insert_bytes(ascii_file, header_end, non_ascii, data),
+                insert_bytes(binary_file, 5, big_digits, data)):
+        path.write_bytes(raw)
+        assert_rejected_like_oracle(path)
