@@ -18,22 +18,22 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError, int_to_digits
+from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError
 
 
 @dataclass
 class BlockDistribution:
     """Empirical distribution of the first n aligned l-blocks of a sequence.
 
-    counts maps each observed block (raw digit bytes) to its occurrence
-    count; counts always sum to exactly n, so the derived probabilities are
-    exact rationals summing to 1.
+    counts maps the base-k integer code of each observed block (most
+    significant digit first) to its occurrence count; counts always sum to
+    exactly n, so the derived probabilities are exact rationals summing to 1.
     """
 
     alphabet: Alphabet
     l: int
     n: int
-    counts: Dict[bytes, int]
+    counts: Dict[int, int]
 
     def __post_init__(self):
         if self.l < 1 or self.n < 1:
@@ -42,41 +42,35 @@ class BlockDistribution:
         if total != self.n:
             raise ValueError(f"counts sum to {total}, expected n={self.n}")
 
-    def probability(self, w: bytes) -> Fraction:
-        return Fraction(self.counts.get(bytes(w), 0), self.n)
 
-    def probabilities(self) -> Dict[bytes, Fraction]:
-        return {w: Fraction(c, self.n) for w, c in self.counts.items()}
+def _code_dtype(k: int, l: int):
+    """int64 while every base-k code of length l fits in 62 bits, else Python ints."""
+    return np.int64 if l * math.log2(k) <= 62 else object
 
 
 def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
-    """Base-k integer codes of the first n aligned l-blocks, as int64.
+    """Base-k integer codes of the first n aligned l-blocks.
 
-    Needs k^l <= 2^62 so that every code fits.
+    Codes are int64 while k^l <= 2^62 and Python ints (an object array)
+    beyond that, so every block length is served.
     """
     k = seq.alphabet.k
-    if l * math.log2(k) > 62:
-        raise ValueError(f"base-{k} blocks of length {l} do not fit in int64 codes")
-    arr = seq.prefix_array(n * l).reshape(n, l).astype(np.int64)
-    return arr @ (k ** np.arange(l - 1, -1, -1, dtype=np.int64))
+    blocks = seq.prefix_array(n * l).reshape(n, l)
+    codes = np.zeros(n, dtype=_code_dtype(k, l))
+    for j in range(l):
+        codes = codes * k + blocks[:, j]
+    return codes
 
 
 def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
-    """Count the first n aligned l-blocks of `seq`.
+    """Count the first n aligned l-blocks of `seq`, keyed by block code.
 
     Block j is seq[j*l : (j+1)*l]; the distribution needs n*l digits.
     """
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
-    k = seq.alphabet.k
-    if l * math.log2(k) <= 62:
-        # encode each block as a base-k integer and count distinct codes
-        values, cnts = np.unique(block_codes(seq, l, n), return_counts=True)
-        counts = {bytes(int_to_digits(int(v), k, l)): int(c) for v, c in zip(values, cnts)}
-    else:
-        raw = seq.prefix(n * l)
-        counts = dict(Counter(raw[j * l:(j + 1) * l] for j in range(n)))
-    return BlockDistribution(seq.alphabet, l, n, counts)
+    values, counts = np.unique(block_codes(seq, l, n), return_counts=True)
+    return BlockDistribution(seq.alphabet, l, n, dict(zip(values.tolist(), counts.tolist())))
 
 
 def _entropy_from_counts(counts: Sequence[int], n: int) -> float:
@@ -159,15 +153,16 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
         raise ValueError("n_schedule must be nonempty with positive entries")
     k = seq.alphabet.k
     avail = seq.length_available
-    grid = DimensionEstimateGrid(seq.alphabet, max_block_len, tuple(schedule))
+    grid = DimensionEstimateGrid(seq.alphabet, max_block_len, tuple(schedule),
+                                 clipped=schedule[-1] * max_block_len > avail)
     for l in range(1, max_block_len + 1):
         denom = l * math.log2(k)
-        for n in schedule:
-            if n * l > avail:
-                grid.clipped = True
-                continue
-            dist = block_frequencies(seq, l, n)
-            h = _entropy_from_counts(list(dist.counts.values()), n) / denom
+        fits = [n for n in schedule if n * l <= avail]
+        # encode the row once; each cell counts a prefix of its codes
+        codes = block_codes(seq, l, max(fits, default=0))
+        for n in fits:
+            counts = np.unique(codes[:n], return_counts=True)[1]
+            h = _entropy_from_counts(counts.tolist(), n) / denom
             grid.entries.append(GridEntry(l, n, min(h, 1.0)))
     if not grid.entries:
         raise InsufficientDigitsError("sequence too short for any grid cell")
@@ -227,14 +222,18 @@ def normality_deviation(seq: DigitSequence, w_max_len: int, n: int) -> Fraction:
     """
     if w_max_len < 1:
         raise ValueError("w_max_len must be >= 1")
+    if n < 1:
+        raise ValueError("n must be positive")
     k = seq.alphabet.k
+    digits = seq.prefix_array(n + w_max_len)
+    codes = np.zeros(n, dtype=np.int64)
     worst = Fraction(0)
-    text = seq.prefix(n + w_max_len)
     for l in range(1, w_max_len + 1):
-        target = Fraction(1, k ** l)
-        counts = Counter(text[i:i + l] for i in range(n))
-        for c in counts.values():
-            worst = max(worst, abs(Fraction(c, n) - target))
-        if len(counts) < k ** l:
-            worst = max(worst, target)
+        # codes of the l-blocks at offsets 0..n-1, extended from the (l-1)-blocks
+        codes = codes.astype(_code_dtype(k, l), copy=False) * k + digits[l - 1:l - 1 + n]
+        counts = np.unique(codes, return_counts=True)[1]
+        space = k ** l
+        # |c/n - k^-l| = |c*k^l - n| / (n*k^l) peaks at the extreme counts (0 if unseen)
+        low = int(counts.min()) if len(counts) == space else 0
+        worst = max(worst, Fraction(max(int(counts.max()) * space - n, n - low * space), n * space))
     return worst

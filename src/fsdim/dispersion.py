@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .blockstats import BlockDistribution, block_codes, block_frequencies
-from .digitseq import DigitSequence, digits_to_int
+from .digitseq import DigitSequence
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
                         _multiplier_shape)
 
@@ -591,8 +591,7 @@ def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
 
 def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Fraction]:
     """Sparse {block code: probability} view of a block distribution."""
-    k = dist.alphabet.k
-    return {digits_to_int(w, k): Fraction(c, dist.n) for w, c in dist.counts.items()}
+    return {code: Fraction(c, dist.n) for code, c in dist.counts.items()}
 
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
@@ -641,20 +640,18 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
 
     # each aligned pair (x, y) becomes the code x * k^l + y; entries keep the
     # order in which the pairs first occur
-    x_codes = block_codes(seq, l, n)
-    pairs, first, pair_counts = np.unique(x_codes * dimension + block_codes(product_digits, l, n),
-                                          return_index=True, return_counts=True)
+    pairs, first, pair_counts = np.unique(
+        block_codes(seq, l, n) * dimension + block_codes(product_digits, l, n),
+        return_index=True, return_counts=True)
     order = np.argsort(first, kind="stable")
-    x_values, x_counts = np.unique(x_codes, return_counts=True)
-    x_total = dict(zip(x_values.tolist(), x_counts.tolist()))
     entries: Dict[Tuple[int, int], Fraction] = {}
     for code, cnt in zip(pairs[order].tolist(), pair_counts[order].tolist()):
         x_code, y_code = divmod(code, dimension)
-        entries[(y_code, x_code)] = Fraction(cnt, x_total[x_code])
+        entries[(y_code, x_code)] = Fraction(cnt, dist_alpha.counts[x_code])
 
     _, _, s = _multiplier_shape(m, k)
     g = math.gcd(m, dimension)
     declared = min(g * (s + 1) * m, dimension)
     cert = SparseStochasticCertificate(dimension, entries, declared,
-                                       UnobservedColumns(dimension, x_total))
+                                       UnobservedColumns(dimension, dist_alpha.counts))
     return cert, dist_alpha, dist_product

@@ -312,6 +312,8 @@ def _sample_triples(sample_count: int, n_max: int, seed: int):
     Every tenth mu is a shuffle of pi, so zero-dispersion pairs with unequal
     vectors are always exercised.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be positive")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     rng = random.Random(seed)

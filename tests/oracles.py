@@ -6,6 +6,7 @@ dispersion by support-pattern enumeration plus exact-rational max-flow.
 Slow is fine; these only run at small sizes.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -80,6 +81,20 @@ def naive_block_counts(digits: bytes, l: int, n: int):
         w = digits[j * l:(j + 1) * l]
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def sliding_normality_deviation(digits: bytes, k: int, w_max_len: int, n: int) -> Fraction:
+    """max_w |freq(w) - k^(-|w|)| over |w| <= w_max_len, sliding blocks as byte slices."""
+    worst = Fraction(0)
+    text = digits[:n + w_max_len]
+    for l in range(1, w_max_len + 1):
+        target = Fraction(1, k ** l)
+        counts = Counter(text[i:i + l] for i in range(n))
+        for c in counts.values():
+            worst = max(worst, abs(Fraction(c, n) - target))
+        if len(counts) < k ** l:
+            worst = max(worst, target)
+    return worst
 
 
 def product_prefix_digits(digits: bytes, k: int, m: int, count: int):

@@ -9,8 +9,15 @@ from fsdim import (Alphabet, DigitSequence, block_frequencies, dim_estimates,
                    gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
 from fsdim.blockstats import BlockDistribution
+from fsdim.digitseq import digits_to_int
+from fsdim.dispersion import block_distribution_as_code_vector
 
 from oracles import naive_block_counts
+
+
+def naive_code_counts(digits: bytes, k: int, l: int, n: int):
+    """The oracle's block counts keyed by base-k block code."""
+    return {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
 
 
 def _alternating(count):
@@ -19,19 +26,18 @@ def _alternating(count):
 
 def test_block_frequencies_trivial_cases():
     dist = block_frequencies(_alternating(16), 2, 4)
-    assert dist.counts == {bytes([0, 1]): 4}
-    assert dist.probability(bytes([0, 1])) == 1
+    assert dist.counts == {digits_to_int(bytes([0, 1]), 2): 4}
+    assert block_distribution_as_code_vector(dist) == {digits_to_int(bytes([0, 1]), 2): 1}
 
     seq = DigitSequence(Alphabet(2), bytes([0, 1, 1, 0]))
     dist = block_frequencies(seq, 1, 4)
-    assert dist.probability(bytes([0])) == Fraction(1, 2)
-    assert dist.probability(bytes([1])) == Fraction(1, 2)
+    assert block_distribution_as_code_vector(dist) == {0: Fraction(1, 2), 1: Fraction(1, 2)}
 
 
 def test_block_frequencies_against_naive_recount():
     seq = gen_champernowne(Alphabet(2), 3100)
     dist = block_frequencies(seq, 3, 1000)
-    assert dist.counts == naive_block_counts(seq.prefix(3000), 3, 1000)
+    assert dist.counts == naive_code_counts(seq.prefix(3000), 2, 3, 1000)
 
     rng = random.Random(3)
     for _ in range(20):
@@ -40,7 +46,7 @@ def test_block_frequencies_against_naive_recount():
         n = rng.randint(1, 200)
         digits = bytes(rng.randrange(k) for _ in range(n * l))
         seq = DigitSequence(Alphabet(k), digits)
-        assert block_frequencies(seq, l, n).counts == naive_block_counts(digits, l, n)
+        assert block_frequencies(seq, l, n).counts == naive_code_counts(digits, k, l, n)
 
 
 def test_block_probabilities_sum_to_one_exactly():
@@ -51,7 +57,7 @@ def test_block_probabilities_sum_to_one_exactly():
         n = rng.randint(1, 300)
         digits = bytes(rng.randrange(k) for _ in range(n * l))
         dist = block_frequencies(DigitSequence(Alphabet(k), digits), l, n)
-        assert sum(dist.probabilities().values()) == 1
+        assert sum(block_distribution_as_code_vector(dist).values()) == 1
 
 
 def test_block_frequencies_insufficient_digits():
@@ -70,7 +76,7 @@ def test_shannon_entropy_of_distribution_matches_vector_form():
     seq = gen_champernowne(Alphabet(2), 4000)
     dist = block_frequencies(seq, 2, 2000)
     direct = shannon_entropy(dist)
-    from_probs = shannon_entropy(list(dist.probabilities().values()))
+    from_probs = shannon_entropy(list(block_distribution_as_code_vector(dist).values()))
     assert abs(direct - from_probs) < 1e-12
 
 
@@ -180,4 +186,4 @@ def test_normality_deviation_examples():
 
 def test_block_distribution_validates_totals():
     with pytest.raises(ValueError):
-        BlockDistribution(Alphabet(2), 1, 5, {b"\x00": 3})
+        BlockDistribution(Alphabet(2), 1, 5, {0: 3})

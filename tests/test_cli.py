@@ -221,6 +221,14 @@ def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("suite,samples", [("pseudometric", "-1"), ("contractivity", "0")])
+def test_suite_empty_sample_exits_one(tmp_path, capsys, suite, samples):
+    report = tmp_path / "suite.json"
+    assert dispatch(["verify", suite, "--samples", samples, "--report", str(report)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

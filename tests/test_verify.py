@@ -32,6 +32,12 @@ class TestSuites:
         assert [r["n"] for r in a.records] == [r["n"] for r in b.records]
         assert [r["m"]["pi_mu"] for r in a.records] == [r["m"] for r in b.records]
 
+    @pytest.mark.parametrize("suite", [verify_pseudometric_suite, verify_contractivity_suite])
+    def test_suites_refuse_empty_sample(self, suite):
+        for sample_count in (0, -1):
+            with pytest.raises(ValueError, match="sample_count must be positive"):
+                suite(sample_count=sample_count, n_max=3, seed=1)
+
 
 class TestDilution:
     def test_small_scale_run(self):
