@@ -205,7 +205,7 @@ def sliding_frequency(seq: DigitSequence, w, n: int) -> Fraction:
         raise ValueError("w must be nonempty")
     if n < 1:
         raise ValueError("n must be positive")
-    text = seq.prefix(n + len(w))
+    text = seq.prefix(n + len(w) - 1)
     count = 0
     start = text.find(w)
     while 0 <= start < n:
@@ -225,7 +225,7 @@ def normality_deviation(seq: DigitSequence, w_max_len: int, n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be positive")
     k = seq.alphabet.k
-    digits = seq.prefix_array(n + w_max_len)
+    digits = seq.prefix_array(n + w_max_len - 1)
     codes = np.zeros(n, dtype=np.int64)
     worst = Fraction(0)
     for l in range(1, w_max_len + 1):

@@ -26,6 +26,8 @@ _CHAR_TO_VALUE = bytes.maketrans((_DIGIT_CHARS + _DIGIT_CHARS.lower()).encode("a
                                  _DIGIT_VALUES * 2)
 # the ASCII characters str.isspace() accepts, which digit files may contain anywhere
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+# limbs per Python list in long division
+_DIVIDE_BLOCK = 4096
 
 
 class DigitFileError(ValueError):
@@ -98,6 +100,84 @@ def int_to_digits(v: int, k: int, width: int) -> bytearray:
     return int_to_digits(hi, k, mid) + int_to_digits(lo, k, width - mid)
 
 
+def limb_width(k: int, m: int = 1):
+    """Digits per limb, and the limb dtype, for base-k limbs multiplied by m.
+
+    int64 limbs hold the largest c with m * k^c < 2^62, provided k^c >= m:
+    then a limb times m stays below 2^62, and a limb plus the carry-in from
+    the limb below stays below 2K, K = k^c.  Multipliers too large for that
+    get Python ints in an object array, with the smallest c that has k^c >= m.
+    """
+    c = 0
+    while m * k ** (c + 1) < 2 ** 62:
+        c += 1
+    if c and k ** c >= m:
+        return c, np.int64
+    c = 1
+    while k ** c < m:
+        c += 1
+    return c, object
+
+
+def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
+    """Big-endian limbs of c base-k digits each, and the zero digits padded on the right.
+
+    The limbs hold the digits' numeral times k^pad, built by Horner's rule over
+    the uint8 columns, so no digit is copied to a wider type.
+    """
+    n = len(digits)
+    full = n // c
+    limbs = np.zeros(-(-n // c), dtype)
+    head = limbs[:full]
+    body = digits[:full * c].reshape(full, c)
+    for j in range(c):
+        head *= k
+        head += body[:, j]
+    pad = len(limbs) * c - n
+    if pad:
+        limbs[-1] = digits_to_int(bytes(digits[full * c:]), k) * k ** pad
+    return limbs, pad
+
+
+def limbs_to_digits(limbs: np.ndarray, k: int, c: int) -> np.ndarray:
+    """The c base-k digits of each limb, big-endian, as one uint8 array."""
+    out = np.empty((len(limbs), c), np.uint8)
+    rest = np.array(limbs)
+    for j in range(c - 1, -1, -1):
+        out[:, j] = rest % k
+        rest //= k
+    return out.reshape(-1)
+
+
+def divide_limbs(top: int, limbs: np.ndarray, d: int, K: int):
+    """Divide top * K^L + limbs by d in place, by schoolbook long division.
+
+    The limbs become the quotient's L limbs, each below K since the running
+    remainder stays below d; returns the quotient's part above them and the
+    remainder.  The limbs pass through Python ints a block at a time, so the
+    copy stays small.
+    """
+    qtop, rem = divmod(top, d)
+    for start in range(0, len(limbs), _DIVIDE_BLOCK):
+        block = limbs[start:start + _DIVIDE_BLOCK].tolist()
+        for i, x in enumerate(block):
+            block[i], rem = divmod(rem * K + x, d)
+        limbs[start:start + _DIVIDE_BLOCK] = block
+    return qtop, rem
+
+
+def rational_digits(num: int, den: int, k: int, count: int) -> bytes:
+    """The base-k digits of floor(num * k^count / den) for 0 <= num < den.
+
+    These are the first `count` digits of num/den, terminating expansion
+    preferred, by long division one limb of digits at a time.
+    """
+    c, dtype = limb_width(k)
+    quotient = np.zeros(-(-count // c), dtype)
+    divide_limbs(num, quotient, den, k ** c)
+    return limbs_to_digits(quotient, k, c)[:count].tobytes()
+
+
 class DigitSequence:
     """A finite, immutable buffer of base-k digits.
 
@@ -143,10 +223,6 @@ class DigitSequence:
     def prefix_str(self, n: int) -> str:
         return self.prefix(n).translate(_VALUE_TO_CHAR).decode("ascii")
 
-    def materialize(self, n: int) -> "DigitSequence":
-        """A value-like copy of the first n digits (exact value preserved)."""
-        return DigitSequence(self.alphabet, self.prefix(n), exact_value=self.exact_value)
-
 
 def _champernowne_shortlex(k: int) -> Iterator[int]:
     # all strings over the alphabet in shortlex order: 0,1,...,k-1,00,01,...
@@ -190,8 +266,8 @@ def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") ->
 def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> DigitSequence:
     """First `count` digits of the base-k expansion of a rational q in [0, 1).
 
-    k-adic rationals get the terminating expansion (trailing zeros), so the
-    digits are floor(q * k^count) written as a width-`count` numeral.  The
+    k-adic rationals get the terminating expansion (trailing zeros): the
+    digits are those of floor(q * k^count), found by long division.  The
     exact value rides along on the returned sequence.
     """
     q = Fraction(q)
@@ -199,9 +275,8 @@ def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> Digit
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    k = alphabet.k
-    prefix_value = (q.numerator * k ** count) // q.denominator
-    return DigitSequence(alphabet, int_to_digits(prefix_value, k, count), exact_value=q)
+    digits = rational_digits(q.numerator, q.denominator, alphabet.k, count)
+    return DigitSequence(alphabet, digits, exact_value=q)
 
 
 def gen_dilution(source: DigitSequence, count: int) -> DigitSequence:

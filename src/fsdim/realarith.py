@@ -2,9 +2,11 @@
 
 Operations map the digit stream of a real alpha in [0, 1) to certified digits
 of frac(m*alpha), frac(alpha/b), frac(q+alpha), frac(|q|*alpha) and so on.
-Certification works by exact rational interval enclosure: an N-digit prefix
-pins alpha inside [P/k^N, (P+1)/k^N]; the affine image of that interval is
-computed exactly and digits are emitted only where both endpoints agree.
+Certification works by interval enclosure with exact integer endpoints: an
+N-digit prefix P pins alpha inside [P/k^N, (P+1)/k^N], and each end of the
+affine image, scaled by k^count, is an integer computed on limbs of base-k
+digits (one multiply whose carries a prefix scan resolves, then a long
+division by a small integer); digits are emitted only where both ends agree.
 The lookahead N grows geometrically until the digits resolve or a cap is
 reached.  Streams carrying an exact rational value skip the enclosure and
 emit digits by exact long division, which also resolves results that sit
@@ -23,8 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List
 
-from .digitseq import (Alphabet, DigitSequence, InsufficientDigitsError,
-                       digits_to_int, int_to_digits)
+import numpy as np
+
+from .digitseq import (Alphabet, DigitSequence, InsufficientDigitsError, digits_to_int,
+                       digits_to_limbs, divide_limbs, int_to_digits, limb_width,
+                       limbs_to_digits, rational_digits)
 
 DEFAULT_LOOKAHEAD_CAP = 4096
 
@@ -69,15 +74,96 @@ class CarryAdviceTrace:
     entries: List[TraceEntry]
 
 
-def _rational_prefix_digits(value: Fraction, k: int, count: int) -> bytearray:
-    # canonical (terminating) expansion: digits of floor(value * k^count)
-    assert 0 <= value < 1
-    return int_to_digits((value.numerator * k ** count) // value.denominator, k, count)
+def _resolve_carries(limbs: np.ndarray, K: int) -> int:
+    """Reduce big-endian limbs, each at most 2K - 2, to base K in place.
+
+    A limb of at least K generates a carry, a limb equal to K - 1 passes an
+    incoming carry on, and any other limb absorbs it.  The carry into a limb
+    is the generate bit of the nearest limb below it that does not pass
+    carries on, found for every limb by one prefix scan (Ladner and
+    Fischer), so runs of K - 1 cost no extra passes.  Returns the carry out
+    of the top limb.
+    """
+    n = len(limbs)
+    if not n:
+        return 0
+    generates = np.append(limbs >= K, False)  # index n: no carry enters the bottom limb
+    stops = np.where(limbs != K - 1, np.arange(n), n)
+    nearest = np.minimum.accumulate(stops[::-1])[::-1]  # nearest stop at or below each limb
+    limbs[:-1] += generates[nearest[1:]]
+    limbs[limbs >= K] -= K
+    return int(generates[nearest[0]])
+
+
+def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count: int):
+    """The digits both ends of the enclosure share, and whether the ends are equal.
+
+    For the N-digit prefix P in `digits`, the ends are floor((M*P' + S*k^N) /
+    (d*k^(N-count))) with P' in {P, P+1}.  Each is held as an integer part
+    and the limbs of its first N fractional digits: one multiply by |M| with
+    a carry scan, then one long division by d.  The high end exceeds the low
+    one by |M| before the division, so it is the low end's quotient plus a
+    small integer added at the bottom limb.  Returns the fractional digits
+    both ends share among the first `count` (none when their integer parts
+    differ), and whether the two ends are equal.
+    """
+    m = abs(M)
+    c, dtype = limb_width(k, m)
+    K = k ** c
+    limbs, pad = digits_to_limbs(digits, k, c, dtype)
+    top = S
+    if M < 0:
+        # -m*P' = m*(k^N - P') - m*k^N, and k^N - P' is C + 1 or C for the
+        # digit complement C = k^N - 1 - P: the low end is m*C, the high m*(C + 1)
+        limbs = (K - 1) - limbs
+        if pad:
+            limbs[-1] -= k ** pad - 1
+        top -= m
+    limbs *= m
+    high = limbs // K
+    limbs %= K
+    if len(high):
+        top += int(high[0])
+        limbs[:-1] += high[1:]
+    del high
+    top += _resolve_carries(limbs, K)
+    rem = 0
+    if d > 1:
+        top, rem = divide_limbs(top, limbs, d, K)
+    upper = limbs.copy()
+    gap = (rem + m * k ** pad) // d
+    i = len(upper)
+    while gap and i:
+        i -= 1
+        gap, low = divmod(gap, K)
+        upper[i] += low
+    agree = gap + _resolve_carries(upper, K) == 0  # no carry reaches the integer part
+    shared = count if agree else 0
+    used = -(-count // c)
+    if agree and used:
+        differs = upper[:used] != limbs[:used]
+        first = int(differs.argmax())
+        if differs[first]:
+            pair = limbs_to_digits(np.array([limbs[first], upper[first]], dtype), k, c)
+            shared = min(count, first * c + int((pair[:c] != pair[c:]).argmax()))
+            agree = shared == count
+    del upper
+    return limbs_to_digits(limbs[:-(-shared // c)], k, c)[:shared].tobytes(), agree
 
 
 def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
                       count: int, lookahead_cap: int) -> CertifiedDigitResult:
     """Certified digits of frac(coef * alpha + offset) for the stream's alpha.
+
+    With coef = a/b and offset = p/q, an N-digit prefix P pins the result
+    between two integers scaled by k^-count, floor((M*P' + S*k^N) /
+    (d*k^(N-count))) for P' in {P, P+1}, where M = a*q, S = p*b and d = b*q.
+    Both are computed on limbs of base-k digits: a multiply by |M| whose
+    carries one prefix scan resolves (the k's complement of the digits when
+    M < 0), then a long division by the small integer d.  Digits are emitted
+    where the two ends agree; N grows by doubling the guard digits up to the
+    lookahead cap.  Streams with an exact value take the same long division
+    of the exact result instead.
 
     Raises InsufficientDigitsError when a stream without an exact value holds
     fewer than `count` digits; `unresolved` is kept for k-adic boundaries.
@@ -93,7 +179,7 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
     if seq.exact_value is not None:
         value = coef * seq.exact_value + offset
         frac_part = value - math.floor(value)
-        digits = _rational_prefix_digits(frac_part, k, count)
+        digits = rational_digits(frac_part.numerator, frac_part.denominator, k, count)
         out = DigitSequence(seq.alphabet, digits, exact_value=frac_part)
         return CertifiedDigitResult(out, count, 0, False)
 
@@ -101,42 +187,18 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
     if count > avail:
         raise InsufficientDigitsError(
             f"requested {count} result digits but the stream has only {avail}")
-    kc = k ** count
+    M = coef.numerator * offset.denominator
+    S = offset.numerator * coef.denominator
+    d = coef.denominator * offset.denominator
     max_read = min(count + lookahead_cap, avail)
     guard = 8
     while True:
         n_read = min(count + guard, max_read)
-        prefix_value = seq.prefix_int(n_read)
-        scale = k ** n_read
-        e1 = coef * Fraction(prefix_value, scale) + offset
-        e2 = coef * Fraction(prefix_value + 1, scale) + offset
-        lo, hi = (e1, e2) if coef > 0 else (e2, e1)
-        a = math.floor(lo * kc)
-        b = math.floor(hi * kc)
-        if a == b:
-            digits = int_to_digits(a % kc, k, count)
+        digits, agree = _enclosure_digits(seq.prefix_array(n_read), k, M, S, d, count)
+        if agree or n_read >= max_read:
             return CertifiedDigitResult(DigitSequence(seq.alphabet, digits),
-                                        count, n_read - count, False)
-        if n_read >= max_read:
-            certified = _common_prefix_len(a, b, k, count)
-            value = (a // k ** (count - certified)) % (k ** certified)
-            digits = int_to_digits(value, k, certified)
-            return CertifiedDigitResult(DigitSequence(seq.alphabet, digits),
-                                        certified, n_read - count, True)
+                                        len(digits), n_read - count, not agree)
         guard *= 2
-
-
-def _common_prefix_len(a: int, b: int, k: int, count: int) -> int:
-    # largest t <= count with a // k^(count-t) == b // k^(count-t);
-    # the predicate is monotone in t so binary search applies
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a // k ** (count - mid) == b // k ** (count - mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def mul_int_mod1(seq: DigitSequence, m: int, count: int,

@@ -6,9 +6,12 @@ dispersion by support-pattern enumeration plus exact-rational max-flow.
 Slow is fine; these only run at small sizes.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+
+from fsdim import InsufficientDigitsError
 
 
 def long_division_digits(q: Fraction, k: int, count: int):
@@ -21,6 +24,88 @@ def long_division_digits(q: Fraction, k: int, count: int):
         d, num = divmod(num, den)
         digits.append(d)
     return bytes(digits)
+
+
+def _numeral(digits, k: int) -> int:
+    value = 0
+    for d in digits:
+        value = value * k + d
+    return value
+
+
+def _width_digits(value: int, k: int, width: int) -> bytes:
+    out = bytearray(width)
+    for i in range(width - 1, -1, -1):
+        value, out[i] = divmod(value, k)
+    assert value == 0
+    return bytes(out)
+
+
+def _rational_prefix_digits(value: Fraction, k: int, count: int) -> bytes:
+    # canonical (terminating) expansion: digits of floor(value * k^count)
+    assert 0 <= value < 1
+    return _width_digits((value.numerator * k ** count) // value.denominator, k, count)
+
+
+def _common_prefix_len(a: int, b: int, k: int, count: int) -> int:
+    # largest t <= count with a // k^(count-t) == b // k^(count-t);
+    # the predicate is monotone in t so binary search applies
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a // k ** (count - mid) == b // k ** (count - mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahead_cap: int):
+    """Certified digits of frac(coef * alpha + offset), the enclosure in Fractions.
+
+    Returns (digits, certified_count, lookahead_used, unresolved,
+    exact_value).  The rational interval enclosure over k^N-sized integers: an N-digit
+    prefix pins alpha inside [P/k^N, (P+1)/k^N], the affine image of that
+    interval is computed in Fractions, and digits are kept where both ends
+    agree; N grows by doubling the guard digits up to the lookahead cap.
+    Raises what the library raises for the same input.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if coef == 0:
+        raise ValueError("coefficient must be nonzero")
+    if lookahead_cap < 1:
+        raise ValueError("lookahead_cap must be positive")
+    k = seq.alphabet.k
+
+    if seq.exact_value is not None:
+        value = coef * seq.exact_value + offset
+        frac_part = value - math.floor(value)
+        return _rational_prefix_digits(frac_part, k, count), count, 0, False, frac_part
+
+    avail = seq.length_available
+    if count > avail:
+        raise InsufficientDigitsError(
+            f"requested {count} result digits but the stream has only {avail}")
+    kc = k ** count
+    max_read = min(count + lookahead_cap, avail)
+    guard = 8
+    while True:
+        n_read = min(count + guard, max_read)
+        prefix_value = _numeral(seq.prefix(n_read), k)
+        scale = k ** n_read
+        e1 = coef * Fraction(prefix_value, scale) + offset
+        e2 = coef * Fraction(prefix_value + 1, scale) + offset
+        lo, hi = (e1, e2) if coef > 0 else (e2, e1)
+        a = math.floor(lo * kc)
+        b = math.floor(hi * kc)
+        if a == b:
+            return _width_digits(a % kc, k, count), count, n_read - count, False, None
+        if n_read >= max_read:
+            certified = _common_prefix_len(a, b, k, count)
+            value = (a // k ** (count - certified)) % (k ** certified)
+            return (_width_digits(value, k, certified), certified, n_read - count, True, None)
+        guard *= 2
 
 
 def frac_digits(value: Fraction, k: int, count: int):

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from fsdim import (Alphabet, DigitSequence, block_frequencies, dim_estimates,
-                   entropy_rate_grid, gen_champernowne, gen_dilution,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
+                   dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
                    gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
 from fsdim.blockstats import BlockDistribution
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
-from oracles import naive_block_counts
+from oracles import naive_block_counts, sliding_normality_deviation
 
 
 def naive_code_counts(digits: bytes, k: int, l: int, n: int):
@@ -173,6 +173,18 @@ def test_sliding_frequency_matches_naive_recount():
         n = 400
         count = sum(1 for i in range(n) if digits[i:i + len(w)] == w)
         assert sliding_frequency(seq, w, n) == Fraction(count, n)
+
+
+def test_sliding_windows_read_exactly_the_digits_they_cover():
+    # offsets i < n read digits up to n + |w| - 2, so n + |w| - 1 digits suffice
+    digits = bytes([0, 1]) * 5
+    alt = DigitSequence(Alphabet(2), digits)
+    assert sliding_frequency(alt, "01", 9) == Fraction(5, 9)
+    assert normality_deviation(alt, 2, 9) == sliding_normality_deviation(digits, 2, 2, 9)
+    with pytest.raises(InsufficientDigitsError):
+        sliding_frequency(alt, "01", 10)
+    with pytest.raises(InsufficientDigitsError):
+        normality_deviation(alt, 2, 10)
 
 
 def test_normality_deviation_examples():
