@@ -15,8 +15,9 @@ from .blockstats import (BlockDistribution, DimensionEstimateGrid, GridEntry,
 from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, select_progression, write_digit_file)
-from .dispersion import (DispersionResult, ProbabilityVector, SparseStochasticCertificate,
-                         UnobservedColumns, ValidationOutcome, block_distribution_as_code_vector,
+from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
+                         SparseStochasticCertificate, UnobservedColumns, ValidationOutcome,
+                         block_coupling, block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
                          certificate_from_json_dict, certificate_to_json_dict,
                          compose_certificates, delta_exact, integer_multiple_certificate,
@@ -32,12 +33,12 @@ from .verify import (VerificationReport, verify_contractivity_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BlockDistribution", "CarryAdviceTrace", "CertifiedDigitResult",
+    "Alphabet", "BlockCoupling", "BlockDistribution", "CarryAdviceTrace", "CertifiedDigitResult",
     "DigitFileError", "DigitSequence", "DimensionEstimateGrid", "DispersionResult",
     "GridEntry", "InsufficientDigitsError", "ProbabilityVector",
     "SparseStochasticCertificate", "TraceEntry", "UnobservedColumns",
     "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
-    "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
+    "block_coupling", "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
     "carry_advice_trace", "certificate_bound_bits", "certificate_from_json_dict",
     "certificate_to_json_dict", "compose_certificates",
     "delta_exact", "dim_estimates", "div_int", "entropy_rate_grid", "gen_champernowne",

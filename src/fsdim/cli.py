@@ -17,9 +17,8 @@ from .blockstats import dim_estimates, entropy_rate_grid
 from .digitseq import (Alphabet, DigitFileError, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, write_digit_file)
-from .dispersion import (ProbabilityVector, block_distribution_as_code_vector,
-                         certificate_bound_bits, certificate_to_json_dict, delta_exact,
-                         integer_multiple_certificate, validate_certificate)
+from .dispersion import (ProbabilityVector, block_coupling, certificate_bound_bits,
+                         certificate_to_json_dict, delta_exact)
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
                         div_int, mul_int_mod1, mul_rational_mod1)
 from .verify import (verify_contractivity_suite, verify_dilution_counterexample,
@@ -217,21 +216,18 @@ def _cmd_delta(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return EXIT_BUDGET if result.method == "certificate-upper-bound" else EXIT_OK
     seq = read_digit_file(args.alpha)
-    cert, dist_a, dist_b = integer_multiple_certificate(seq, args.m, args.l, args.n,
-                                                        args.lookahead)
+    table = block_coupling(seq, args.m, args.l, args.n, args.lookahead)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(certificate_to_json_dict(cert), fh, indent=2)
+            json.dump(certificate_to_json_dict(table.to_certificate()), fh, indent=2)
             fh.write("\n")
-    outcome = validate_certificate(cert,
-                                   block_distribution_as_code_vector(dist_a),
-                                   block_distribution_as_code_vector(dist_b))
-    row_support, col_support = cert.max_degrees()
+    outcome = table.validate()
+    row_support, col_support = table.max_degrees()
     payload = {
         "k": seq.alphabet.k, "m": args.m, "l": args.l, "n": args.n,
         "valid": outcome.ok,
         "violation": outcome.violation,
-        "declared_m": cert.declared_m,
+        "declared_m": table.declared_m,
         "bound_bits": certificate_bound_bits(args.m, seq.alphabet.k, args.l),
         "row_support": row_support,
         "col_support": col_support,

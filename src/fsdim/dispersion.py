@@ -15,7 +15,12 @@ feasibility an exact integer check.  Columns with pi(j) = 0 never constrain
 feasibility (a single free entry placed in any row with slack keeps the
 bound; enough slack always exists), so they are completed greedily.
 
-Everything is exact rational arithmetic; entropies alone are floats.
+Everything is exact rational arithmetic; entropies alone are floats.  Block
+certificates between alpha and m*alpha are held as integer joint-count
+tables (:class:`BlockCoupling`), on which every condition is an equality or
+comparison of integer sums; they become rational matrices only on request
+(:meth:`BlockCoupling.to_certificate`), for files and for the solver's
+reversal and composition.
 """
 
 from __future__ import annotations
@@ -26,14 +31,15 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .blockstats import BlockDistribution, block_codes, block_frequencies
-from .digitseq import DigitSequence
+from .blockstats import BlockDistribution, block_codes
+from .digitseq import Alphabet, DigitSequence
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
                         _multiplier_shape)
 
@@ -211,7 +217,9 @@ class SparseStochasticCertificate:
 @dataclass
 class ValidationOutcome:
     ok: bool
-    violation: Optional[str] = None  # "stochastic-columns" | "marginal-map" | "support-bound"
+    # "stochastic-columns" | "marginal-map" | "support-bound", and for block
+    # tables also "residue-identity"
+    violation: Optional[str] = None
     detail: str = ""
 
 
@@ -594,38 +602,210 @@ def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Frac
     return {code: Fraction(c, dist.n) for code, c in dist.counts.items()}
 
 
-def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
-                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
-                                 product_digits: Optional[DigitSequence] = None):
-    """Coupling certificate between block statistics of alpha and m*alpha.
+def _certificate_dimension(k: int, l: int) -> int:
+    dimension = k ** l
+    if dimension > MAX_CERTIFICATE_DIMENSION:
+        raise ValueError(f"block space k^l = {dimension} exceeds the certificate cap "
+                         f"{MAX_CERTIFICATE_DIMENSION}")
+    return dimension
 
-    Builds the k^l x k^l matrix whose column x distributes the observed
-    l-blocks of alpha equal to x over the aligned blocks of frac(m*alpha)
-    they produce: a_{y,x} = #{j < n : block_j(alpha) = x, block_j(m*alpha) = y}
-    / #{j < n : block_j(alpha) = x}, with identity columns where x never
-    occurs (kept implicit as :class:`UnobservedColumns`, so building and
-    checking the certificate costs O(n), not O(k^l)).  The result is stochastic, maps the block distribution of alpha
-    exactly onto that of m*alpha, and has column support at most (s+1)*m and
-    row support at most g*(s+1)*m for g = gcd(m, k^l), so it certifies a
-    dispersion bound independent of l and n.
+
+def _grouped(codes: np.ndarray, counts: np.ndarray):
+    """Distinct codes ascending, with the summed counts and the number of pairs of each."""
+    if not len(codes):
+        return codes, counts, counts
+    order = np.argsort(codes, kind="stable")
+    codes, counts = codes[order], counts[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return codes[starts], np.add.reduceat(counts, starts), np.diff(np.r_[starts, len(codes)])
+
+
+def _in_sorted(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Which of `values` occur in the ascending array `codes`."""
+    if not len(codes):
+        return np.zeros(len(values), dtype=bool)
+    at = np.minimum(np.searchsorted(codes, values), len(codes) - 1)
+    return codes[at] == values
+
+
+def _sparse(codes: np.ndarray, values: np.ndarray) -> Dict[int, int]:
+    return dict(zip(codes.tolist(), values.tolist()))
+
+
+def _first_difference(a: Dict[int, int], b: Dict[int, int]) -> int:
+    """Least code whose value differs between two sparse integer vectors (absent = 0)."""
+    return min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+
+
+@dataclass(frozen=True)
+class BlockCoupling:
+    """The aligned l-block pairs of alpha and m*alpha as an integer joint-count table.
+
+    Pair t is the source block code x[t], the image block code y[t] and
+    count[t] = #{j < n : block_j(alpha) = x[t], block_j(m*alpha) = y[t]},
+    listed in the order the pairs first occur.  The source and image block
+    counts come from counting each code stream on its own.  The coupling is
+    the certificate matrix a_{y,x} = count / (source count of x), with an
+    identity column for every unobserved source block, scaled by the source
+    counts and by n: every condition of :func:`validate_certificate` is then
+    an equality or comparison of integer sums (:meth:`validate`), and
+    :meth:`to_certificate` gives the rational matrix.
+    """
+
+    alphabet: Alphabet
+    l: int
+    n: int
+    m: int
+    declared_m: int
+    x: np.ndarray
+    y: np.ndarray
+    count: np.ndarray
+    source_codes: np.ndarray
+    source_counts: np.ndarray
+    image_codes: np.ndarray
+    image_counts: np.ndarray
+
+    def __post_init__(self):
+        dimension = self.dimension
+        if not len(self.x) == len(self.y) == len(self.count):
+            raise ValueError("pair arrays differ in length")
+        if len(self.x) and (self.count.min() < 1 or min(self.x.min(), self.y.min()) < 0
+                            or max(self.x.max(), self.y.max()) >= dimension):
+            raise ValueError(f"pair outside range({dimension}) or count not positive")
+        # a pair in an unobserved column collides with that column's identity entry
+        if not _in_sorted(self.x, self.source_codes).all():
+            raise ValueError("identity columns collide with explicit entries")
+
+    @classmethod
+    def from_codes(cls, alphabet: Alphabet, l: int, m: int,
+                   source: np.ndarray, image: np.ndarray) -> "BlockCoupling":
+        """Count the aligned pairs of two equally long block-code arrays."""
+        dimension = _certificate_dimension(alphabet.k, l)
+        pairs, first, counts = np.unique(source * dimension + image,
+                                         return_index=True, return_counts=True)
+        order = np.argsort(first)
+        pairs, counts = pairs[order], counts[order]
+        _, _, s = _multiplier_shape(m, alphabet.k)
+        declared = min(math.gcd(m, dimension) * (s + 1) * m, dimension)
+        return cls(alphabet, l, len(source), m, declared, pairs // dimension,
+                   pairs % dimension, counts, *np.unique(source, return_counts=True),
+                   *np.unique(image, return_counts=True))
+
+    @property
+    def dimension(self) -> int:
+        return self.alphabet.k ** self.l
+
+    @cached_property
+    def _columns(self):
+        return _grouped(self.x, self.count)
+
+    @cached_property
+    def _rows(self):
+        return _grouped(self.y, self.count)
+
+    @cached_property
+    def _row_degrees(self) -> np.ndarray:
+        """Entries per row: its pairs, plus 1 where the row's block is unobserved
+        in the source (the 1 of that block's identity column)."""
+        row_codes, _, degrees = self._rows
+        return degrees + ~_in_sorted(row_codes, self.source_codes)
+
+    def max_degrees(self) -> Tuple[int, int]:
+        """(largest row support, largest column support), identity columns included.
+
+        Same as :meth:`SparseStochasticCertificate.max_degrees` of
+        :meth:`to_certificate`; rows and columns holding only an identity
+        entry have degree 1.
+        """
+        row_max = int(self._row_degrees.max(initial=0))
+        col_max = int(self._columns[2].max(initial=0))
+        if len(self.source_codes) == self.dimension:
+            return row_max, col_max
+        return max(row_max, 1), max(col_max, 1)
+
+    def validate(self) -> ValidationOutcome:
+        """:func:`validate_certificate` of :meth:`to_certificate`, in integers.
+
+        (i) columns stochastic: the pairs of each observed source block x
+        count exactly its count_alpha[x] blocks; (ii) A*pi = mu, times n: the
+        pairs of each image block y count exactly its count_image[y] blocks;
+        (iii) no row or column holds more than `declared_m` entries.  Outcomes
+        and violation names agree with the rational check.  One extra guard
+        follows, from how multiplication acts on blocks: block j of m*alpha is
+        (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
+        block j of alpha, so every pair has (y - m*x) mod k^l <= m - 1; a
+        pair that breaks it fails as "residue-identity".
+        """
+        col_codes, col_sums, col_degrees = self._columns
+        if not (np.array_equal(col_codes, self.source_codes)
+                and np.array_equal(col_sums, self.source_counts)):
+            got, want = _sparse(col_codes, col_sums), _sparse(self.source_codes, self.source_counts)
+            x = _first_difference(got, want)
+            detail = (f"column {x} sums to {Fraction(got[x], want[x])}" if x in got
+                      else f"column {x} has no entries")
+            return ValidationOutcome(False, "stochastic-columns", detail)
+
+        row_codes, row_sums, _ = self._rows
+        if not (np.array_equal(row_codes, self.image_codes)
+                and np.array_equal(row_sums, self.image_counts)):
+            got, want = _sparse(row_codes, row_sums), _sparse(self.image_codes, self.image_counts)
+            y = _first_difference(got, want)
+            return ValidationOutcome(False, "marginal-map",
+                                     f"(A*pi)[{y}] = {Fraction(got.get(y, 0), self.n)} "
+                                     f"!= {Fraction(want.get(y, 0), self.n)}")
+
+        if max(self.max_degrees()) > self.declared_m:
+            declared = self.declared_m
+            rows = self._row_degrees
+            if rows.max() > declared:
+                i = int(np.argmax(rows > declared))
+                return ValidationOutcome(False, "support-bound",
+                                         f"row {row_codes[i]} has {rows[i]} > {declared} entries")
+            j = int(np.argmax(col_degrees > declared))
+            return ValidationOutcome(False, "support-bound",
+                                     f"column {col_codes[j]} has {col_degrees[j]} > {declared} entries")
+
+        dimension = self.dimension
+        residue = (self.y - (self.m % dimension) * self.x) % dimension
+        if (residue >= self.m).any():
+            t = int(np.argmax(residue >= self.m))
+            return ValidationOutcome(False, "residue-identity",
+                                     f"pair ({self.x[t]}, {self.y[t]}): (y - m*x) mod k^l = "
+                                     f"{residue[t]} > m - 1 = {self.m - 1}")
+        return ValidationOutcome(True)
+
+    def distributions(self) -> Tuple[BlockDistribution, BlockDistribution]:
+        """Block distributions of alpha and of m*alpha."""
+        return (BlockDistribution(self.alphabet, self.l, self.n,
+                                  _sparse(self.source_codes, self.source_counts)),
+                BlockDistribution(self.alphabet, self.l, self.n,
+                                  _sparse(self.image_codes, self.image_counts)))
+
+    def to_certificate(self) -> SparseStochasticCertificate:
+        """The rational certificate: entries a_{y,x} in first-occurrence order,
+        unobserved source blocks as implicit identity columns."""
+        totals = self.source_counts[np.searchsorted(self.source_codes, self.x)]
+        entries = {(y, x): Fraction(c, d) for x, y, c, d in
+                   zip(self.x.tolist(), self.y.tolist(), self.count.tolist(), totals.tolist())}
+        return SparseStochasticCertificate(self.dimension, entries, self.declared_m,
+                                           UnobservedColumns(self.dimension,
+                                                             self.source_codes.tolist()))
+
+
+def block_coupling(seq: DigitSequence, m: int, l: int, n: int,
+                   lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
+                   product_digits: Optional[DigitSequence] = None) -> BlockCoupling:
+    """Joint-count table of the first n aligned l-blocks of alpha and frac(m*alpha).
 
     `product_digits` may pass a precomputed certified stream of frac(m*alpha)
     covering at least n*l digits, saving the multiplication when many (l, n)
     cells are built from one stream.
-
-    Returns (certificate, block distribution of alpha, of m*alpha).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
-    k = seq.alphabet.k
-    dimension = k ** l
-    if dimension > MAX_CERTIFICATE_DIMENSION:
-        raise ValueError(f"block space k^l = {dimension} exceeds the certificate cap "
-                         f"{MAX_CERTIFICATE_DIMENSION}")
-
-    dist_alpha = block_frequencies(seq, l, n)
+    _certificate_dimension(seq.alphabet.k, l)
     if product_digits is None:
         product = mul_int_mod1(seq, m, n * l, lookahead_cap)
         if product.certified_count < n * l:
@@ -636,22 +816,28 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
         raise UnresolvedCarryError(
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
-    dist_product = block_frequencies(product_digits, l, n)
+    return BlockCoupling.from_codes(seq.alphabet, l, m, block_codes(seq, l, n),
+                                    block_codes(product_digits, l, n))
 
-    # each aligned pair (x, y) becomes the code x * k^l + y; entries keep the
-    # order in which the pairs first occur
-    pairs, first, pair_counts = np.unique(
-        block_codes(seq, l, n) * dimension + block_codes(product_digits, l, n),
-        return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for code, cnt in zip(pairs[order].tolist(), pair_counts[order].tolist()):
-        x_code, y_code = divmod(code, dimension)
-        entries[(y_code, x_code)] = Fraction(cnt, dist_alpha.counts[x_code])
 
-    _, _, s = _multiplier_shape(m, k)
-    g = math.gcd(m, dimension)
-    declared = min(g * (s + 1) * m, dimension)
-    cert = SparseStochasticCertificate(dimension, entries, declared,
-                                       UnobservedColumns(dimension, dist_alpha.counts))
-    return cert, dist_alpha, dist_product
+def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
+                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
+                                 product_digits: Optional[DigitSequence] = None):
+    """Coupling certificate between block statistics of alpha and m*alpha.
+
+    The rational form of :func:`block_coupling`: the k^l x k^l matrix whose
+    column x distributes the observed l-blocks of alpha equal to x over the
+    aligned blocks of frac(m*alpha) they produce, a_{y,x} = #{j < n :
+    block_j(alpha) = x, block_j(m*alpha) = y} / #{j < n : block_j(alpha) = x},
+    with identity columns where x never occurs (kept implicit as
+    :class:`UnobservedColumns`, so it costs O(n), not O(k^l)).  The result
+    is stochastic, maps the block distribution of alpha exactly onto that of
+    m*alpha, and has column support at most (s+1)*m and row support at most
+    g*(s+1)*m for g = gcd(m, k^l), so it certifies a dispersion bound
+    independent of l and n.  Checking the table itself
+    (:meth:`BlockCoupling.validate`) gives the same verdict in integers.
+
+    Returns (certificate, block distribution of alpha, of m*alpha).
+    """
+    table = block_coupling(seq, m, l, n, lookahead_cap, product_digits)
+    return (table.to_certificate(), *table.distributions())

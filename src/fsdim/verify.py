@@ -6,7 +6,10 @@ preservation results:
 * exact certificate inequalities: for every integer-multiplication leg of
   the q+alpha / q*alpha reduction chain, the coupling certificate between
   block statistics bounds the entropy difference by log2(g*(s+1)*m) bits,
-  capped by log2(m^2 (s+1)) independently of block and prefix length;
+  capped by log2(m^2 (s+1)) independently of block and prefix length; each
+  certificate is an integer joint-count table checked in integers, and the
+  legs that reach one image (|a|*alpha, and b*alpha) must agree digit for
+  digit;
 * bounded estimate gaps: dimension estimates of alpha and its images agree
   within an empirically pinned tolerance at fixed grid scale;
 * axiom suites: pseudometric axioms and entropy contractivity of the exact
@@ -27,14 +30,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .blockstats import (dim_estimates, entropy_rate_grid, normality_deviation,
-                         shannon_entropy)
+import numpy as np
+
+from .blockstats import (_entropy_from_counts, block_codes, dim_estimates, entropy_rate_grid,
+                         normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
-from .dispersion import (ProbabilityVector, block_distribution_as_code_vector,
-                         build_banded_worst_case, certificate_bound_bits,
-                         compose_certificates, delta_exact, integer_multiple_certificate,
-                         majorizes, reverse_certificate, validate_certificate)
-from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
+from .dispersion import (BlockCoupling, ProbabilityVector, build_banded_worst_case,
+                         certificate_bound_bits, compose_certificates, delta_exact, majorizes,
+                         reverse_certificate, validate_certificate)
+from .realarith import (DEFAULT_LOOKAHEAD_CAP, CertifiedDigitResult, add_rational_mod1,
                         mul_int_mod1, mul_rational_mod1, _multiplier_shape)
 
 ENTROPY_SLACK = 2.0 ** -30
@@ -93,38 +97,36 @@ def _default_schedule(total_digits: int, max_block_len: int, points: int = 5) ->
     return schedule
 
 
-def _certificate_records(leg: str, seq: DigitSequence, m: int, max_block_len: int,
-                         n_schedule: Sequence[int], lookahead_cap: int):
-    """Certificate checks for one multiplication leg over the (l, n) grid."""
+def _certificate_records(leg: str, seq: DigitSequence, m: int, product: CertifiedDigitResult,
+                         max_block_len: int, n_schedule: Sequence[int]):
+    """Certificate checks for one multiplication leg over the (l, n) grid.
+
+    `product` is the certified stream of frac(m * seq) that every cell reads.
+    Each cell is an integer joint-count table, checked in integers; its
+    entropies and support degrees come from the same counts.
+    """
     k = seq.alphabet.k
     records = []
     violations = []
     skipped = []
     _, _, s = _multiplier_shape(m, k)
-    # one multiplication covers every (l, n) cell of this leg
-    max_digits = min(max(n * l for l in range(1, max_block_len + 1) for n in n_schedule),
-                     seq.length_available)
-    product = mul_int_mod1(seq, m, max_digits, lookahead_cap)
     for l in range(1, max_block_len + 1):
         g = math.gcd(m, k ** l)
         bound = certificate_bound_bits(m, k, l)
-        for n in n_schedule:
-            if n * l > product.certified_count:
-                skipped.append({"leg": leg, "l": l, "n": n,
-                                "reason": "insufficient certified digits"})
-                continue
-            try:
-                cert, dist_a, dist_b = integer_multiple_certificate(
-                    seq, m, l, n, lookahead_cap, product_digits=product.digits)
-            except UnresolvedCarryError as exc:
-                skipped.append({"leg": leg, "l": l, "n": n, "reason": str(exc)})
-                continue
-            outcome = validate_certificate(cert,
-                                           block_distribution_as_code_vector(dist_a),
-                                           block_distribution_as_code_vector(dist_b))
-            row_support, col_support = cert.max_degrees()
-            h_a = shannon_entropy(dist_a)
-            h_b = shannon_entropy(dist_b)
+        fits = [n for n in n_schedule if n * l <= product.certified_count]
+        skipped.extend({"leg": leg, "l": l, "n": n, "reason": "insufficient certified digits"}
+                       for n in n_schedule if n * l > product.certified_count)
+        if not fits:
+            continue
+        # encode both streams once per block length; each cell reads a prefix
+        source = block_codes(seq, l, max(fits))
+        image = block_codes(product.digits, l, max(fits))
+        for n in fits:
+            table = BlockCoupling.from_codes(seq.alphabet, l, m, source[:n], image[:n])
+            outcome = table.validate()
+            row_support, col_support = table.max_degrees()
+            h_a = _entropy_from_counts(table.source_counts.tolist(), n)
+            h_b = _entropy_from_counts(table.image_counts.tolist(), n)
             delta_h = abs(h_a - h_b)
             ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
                   and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
@@ -142,6 +144,17 @@ def _certificate_records(leg: str, seq: DigitSequence, m: int, max_block_len: in
     return records, violations, skipped
 
 
+def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
+                    leg_b: str, image_b: CertifiedDigitResult) -> Optional[str]:
+    """A violation message if two certified images differ on their common prefix."""
+    common = min(image_a.certified_count, image_b.certified_count)
+    a, b = image_a.digits.prefix_array(common), image_b.digits.prefix_array(common)
+    if np.array_equal(a, b):
+        return None
+    first = int(np.argmax(a != b))
+    return f"{leg_a} and {leg_b} images differ at digit {first} of {common}"
+
+
 def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
                                n_schedule: Sequence[int], tail_fraction: float = 0.5,
                                lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
@@ -153,8 +166,9 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     and q*alpha -> |a|*alpha for multiplication; alpha -> b*alpha and
     (q+alpha) -> b*alpha for addition, with q = a/b), and reports dimension
     estimates, estimate gaps, and normality deviations for all streams.
-    Unresolved carries shorten the usable prefix and are reported rather
-    than fatal.
+    The two legs that end in one image must produce the same certified
+    digits; a difference is a violation.  Unresolved carries shorten the
+    usable prefix and are reported rather than fatal.
     """
     start = time.monotonic()
     q = Fraction(q)
@@ -187,13 +201,24 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
         ("alpha-times-b", seq_alpha, b),
         ("q-plus-alpha-times-b", sum_result.digits, b),
     ]
+    # one multiplication per leg covers every (l, n) cell of that leg
+    products = {leg: mul_int_mod1(stream, m, min(max_block_len * schedule[-1],
+                                                 stream.length_available), lookahead_cap)
+                for leg, stream, m in legs}
     skipped_cells = []
     for leg, stream, m in legs:
-        records, violations, skipped = _certificate_records(leg, stream, m, max_block_len,
-                                                            schedule, lookahead_cap)
+        records, violations, skipped = _certificate_records(leg, stream, m, products[leg],
+                                                            max_block_len, schedule)
         report.records.extend(records)
         report.violations.extend(violations)
         skipped_cells.extend(skipped)
+    # the legs pair up on one image: b*frac(|q|*alpha) = |a|*alpha and
+    # b*frac(q + alpha) = b*alpha (mod 1), so each pair's certified digits agree
+    for leg_a, leg_b in (("alpha-times-|a|", "q-alpha-times-b"),
+                         ("alpha-times-b", "q-plus-alpha-times-b")):
+        mismatch = _image_mismatch(leg_a, products[leg_a], leg_b, products[leg_b])
+        if mismatch:
+            report.violations.append(mismatch)
     if skipped_cells:
         report.details["skipped_cells"] = skipped_cells
 

@@ -285,3 +285,26 @@ def dispersion_m_bruteforce(pi, mu):
                 if _maxflow_feasible(pattern, col_mass, row_mass):
                     return m
     return n
+
+
+def block_certificate(seq, product_digits, m: int, l: int, n: int):
+    """(entries, identity columns, declared_m) of the rational block certificate.
+
+    The rational builder by naive slicing: entry (y, x) is
+    #{j < n : block_j(alpha) = x, block_j(m*alpha) = y} / #{j < n : block_j(alpha) = x},
+    in the order the pairs first occur; identity columns are the source
+    blocks that never occur; the declared bound is min(g*(s+1)*m, k^l) with
+    s the base-k digit sum of m and g = gcd(m, k^l).
+    """
+    k = seq.alphabet.k
+    src, dst = seq.prefix(n * l), product_digits.prefix(n * l)
+    xs = [_numeral(src[j * l:(j + 1) * l], k) for j in range(n)]
+    ys = [_numeral(dst[j * l:(j + 1) * l], k) for j in range(n)]
+    x_count = Counter(xs)
+    entries = {(y, x): Fraction(c, x_count[x]) for (x, y), c in Counter(zip(xs, ys)).items()}
+    s, rest = 0, m
+    while rest:
+        rest, digit = divmod(rest, k)
+        s += digit
+    declared = min(math.gcd(m, k ** l) * (s + 1) * m, k ** l)
+    return entries, frozenset(range(k ** l)) - set(xs), declared

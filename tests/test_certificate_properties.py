@@ -1,22 +1,33 @@
-"""Differential property tests: implicit identity columns against a materialized set.
+"""Differential property tests of block certificates.
 
 A block certificate keeps its unobserved columns as an UnobservedColumns view.
-Each test rebuilds the same certificate with the identity columns written out
-as frozenset(range(k^l) - observed), the observed codes taken by naive slicing,
-and checks that both forms behave alike, on valid and on corrupted
+The first tests rebuild the same certificate with the identity columns written
+out as frozenset(range(k^l) - observed), the observed codes taken by naive
+slicing, and check that both forms behave alike, on valid and on corrupted
 certificates.
+
+The integer joint-count table (BlockCoupling) is checked against the rational
+certificate it converts to: its validator agrees with validate_certificate on
+valid and on corrupted tables, and to_certificate() equals the rational
+builder in tests/oracles.py.
 """
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import fsdim.verify
 from fsdim import (Alphabet, DigitSequence, SparseStochasticCertificate, UnobservedColumns,
-                   UnresolvedCarryError, block_distribution_as_code_vector,
-                   integer_multiple_certificate, validate_certificate)
+                   UnresolvedCarryError, block_coupling, block_distribution_as_code_vector,
+                   gen_champernowne, integer_multiple_certificate, mul_int_mod1,
+                   validate_certificate, verify_rational_arithmetic)
 from fsdim.digitseq import digits_to_int
+
+import oracles
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -190,3 +201,203 @@ def test_entry_colliding_with_identity_column_raises(cell, data):
     for cert in (implicit, materialized):
         with pytest.raises(ValueError, match="collide"):
             with_entries(cert, entries)
+
+
+# ------------------------------------------------- integer joint-count tables
+
+@st.composite
+def coupling_cells(draw):
+    """A table cell: base k in {2, 3, 10}, l <= 3, n, m, and digits that
+    sometimes come from a three-letter pool so source blocks repeat."""
+    k = draw(st.sampled_from([2, 3, 10]))
+    l = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 12))
+    pool = draw(st.sampled_from([list(range(k)), sorted({0, 1, k - 1})]))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=n * l + 32, max_size=n * l + 32))
+    return k, l, n, m, bytes(digits)
+
+
+def build_table(cell):
+    k, l, n, m, digits = cell
+    seq = DigitSequence(Alphabet(k), digits)
+    try:
+        return block_coupling(seq, m, l, n, lookahead_cap=64)
+    except UnresolvedCarryError:
+        assume(False)
+
+
+def rational_view(table):
+    """validate_certificate of to_certificate(), and the certificate's degrees."""
+    cert = table.to_certificate()
+    pi, mu = (block_distribution_as_code_vector(d) for d in table.distributions())
+    outcome = validate_certificate(cert, pi, mu)
+    return (outcome.ok, outcome.violation), cert.max_degrees()
+
+
+def integer_view(table):
+    outcome = table.validate()
+    return (outcome.ok, outcome.violation), table.max_degrees()
+
+
+def replace_pairs(table, x, y, count, **changes):
+    return dataclasses.replace(table, x=np.asarray(x, dtype=np.int64),
+                               y=np.asarray(y, dtype=np.int64),
+                               count=np.asarray(count, dtype=np.int64), **changes)
+
+
+def shared_column(table, data):
+    """Indices of two pairs in one column, or skip the example."""
+    x = table.x.tolist()
+    shared = [t for t in range(len(x)) if x.count(x[t]) > 1]
+    assume(shared)
+    t1 = data.draw(st.sampled_from(shared))
+    t2 = data.draw(st.sampled_from([t for t in shared if t != t1 and x[t] == x[t1]]))
+    return t1, t2
+
+
+def breaking_image(table, x):
+    """An image block y with (y - m*x) mod k^l >= m that is not yet paired with x."""
+    dimension = table.dimension
+    taken = {y for xx, y in zip(table.x.tolist(), table.y.tolist()) if xx == x}
+    return next((y for y in range(dimension)
+                 if (y - table.m * x) % dimension >= table.m and y not in taken), None)
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells())
+def test_table_validator_agrees_on_valid_tables(cell):
+    table = build_table(cell)
+    assert integer_view(table) == rational_view(table)
+    assert table.validate().ok
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells())
+def test_to_certificate_matches_rational_builder(cell):
+    k, l, n, m, digits = cell
+    table = build_table(cell)
+    seq = DigitSequence(Alphabet(k), digits)
+    product = mul_int_mod1(seq, m, n * l, 64).digits
+    entries, identity, declared = oracles.block_certificate(seq, product, m, l, n)
+    cert = table.to_certificate()
+    assert list(cert.entries.items()) == list(entries.items())
+    assert cert.identity_columns == identity
+    assert cert.declared_m == declared
+    assert integer_multiple_certificate(seq, m, l, n, 64)[0].entries == entries
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_table_validator_agrees_on_moved_count(cell, data):
+    # moving blocks between two pairs of one column keeps the column sum and
+    # breaks both row sums; moving all of them drops the first pair
+    table = build_table(cell)
+    t1, t2 = shared_column(table, data)
+    count = table.count.tolist()
+    moved = data.draw(st.integers(1, count[t1]))
+    count[t1] -= moved
+    count[t2] += moved
+    keep = [t for t in range(len(count)) if count[t]]
+    bad = replace_pairs(table, table.x[keep], table.y[keep], np.asarray(count)[keep])
+    assert integer_view(bad) == rational_view(bad)
+    assert integer_view(bad)[0] == (False, "marginal-map")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_table_validator_agrees_on_dropped_pair(cell, data):
+    table = build_table(cell)
+    t = data.draw(st.integers(0, len(table.x) - 1))
+    keep = [i for i in range(len(table.x)) if i != t]
+    bad = replace_pairs(table, table.x[keep], table.y[keep], table.count[keep])
+    assert integer_view(bad) == rational_view(bad)
+    assert integer_view(bad)[0] == (False, "stochastic-columns")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_table_validator_agrees_on_bumped_count(cell, data):
+    table = build_table(cell)
+    t = data.draw(st.integers(0, len(table.x) - 1))
+    count = table.count.copy()
+    count[t] += data.draw(st.integers(1, 5))
+    bad = replace_pairs(table, table.x, table.y, count)
+    assert integer_view(bad) == rational_view(bad)
+    assert integer_view(bad)[0] == (False, "stochastic-columns")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_table_validator_agrees_on_added_pair(cell, data):
+    # a pair that breaks the residue identity, added to an observed column
+    table = build_table(cell)
+    x = data.draw(st.sampled_from(table.source_codes.tolist()))
+    y = breaking_image(table, x)
+    assume(y is not None)
+    c = data.draw(st.integers(1, 5))
+    bad = replace_pairs(table, [*table.x, x], [*table.y, y], [*table.count, c])
+    assert integer_view(bad) == rational_view(bad)
+    assert integer_view(bad)[0] == (False, "stochastic-columns")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_residue_guard_catches_balanced_pair(cell, data):
+    # the same pair with both marginals grown to match: the rational
+    # conditions may all hold, the residue identity still fails
+    table = build_table(cell)
+    x = data.draw(st.sampled_from(table.source_codes.tolist()))
+    y = breaking_image(table, x)
+    assume(y is not None)
+    c = data.draw(st.integers(1, 5))
+    source = dict(zip(table.source_codes.tolist(), table.source_counts.tolist()))
+    image = dict(zip(table.image_codes.tolist(), table.image_counts.tolist()))
+    source[x] += c
+    image[y] = image.get(y, 0) + c
+    bad = replace_pairs(
+        table, [*table.x, x], [*table.y, y], [*table.count, c], n=table.n + c,
+        source_codes=np.array(sorted(source)), source_counts=np.array([source[j] for j in sorted(source)]),
+        image_codes=np.array(sorted(image)), image_counts=np.array([image[j] for j in sorted(image)]))
+    (ok, violation), degrees = rational_view(bad)
+    assert bad.max_degrees() == degrees
+    if ok:
+        assert integer_view(bad)[0] == (False, "residue-identity")
+    else:
+        assert integer_view(bad)[0] == (False, violation) == (False, "support-bound")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_pair_in_unobserved_column_raises(cell, data):
+    table = build_table(cell)
+    unobserved = sorted(set(range(table.dimension)) - set(table.source_codes.tolist()))
+    assume(unobserved)
+    x = data.draw(st.sampled_from(unobserved))
+    with pytest.raises(ValueError, match="collide"):
+        replace_pairs(table, [*table.x, x], [*table.y, 0], [*table.count, 1])
+
+
+def test_mismatched_paired_images_are_a_violation(monkeypatch):
+    # b*frac(|q|*alpha) and |a|*alpha are one number; a product that differs
+    # from its partner in one digit must show up, however valid its cells
+    seq = gen_champernowne(Alphabet(10), 4000)
+    clean = verify_rational_arithmetic(seq, Fraction(3, 7), 3, [300, 900])
+    assert clean.passes, clean.violations
+    calls = []
+
+    def planted(stream, m, count, lookahead_cap):
+        result = mul_int_mod1(stream, m, count, lookahead_cap)
+        calls.append(m)
+        if len(calls) == 2:  # the q-alpha-times-b leg
+            digits = bytearray(result.digits.prefix(result.certified_count))
+            digits[100] = (digits[100] + 1) % 10
+            result = dataclasses.replace(result, digits=DigitSequence(Alphabet(10), bytes(digits)))
+        return result
+
+    monkeypatch.setattr(fsdim.verify, "mul_int_mod1", planted)
+    report = verify_rational_arithmetic(seq, Fraction(3, 7), 3, [300, 900])
+    assert not report.passes
+    assert "alpha-times-|a| and q-alpha-times-b images differ at digit 100 of 2700" \
+        in report.violations
+    assert not any("alpha-times-b and" in v for v in report.violations)
