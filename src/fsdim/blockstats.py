@@ -11,7 +11,6 @@ staying honest about finite scale.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -73,18 +72,20 @@ def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     return BlockDistribution(seq.alphabet, l, n, dict(zip(values.tolist(), counts.tolist())))
 
 
-def _entropy_from_counts(counts: Sequence[int], n: int) -> float:
+def _entropy_from_counts(counts, n: int) -> float:
     # H = sum (c/n) * (log2 n - log2 c); identical counts are grouped so the
     # number of log evaluations is O(sqrt(n)) and fsum keeps the sum exact.
     # The per-group form makes point masses exactly 0.0 and bounds the total
     # rounding error by a few ulps of H, far below the 2^-40 budget.
     if n <= 0:
         raise ValueError("empty distribution")
-    groups = Counter(c for c in counts if c > 0)
-    if sum(c * mult for c, mult in groups.items()) != n:
+    counts = np.asarray(counts, dtype=np.int64)
+    values, mults = np.unique(counts[counts > 0], return_counts=True)
+    groups = list(zip(values.tolist(), mults.tolist()))
+    if sum(c * mult for c, mult in groups) != n:
         raise ValueError("counts do not sum to n")
     log_n = math.log2(n)
-    h = math.fsum((mult * c / n) * (log_n - math.log2(c)) for c, mult in groups.items())
+    h = math.fsum((mult * c / n) * (log_n - math.log2(c)) for c, mult in groups)
     return max(h, 0.0)
 
 
@@ -138,6 +139,16 @@ class DimensionEstimateGrid:
         return [e for e in self.entries if e.l == l]
 
 
+def _grid_schedule(max_block_len: int, n_schedule: Sequence[int]) -> List[int]:
+    """The sorted distinct block counts of a grid, after checking both axes."""
+    if max_block_len < 1:
+        raise ValueError("max_block_len must be >= 1")
+    schedule = sorted(set(int(n) for n in n_schedule))
+    if not schedule or schedule[0] < 1:
+        raise ValueError("n_schedule must be nonempty with positive entries")
+    return schedule
+
+
 def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
                       n_schedule: Sequence[int]) -> DimensionEstimateGrid:
     """Normalized block entropy H(pi_l_n) / (l * log2 k) for each grid cell.
@@ -146,11 +157,7 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     flagged clipped instead of failing, so partial sources still produce the
     largest feasible grid.
     """
-    if max_block_len < 1:
-        raise ValueError("max_block_len must be >= 1")
-    schedule = sorted(set(int(n) for n in n_schedule))
-    if not schedule or schedule[0] < 1:
-        raise ValueError("n_schedule must be nonempty with positive entries")
+    schedule = _grid_schedule(max_block_len, n_schedule)
     k = seq.alphabet.k
     avail = seq.length_available
     grid = DimensionEstimateGrid(seq.alphabet, max_block_len, tuple(schedule),
@@ -162,7 +169,7 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
         codes = block_codes(seq, l, max(fits, default=0))
         for n in fits:
             counts = np.unique(codes[:n], return_counts=True)[1]
-            h = _entropy_from_counts(counts.tolist(), n) / denom
+            h = _entropy_from_counts(counts, n) / denom
             grid.entries.append(GridEntry(l, n, min(h, 1.0)))
     if not grid.entries:
         raise InsufficientDigitsError("sequence too short for any grid cell")

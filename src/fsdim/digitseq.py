@@ -9,10 +9,9 @@ arithmetic uses as an exact fast path.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -224,26 +223,6 @@ class DigitSequence:
         return self.prefix(n).translate(_VALUE_TO_CHAR).decode("ascii")
 
 
-def _champernowne_shortlex(k: int) -> Iterator[int]:
-    # all strings over the alphabet in shortlex order: 0,1,...,k-1,00,01,...
-    length = 1
-    while True:
-        for v in range(k ** length):
-            yield from int_to_digits(v, k, length)
-        length += 1
-
-
-def _champernowne_integers(k: int) -> Iterator[int]:
-    # base-k numerals of 1, 2, 3, ... concatenated
-    n = 1
-    while True:
-        width = 1
-        while k ** width <= n:
-            width += 1
-        yield from int_to_digits(n, k, width)
-        n += 1
-
-
 def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") -> DigitSequence:
     """First `count` digits of the base-k Champernowne sequence.
 
@@ -251,16 +230,29 @@ def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") ->
     (shortlex) order, which for base 2 starts 0 1 00 01 10 11 000 ...;
     order="integers" concatenates the base-k numerals of 1, 2, 3, ...
     Both variants are normal in base k; shortlex is the default.
+
+    Each word width w is one numpy pass: the words first, first+1, ... < k^w
+    (first = 0 for shortlex, k^(w-1) for integers) are written into the output
+    one digit column at a time, stopping at the word that reaches `count`.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if order == "shortlex":
-        gen = _champernowne_shortlex(alphabet.k)
-    elif order == "integers":
-        gen = _champernowne_integers(alphabet.k)
-    else:
+    if order not in ("shortlex", "integers"):
         raise ValueError(f"unknown order {order!r}")
-    return DigitSequence(alphabet, bytes(itertools.islice(gen, count)))
+    k = alphabet.k
+    out = np.empty(count, np.uint8)
+    pos, w = 0, 1
+    while pos < count:
+        first = k ** (w - 1) if order == "integers" else 0
+        words = np.arange(first, min(k ** w, first + -(-(count - pos) // w)), dtype=np.int64)
+        end = pos + len(words) * w
+        for j in range(w - 1, -1, -1):
+            # digit j of every word; the slice drops the last word's digits past `count`
+            column = out[pos + j:end:w]
+            column[:] = (words % k)[:len(column)]
+            words //= k
+        pos, w = end, w + 1
+    return DigitSequence(alphabet, out)
 
 
 def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> DigitSequence:
@@ -288,9 +280,8 @@ def gen_dilution(source: DigitSequence, count: int) -> DigitSequence:
         raise InsufficientDigitsError(
             f"dilution of length {count} needs {need} source digits, "
             f"only {source.length_available} available")
-    src = source.prefix(need)
     buf = bytearray(count)
-    buf[0::2] = src[: (count + 1) // 2]
+    buf[0::2] = source.prefix(need)
     return DigitSequence(source.alphabet, buf)
 
 

@@ -32,8 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import (_entropy_from_counts, block_codes, dim_estimates, entropy_rate_grid,
-                         normality_deviation, shannon_entropy)
+from .blockstats import (_entropy_from_counts, _grid_schedule, block_codes, dim_estimates,
+                         entropy_rate_grid, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (BlockCoupling, ProbabilityVector, build_banded_worst_case,
                          certificate_bound_bits, compose_certificates, delta_exact, majorizes,
@@ -93,8 +93,7 @@ class VerificationReport:
 
 def _default_schedule(total_digits: int, max_block_len: int, points: int = 5) -> List[int]:
     top = max(1, total_digits // max_block_len)
-    schedule = sorted({max(1, top // 2 ** i) for i in range(points)})
-    return schedule
+    return sorted({max(1, top // 2 ** i) for i in range(points)})
 
 
 def _certificate_records(leg: str, seq: DigitSequence, m: int, product: CertifiedDigitResult,
@@ -125,8 +124,8 @@ def _certificate_records(leg: str, seq: DigitSequence, m: int, product: Certifie
             table = BlockCoupling.from_codes(seq.alphabet, l, m, source[:n], image[:n])
             outcome = table.validate()
             row_support, col_support = table.max_degrees()
-            h_a = _entropy_from_counts(table.source_counts.tolist(), n)
-            h_b = _entropy_from_counts(table.image_counts.tolist(), n)
+            h_a = _entropy_from_counts(table.source_counts, n)
+            h_b = _entropy_from_counts(table.image_counts, n)
             delta_h = abs(h_a - h_b)
             ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
                   and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
@@ -171,12 +170,12 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     usable prefix and are reported rather than fatal.
     """
     start = time.monotonic()
+    schedule = _grid_schedule(max_block_len, n_schedule)
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
     a, b = q.numerator, q.denominator
     k = seq_alpha.alphabet.k
-    schedule = sorted(set(int(n) for n in n_schedule))
     # derived streams get guard digits beyond the largest grid cell so the
     # certificate multiplications have lookahead room at the tail
     target = min(max_block_len * schedule[-1] + 256, seq_alpha.length_available)
@@ -270,6 +269,8 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8,
     """
     if total_digits < 2 ** 12:
         raise ValueError("need at least 2^12 digits for a meaningful run")
+    if max_block_len < 1:
+        raise ValueError("max_block_len must be >= 1")
     start = time.monotonic()
     alphabet = Alphabet(2)
     half = (total_digits + 1) // 2

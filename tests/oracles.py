@@ -6,10 +6,12 @@ dispersion by support-pattern enumeration plus exact-rational max-flow.
 Slow is fine; these only run at small sizes.
 """
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+
+import numpy as np
 
 from fsdim import InsufficientDigitsError
 
@@ -115,6 +117,37 @@ def frac_digits(value: Fraction, k: int, count: int):
 
 
 DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def champernowne_digits(k: int, count: int, order: str) -> bytes:
+    """First `count` Champernowne digits by concatenating whole words.
+
+    Shortlex takes the words of each length from itertools.product; the
+    integers order spells 1, 2, 3, ... as numeral strings (numpy.base_repr)
+    and reads each character back as a digit value.
+    """
+    out = bytearray()
+    if order == "shortlex":
+        words = itertools.chain.from_iterable(
+            itertools.product(range(k), repeat=w) for w in itertools.count(1))
+    else:
+        words = ([DIGIT_CHARS.index(ch) for ch in np.base_repr(v, k)]
+                 for v in itertools.count(1))
+    while len(out) < count:
+        out.extend(next(words))
+    return bytes(out[:count])
+
+
+def entropy_from_counts(counts, n: int) -> float:
+    """Entropy in bits of a count vector, equal counts grouped by a Counter."""
+    if n <= 0:
+        raise ValueError("empty distribution")
+    groups = Counter(int(c) for c in counts if c > 0)
+    if sum(c * mult for c, mult in groups.items()) != n:
+        raise ValueError("counts do not sum to n")
+    log_n = math.log2(n)
+    h = math.fsum((mult * c / n) * (log_n - math.log2(c)) for c, mult in groups.items())
+    return max(h, 0.0)
 
 
 def parse_digit_file(path):
@@ -272,7 +305,7 @@ def dispersion_m_bruteforce(pi, mu):
     assert len(edges) <= 20, "brute force oracle is for tiny instances"
     for m in range(1, n + 1):
         for size in range(1, len(edges) + 1):
-            for pattern in combinations(edges, size):
+            for pattern in itertools.combinations(edges, size):
                 cdeg = {}
                 rdeg = {}
                 for (j, i) in pattern:

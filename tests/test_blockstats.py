@@ -2,17 +2,20 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
                    dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
                    gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
-from fsdim.blockstats import BlockDistribution
+from fsdim.blockstats import BlockDistribution, _entropy_from_counts
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
-from oracles import naive_block_counts, sliding_normality_deviation
+from oracles import entropy_from_counts, naive_block_counts, sliding_normality_deviation
 
 
 def naive_code_counts(digits: bytes, k: int, l: int, n: int):
@@ -199,3 +202,29 @@ def test_normality_deviation_examples():
 def test_block_distribution_validates_totals():
     with pytest.raises(ValueError):
         BlockDistribution(Alphabet(2), 1, 5, {0: 3})
+
+
+@st.composite
+def count_lists(draw):
+    # zeros and a few distinct counts, small or large, each repeated many times
+    pool = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 10 ** 9)),
+                         min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool + [0]), min_size=1, max_size=300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(count_lists(), st.booleans())
+@example([887] * 5 + [5], False)
+def test_entropy_from_counts_matches_counter_grouping(counts, as_array):
+    n = sum(counts)
+    arg = np.array(counts, dtype=np.int64) if as_array else counts
+    if n == 0:
+        with pytest.raises(ValueError, match="empty distribution"):
+            _entropy_from_counts(arg, n)
+        return
+    # bit-identical floats, not merely close ones
+    assert _entropy_from_counts(arg, n).hex() == entropy_from_counts(counts, n).hex()
+    for wrong in (n - 1, n + 1):
+        if wrong > 0:
+            with pytest.raises(ValueError, match="counts do not sum to n"):
+                _entropy_from_counts(arg, wrong)

@@ -229,6 +229,15 @@ def test_suite_empty_sample_exits_one(tmp_path, capsys, suite, samples):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("max_block_len", ["0", "-1"])
+def test_dilution_nonpositive_block_length_exits_one(tmp_path, capsys, max_block_len):
+    report = tmp_path / "dil.json"
+    assert dispatch(["verify", "dilution", "--digits", "5000", "--max-block-len", max_block_len,
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "error: max_block_len must be >= 1\n"
+    assert not report.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["--version"])

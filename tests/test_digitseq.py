@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsEr
                    read_digit_file, select_progression, write_digit_file)
 from fsdim.digitseq import digits_to_int, int_to_digits
 
-from oracles import DIGIT_CHARS, long_division_digits, parse_digit_file
+from oracles import DIGIT_CHARS, champernowne_digits, long_division_digits, parse_digit_file
 
 FILE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -45,6 +46,66 @@ def test_champernowne_binary_prefix():
 def test_champernowne_integer_variant():
     assert gen_champernowne(Alphabet(10), 11, order="integers").prefix_str(11) == "12345678910"
     assert list(gen_champernowne(Alphabet(3), 8, order="integers").prefix(8)) == [1, 2, 1, 0, 1, 1, 1, 2]
+
+
+ORDERS = ("shortlex", "integers")
+
+
+def width_boundaries(k: int, order: str, limit: int):
+    """Digit counts at which each word width of the sequence ends, up to `limit`."""
+    bounds, total = [], 0
+    for w in itertools.count(1):
+        total += w * (k ** w if order == "shortlex" else (k - 1) * k ** (w - 1))
+        if total > limit:
+            return bounds
+        bounds.append(total)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_champernowne_matches_oracle_at_every_width_boundary(order):
+    # every base, counts 0 and 1 and both sides of each width boundary below 30 000
+    for k in range(2, 37):
+        want = champernowne_digits(k, 30_001, order)
+        counts = {0, 1}
+        for b in width_boundaries(k, order, 30_000):
+            counts |= {b - 1, b, b + 1}
+        for count in sorted(counts):
+            got = gen_champernowne(Alphabet(k), count, order)
+            assert got.length_available == count
+            assert got.prefix(count) == want[:count], (k, order, count)
+
+
+@st.composite
+def champernowne_cases(draw):
+    k = draw(st.integers(2, 36))
+    order = draw(st.sampled_from(ORDERS))
+    if draw(st.booleans()):
+        count = draw(st.sampled_from(width_boundaries(k, order, 150_000))) + draw(st.integers(-1, 1))
+    else:
+        count = draw(st.integers(0, 3000))
+    return k, order, count
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(champernowne_cases())
+def test_champernowne_differential(case):
+    k, order, count = case
+    assert gen_champernowne(Alphabet(k), count, order).prefix(count) == \
+        champernowne_digits(k, count, order)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_champernowne_base2_million_digits(order):
+    count = 10 ** 6
+    assert gen_champernowne(Alphabet(2), count, order).prefix(count) == \
+        champernowne_digits(2, count, order)
+
+
+def test_champernowne_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        gen_champernowne(Alphabet(2), -1)
+    with pytest.raises(ValueError, match="unknown order"):
+        gen_champernowne(Alphabet(2), 0, order="lex")
 
 
 def test_champernowne_deterministic_replay():

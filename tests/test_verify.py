@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fsdim.verify
 from fsdim import (Alphabet, entropy_rate_grid, gen_champernowne, gen_rational_expansion,
                    negate_mod1, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
@@ -55,6 +56,14 @@ class TestDilution:
         with pytest.raises(ValueError):
             verify_dilution_counterexample(100)
 
+    @pytest.mark.parametrize("max_block_len", [0, -1])
+    def test_rejects_nonpositive_block_length_before_generating(self, monkeypatch, max_block_len):
+        def no_digits(*args):
+            raise AssertionError("digits generated before the arguments were checked")
+        monkeypatch.setattr(fsdim.verify, "gen_champernowne", no_digits)
+        with pytest.raises(ValueError, match="max_block_len must be >= 1"):
+            verify_dilution_counterexample(2 ** 13, max_block_len=max_block_len)
+
 
 class TestRationalArithmetic:
     def test_integer_q_is_identity_for_addition(self):
@@ -89,6 +98,21 @@ class TestRationalArithmetic:
         seq = gen_champernowne(Alphabet(10), 2000)
         with pytest.raises(ValueError):
             verify_rational_arithmetic(seq, Fraction(0), 2, [100])
+
+    @pytest.mark.parametrize("max_block_len,n_schedule,message", [
+        (2, [], "n_schedule must be nonempty"),
+        (2, [0, 100], "n_schedule must be nonempty"),
+        (0, [100], "max_block_len must be >= 1"),
+        (-1, [100], "max_block_len must be >= 1"),
+    ])
+    def test_rejects_bad_grid_before_arithmetic(self, monkeypatch, max_block_len, n_schedule,
+                                                message):
+        def no_arithmetic(*args):
+            raise AssertionError("arithmetic ran before the arguments were checked")
+        monkeypatch.setattr(fsdim.verify, "add_rational_mod1", no_arithmetic)
+        seq = gen_champernowne(Alphabet(10), 2000)
+        with pytest.raises(ValueError, match=message):
+            verify_rational_arithmetic(seq, Fraction(1, 3), max_block_len, n_schedule)
 
 
 class TestReports:
