@@ -55,10 +55,35 @@ def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
     """
     k = seq.alphabet.k
     blocks = seq.prefix_array(n * l).reshape(n, l)
-    codes = np.zeros(n, dtype=_code_dtype(k, l))
-    for j in range(l):
-        codes = codes * k + blocks[:, j]
+    # Horner in place: one owned array, no temporary per digit column
+    codes = blocks[:, 0].astype(_code_dtype(k, l))
+    for j in range(1, l):
+        codes *= k
+        codes += blocks[:, j]
     return codes
+
+
+def _prefix_counts(codes: np.ndarray, space: int, schedule: Sequence[int]):
+    """(values, counts) of the codes in codes[:n], for each n of the ascending `schedule`.
+
+    Values are the observed codes in ascending order and counts their
+    positive occurrence counts, as np.unique gives them; both are fresh
+    arrays.  While the code space `space` is at most twice the longest
+    prefix (so the codes are int64), one running bincount adds each segment
+    codes[prev:n] in turn, so the prefixes cost O(n + len(schedule) * space)
+    and no sort; otherwise each prefix is sorted by np.unique.
+    """
+    if space <= 2 * schedule[-1]:
+        running = np.zeros(space, dtype=np.int64)
+        prev = 0
+        for n in schedule:
+            running += np.bincount(codes[prev:n], minlength=space)
+            prev = n
+            values = np.flatnonzero(running)
+            yield values, running[values]
+    else:
+        for n in schedule:
+            yield np.unique(codes[:n], return_counts=True)
 
 
 def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
@@ -68,7 +93,7 @@ def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     """
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
-    values, counts = np.unique(block_codes(seq, l, n), return_counts=True)
+    (values, counts), = _prefix_counts(block_codes(seq, l, n), seq.alphabet.k ** l, [n])
     return BlockDistribution(seq.alphabet, l, n, dict(zip(values.tolist(), counts.tolist())))
 
 
@@ -165,10 +190,11 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     for l in range(1, max_block_len + 1):
         denom = l * math.log2(k)
         fits = [n for n in schedule if n * l <= avail]
+        if not fits:
+            break
         # encode the row once; each cell counts a prefix of its codes
-        codes = block_codes(seq, l, max(fits, default=0))
-        for n in fits:
-            counts = np.unique(codes[:n], return_counts=True)[1]
+        codes = block_codes(seq, l, fits[-1])
+        for n, (_, counts) in zip(fits, _prefix_counts(codes, k ** l, fits)):
             h = _entropy_from_counts(counts, n) / denom
             grid.entries.append(GridEntry(l, n, min(h, 1.0)))
     if not grid.entries:
@@ -237,9 +263,11 @@ def normality_deviation(seq: DigitSequence, w_max_len: int, n: int) -> Fraction:
     worst = Fraction(0)
     for l in range(1, w_max_len + 1):
         # codes of the l-blocks at offsets 0..n-1, extended from the (l-1)-blocks
-        codes = codes.astype(_code_dtype(k, l), copy=False) * k + digits[l - 1:l - 1 + n]
-        counts = np.unique(codes, return_counts=True)[1]
+        codes = codes.astype(_code_dtype(k, l), copy=False)
+        codes *= k
+        codes += digits[l - 1:l - 1 + n]
         space = k ** l
+        (_, counts), = _prefix_counts(codes, space, [n])
         # |c/n - k^-l| = |c*k^l - n| / (n*k^l) peaks at the extreme counts (0 if unseen)
         low = int(counts.min()) if len(counts) == space else 0
         worst = max(worst, Fraction(max(int(counts.max()) * space - n, n - low * space), n * space))

@@ -61,7 +61,11 @@ class Alphabet:
         """A block given as digit values or as a string of digit characters."""
         if isinstance(w, str):
             return bytes(self.char_digit(ch) for ch in w)
-        return bytes(w)
+        block = bytes(w)
+        bad = block.translate(None, _DIGIT_VALUES[:self.k])
+        if bad:
+            raise DigitFileError(f"digit {bad[0]} is not a base-{self.k} digit")
+        return block
 
 
 def digits_to_int(digits, k: int) -> int:
@@ -201,6 +205,8 @@ class DigitSequence:
         return len(self._buf)
 
     def _ensure(self, n: int):
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         if n > len(self._buf):
             raise InsufficientDigitsError(
                 f"requested {n} digits but only {len(self._buf)} are available")

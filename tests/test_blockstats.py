@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
-                   dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
-                   gen_rational_expansion, normality_deviation, shannon_entropy,
+from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
+                   block_frequencies, dim_estimates, entropy_rate_grid, gen_champernowne,
+                   gen_dilution, gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
 from fsdim.blockstats import BlockDistribution, _entropy_from_counts
 from fsdim.digitseq import digits_to_int
@@ -188,6 +188,14 @@ def test_sliding_windows_read_exactly_the_digits_they_cover():
         sliding_frequency(alt, "01", 10)
     with pytest.raises(InsufficientDigitsError):
         normality_deviation(alt, 2, 10)
+
+
+def test_sliding_frequency_refuses_digit_values_outside_the_base():
+    seq = DigitSequence(Alphabet(10), bytes(range(10)) * 3)
+    with pytest.raises(DigitFileError, match="is not a base-10 digit"):
+        sliding_frequency(seq, [12], 20)
+    with pytest.raises(DigitFileError, match="is not a base-10 digit"):
+        sliding_frequency(seq, [1, 10], 20)
 
 
 def test_normality_deviation_examples():

@@ -196,6 +196,29 @@ def test_sequence_is_finite_immutable_buffer():
         DigitSequence(Alphabet(2), bytes([0, 1, 2]))
 
 
+def test_negative_prefix_lengths_are_refused(tmp_path):
+    seq = DigitSequence(Alphabet(10), bytes(range(10)))
+    for read in (seq.prefix, seq.prefix_array, seq.prefix_str, seq.prefix_int):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            read(-1)
+    path = tmp_path / "digits.txt"
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        write_digit_file(seq, -2, path)
+    assert not path.exists()
+    assert seq.prefix(0) == b"" and seq.prefix_array(0).tolist() == []
+
+
+def test_blocks_refuse_digit_values_outside_the_base():
+    a10 = Alphabet(10)
+    assert a10.block([0, 9, 3]) == bytes([0, 9, 3])
+    assert a10.block("093") == bytes([0, 9, 3])
+    with pytest.raises(DigitFileError, match="is not a base-10 digit"):
+        a10.block("1A")
+    for w in ([12], bytes([1, 10]), [9, 35]):
+        with pytest.raises(DigitFileError, match="is not a base-10 digit"):
+            a10.block(w)
+
+
 @pytest.mark.parametrize("binary", [False, True])
 def test_digit_file_roundtrip(tmp_path, binary):
     seq = gen_champernowne(Alphabet(2), 1000)

@@ -207,6 +207,10 @@ class TestBlockImage:
             block_image("34", 4, "5", 12, A10)  # carry above digit sum s=3
         with pytest.raises(ValueError):
             block_image("34", 1, "55", 12, A10)  # shift-in length must be 1
+        with pytest.raises(ValueError, match="is not a base-10 digit"):
+            block_image([3, 12], 1, [5], 12, A10)  # digit values are checked like characters
+        with pytest.raises(ValueError, match="is not a base-10 digit"):
+            block_image([3, 4], 1, [10], 12, A10)
 
 
 class TestCarryAdviceTrace:
