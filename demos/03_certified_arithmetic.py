@@ -50,3 +50,11 @@ print(f"x12 trace (r={trace.r}, carry bound s={trace.s}):")
 for entry in trace.entries:
     print(f"  block {entry.j}: in={entry.block.hex()} carry={entry.carry}"
           f" shift_in={entry.shift_in.hex()} out={entry.out_block.hex()}")
+
+# With m = 123 two digits shift in per block. The trace's output blocks
+# joined together are the certified product's digits.
+trace = carry_advice_trace(champ, 123, 3, 100)
+product = mul_int_mod1(champ, 123, 300)
+assert b"".join(entry.out_block for entry in trace.entries) == product.digits.prefix(300)
+print(f"x123 trace (r={trace.r}, s={trace.s}): 100 blocks of 3 match the product;"
+      f" carries used {sorted({entry.carry for entry in trace.entries})}")

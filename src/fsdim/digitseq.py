@@ -216,10 +216,6 @@ class DigitSequence:
         self._ensure(n)
         return self._buf[:n]
 
-    def prefix_int(self, n: int) -> int:
-        """Integer value of the first n digits read as a base-k numeral."""
-        return digits_to_int(self.prefix(n), self.alphabet.k)
-
     def prefix_array(self, n: int) -> np.ndarray:
         """First n digits as a read-only uint8 view of the buffer."""
         self._ensure(n)

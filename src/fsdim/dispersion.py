@@ -416,8 +416,11 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
     first hit gives delta = log2(m) with the derived matrix as witness.
     m = n is always feasible (the product coupling), so the search ends.
     If the time budget runs out first, the northwest-corner staircase gives
-    an upper-bound certificate and the result is flagged accordingly.
+    an upper-bound certificate and the result is flagged accordingly.  A
+    budget of 0 means no limit; a negative one is refused.
     """
+    if time_budget < 0:
+        raise ValueError(f"time budget must be nonnegative, got {time_budget}")
     pi = pi if isinstance(pi, ProbabilityVector) else ProbabilityVector(tuple(pi))
     mu = mu if isinstance(mu, ProbabilityVector) else ProbabilityVector(tuple(mu))
     if pi.n != mu.n:

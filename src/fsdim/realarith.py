@@ -15,7 +15,8 @@ exactly on k-adic points (undetectable from any finite stream prefix).
 The carry/advice decomposition shows why multiplication by a positive
 integer m is a finite-state-friendly operation: each output block is a
 function of the matching input block, a carry bounded by the digit sum of m,
-and the next floor(log_k m) incoming digits.
+and the next floor(log_k m) incoming digits.  The trace reads every such
+carry from one certified product.
 """
 
 from __future__ import annotations
@@ -255,13 +256,23 @@ def _multiplier_shape(m: int, k: int):
     return r, m_digits, sum(m_digits)
 
 
+def _shift_in_sum(z: bytes, m_digits: List[int], k: int) -> int:
+    """sum_i m_i * value(z[:i]), each prefix of z read most significant digit first."""
+    total = value = 0
+    for zi, mi in zip(z, m_digits[1:]):
+        value = value * k + zi
+        total += mi * value
+    return total
+
+
 def block_image(x, c: int, z, m: int, alphabet: Alphabet) -> bytes:
     """Output block of multiplication by m from (input block, carry, shift-in).
 
     For an l-digit block x with integer value v, carry c, and the next r
     digits z entering from the right, the product stream's matching block is
-    the l-digit numeral of (m*v + c + sum_i m_i * (z[0] + z[1]*k + ... +
-    z[i-1]*k^(i-1))) mod k^l, where m = sum_i m_i k^i in base k.
+    the l-digit numeral of (m*v + c + sum_i m_i * value(z[:i])) mod k^l,
+    where m = sum_i m_i k^i in base k and value(z[:i]) = z[0]*k^(i-1) + ...
+    + z[i-1] reads the first i shift-in digits as a numeral.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -276,13 +287,7 @@ def block_image(x, c: int, z, m: int, alphabet: Alphabet) -> bytes:
     l = len(x)
     if l < 1:
         raise ValueError("block must be nonempty")
-    shift = 0
-    for i in range(r + 1):
-        inner = 0
-        for t in range(i):
-            inner += z[t] * k ** t
-        shift += m_digits[i] * inner
-    value = (m * digits_to_int(x, k) + c + shift) % (k ** l)
+    value = (m * digits_to_int(x, k) + c + _shift_in_sum(z, m_digits, k)) % (k ** l)
     return bytes(int_to_digits(value, k, l))
 
 
@@ -290,16 +295,21 @@ def carry_advice_trace(seq: DigitSequence, m: int, l: int, n_blocks: int,
                        lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CarryAdviceTrace:
     """Exact per-block carries, shift-in digits, and output blocks under *m.
 
-    The carry after block j is floor(k^((j+1)l) * tau_j) where tau_j sums the
-    tails of the m_i-weighted shifted copies of alpha beyond that block; it
-    always lies in [0, s].  For streams with an exact rational value the
-    carries are computed by modular arithmetic; otherwise they are certified
-    from a finite window, growing up to the lookahead cap.
+    Block j of m*alpha is (m*X_j + floor(m*tau_j)) mod k^l for the block X_j
+    and the tail tau_j after it.  Every floor(m*tau_j) comes from one
+    certified product: times m, the stream shifted right by w = r + 1 zeros
+    stays below 1 (k^w > m), so floor(m*tau_j) = (Y - m*X) mod k^w for the
+    codes Y and X of the w product and source digits ending with the block.
+    The carry is that less the shift-in sum and lies in [0, s].  Streams
+    without an exact value read at most `lookahead_cap` digits past the last
+    shift-in digit.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     if l < 1 or n_blocks < 1:
         raise ValueError("need l >= 1 and n_blocks >= 1")
+    if lookahead_cap < 1:
+        raise ValueError("lookahead_cap must be positive")
     k = seq.alphabet.k
     r, m_digits, s = _multiplier_shape(m, k)
     need = n_blocks * l + r
@@ -307,51 +317,29 @@ def carry_advice_trace(seq: DigitSequence, m: int, l: int, n_blocks: int,
         raise InsufficientDigitsError(
             f"trace of {n_blocks} blocks needs {need} digits, "
             f"only {seq.length_available} available")
-    text = seq.prefix(need)
+    w = r + 1
+    exact = None if seq.exact_value is None else seq.exact_value / k ** w
+    source = bytes(w) + seq.prefix(min(seq.length_available, need + lookahead_cap))
+    count = n_blocks * l + w
+    # mul_int_mod1 counts its cap from the product's last digit, r digits
+    # before the last shift-in digit
+    result = mul_int_mod1(DigitSequence(seq.alphabet, source, exact), m, count, lookahead_cap + r)
+    if result.certified_count < count:
+        j = max(result.certified_count - w, 0) // l
+        raise UnresolvedCarryError(
+            f"carry after block {j} unresolved within {lookahead_cap} digits of lookahead")
+    product = result.digits.prefix(count)
 
     entries = []
     for j in range(n_blocks):
-        block = text[j * l:(j + 1) * l]
-        shift_in = text[(j + 1) * l:(j + 1) * l + r]
-        carry = _carry_after(seq, m_digits, (j + 1) * l, lookahead_cap)
+        end = (j + 1) * l + w  # the block's end in the shifted streams
+        block, shift_in, out = source[end - l:end], source[end:end + r], product[end - l:end]
+        tail = (digits_to_int(product[end - w:end], k)
+                - m * digits_to_int(source[end - w:end], k)) % k ** w  # floor(m*tau_j)
+        carry = tail - _shift_in_sum(shift_in, m_digits, k)
         if not 0 <= carry <= s:
             raise AssertionError(f"carry {carry} escaped [0, {s}] at block {j}")
-        out = block_image(block, carry, shift_in, m, seq.alphabet)
-        entries.append(TraceEntry(j, bytes(block), carry, bytes(shift_in), out))
+        if block_image(block, carry, shift_in, m, seq.alphabet) != out:
+            raise AssertionError(f"block_image disagrees with the product at block {j}")
+        entries.append(TraceEntry(j, block, carry, shift_in, out))
     return CarryAdviceTrace(m, l, r, s, entries)
-
-
-def _carry_after(seq: DigitSequence, m_digits: List[int], position: int,
-                 lookahead_cap: int) -> int:
-    """floor of the scaled tail sum sum_i m_i * k^i * (alpha - trunc_(pos+i))."""
-    k = seq.alphabet.k
-    if seq.exact_value is not None:
-        num, den = seq.exact_value.numerator, seq.exact_value.denominator
-        # tail of the i-shifted copy after `position` digits is
-        # (k^(position+i) * alpha mod 1) = (k^(position+i)*num mod den)/den
-        total = sum(mi * ((pow(k, position + i, den) * num) % den)
-                    for i, mi in enumerate(m_digits))
-        return total // den
-    m = sum(mi * k ** i for i, mi in enumerate(m_digits))
-    r = len(m_digits) - 1
-    max_read = min(position + r + lookahead_cap, seq.length_available)
-    window = 16
-    while True:
-        n_read = max(min(position + r + window, max_read), position + r)
-        text = seq.prefix(n_read)
-        lo = Fraction(0)
-        width = Fraction(0)
-        for i, mi in enumerate(m_digits):
-            if mi == 0:
-                continue
-            tail_digits = text[position + i:n_read]
-            lo += mi * Fraction(digits_to_int(tail_digits, k), k ** len(tail_digits))
-            width += mi * Fraction(1, k ** len(tail_digits))
-        c_lo = math.floor(lo)
-        c_hi = math.floor(lo + width)
-        if c_lo == c_hi:
-            return c_lo
-        if n_read >= max_read:
-            raise UnresolvedCarryError(
-                f"carry at position {position} unresolved after {n_read - position} digits")
-        window *= 2

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fsdim import InsufficientDigitsError
+from fsdim import InsufficientDigitsError, UnresolvedCarryError
 
 
 def long_division_digits(q: Fraction, k: int, count: int):
@@ -108,6 +108,45 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
             value = (a // k ** (count - certified)) % (k ** certified)
             return (_width_digits(value, k, certified), certified, n_read - count, True, None)
         guard *= 2
+
+
+def carry_after(seq, m: int, position: int, lookahead_cap: int) -> int:
+    """Carry into the block ending at `position` under *m, from a Fraction window.
+
+    The carry is the floor of sum_i m_i * (tail of alpha after position + i
+    digits), for m = sum_i m_i k^i in base k.  With an exact value each tail
+    is a residue mod the denominator; otherwise the tails are enclosed from
+    a window of digits that doubles until both ends of the enclosure share
+    a floor, reading at most `lookahead_cap` digits past position + r.
+    Raises UnresolvedCarryError when they never do.
+    """
+    k = seq.alphabet.k
+    m_digits = []
+    while m:
+        m, digit = divmod(m, k)
+        m_digits.append(digit)
+    if seq.exact_value is not None:
+        num, den = seq.exact_value.numerator, seq.exact_value.denominator
+        total = sum(mi * ((pow(k, position + i, den) * num) % den)
+                    for i, mi in enumerate(m_digits))
+        return total // den
+    r = len(m_digits) - 1
+    max_read = min(position + r + lookahead_cap, seq.length_available)
+    window = 16
+    while True:
+        n_read = max(min(position + r + window, max_read), position + r)
+        text = seq.prefix(n_read)
+        lo = width = Fraction(0)
+        for i, mi in enumerate(m_digits):
+            tail = text[position + i:n_read]
+            lo += mi * Fraction(_numeral(tail, k), k ** len(tail))
+            width += mi * Fraction(1, k ** len(tail))
+        if math.floor(lo) == math.floor(lo + width):
+            return math.floor(lo)
+        if n_read >= max_read:
+            raise UnresolvedCarryError(
+                f"carry at position {position} unresolved after {n_read - position} digits")
+        window *= 2
 
 
 def frac_digits(value: Fraction, k: int, count: int):

@@ -10,6 +10,7 @@ the exception type, against tests/oracles.py:certified_affine, the enclosure
 over k^N-sized Fractions.
 """
 
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsdim import (Alphabet, DigitSequence, add_rational_mod1, div_int, gen_rational_expansion,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
+                   add_rational_mod1, carry_advice_trace, div_int, gen_rational_expansion,
                    mul_int_mod1, mul_rational_mod1, negate_mod1)
 from fsdim import digitseq
 from fsdim.realarith import _certified_affine
 
-from oracles import certified_affine, long_division_digits
+from oracles import carry_after, certified_affine, long_division_digits
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -165,6 +167,35 @@ def test_long_division_across_blocks(seq, name, data):
     count = data.draw(st.integers(0, seq.length_available))
     with mock.patch.object(digitseq, "_DIVIDE_BLOCK", 2):
         assert_matches_oracle(name, seq, operand, count, 16)
+
+
+@PROPERTY_SETTINGS
+@given(seq=streams(), data=st.data())
+def test_trace_carries_match_fraction_windows(seq, data):
+    k = seq.alphabet.k
+    # r = floor(log_k m) in 0..3, or an operand past the int64 limb edge
+    m = data.draw(st.integers(0, 3).flatmap(lambda r: st.integers(k ** r, k ** (r + 1) - 1))
+                  | st.just(2 ** 62 + 3))
+    r = next(i for i in itertools.count() if k ** (i + 1) > m)
+    l = data.draw(st.integers(1, 5))
+    # at most one block more than the stream holds
+    n_blocks = data.draw(st.integers(1, max(seq.length_available - r, 0) // l + 1))
+    cap = data.draw(st.sampled_from([1, 3, 16, 4096]))
+    if n_blocks * l + r > seq.length_available:
+        with pytest.raises(InsufficientDigitsError):
+            carry_advice_trace(seq, m, l, n_blocks, cap)
+        return
+    try:
+        expected = [carry_after(seq, m, (j + 1) * l, cap) for j in range(n_blocks)]
+    except UnresolvedCarryError:
+        expected = UnresolvedCarryError
+    try:
+        carries = [e.carry for e in carry_advice_trace(seq, m, l, n_blocks, cap).entries]
+    except UnresolvedCarryError:
+        carries = UnresolvedCarryError
+    # one certified product reads past every block's window, so the trace may
+    # resolve carries the oracle cannot; it must resolve all that the oracle does
+    assert carries == expected or expected is UnresolvedCarryError
 
 
 @PROPERTY_SETTINGS

@@ -221,6 +221,13 @@ def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_delta_exact_negative_budget_exits_one(tmp_path, capsys):
+    pi = tmp_path / "p.json"
+    pi.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
+    assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(pi), "--budget-ms", "-5"]) == 1
+    assert capsys.readouterr().err.startswith("error: time budget must be nonnegative")
+
+
 @pytest.mark.parametrize("suite,samples", [("pseudometric", "-1"), ("contractivity", "0")])
 def test_suite_empty_sample_exits_one(tmp_path, capsys, suite, samples):
     report = tmp_path / "suite.json"

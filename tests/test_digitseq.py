@@ -198,7 +198,7 @@ def test_sequence_is_finite_immutable_buffer():
 
 def test_negative_prefix_lengths_are_refused(tmp_path):
     seq = DigitSequence(Alphabet(10), bytes(range(10)))
-    for read in (seq.prefix, seq.prefix_array, seq.prefix_str, seq.prefix_int):
+    for read in (seq.prefix, seq.prefix_array, seq.prefix_str):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             read(-1)
     path = tmp_path / "digits.txt"

@@ -7,6 +7,7 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedC
                    add_rational_mod1, block_image, carry_advice_trace, div_int,
                    gen_champernowne, gen_rational_expansion, mul_int_mod1,
                    mul_rational_mod1, negate_mod1)
+from fsdim.digitseq import digits_to_int
 
 from oracles import frac_digits, product_prefix_digits
 
@@ -77,8 +78,9 @@ class TestDivInt:
         res = div_int(seq, 7, 100)
         assert res.certified_count == 100
         # oracle: long-divide the exact prefix rational, guard digits absorb the tail
-        lo = frac_digits(Fraction(seq.prefix_int(150), 10 ** 150) / 7, 10, 100)
-        hi = frac_digits(Fraction(seq.prefix_int(150) + 1, 10 ** 150) / 7, 10, 100)
+        prefix = digits_to_int(seq.prefix(150), 10)
+        lo = frac_digits(Fraction(prefix, 10 ** 150) / 7, 10, 100)
+        hi = frac_digits(Fraction(prefix + 1, 10 ** 150) / 7, 10, 100)
         assert lo == hi == res.digits.prefix(100)
 
 
@@ -93,8 +95,9 @@ class TestAddRational:
         seq = gen_champernowne(A10, 160)
         res = add_rational_mod1(seq, Fraction(1, 7), 100)
         assert res.certified_count == 100
-        lo = frac_digits(Fraction(seq.prefix_int(150), 10 ** 150) + Fraction(1, 7), 10, 100)
-        hi = frac_digits(Fraction(seq.prefix_int(150) + 1, 10 ** 150) + Fraction(1, 7), 10, 100)
+        prefix = digits_to_int(seq.prefix(150), 10)
+        lo = frac_digits(Fraction(prefix, 10 ** 150) + Fraction(1, 7), 10, 100)
+        hi = frac_digits(Fraction(prefix + 1, 10 ** 150) + Fraction(1, 7), 10, 100)
         assert lo == hi == res.digits.prefix(100)
 
     def test_integer_addition_returns_same_stream(self):
@@ -122,8 +125,9 @@ class TestMulRational:
         seq = gen_champernowne(A10, 170)
         res = mul_rational_mod1(seq, Fraction(3, 2), 100)
         assert res.certified_count == 100
-        lo = frac_digits(Fraction(seq.prefix_int(160), 10 ** 160) * Fraction(3, 2), 10, 100)
-        hi = frac_digits(Fraction(seq.prefix_int(160) + 1, 10 ** 160) * Fraction(3, 2), 10, 100)
+        prefix = digits_to_int(seq.prefix(160), 10)
+        lo = frac_digits(Fraction(prefix, 10 ** 160) * Fraction(3, 2), 10, 100)
+        hi = frac_digits(Fraction(prefix + 1, 10 ** 160) * Fraction(3, 2), 10, 100)
         assert lo == hi == res.digits.prefix(100)
 
     def test_negative_multiplier_uses_magnitude(self):
@@ -201,6 +205,8 @@ class TestBlockImage:
         assert block_image("57", 1, "", 3, A10) == bytes([7, 2])
         assert block_image("34", 1, "5", 12, A10) == bytes([1, 4])
         assert block_image("09", 0, "", 1, A10) == bytes([0, 9])
+        # 123 * 0.3456 = 42.5088: shift-in prefixes are read most significant first
+        assert block_image("34", 2, "56", 123, A10) == bytes([5, 0])
 
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
@@ -236,7 +242,7 @@ class TestCarryAdviceTrace:
         assert all(e.carry == 0 and e.out_block == e.block for e in trace.entries)
 
     def test_reconstructs_product_blocks(self):
-        for k, m, l in ((10, 12, 2), (2, 3, 4), (10, 7, 3)):
+        for k, m, l in ((10, 12, 2), (2, 3, 4), (10, 7, 3), (2, 4, 3), (10, 123, 4), (3, 10, 3)):
             seq = gen_champernowne(Alphabet(k), 2500)
             n_blocks = 150
             trace = carry_advice_trace(seq, m, l, n_blocks)
@@ -248,9 +254,10 @@ class TestCarryAdviceTrace:
         q = Fraction(22, 7 ** 3)
         exact_seq = gen_rational_expansion(q, A10, 400)
         stream_seq = bare(exact_seq.prefix(400), 10)
-        t_exact = carry_advice_trace(exact_seq, 12, 3, 40)
-        t_stream = carry_advice_trace(stream_seq, 12, 3, 40)
-        assert [e.carry for e in t_exact.entries] == [e.carry for e in t_stream.entries]
+        for m in (12, 345):  # r = 1 and r = 2
+            t_exact = carry_advice_trace(exact_seq, m, 3, 40)
+            t_stream = carry_advice_trace(stream_seq, m, 3, 40)
+            assert t_exact.entries == t_stream.entries
 
     def test_unresolved_tail_carry(self):
         with pytest.raises(UnresolvedCarryError):
@@ -259,3 +266,8 @@ class TestCarryAdviceTrace:
     def test_insufficient_digits(self):
         with pytest.raises(InsufficientDigitsError):
             carry_advice_trace(bare([1, 2, 3]), 12, 2, 5)
+
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_refuses_nonpositive_lookahead_cap(self, m):
+        with pytest.raises(ValueError, match="lookahead_cap must be positive"):
+            carry_advice_trace(gen_champernowne(A10, 100), m, 2, 5, lookahead_cap=0)
