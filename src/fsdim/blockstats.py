@@ -43,8 +43,10 @@ class BlockDistribution:
 
 
 def _code_dtype(k: int, l: int):
-    """int64 while every base-k code of length l fits in 62 bits, else Python ints."""
-    return np.int64 if l * math.log2(k) <= 62 else object
+    """int32 while every base-k code of length l fits in 31 bits, int64 while
+    it fits in 62 bits, else Python ints."""
+    bits = l * math.log2(k)
+    return np.int32 if bits <= 31 else np.int64 if bits <= 62 else object
 
 
 def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
@@ -69,7 +71,7 @@ def _prefix_counts(codes: np.ndarray, space: int, schedule: Sequence[int]):
     Values are the observed codes in ascending order and counts their
     positive occurrence counts, as np.unique gives them; both are fresh
     arrays.  While the code space `space` is at most twice the longest
-    prefix (so the codes are int64), one running bincount adds each segment
+    prefix (so the codes are fixed-width integers), one running bincount adds each segment
     codes[prev:n] in turn, so the prefixes cost O(n + len(schedule) * space)
     and no sort; otherwise each prefix is sorted by np.unique.
     """
@@ -112,6 +114,27 @@ def _entropy_from_counts(counts, n: int) -> float:
     log_n = math.log2(n)
     h = math.fsum((mult * c / n) * (log_n - math.log2(c)) for c, mult in groups)
     return max(h, 0.0)
+
+
+class _BlockCounts:
+    """The first schedule[-1] aligned l-blocks of `seq` as base-k `codes`.
+
+    at(n) gives the block counts (ascending codes, counts) of the first n
+    blocks and their entropy in bits, for n of the ascending `schedule` asked
+    in ascending order: the nested prefixes are counted in one pass and one
+    prefix's counts are held at a time.
+    """
+
+    def __init__(self, seq: DigitSequence, l: int, schedule: Sequence[int]):
+        self.codes = block_codes(seq, l, schedule[-1])
+        self._prefixes = ((n, blocks, _entropy_from_counts(blocks[1], n)) for n, blocks in
+                          zip(schedule, _prefix_counts(self.codes, seq.alphabet.k ** l, schedule)))
+        self._now = (0,)
+
+    def at(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], float]:
+        while self._now[0] < n:
+            self._now = next(self._prefixes)
+        return self._now[1:]
 
 
 def shannon_entropy(dist) -> float:
@@ -183,23 +206,27 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     largest feasible grid.
     """
     schedule = _grid_schedule(max_block_len, n_schedule)
-    k = seq.alphabet.k
     avail = seq.length_available
-    grid = DimensionEstimateGrid(seq.alphabet, max_block_len, tuple(schedule),
-                                 clipped=schedule[-1] * max_block_len > avail)
+    bits = {}
     for l in range(1, max_block_len + 1):
-        denom = l * math.log2(k)
         fits = [n for n in schedule if n * l <= avail]
         if not fits:
             break
-        # encode the row once; each cell counts a prefix of its codes
-        codes = block_codes(seq, l, fits[-1])
-        for n, (_, counts) in zip(fits, _prefix_counts(codes, k ** l, fits)):
-            h = _entropy_from_counts(counts, n) / denom
-            grid.entries.append(GridEntry(l, n, min(h, 1.0)))
-    if not grid.entries:
+        row = _BlockCounts(seq, l, fits)  # encode the row once
+        bits.update(((l, n), row.at(n)[1]) for n in fits)
+    return _grid_from_bits(seq.alphabet, max_block_len, schedule, avail, bits)
+
+
+def _grid_from_bits(alphabet: Alphabet, max_block_len: int, schedule: List[int], avail: int,
+                    bits: Dict[Tuple[int, int], float]) -> DimensionEstimateGrid:
+    """The grid of `avail` digits from the entropy in bits of each cell (l, n)
+    with n*l <= avail, given in ascending l then n."""
+    entries = [GridEntry(l, n, min(h / (l * math.log2(alphabet.k)), 1.0))
+               for (l, n), h in bits.items()]
+    if not entries:
         raise InsufficientDigitsError("sequence too short for any grid cell")
-    return grid
+    return DimensionEstimateGrid(alphabet, max_block_len, tuple(schedule), entries,
+                                 clipped=schedule[-1] * max_block_len > avail)
 
 
 def dim_estimates(grid: DimensionEstimateGrid, tail_fraction: float = 0.5) -> Tuple[float, float]:

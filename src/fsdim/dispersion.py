@@ -38,7 +38,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .blockstats import BlockDistribution, block_codes
+from .blockstats import BlockDistribution, _BlockCounts
 from .digitseq import Alphabet, DigitSequence
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
                         _multiplier_shape)
@@ -613,14 +613,22 @@ def _certificate_dimension(k: int, l: int) -> int:
     return dimension
 
 
+def _runs(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(start, length) of each run of equal values in nonempty `codes`."""
+    bounds = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1], [True])))
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
 def _grouped(codes: np.ndarray, counts: np.ndarray):
-    """Distinct codes ascending, with the summed counts and the number of pairs of each."""
+    """Distinct codes ascending, with the summed counts and the number of pairs of
+    each; codes already ascending (a table's x) are grouped without a sort."""
     if not len(codes):
         return codes, counts, counts
-    order = np.argsort(codes, kind="stable")
-    codes, counts = codes[order], counts[order]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    return codes[starts], np.add.reduceat(counts, starts), np.diff(np.r_[starts, len(codes)])
+    if (codes[1:] < codes[:-1]).any():
+        order = np.argsort(codes, kind="stable")
+        codes, counts = codes[order], counts[order]
+    starts, lengths = _runs(codes)
+    return codes[starts], np.add.reduceat(counts, starts), lengths
 
 
 def _in_sorted(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -646,8 +654,10 @@ class BlockCoupling:
 
     Pair t is the source block code x[t], the image block code y[t] and
     count[t] = #{j < n : block_j(alpha) = x[t], block_j(m*alpha) = y[t]},
-    listed in the order the pairs first occur.  The source and image block
-    counts come from counting each code stream on its own.  The coupling is
+    listed in ascending (x, y) order (the checks accept any order).  The
+    source and image block counts are counted from each code stream on its
+    own, never from the pairs, so the column and row checks compare two
+    independent counts.  The coupling is
     the certificate matrix a_{y,x} = count / (source count of x), with an
     identity column for every unobserved source block, scaled by the source
     counts and by n: every condition of :func:`validate_certificate` is then
@@ -676,23 +686,28 @@ class BlockCoupling:
                             or max(self.x.max(), self.y.max()) >= dimension):
             raise ValueError(f"pair outside range({dimension}) or count not positive")
         # a pair in an unobserved column collides with that column's identity entry
-        if not _in_sorted(self.x, self.source_codes).all():
+        if not _in_sorted(self._columns[0], self.source_codes).all():
             raise ValueError("identity columns collide with explicit entries")
 
     @classmethod
-    def from_codes(cls, alphabet: Alphabet, l: int, m: int,
-                   source: np.ndarray, image: np.ndarray) -> "BlockCoupling":
-        """Count the aligned pairs of two equally long block-code arrays."""
+    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: _BlockCounts,
+                   image: _BlockCounts, n: int) -> "BlockCoupling":
+        """Count the aligned pairs of the first n blocks of two counted code
+        streams by one in-place sort of the keys x*k^l + y; the marginals are
+        the streams' own block counts."""
         dimension = _certificate_dimension(alphabet.k, l)
-        pairs, first, counts = np.unique(source * dimension + image,
-                                         return_index=True, return_counts=True)
-        order = np.argsort(first)
-        pairs, counts = pairs[order], counts[order]
+        keys = source.codes[:n].astype(np.int64)
+        keys *= dimension
+        keys += image.codes[:n]
+        keys.sort()
+        starts, counts = _runs(keys)
+        x = keys[starts]
+        del keys, starts  # free the keys before the table groups its pairs
+        y = x % dimension
+        x //= dimension
         _, _, s = _multiplier_shape(m, alphabet.k)
         declared = min(math.gcd(m, dimension) * (s + 1) * m, dimension)
-        return cls(alphabet, l, len(source), m, declared, pairs // dimension,
-                   pairs % dimension, counts, *np.unique(source, return_counts=True),
-                   *np.unique(image, return_counts=True))
+        return cls(alphabet, l, n, m, declared, x, y, counts, *source.at(n)[0], *image.at(n)[0])
 
     @property
     def dimension(self) -> int:
@@ -785,7 +800,7 @@ class BlockCoupling:
                                   _sparse(self.image_codes, self.image_counts)))
 
     def to_certificate(self) -> SparseStochasticCertificate:
-        """The rational certificate: entries a_{y,x} in first-occurrence order,
+        """The rational certificate: entries a_{y,x} in the order of the pairs,
         unobserved source blocks as implicit identity columns."""
         totals = self.source_counts[np.searchsorted(self.source_codes, self.x)]
         entries = {(y, x): Fraction(c, d) for x, y, c, d in
@@ -819,8 +834,8 @@ def block_coupling(seq: DigitSequence, m: int, l: int, n: int,
         raise UnresolvedCarryError(
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
-    return BlockCoupling.from_codes(seq.alphabet, l, m, block_codes(seq, l, n),
-                                    block_codes(product_digits, l, n))
+    return BlockCoupling.from_codes(seq.alphabet, l, m, _BlockCounts(seq, l, [n]),
+                                    _BlockCounts(product_digits, l, [n]), n)
 
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,

@@ -16,6 +16,13 @@ preservation results:
   dispersion solver on seeded random rational vectors, including the banded
   worst-case majorization chain.
 
+The rational-arithmetic check counts blocks by one plan per block length l:
+each stream it reads (alpha, q*alpha, q+alpha and the four certified
+products) is encoded once, streams with equal digits share one encoding, and
+the nested prefixes of the schedule are counted in one pass.  Grid entries,
+certificate entropies and the marginals each pair table is checked against
+all read those counts; the tables' own pairs never supply a marginal.
+
 Reports serialize to JSON deterministically: same seed and inputs give
 byte-identical output (timing is kept out of the canonical form).
 """
@@ -32,12 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import (_entropy_from_counts, _grid_schedule, block_codes, dim_estimates,
+from .blockstats import (_BlockCounts, _grid_from_bits, _grid_schedule, dim_estimates,
                          entropy_rate_grid, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
-from .dispersion import (BlockCoupling, ProbabilityVector, build_banded_worst_case,
-                         certificate_bound_bits, compose_certificates, delta_exact, majorizes,
-                         reverse_certificate, validate_certificate)
+from .dispersion import (BlockCoupling, ProbabilityVector, _certificate_dimension,
+                         build_banded_worst_case, certificate_bound_bits, compose_certificates,
+                         delta_exact, majorizes, reverse_certificate, validate_certificate)
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, CertifiedDigitResult, add_rational_mod1,
                         mul_int_mod1, mul_rational_mod1, _multiplier_shape)
 
@@ -96,51 +103,51 @@ def _default_schedule(total_digits: int, max_block_len: int, points: int = 5) ->
     return sorted({max(1, top // 2 ** i) for i in range(points)})
 
 
-def _certificate_records(leg: str, seq: DigitSequence, m: int, product: CertifiedDigitResult,
-                         max_block_len: int, n_schedule: Sequence[int]):
-    """Certificate checks for one multiplication leg over the (l, n) grid.
+def _count_blocks(streams: Dict[str, Tuple[DigitSequence, List[int]]], l: int):
+    """The counting plan of one block length: {name: _BlockCounts} for `streams`,
+    which maps a name to (digits, ascending nonempty block counts it needs).
+    Taken longest need first, a stream shares the counts of the first earlier
+    one whose digits agree with its own needed prefix."""
+    groups = []  # (digits, sequence, block counts, names) of each distinct prefix
+    for name, (seq, fits) in sorted(streams.items(), key=lambda item: -item[1][1][-1]):
+        view = seq.prefix_array(fits[-1] * l)
+        group = next((g for g in groups if np.array_equal(g[0][:len(view)], view)), None)
+        if group is None:
+            groups.append(group := (view, seq, set(), []))
+        group[2].update(fits)
+        group[3].append(name)
+    return {name: counted for _, seq, fits, names in groups
+            for counted in [_BlockCounts(seq, l, sorted(fits))] for name in names}
 
-    `product` is the certified stream of frac(m * seq) that every cell reads.
-    Each cell is an integer joint-count table, checked in integers; its
-    entropies and support degrees come from the same counts.
-    """
-    k = seq.alphabet.k
-    records = []
-    violations = []
-    skipped = []
+
+def _certificate_cell(leg: str, m: int, source: _BlockCounts, image: _BlockCounts,
+                      alphabet: Alphabet, l: int, n: int, records: List, violations: List):
+    """Check cell (l, n) of one leg, from the counted blocks of its stream and of
+    its product frac(m * stream): an integer joint-count table checked against
+    the plan's marginals, with the plan's entropies.  Appends its record and
+    any violation."""
+    k = alphabet.k
     _, _, s = _multiplier_shape(m, k)
-    for l in range(1, max_block_len + 1):
-        g = math.gcd(m, k ** l)
-        bound = certificate_bound_bits(m, k, l)
-        fits = [n for n in n_schedule if n * l <= product.certified_count]
-        skipped.extend({"leg": leg, "l": l, "n": n, "reason": "insufficient certified digits"}
-                       for n in n_schedule if n * l > product.certified_count)
-        if not fits:
-            continue
-        # encode both streams once per block length; each cell reads a prefix
-        source = block_codes(seq, l, max(fits))
-        image = block_codes(product.digits, l, max(fits))
-        for n in fits:
-            table = BlockCoupling.from_codes(seq.alphabet, l, m, source[:n], image[:n])
-            outcome = table.validate()
-            row_support, col_support = table.max_degrees()
-            h_a = _entropy_from_counts(table.source_counts, n)
-            h_b = _entropy_from_counts(table.image_counts, n)
-            delta_h = abs(h_a - h_b)
-            ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
-                  and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
-            records.append({
-                "leg": leg, "m": m, "l": l, "n": n,
-                "h_source": h_a, "h_image": h_b, "delta_h": delta_h,
-                "bound_bits": bound,
-                "col_support": col_support, "col_bound": (s + 1) * m,
-                "row_support": row_support, "row_bound": g * (s + 1) * m,
-                "valid": outcome.ok, "passed": ok,
-            })
-            if not ok:
-                detail = outcome.detail if not outcome.ok else f"|dH|={delta_h} > {bound}"
-                violations.append(f"{leg} l={l} n={n}: {detail}")
-    return records, violations, skipped
+    g = math.gcd(m, k ** l)
+    bound = certificate_bound_bits(m, k, l)
+    table = BlockCoupling.from_codes(alphabet, l, m, source, image, n)
+    h_a, h_b = source.at(n)[1], image.at(n)[1]
+    outcome = table.validate()
+    row_support, col_support = table.max_degrees()
+    delta_h = abs(h_a - h_b)
+    ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
+          and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
+    records.append({
+        "leg": leg, "m": m, "l": l, "n": n,
+        "h_source": h_a, "h_image": h_b, "delta_h": delta_h,
+        "bound_bits": bound,
+        "col_support": col_support, "col_bound": (s + 1) * m,
+        "row_support": row_support, "row_bound": g * (s + 1) * m,
+        "valid": outcome.ok, "passed": ok,
+    })
+    if not ok:
+        detail = outcome.detail if not outcome.ok else f"|dH|={delta_h} > {bound}"
+        violations.append(f"{leg} l={l} n={n}: {detail}")
 
 
 def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
@@ -171,11 +178,12 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     """
     start = time.monotonic()
     schedule = _grid_schedule(max_block_len, n_schedule)
+    k = seq_alpha.alphabet.k
+    _certificate_dimension(k, max_block_len)
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
     a, b = q.numerator, q.denominator
-    k = seq_alpha.alphabet.k
     # derived streams get guard digits beyond the largest grid cell so the
     # certificate multiplications have lookahead room at the tail
     target = min(max_block_len * schedule[-1] + 256, seq_alpha.length_available)
@@ -194,20 +202,42 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     if prod_result.unresolved:
         report.details["product_certified"] = prod_result.certified_count
 
+    streams = {"alpha": seq_alpha, "q-alpha": prod_result.digits, "q-plus-alpha": sum_result.digits}
     legs = [
-        ("alpha-times-|a|", seq_alpha, abs(a)),
-        ("q-alpha-times-b", prod_result.digits, b),
-        ("alpha-times-b", seq_alpha, b),
-        ("q-plus-alpha-times-b", sum_result.digits, b),
+        ("alpha-times-|a|", "alpha", abs(a)),
+        ("q-alpha-times-b", "q-alpha", b),
+        ("alpha-times-b", "alpha", b),
+        ("q-plus-alpha-times-b", "q-plus-alpha", b),
     ]
     # one multiplication per leg covers every (l, n) cell of that leg
-    products = {leg: mul_int_mod1(stream, m, min(max_block_len * schedule[-1],
-                                                 stream.length_available), lookahead_cap)
-                for leg, stream, m in legs}
+    products = {leg: mul_int_mod1(streams[name], m,
+                                  min(max_block_len * schedule[-1],
+                                      streams[name].length_available), lookahead_cap)
+                for leg, name, m in legs}
+    cells = {leg: ([], [], []) for leg, _, _ in legs}  # records, violations, skipped
+    bits = {name: {} for name in streams}
+    # each stream's grid cells cover its legs' source cells; an image has its legs' cells
+    digits = {**{name: (seq, seq.length_available) for name, seq in streams.items()},
+              **{leg: (p.digits, p.certified_count) for leg, p in products.items()}}
+    for l in range(1, max_block_len + 1):
+        fits = {name: [n for n in schedule if n * l <= count]
+                for name, (_, count) in digits.items()}
+        plan = _count_blocks({name: (digits[name][0], f) for name, f in fits.items() if f}, l)
+        for n in schedule:
+            for name in streams:
+                if n in fits[name]:
+                    bits[name][l, n] = plan[name].at(n)[1]
+            for leg, name, m in legs:
+                records, violations, skipped = cells[leg]
+                if n in fits[leg]:
+                    _certificate_cell(leg, m, plan[name], plan[leg], seq_alpha.alphabet, l, n,
+                                      records, violations)
+                else:
+                    skipped.append({"leg": leg, "l": l, "n": n,
+                                    "reason": "insufficient certified digits"})
+        del plan  # hold one block length's codes at a time
     skipped_cells = []
-    for leg, stream, m in legs:
-        records, violations, skipped = _certificate_records(leg, stream, m, products[leg],
-                                                            max_block_len, schedule)
+    for records, violations, skipped in cells.values():
         report.records.extend(records)
         report.violations.extend(violations)
         skipped_cells.extend(skipped)
@@ -221,10 +251,10 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     if skipped_cells:
         report.details["skipped_cells"] = skipped_cells
 
-    streams = {"alpha": seq_alpha, "q-alpha": prod_result.digits, "q-plus-alpha": sum_result.digits}
     estimates = {}
     for name, stream in streams.items():
-        grid = entropy_rate_grid(stream, max_block_len, schedule)
+        grid = _grid_from_bits(stream.alphabet, max_block_len, schedule,
+                               stream.length_available, bits[name])
         lo, hi = dim_estimates(grid, tail_fraction)
         estimates[name] = {"lower": lo, "upper": hi, "clipped": grid.clipped}
     report.details["estimates"] = estimates

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from fsdim import InsufficientDigitsError, UnresolvedCarryError
+from fsdim import (InsufficientDigitsError, SparseStochasticCertificate, UnresolvedCarryError,
+                   add_rational_mod1, mul_int_mod1, mul_rational_mod1, validate_certificate)
+from fsdim.verify import ENTROPY_SLACK, VerificationReport
 
 
 def long_division_digits(q: Fraction, k: int, count: int):
@@ -374,9 +376,145 @@ def block_certificate(seq, product_digits, m: int, l: int, n: int):
     ys = [_numeral(dst[j * l:(j + 1) * l], k) for j in range(n)]
     x_count = Counter(xs)
     entries = {(y, x): Fraction(c, x_count[x]) for (x, y), c in Counter(zip(xs, ys)).items()}
-    s, rest = 0, m
-    while rest:
-        rest, digit = divmod(rest, k)
-        s += digit
-    declared = min(math.gcd(m, k ** l) * (s + 1) * m, k ** l)
+    declared = min(math.gcd(m, k ** l) * (_digit_sum(m, k) + 1) * m, k ** l)
     return entries, frozenset(range(k ** l)) - set(xs), declared
+
+
+def _digit_sum(m: int, k: int) -> int:
+    s = 0
+    while m:
+        m, digit = divmod(m, k)
+        s += digit
+    return s
+
+
+def _naive_code_counts(digits: bytes, k: int, l: int, n: int):
+    return {_numeral(block, k): c for block, c in naive_block_counts(digits, l, n).items()}
+
+
+def _naive_dim_estimates(entries, max_block_len: int, tail_fraction: float):
+    lower = upper = math.inf
+    for l in range(1, max_block_len + 1):
+        row = [h for ll, _, h in entries if ll == l]  # ascending n
+        if row:
+            tail = row[-max(1, int(len(row) * tail_fraction)):]
+            lower, upper = min(lower, min(tail)), min(upper, max(tail))
+    return lower, upper
+
+
+def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
+                               tail_fraction: float = 0.5, lookahead_cap: int = 4096,
+                               normality_w_len: int = 3):
+    """The report of verify_rational_arithmetic, built cell by cell.
+
+    The certified streams come from the library's arithmetic, which
+    tests/test_arith_properties.py checks against certified_affine above.
+    Everything counted from them is naive: each cell is the rational
+    certificate of block_certificate, checked by validate_certificate against
+    block distributions from naive_block_counts, with entropies from
+    entropy_from_counts; every grid entry recounts its blocks the same way.
+    """
+    k = seq.alphabet.k
+    schedule = sorted(set(n_schedule))
+    a, b = q.numerator, q.denominator
+    target = min(max_block_len * schedule[-1] + 256, seq.length_available)
+    sum_result = add_rational_mod1(seq, q, target, lookahead_cap)
+    prod_result = mul_rational_mod1(seq, q, target, lookahead_cap)
+    report = VerificationReport(
+        scenario="rational-arithmetic-preservation",
+        inputs={"k": k, "q": q, "max_block_len": max_block_len, "n_schedule": schedule,
+                "tail_fraction": tail_fraction, "digits_used": target})
+    if sum_result.unresolved:
+        report.details["sum_certified"] = sum_result.certified_count
+    if prod_result.unresolved:
+        report.details["product_certified"] = prod_result.certified_count
+
+    streams = {"alpha": seq, "q-alpha": prod_result.digits, "q-plus-alpha": sum_result.digits}
+    legs = [("alpha-times-|a|", "alpha", abs(a)), ("q-alpha-times-b", "q-alpha", b),
+            ("alpha-times-b", "alpha", b), ("q-plus-alpha-times-b", "q-plus-alpha", b)]
+    products = {}
+    skipped = []
+    for leg, name, m in legs:
+        stream = streams[name]
+        product = mul_int_mod1(stream, m, min(max_block_len * schedule[-1],
+                                              stream.length_available), lookahead_cap)
+        products[leg] = product
+        s = _digit_sum(m, k)
+        for l in range(1, max_block_len + 1):
+            g = math.gcd(m, k ** l)
+            bound = math.log2(g * (s + 1) * m)
+            for n in schedule:
+                if n * l > product.certified_count:
+                    skipped.append({"leg": leg, "l": l, "n": n,
+                                    "reason": "insufficient certified digits"})
+                    continue
+                entries, identity, declared = block_certificate(stream, product.digits, m, l, n)
+                cert = SparseStochasticCertificate(k ** l, entries, declared, identity)
+                source = _naive_code_counts(stream.prefix(n * l), k, l, n)
+                image = _naive_code_counts(product.digits.prefix(n * l), k, l, n)
+                outcome = validate_certificate(cert, {x: Fraction(c, n) for x, c in source.items()},
+                                               {y: Fraction(c, n) for y, c in image.items()})
+                row_support, col_support = cert.max_degrees()
+                h_a = entropy_from_counts(source.values(), n)
+                h_b = entropy_from_counts(image.values(), n)
+                delta_h = abs(h_a - h_b)
+                ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
+                      and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
+                report.records.append({
+                    "leg": leg, "m": m, "l": l, "n": n,
+                    "h_source": h_a, "h_image": h_b, "delta_h": delta_h, "bound_bits": bound,
+                    "col_support": col_support, "col_bound": (s + 1) * m,
+                    "row_support": row_support, "row_bound": g * (s + 1) * m,
+                    "valid": outcome.ok, "passed": ok})
+                if not ok:
+                    detail = outcome.detail if not outcome.ok else f"|dH|={delta_h} > {bound}"
+                    report.violations.append(f"{leg} l={l} n={n}: {detail}")
+    for leg_a, leg_b in (("alpha-times-|a|", "q-alpha-times-b"),
+                         ("alpha-times-b", "q-plus-alpha-times-b")):
+        common = min(products[leg_a].certified_count, products[leg_b].certified_count)
+        da, db = products[leg_a].digits.prefix(common), products[leg_b].digits.prefix(common)
+        first = next((i for i in range(common) if da[i] != db[i]), None)
+        if first is not None:
+            report.violations.append(f"{leg_a} and {leg_b} images differ at digit {first} "
+                                     f"of {common}")
+    if skipped:
+        report.details["skipped_cells"] = skipped
+
+    estimates = {}
+    for name, stream in streams.items():
+        avail = stream.length_available
+        entries = [(l, n, min(entropy_from_counts(
+                        _naive_code_counts(stream.prefix(n * l), k, l, n).values(), n)
+                        / (l * math.log2(k)), 1.0))
+                   for l in range(1, max_block_len + 1) for n in schedule if n * l <= avail]
+        if not entries:
+            raise InsufficientDigitsError("sequence too short for any grid cell")
+        lower, upper = _naive_dim_estimates(entries, max_block_len, tail_fraction)
+        estimates[name] = {"lower": lower, "upper": upper,
+                           "clipped": schedule[-1] * max_block_len > avail}
+    report.details["estimates"] = estimates
+    report.details["estimate_gaps"] = {
+        name: {"lower": abs(estimates["alpha"]["lower"] - estimates[name]["lower"]),
+               "upper": abs(estimates["alpha"]["upper"] - estimates[name]["upper"])}
+        for name in ("q-alpha", "q-plus-alpha")}
+
+    norm_n = min(10_000, target - normality_w_len)
+    if norm_n >= 1:
+        deviations = {}
+        for name, stream in streams.items():
+            need = norm_n + normality_w_len - 1
+            if stream.length_available < need:
+                raise InsufficientDigitsError(f"requested {need} digits but only "
+                                              f"{stream.length_available} are available")
+            deviations[name] = float(sliding_normality_deviation(
+                stream.prefix(need), k, normality_w_len, norm_n))
+        report.details["normality_deviation"] = deviations
+
+    if b == 1 and a >= 1:
+        n_cmp = sum_result.certified_count
+        identical = sum_result.digits.prefix(n_cmp) == seq.prefix(n_cmp)
+        report.details["sum_digits_identical"] = identical
+        if not identical:
+            report.violations.append("integer addition changed fractional digits")
+    report.passes = not report.violations
+    return report

@@ -8,8 +8,9 @@ certificates.
 
 The integer joint-count table (BlockCoupling) is checked against the rational
 certificate it converts to: its validator agrees with validate_certificate on
-valid and on corrupted tables, and to_certificate() equals the rational
-builder in tests/oracles.py.
+valid and on corrupted tables, to_certificate() equals the rational builder
+in tests/oracles.py, and a table built from codes changed after they were
+counted fails its checks, since its marginals are counted apart from its pairs.
 """
 
 import dataclasses
@@ -21,10 +22,12 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fsdim.verify
-from fsdim import (Alphabet, DigitSequence, SparseStochasticCertificate, UnobservedColumns,
-                   UnresolvedCarryError, block_coupling, block_distribution_as_code_vector,
-                   gen_champernowne, integer_multiple_certificate, mul_int_mod1,
-                   validate_certificate, verify_rational_arithmetic)
+from fsdim import (Alphabet, BlockCoupling, DigitSequence, SparseStochasticCertificate,
+                   UnobservedColumns, UnresolvedCarryError, block_coupling,
+                   block_distribution_as_code_vector, gen_champernowne,
+                   integer_multiple_certificate, mul_int_mod1, validate_certificate,
+                   verify_rational_arithmetic)
+from fsdim.blockstats import _BlockCounts
 from fsdim.digitseq import digits_to_int
 
 import oracles
@@ -281,7 +284,8 @@ def test_to_certificate_matches_rational_builder(cell):
     product = mul_int_mod1(seq, m, n * l, 64).digits
     entries, identity, declared = oracles.block_certificate(seq, product, m, l, n)
     cert = table.to_certificate()
-    assert list(cert.entries.items()) == list(entries.items())
+    # entries (y, x) in ascending (x, y) order, the table's pair order
+    assert list(cert.entries.items()) == sorted(entries.items(), key=lambda e: e[0][::-1])
     assert cert.identity_columns == identity
     assert cert.declared_m == declared
     assert integer_multiple_certificate(seq, m, l, n, 64)[0].entries == entries
@@ -365,6 +369,30 @@ def test_residue_guard_catches_balanced_pair(cell, data):
         assert integer_view(bad)[0] == (False, "residue-identity")
     else:
         assert integer_view(bad)[0] == (False, violation) == (False, "support-bound")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.booleans(), st.data())
+def test_table_checks_marginals_counted_apart_from_pairs(cell, in_source, data):
+    # the marginals are counted from the code streams, never read off the
+    # pairs: a table built from a code changed after counting fails its check
+    k, l, n, m, digits = cell
+    seq = DigitSequence(Alphabet(k), digits)
+    product = mul_int_mod1(seq, m, n * l, 64)
+    assume(product.certified_count == n * l)
+    source, image = _BlockCounts(seq, l, [n]), _BlockCounts(product.digits, l, [n])
+    (observed, _), _ = source.at(n)
+    image.at(n)
+    j = data.draw(st.integers(0, n - 1))
+    if in_source:
+        others = [x for x in observed.tolist() if x != source.codes[j]]
+        assume(others)
+        source.codes[j] = data.draw(st.sampled_from(others))
+    else:
+        image.codes[j] = (image.codes[j] + data.draw(st.integers(1, k ** l - 1))) % k ** l
+    table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image, n)
+    assert integer_view(table) == rational_view(table)
+    assert integer_view(table)[0] == (False, "stochastic-columns" if in_source else "marginal-map")
 
 
 @PROPERTY_SETTINGS

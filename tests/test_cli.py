@@ -211,6 +211,25 @@ def test_zero_denominator_exits_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_wall_oversized_block_space_exits_one(tmp_path, capsys, monkeypatch):
+    # 2^25 blocks exceed the certificate cap: refused before any arithmetic
+    import fsdim.verify
+
+    def no_arithmetic(*args):
+        raise AssertionError("arithmetic ran before the block space was checked")
+    src = tmp_path / "champ2.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "2", "--count", "3000", "--out", str(src))
+    monkeypatch.setattr(fsdim.verify, "add_rational_mod1", no_arithmetic)
+    monkeypatch.setattr(fsdim.verify, "mul_int_mod1", no_arithmetic)
+    report = tmp_path / "w.json"
+    assert dispatch(["verify", "wall", "--in", str(src), "--base", "2", "--num", "1",
+                     "--den", "3", "--max-block-len", "25", "--blocks", "100",
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == ("error: block space k^l = 33554432 exceeds the "
+                                       "certificate cap 16777216\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("p_file", [{"n": 2, "q": ["1/2", "1/2"]}, {"n": 2, "p": ["1/0", "1"]}])
 def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
     pi = tmp_path / "p.json"

@@ -1,0 +1,63 @@
+"""Differential property test of the counting plan behind verify_rational_arithmetic.
+
+The library counts each distinct stream's blocks once per block length, shares
+the counts between streams with equal digits and checks each pair table
+against those shared marginals.  The oracle in tests/oracles.py builds the
+same report one cell at a time from naive counts and the rational certificate
+validator, so the two JSON texts must be identical.  Draws cover integer q
+(where several streams have equal digits), unit fractions, negative and
+non-unit q, 1 to 4 schedule points, digits from small pools so blocks repeat,
+and streams short enough that cells are skipped and grids clip.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fsdim import Alphabet, DigitSequence, InsufficientDigitsError, verify_rational_arithmetic
+
+import oracles
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+MAX_BLOCK_LEN = {2: 5, 3: 4, 10: 3}
+
+
+@st.composite
+def scenarios(draw):
+    """(digit sequence, q, max_block_len, schedule, lookahead cap)."""
+    k = draw(st.sampled_from(sorted(MAX_BLOCK_LEN)))
+    max_block_len = draw(st.integers(1, MAX_BLOCK_LEN[k]))
+    schedule = draw(st.lists(st.integers(1, 90), min_size=1, max_size=4))
+    q = draw(st.sampled_from([
+        Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(-4),  # integers
+        Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(-1, 3),  # unit fractions
+        Fraction(-7, 12), Fraction(5, 3), Fraction(22, 7), Fraction(-9, 4)]))
+    pool = draw(st.sampled_from([list(range(k)), sorted({0, 1, k - 1}), [0, k // 2], [0]]))
+    cells = max_block_len * max(schedule)
+    if draw(st.booleans()):  # short: cells are skipped and grids clip
+        length = draw(st.integers(min(schedule), cells))
+    else:
+        length = cells + draw(st.integers(0, 300))
+    digits = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    cap = draw(st.sampled_from([2, 4096, 4096]))
+    return DigitSequence(Alphabet(k), bytes(digits)), q, max_block_len, schedule, cap
+
+
+def outcome(build, *args):
+    """The report's JSON, or the type and message of what the build raised."""
+    try:
+        return build(*args).to_json()
+    except InsufficientDigitsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_report_matches_per_cell_oracle(scenario):
+    seq, q, max_block_len, schedule, cap = scenario
+    args = (seq, q, max_block_len, schedule, 0.5, cap)
+    assert outcome(verify_rational_arithmetic, *args) == \
+        outcome(oracles.rational_arithmetic_report, *args)

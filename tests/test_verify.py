@@ -104,13 +104,16 @@ class TestRationalArithmetic:
         (2, [0, 100], "n_schedule must be nonempty"),
         (0, [100], "max_block_len must be >= 1"),
         (-1, [100], "max_block_len must be >= 1"),
+        # 2^25 > 2^24 blocks: refused before any product, not at the first oversized cell
+        (25, [100], "block space k\\^l = 33554432 exceeds the certificate cap 16777216"),
     ])
     def test_rejects_bad_grid_before_arithmetic(self, monkeypatch, max_block_len, n_schedule,
                                                 message):
         def no_arithmetic(*args):
             raise AssertionError("arithmetic ran before the arguments were checked")
         monkeypatch.setattr(fsdim.verify, "add_rational_mod1", no_arithmetic)
-        seq = gen_champernowne(Alphabet(10), 2000)
+        monkeypatch.setattr(fsdim.verify, "mul_int_mod1", no_arithmetic)
+        seq = gen_champernowne(Alphabet(2), 3000)
         with pytest.raises(ValueError, match=message):
             verify_rational_arithmetic(seq, Fraction(1, 3), max_block_len, n_schedule)
 
