@@ -219,7 +219,7 @@ def _cmd_delta(args) -> int:
     table = block_coupling(seq, args.m, args.l, args.n, args.lookahead)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(certificate_to_json_dict(table.to_certificate()), fh, indent=2)
+            json.dump(certificate_to_json_dict(table), fh, indent=2)
             fh.write("\n")
     outcome = table.validate()
     row_support, col_support = table.max_degrees()

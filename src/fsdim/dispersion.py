@@ -15,12 +15,14 @@ feasibility an exact integer check.  Columns with pi(j) = 0 never constrain
 feasibility (a single free entry placed in any row with slack keeps the
 bound; enough slack always exists), so they are completed greedily.
 
-Everything is exact rational arithmetic; entropies alone are floats.  Block
-certificates between alpha and m*alpha are held as integer joint-count
-tables (:class:`BlockCoupling`), on which every condition is an equality or
-comparison of integer sums; they become rational matrices only on request
-(:meth:`BlockCoupling.to_certificate`), for files and for the solver's
-reversal and composition.
+Everything is exact; entropies alone are floats.  A certificate is itself a
+transportation plan: positive integer flows B_ij and one positive integer
+mass c_j per explicit column, with a_ij = B_ij / c_j.  The solver's
+witnesses are its integer couplings, and block certificates between alpha
+and m*alpha (:class:`BlockCoupling`) are joint-count tables whose masses are
+the source block counts.  Every condition is checked as an equality or
+comparison of integer sums.  Fractions appear only where rational entries
+come in or go out: the constructor, reversal and composition, and files.
 """
 
 from __future__ import annotations
@@ -31,9 +33,7 @@ import time
 from collections import Counter, defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -70,38 +70,44 @@ class ProbabilityVector:
         return self.p[j]
 
 
-_ROW, _COL = itemgetter(0), itemgetter(1)
-
-
 class UnobservedColumns(Set):
     """The codes in range(n) outside `observed`, without listing them.
 
     Identity columns of a block certificate are the block codes that never
     occur in the source; this set answers membership, length and iteration
-    from the observed codes alone, so it costs O(observed) memory whatever n
-    is.  It compares equal to any set with the same members.
+    from the observed codes alone, kept as an ascending array, so it costs
+    O(observed) memory whatever n is.  It compares equal to any set with the
+    same members.
     """
 
     __slots__ = ("n", "observed")
 
     def __init__(self, n: int, observed: Iterable[int]):
         self.n = n
-        self.observed = frozenset(observed)
-        if any(not 0 <= j < n for j in self.observed):
+        if not isinstance(observed, np.ndarray):
+            observed = np.fromiter(observed, dtype=np.int64)
+        observed = observed.astype(np.int64, copy=False)
+        if (observed[1:] <= observed[:-1]).any():  # block tables pass them ascending
+            observed = np.unique(observed)
+        self.observed = observed
+        if len(self.observed) and not (self.observed[0] >= 0 and self.observed[-1] < n):
             raise ValueError(f"observed code outside range({n})")
 
     def __contains__(self, j) -> bool:
-        return 0 <= j < self.n and j not in self.observed
+        return 0 <= j < self.n and not _in_sorted(np.array([j]), self.observed)[0]
 
     def __len__(self) -> int:
         return self.n - len(self.observed)
 
     def __iter__(self):
-        return itertools.filterfalse(self.observed.__contains__, range(self.n))
+        # the runs of codes before, between and after the observed ones
+        observed = self.observed.tolist()
+        return itertools.chain.from_iterable(
+            map(range, [0] + [c + 1 for c in observed], observed + [self.n]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UnobservedColumns):
-            return self.n == other.n and self.observed == other.observed
+            return self.n == other.n and np.array_equal(self.observed, other.observed)
         if not isinstance(other, Set):
             return NotImplemented
         return len(self) == len(other) and all(j in other for j in self)
@@ -115,41 +121,110 @@ class UnobservedColumns(Set):
         return f"UnobservedColumns(n={self.n}, observed={len(self.observed)} codes)"
 
 
-@dataclass
-class SparseStochasticCertificate:
-    """Column-stochastic nonnegative matrix in sparse (row, col) -> value form.
+def _identity_mask(identity: Set, codes: np.ndarray) -> np.ndarray:
+    """Which of `codes`, all nonnegative, are identity columns."""
+    if isinstance(identity, UnobservedColumns):
+        return (codes < identity.n) & ~_in_sorted(codes, identity.observed)
+    return np.fromiter(map(identity.__contains__, codes.tolist()), dtype=bool, count=len(codes))
 
-    `identity_columns` holds the columns with a single 1 on the diagonal;
-    they are disjoint from the columns of explicit entries.  Block
-    certificates pass an :class:`UnobservedColumns`, so their zero-mass
-    columns stay implicit and every check costs O(explicit entries) rather
-    than O(k^l); small certificates pass a frozenset.  `declared_m` is the
-    sparsity bound the certificate claims for every row and column.
+
+def _int_array(values) -> np.ndarray:
+    """Exact integers: int64 where they fit, Python ints otherwise."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(a) == len(b) and bool((a == b).all())
+
+
+class SparseStochasticCertificate:
+    """Column-stochastic nonnegative matrix held as integer flows over column masses.
+
+    Explicit column j has a positive integer mass c_j (`columns` ascending,
+    `masses`) and its entries positive integer flows B_ij (`rows`, `cols`,
+    `flows`, in column order), so a_ij = B_ij / c_j.  `identity_columns`
+    holds the columns with a single 1 on the diagonal, disjoint from the
+    explicit ones: an :class:`UnobservedColumns` for block certificates, so
+    every check costs O(explicit entries) rather than O(k^l), else a
+    frozenset.  `declared_m` is the sparsity bound claimed for every row and
+    column.  The constructor converts rational entries {(row, col): value},
+    column j taking the least common multiple of its denominators as its
+    mass.  The arrays do not change once set: groupings are cached from them.
     """
 
-    n: int
-    entries: Dict[Tuple[int, int], Fraction]
-    declared_m: int
-    identity_columns: Set = frozenset()
+    __slots__ = ("n", "declared_m", "identity_columns", "rows", "cols", "flows", "columns",
+                 "masses", "_col_bounds", "_row_order", "_row_bounds", "_maxima", "_entries")
 
-    def __post_init__(self):
-        if self.n < 1 or self.declared_m < 1:
+    def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int,
+                 identity_columns: Set = frozenset()):
+        values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
+        mass: Dict[int, int] = {}
+        for (_, j), v in values.items():
+            mass[j] = math.lcm(mass.get(j, 1), v.denominator)
+        columns = sorted(mass)
+        self._set(n, declared_m, identity_columns, [i for i, _ in values], [j for _, j in values],
+                  [v.numerator * (mass[j] // v.denominator) for (_, j), v in values.items()],
+                  columns, [mass[j] for j in columns])
+
+    def _set(self, n: int, declared_m: int, identity: Set, rows, cols, flows, columns, masses):
+        """Hold the flows (entries in any order) over the masses of `columns`
+        (ascending), after checking their structure."""
+        if n < 1 or declared_m < 1:
             raise ValueError("dimension and declared_m must be positive")
-        identity = self.identity_columns
-        if identity and any(j in identity for (_, j) in self.entries):
-            raise ValueError("identity columns collide with explicit entries")
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"entry index ({i}, {j}) outside dimension {self.n}")
-            if v <= 0:
-                raise ValueError(f"entry ({i}, {j}) must be positive, got {v}")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        flows = _int_array(flows)
+        if (cols[1:] < cols[:-1]).any():
+            order = cols.argsort(kind="stable")
+            rows, cols, flows = rows[order], cols[order], flows[order]
+        self.n, self.declared_m, self.identity_columns = n, declared_m, identity
+        self.rows, self.cols, self.flows = rows, cols, flows
+        self.columns, self.masses = np.asarray(columns, dtype=np.int64), _int_array(masses)
+        # entries are in column order; every check reads them in row order too
+        self._col_bounds = col_bounds = _bounds(cols)
+        self._row_order = rows.argsort(kind="stable")
+        self._row_bounds = _bounds(rows[self._row_order])
+        row_codes = self._row_codes()
+        if len(cols) and (min(cols[0], row_codes[0]) < 0 or max(cols[-1], row_codes[-1]) >= n
+                          or flows.min() < 1):
+            raise ValueError(f"entry outside range({n}) or flow not positive")
+        if flows.dtype == np.int64 and len(flows) and int(flows.max()) * len(flows) >= 2 ** 63:
+            self.flows = flows.astype(object)  # column sums must not overflow
+        self._maxima = (int(self._row_degrees().max(initial=0)),
+                        int((col_bounds[1:] - col_bounds[:-1]).max(initial=0)))
+        self._entries = None
         if identity:
             if isinstance(identity, UnobservedColumns):
-                in_range = identity.n <= self.n  # its codes lie in range(identity.n)
+                in_range = identity.n <= n  # its codes lie in range(identity.n)
             else:
-                in_range = 0 <= min(identity) and max(identity) < self.n
+                in_range = 0 <= min(identity) and max(identity) < n
             if not in_range:
                 raise ValueError("identity column outside dimension")
+            if _identity_mask(identity, cols[col_bounds[:-1]]).any():
+                raise ValueError("identity columns collide with explicit entries")
+
+    def _row_codes(self) -> np.ndarray:
+        """The rows holding entries, ascending."""
+        return self.rows[self._row_order[self._row_bounds[:-1]]]
+
+    def _row_degrees(self) -> np.ndarray:
+        """Entries of each row holding any, counting the 1 of its identity column."""
+        degrees = self._row_bounds[1:] - self._row_bounds[:-1]
+        if self.identity_columns:
+            degrees = degrees + _identity_mask(self.identity_columns, self._row_codes())
+        return degrees
+
+    @property
+    def entries(self) -> Dict[Tuple[int, int], Fraction]:
+        """{(row, col): a_ij} of the explicit entries, made from the flows on first
+        use.  A view for reading: writing to it changes no flow and no check."""
+        if self._entries is None:
+            masses = self.masses[np.searchsorted(self.columns, self.cols)]
+            self._entries = {(i, j): Fraction(b, c) for i, j, b, c in zip(
+                self.rows.tolist(), self.cols.tolist(), self.flows.tolist(), masses.tolist())}
+        return self._entries
 
     def triples(self) -> Iterable[Tuple[int, int, Fraction]]:
         """All nonzero entries as (row, col, value), identity columns included."""
@@ -159,37 +234,25 @@ class SparseStochasticCertificate:
         for j in self.identity_columns:
             yield j, j, one
 
-    def explicit_column_sums(self) -> Dict[int, Fraction]:
-        """Column sums over explicit entries; identity columns sum to 1."""
-        sums: Dict[int, Fraction] = defaultdict(Fraction)
-        for (_, j), v in self.entries.items():
-            sums[j] += v
-        return dict(sums)
-
     def support_counts(self) -> Tuple[Counter, Counter]:
         """Entries per row and per column, identity columns included (O(n) for those)."""
-        rows: Counter = Counter()
-        cols: Counter = Counter()
-        rows.update(i for (i, _) in self.entries)
-        cols.update(j for (_, j) in self.entries)
-        if self.identity_columns:
-            rows.update(self.identity_columns)
-            cols.update(self.identity_columns)
+        bounds = self._col_bounds
+        rows = Counter(dict.fromkeys(self.identity_columns, 1))
+        cols = Counter(rows)
+        # row degrees already count the identity 1
+        dict.update(rows, _sparse(self._row_codes(), self._row_degrees()))
+        cols.update(_sparse(self.cols[bounds[:-1]], bounds[1:] - bounds[:-1]))
         return rows, cols
 
     def max_degrees(self) -> Tuple[int, int]:
-        """(largest row support, largest column support) from the explicit entries.
+        """(largest row support, largest column support), identity columns included.
 
         An identity column j is a column of degree 1 and adds 1 to row j; a
         row holding only its identity entry has degree 1.
         """
-        rows = Counter(map(_ROW, self.entries))
-        cols = Counter(map(_COL, self.entries))
-        col_max = max(cols.values(), default=0)
-        identity = self.identity_columns
-        if not identity:
-            return max(rows.values(), default=0), col_max
-        row_max = max((c + (i in identity) for i, c in rows.items()), default=0)
+        row_max, col_max = self._maxima
+        if not self.identity_columns:
+            return row_max, col_max
         return max(row_max, 1), max(col_max, 1)
 
     def max_support(self) -> int:
@@ -197,21 +260,77 @@ class SparseStochasticCertificate:
 
     def apply(self, pi) -> Dict[int, Fraction]:
         """Sparse product A*pi as {row: value}, zero rows omitted."""
-        out: Dict[int, Fraction] = defaultdict(Fraction)
-        for (i, j), v in self.entries.items():
-            pj = _vec_get(pi, j)
-            if pj:
-                out[i] += v * pj
-        identity = self.identity_columns
-        if identity:
-            if isinstance(pi, dict):
-                hits = ((j, pj) for j, pj in pi.items() if j in identity)
-            else:
-                hits = ((j, _vec_get(pi, j)) for j in identity)
-            for j, pj in hits:
-                if pj:
-                    out[j] += pj
-        return {i: v for i, v in out.items() if v != 0}
+        weights, scale, hits, _ = _scaled(self, pi, {})
+        # no column check precedes: products in Python ints cannot overflow
+        weights = weights.astype(object)[np.searchsorted(self.columns, self.cols)]
+        codes, values = self._image(weights, hits)
+        return {i: Fraction(v, scale) for i, v in zip(codes.tolist(), values.tolist())}
+
+    def _image(self, weights: np.ndarray, hits: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows ascending, values) of the nonzero entries of L*A*pi, from the
+        weight w_j * L of each entry's column and `hits` as in :meth:`_check`."""
+        codes = self._row_codes()
+        values = np.add.reduceat((self.flows * weights)[self._row_order], self._row_bounds[:-1])
+        if hits:
+            codes = np.concatenate((codes, np.fromiter(hits, dtype=np.int64, count=len(hits))))
+            values = np.concatenate((values, _int_array(list(hits.values()))))
+            order = codes.argsort(kind="stable")
+            starts = _bounds(codes[order])[:-1]
+            codes, values = codes[order][starts], np.add.reduceat(values[order], starts)
+        nonzero = values.nonzero()[0]
+        return codes[nonzero], values[nonzero]
+
+    def _check(self, weights: np.ndarray, scale: int, hits: Dict[int, int],
+               target: Tuple[np.ndarray, np.ndarray]) -> "ValidationOutcome":
+        """Conditions (i)-(iii) of :func:`validate_certificate` in integers, all
+        scaled by L = `scale`, from the output of :func:`_scaled` (`weights`
+        is int64 only where no sum of its products with the flows can
+        overflow once the columns check).  Where several rows or columns
+        break a condition, the least index is reported."""
+        bounds = self._col_bounds
+        starts, degrees = bounds[:-1], bounds[1:] - bounds[:-1]
+        codes, sums = self.cols[starts], np.add.reduceat(self.flows, starts)
+        # mass columns and identity columns are disjoint, so coverage is a count
+        covered = len(self.columns) + len(self.identity_columns) == self.n
+        if not (covered and _same(codes, self.columns) and _same(sums, self.masses)):
+            got, want = _sparse(codes, sums), _sparse(self.columns, self.masses)
+            bad = [j for j in got.keys() | want.keys() if got.get(j) != want.get(j)]
+            if not covered:
+                bad.append(next(j for j in range(self.n)
+                                if j not in want and j not in self.identity_columns))
+            j = min(bad)
+            detail = (f"column {j} sums to {Fraction(got[j], want[j])}" if j in got
+                      else f"column {j} has no entries")
+            return ValidationOutcome(False, "stochastic-columns", detail)
+
+        # the columns now hold entries in the order of `columns`
+        image_codes, image = self._image(np.repeat(weights, degrees), hits)
+        if not (_same(image_codes, target[0]) and _same(image, target[1])):
+            got, want = _sparse(image_codes, image), _sparse(*target)
+            i = min(c for c in got.keys() | want.keys() if got.get(c, 0) != want.get(c, 0))
+            return ValidationOutcome(False, "marginal-map",
+                                     f"(A*pi)[{i}] = {Fraction(got.get(i, 0), scale)} "
+                                     f"!= {Fraction(want.get(i, 0), scale)}")
+
+        # a row or column holding only an identity entry has degree 1 <= declared_m
+        declared = self.declared_m
+        row_max, col_max = self._maxima
+        if row_max > declared:
+            row_codes, row_degrees = self._row_codes(), self._row_degrees()
+            i = int(np.argmax(row_degrees > declared))
+            return ValidationOutcome(False, "support-bound",
+                                     f"row {row_codes[i]} has {row_degrees[i]} > {declared} entries")
+        if col_max > declared:
+            j = int(np.argmax(degrees > declared))
+            return ValidationOutcome(False, "support-bound",
+                                     f"column {codes[j]} has {degrees[j]} > {declared} entries")
+        return ValidationOutcome(True)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(n={self.n}, declared_m={self.declared_m}, "
+                f"rows={self.rows.tolist()}, cols={self.cols.tolist()}, "
+                f"flows={self.flows.tolist()}, columns={self.columns.tolist()}, "
+                f"masses={self.masses.tolist()}, identity_columns={self.identity_columns!r})")
 
 
 @dataclass
@@ -231,69 +350,60 @@ class DispersionResult:
     method: str  # "exact-search" | "certificate-upper-bound"
 
 
-_ZERO = Fraction(0)
+def _as_dict(vec, n: int) -> Dict:
+    """{index: value} of the nonzero entries of a sparse dict, a ProbabilityVector
+    or a sequence of length n."""
+    if not isinstance(vec, dict):
+        values = vec.p if isinstance(vec, ProbabilityVector) else [Fraction(v) for v in vec]
+        if len(values) != n:
+            raise ValueError("vector dimension does not match certificate")
+        vec = dict(enumerate(values))
+    return {j: v for j, v in vec.items() if v}
 
 
-def _vec_get(vec, j: int) -> Fraction:
-    if isinstance(vec, dict):
-        return vec.get(j, _ZERO)
-    return vec[j] if isinstance(vec, ProbabilityVector) else Fraction(vec[j])
-
-
-def _vec_items(vec, n: int):
-    if isinstance(vec, dict):
-        return vec.items()
-    return ((j, Fraction(vec[j])) for j in range(n))
+def _scaled(cert: SparseStochasticCertificate, pi, mu):
+    """`pi` and `mu` as the integers :meth:`SparseStochasticCertificate._check` takes:
+    w_j = pi_j / c_j in lowest terms on each explicit column, pi_j on each
+    identity column, and L the least common multiple of their denominators
+    and those of mu.  Returns (w_j * L for each explicit column, L,
+    {identity column j: pi_j * L}, (rows ascending, mu_i * L)), nonzero only.
+    """
+    n = cert.n
+    pi, mu = _as_dict(pi, n), _as_dict(mu, n)
+    masses = cert.masses.tolist()
+    w = []
+    for j, c in zip(cert.columns.tolist(), masses):
+        v = pi.get(j, 0)
+        num, den = v.numerator, v.denominator * c
+        g = math.gcd(num, den)
+        w.append((num // g, den // g))
+    hits = {}
+    if cert.identity_columns:
+        keys = np.array([j for j in pi if j >= 0], dtype=np.int64)
+        hits = {j: pi[j] for j in keys[_identity_mask(cert.identity_columns, keys)].tolist()}
+    scale = math.lcm(*{d for _, d in w}, *[v.denominator for v in hits.values()],
+                     *{v.denominator for v in mu.values()})
+    hits = {j: v.numerator * (scale // v.denominator) for j, v in hits.items()}
+    weights = [a * (scale // d) for a, d in w]
+    # with stochastic columns no product B_ij * w_j * L and no partial row sum exceeds this
+    bound = sum(abs(x) * c for x, c in zip(weights, masses)) + sum(map(abs, hits.values()))
+    rows = sorted(mu)
+    return (np.array(weights, dtype=np.int64 if bound.bit_length() < 63 else object), scale, hits,
+            (np.array(rows, dtype=np.int64),
+             _int_array([mu[i].numerator * (scale // mu[i].denominator) for i in rows])))
 
 
 def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> ValidationOutcome:
     """Check conditions (i) columns stochastic, (ii) A*pi = mu, (iii) sparsity.
 
-    `pi` and `mu` may be :class:`ProbabilityVector` or sparse {index: value}
-    dicts (missing indices are zero).  A passing outcome certifies
-    dispersion(pi, mu) <= log2(declared_m).  The first violated condition is
-    reported; structurally malformed certificates raise instead.
+    `pi` and `mu` may be :class:`ProbabilityVector`, sequences, or sparse
+    {index: value} dicts (missing indices are zero).  A passing outcome
+    certifies dispersion(pi, mu) <= log2(declared_m).  The first violated
+    condition is reported, at its least row or column index; structurally
+    malformed certificates raise instead.  All three are integer checks
+    (:meth:`SparseStochasticCertificate._check`).
     """
-    n = cert.n
-    for vec in (pi, mu):
-        if not isinstance(vec, dict) and len(vec.p if hasattr(vec, "p") else vec) != n:
-            raise ValueError("vector dimension does not match certificate")
-
-    sums = cert.explicit_column_sums()
-    # identity columns sum to 1 by construction and are disjoint from
-    # explicit columns, so coverage is a counting argument
-    if len(sums) + len(cert.identity_columns) != n:
-        missing = next(j for j in range(n)
-                       if j not in sums and j not in cert.identity_columns)
-        return ValidationOutcome(False, "stochastic-columns",
-                                 f"column {missing} has no entries")
-    for j, total in sums.items():
-        if total != 1:
-            return ValidationOutcome(False, "stochastic-columns",
-                                     f"column {j} sums to {total}")
-
-    product = cert.apply(pi)
-    target = {j: v for j, v in _vec_items(mu, n) if v != 0}
-    if product != target:
-        bad = next(iter(set(product) ^ set(target)), None)
-        if bad is None:
-            bad = next(i for i in product if product[i] != target[i])
-        return ValidationOutcome(False, "marginal-map",
-                                 f"(A*pi)[{bad}] = {product.get(bad, 0)} != {target.get(bad, 0)}")
-
-    if max(cert.max_degrees()) <= cert.declared_m:
-        return ValidationOutcome(True)
-    # a violation is rare: name its first row or column as the full counts order them
-    rows, cols = cert.support_counts()
-    for i, c in rows.items():
-        if c > cert.declared_m:
-            return ValidationOutcome(False, "support-bound",
-                                     f"row {i} has {c} > {cert.declared_m} entries")
-    for j, c in cols.items():
-        if c > cert.declared_m:
-            return ValidationOutcome(False, "support-bound",
-                                     f"column {j} has {c} > {cert.declared_m} entries")
-    raise AssertionError("max_degrees and support_counts disagree")
+    return cert._check(*_scaled(cert, pi, mu))
 
 
 class _BudgetExceeded(Exception):
@@ -386,27 +496,32 @@ def _staircase_coupling(col_mass: List[int], row_mass: List[int]) -> Dict[Tuple[
 
 def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
                                pi: ProbabilityVector, declared_m: Optional[int]) -> SparseStochasticCertificate:
-    """Turn an integer coupling (column j -> row i flows over `scale`) into A.
+    """The certificate of an integer coupling (column j -> row i flows over `scale`).
 
-    Columns with positive mass get a_ij = b_ij / pi(j); zero-mass columns
-    each get a single 1 in a row with minimal current support.
+    Column j with positive mass keeps its flows over the mass pi(j) * scale,
+    so a_ij = b_ij / (pi(j) * scale); zero-mass columns each get a single 1
+    in a row with minimal current support.  Each column is then put in
+    lowest terms, the form the constructor gives its rational entries.
     """
     n = pi.n
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for (j, i), flow in coupling.items():
-        if flow:
-            entries[(i, j)] = Fraction(flow, pi[j].numerator * (scale // pi[j].denominator))
-    row_support = Counter(i for (i, _) in entries)
+    flows = {(i, j): f for (j, i), f in coupling.items() if f}
+    row_support = Counter(i for (i, _) in flows)
     for j in range(n):
         if pi[j] == 0:
             target = min(range(n), key=lambda i: row_support[i])
-            entries[(target, j)] = Fraction(1)
+            flows[(target, j)] = 1
             row_support[target] += 1
+    mass = {j: pi[j].numerator * (scale // pi[j].denominator) or 1 for j in range(n)}
+    common = dict(mass)
+    for (_, j), f in flows.items():
+        common[j] = math.gcd(common[j], f)
+    witness = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
+    witness._set(n, declared_m or 1, frozenset(), [i for i, _ in flows], [j for _, j in flows],
+                 [f // common[j] for (_, j), f in flows.items()], range(n),
+                 [mass[j] // common[j] for j in range(n)])
     if declared_m is None:
-        rows = Counter(i for (i, _) in entries)
-        cols = Counter(j for (_, j) in entries)
-        declared_m = max(max(rows.values()), max(cols.values()))
-    return SparseStochasticCertificate(n, entries, declared_m)
+        witness.declared_m = witness.max_support()
+    return witness
 
 
 def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> DispersionResult:
@@ -438,30 +553,24 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
 
     for m in range(1, n + 1):
         if m == n:
-            # the product coupling b_ij = mu_i * pi_j always works; reaching
-            # this branch means no sparser coupling exists, so its support
-            # degree equals n
+            # the product coupling b_ij = mu_i * pi_j (over scale^2) always
+            # works; reaching this branch means no sparser coupling exists, so
+            # its support degree equals n
             flows = {(j, i): col_mass[j] * row_mass[i]
                      for j in range(len(cols_pos)) for i in range(len(rows_pos))}
-            coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
-            witness = _certificate_from_coupling(coupling, scale * scale, pi, None)
-            witness.declared_m = max(witness.declared_m, witness.max_support())
-            outcome = validate_certificate(witness, pi, mu)
-            if not outcome.ok:
-                raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
-            return DispersionResult(m, math.log2(m), witness, "exact-search")
-        try:
-            flows = _coupling_with_degree_bound(col_mass, row_mass, m, deadline)
-        except _BudgetExceeded:
-            coupling = {(cols_pos[j], rows_pos[i]): f
-                        for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
-            witness = _certificate_from_coupling(coupling, scale, pi, None)
-            m_ub = witness.max_support()
-            witness.declared_m = m_ub
-            return DispersionResult(m_ub, math.log2(m_ub), witness, "certificate-upper-bound")
+        else:
+            try:
+                flows = _coupling_with_degree_bound(col_mass, row_mass, m, deadline)
+            except _BudgetExceeded:
+                coupling = {(cols_pos[j], rows_pos[i]): f
+                            for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
+                witness = _certificate_from_coupling(coupling, scale, pi, None)
+                return DispersionResult(witness.declared_m, math.log2(witness.declared_m),
+                                        witness, "certificate-upper-bound")
         if flows is not None:
             coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
-            witness = _certificate_from_coupling(coupling, scale, pi, m)
+            witness = _certificate_from_coupling(coupling, scale * scale if m == n else scale,
+                                                 pi, m)
             outcome = validate_certificate(witness, pi, mu)
             if not outcome.ok:
                 raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
@@ -482,14 +591,15 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
     if not outcome.ok:
         raise ValueError(f"input certificate invalid: {outcome.violation} ({outcome.detail})")
     n = cert.n
+    pi, mu = _as_dict(pi, n), _as_dict(mu, n)
     row_sums: Dict[int, Fraction] = defaultdict(Fraction)
     for i, j, v in cert.triples():
         row_sums[i] += v
     entries: Dict[Tuple[int, int], Fraction] = {}
     for i, j, v in cert.triples():
         # A entry a_ij contributes to A' entry a'_{ji}
-        pj = _vec_get(pi, i)
-        w = v * _vec_get(mu, j) / pj if pj > 0 else v / row_sums[i]
+        pj = pi.get(i, 0)
+        w = v * mu.get(j, 0) / pj if pj > 0 else v / row_sums[i]
         if w != 0:
             entries[(j, i)] = entries.get((j, i), Fraction(0)) + w
     covered = {j for (_, j) in entries}
@@ -613,22 +723,12 @@ def _certificate_dimension(k: int, l: int) -> int:
     return dimension
 
 
-def _runs(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(start, length) of each run of equal values in nonempty `codes`."""
-    bounds = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1], [True])))
-    return bounds[:-1], bounds[1:] - bounds[:-1]
-
-
-def _grouped(codes: np.ndarray, counts: np.ndarray):
-    """Distinct codes ascending, with the summed counts and the number of pairs of
-    each; codes already ascending (a table's x) are grouped without a sort."""
-    if not len(codes):
-        return codes, counts, counts
-    if (codes[1:] < codes[:-1]).any():
-        order = np.argsort(codes, kind="stable")
-        codes, counts = codes[order], counts[order]
-    starts, lengths = _runs(codes)
-    return codes[starts], np.add.reduceat(counts, starts), lengths
+def _bounds(codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in `codes` starts, then len(codes)."""
+    edges = np.empty(len(codes) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(codes[1:], codes[:-1], out=edges[1:-1])
+    return edges.nonzero()[0]
 
 
 def _in_sorted(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -643,171 +743,74 @@ def _sparse(codes: np.ndarray, values: np.ndarray) -> Dict[int, int]:
     return dict(zip(codes.tolist(), values.tolist()))
 
 
-def _first_difference(a: Dict[int, int], b: Dict[int, int]) -> int:
-    """Least code whose value differs between two sparse integer vectors (absent = 0)."""
-    return min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+class BlockCoupling(SparseStochasticCertificate):
+    """The aligned l-block pairs of alpha and m*alpha as a certificate of integer flows.
 
-
-@dataclass(frozen=True)
-class BlockCoupling:
-    """The aligned l-block pairs of alpha and m*alpha as an integer joint-count table.
-
-    Pair t is the source block code x[t], the image block code y[t] and
-    count[t] = #{j < n : block_j(alpha) = x[t], block_j(m*alpha) = y[t]},
-    listed in ascending (x, y) order (the checks accept any order).  The
-    source and image block counts are counted from each code stream on its
-    own, never from the pairs, so the column and row checks compare two
-    independent counts.  The coupling is
-    the certificate matrix a_{y,x} = count / (source count of x), with an
-    identity column for every unobserved source block, scaled by the source
-    counts and by n: every condition of :func:`validate_certificate` is then
-    an equality or comparison of integer sums (:meth:`validate`), and
-    :meth:`to_certificate` gives the rational matrix.
+    Column x is a block code among the first `blocks` l-blocks of alpha, its
+    mass the number of those blocks equal to x; its flow into row y counts
+    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y.
+    Block codes absent from alpha are the implicit identity columns.  The
+    masses and the image block counts are counted from each code stream on
+    its own, never from the pairs, so the column and row checks compare two
+    independent counts.  Against the block distributions every w_x * L of
+    :func:`validate_certificate` is 1 for L = `blocks` and mu_y * L is the
+    image count of y, the integers :meth:`validate` checks.
     """
 
-    alphabet: Alphabet
-    l: int
-    n: int
-    m: int
-    declared_m: int
-    x: np.ndarray
-    y: np.ndarray
-    count: np.ndarray
-    source_codes: np.ndarray
-    source_counts: np.ndarray
-    image_codes: np.ndarray
-    image_counts: np.ndarray
+    __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts")
 
-    def __post_init__(self):
-        dimension = self.dimension
-        if not len(self.x) == len(self.y) == len(self.count):
-            raise ValueError("pair arrays differ in length")
-        if len(self.x) and (self.count.min() < 1 or min(self.x.min(), self.y.min()) < 0
-                            or max(self.x.max(), self.y.max()) >= dimension):
-            raise ValueError(f"pair outside range({dimension}) or count not positive")
-        # a pair in an unobserved column collides with that column's identity entry
-        if not _in_sorted(self._columns[0], self.source_codes).all():
-            raise ValueError("identity columns collide with explicit entries")
+    def __init__(self, alphabet: Alphabet, l: int, m: int, blocks: int, x, y, count,
+                 source_codes, source_counts, image_codes, image_counts):
+        self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
+        self.image_codes, self.image_counts = image_codes, image_counts
+        dimension = _certificate_dimension(alphabet.k, l)
+        _, _, s = _multiplier_shape(m, alphabet.k)
+        self._set(dimension, min(math.gcd(m, dimension) * (s + 1) * m, dimension),
+                  UnobservedColumns(dimension, source_codes), y, x, count,
+                  source_codes, source_counts)
 
     @classmethod
     def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: _BlockCounts,
                    image: _BlockCounts, n: int) -> "BlockCoupling":
         """Count the aligned pairs of the first n blocks of two counted code
-        streams by one in-place sort of the keys x*k^l + y; the marginals are
-        the streams' own block counts."""
+        streams by one in-place sort of the keys x*k^l + y; the masses and the
+        image counts are the streams' own block counts."""
         dimension = _certificate_dimension(alphabet.k, l)
         keys = source.codes[:n].astype(np.int64)
         keys *= dimension
         keys += image.codes[:n]
         keys.sort()
-        starts, counts = _runs(keys)
-        x = keys[starts]
-        del keys, starts  # free the keys before the table groups its pairs
+        bounds = _bounds(keys)
+        x, counts = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+        del keys, bounds  # free the keys before the table groups its pairs
         y = x % dimension
         x //= dimension
-        _, _, s = _multiplier_shape(m, alphabet.k)
-        declared = min(math.gcd(m, dimension) * (s + 1) * m, dimension)
-        return cls(alphabet, l, n, m, declared, x, y, counts, *source.at(n)[0], *image.at(n)[0])
-
-    @property
-    def dimension(self) -> int:
-        return self.alphabet.k ** self.l
-
-    @cached_property
-    def _columns(self):
-        return _grouped(self.x, self.count)
-
-    @cached_property
-    def _rows(self):
-        return _grouped(self.y, self.count)
-
-    @cached_property
-    def _row_degrees(self) -> np.ndarray:
-        """Entries per row: its pairs, plus 1 where the row's block is unobserved
-        in the source (the 1 of that block's identity column)."""
-        row_codes, _, degrees = self._rows
-        return degrees + ~_in_sorted(row_codes, self.source_codes)
-
-    def max_degrees(self) -> Tuple[int, int]:
-        """(largest row support, largest column support), identity columns included.
-
-        Same as :meth:`SparseStochasticCertificate.max_degrees` of
-        :meth:`to_certificate`; rows and columns holding only an identity
-        entry have degree 1.
-        """
-        row_max = int(self._row_degrees.max(initial=0))
-        col_max = int(self._columns[2].max(initial=0))
-        if len(self.source_codes) == self.dimension:
-            return row_max, col_max
-        return max(row_max, 1), max(col_max, 1)
+        return cls(alphabet, l, m, n, x, y, counts, *source.at(n)[0], *image.at(n)[0])
 
     def validate(self) -> ValidationOutcome:
-        """:func:`validate_certificate` of :meth:`to_certificate`, in integers.
-
-        (i) columns stochastic: the pairs of each observed source block x
-        count exactly its count_alpha[x] blocks; (ii) A*pi = mu, times n: the
-        pairs of each image block y count exactly its count_image[y] blocks;
-        (iii) no row or column holds more than `declared_m` entries.  Outcomes
-        and violation names agree with the rational check.  One extra guard
-        follows, from how multiplication acts on blocks: block j of m*alpha is
+        """:func:`validate_certificate` against the two block distributions, then a
+        guard from how multiplication acts on blocks: block j of m*alpha is
         (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
-        block j of alpha, so every pair has (y - m*x) mod k^l <= m - 1; a
-        pair that breaks it fails as "residue-identity".
-        """
-        col_codes, col_sums, col_degrees = self._columns
-        if not (np.array_equal(col_codes, self.source_codes)
-                and np.array_equal(col_sums, self.source_counts)):
-            got, want = _sparse(col_codes, col_sums), _sparse(self.source_codes, self.source_counts)
-            x = _first_difference(got, want)
-            detail = (f"column {x} sums to {Fraction(got[x], want[x])}" if x in got
-                      else f"column {x} has no entries")
-            return ValidationOutcome(False, "stochastic-columns", detail)
-
-        row_codes, row_sums, _ = self._rows
-        if not (np.array_equal(row_codes, self.image_codes)
-                and np.array_equal(row_sums, self.image_counts)):
-            got, want = _sparse(row_codes, row_sums), _sparse(self.image_codes, self.image_counts)
-            y = _first_difference(got, want)
-            return ValidationOutcome(False, "marginal-map",
-                                     f"(A*pi)[{y}] = {Fraction(got.get(y, 0), self.n)} "
-                                     f"!= {Fraction(want.get(y, 0), self.n)}")
-
-        if max(self.max_degrees()) > self.declared_m:
-            declared = self.declared_m
-            rows = self._row_degrees
-            if rows.max() > declared:
-                i = int(np.argmax(rows > declared))
-                return ValidationOutcome(False, "support-bound",
-                                         f"row {row_codes[i]} has {rows[i]} > {declared} entries")
-            j = int(np.argmax(col_degrees > declared))
-            return ValidationOutcome(False, "support-bound",
-                                     f"column {col_codes[j]} has {col_degrees[j]} > {declared} entries")
-
-        dimension = self.dimension
-        residue = (self.y - (self.m % dimension) * self.x) % dimension
+        block j of alpha, so a pair with (y - m*x) mod k^l > m - 1 fails as
+        "residue-identity"."""
+        outcome = self._check(np.ones(len(self.columns), dtype=np.int64), self.blocks, {},
+                              (self.image_codes, self.image_counts))
+        if not outcome.ok:
+            return outcome
+        residue = (self.rows - (self.m % self.n) * self.cols) % self.n
         if (residue >= self.m).any():
             t = int(np.argmax(residue >= self.m))
             return ValidationOutcome(False, "residue-identity",
-                                     f"pair ({self.x[t]}, {self.y[t]}): (y - m*x) mod k^l = "
+                                     f"pair ({self.cols[t]}, {self.rows[t]}): (y - m*x) mod k^l = "
                                      f"{residue[t]} > m - 1 = {self.m - 1}")
         return ValidationOutcome(True)
 
     def distributions(self) -> Tuple[BlockDistribution, BlockDistribution]:
         """Block distributions of alpha and of m*alpha."""
-        return (BlockDistribution(self.alphabet, self.l, self.n,
-                                  _sparse(self.source_codes, self.source_counts)),
-                BlockDistribution(self.alphabet, self.l, self.n,
+        return (BlockDistribution(self.alphabet, self.l, self.blocks,
+                                  _sparse(self.columns, self.masses)),
+                BlockDistribution(self.alphabet, self.l, self.blocks,
                                   _sparse(self.image_codes, self.image_counts)))
-
-    def to_certificate(self) -> SparseStochasticCertificate:
-        """The rational certificate: entries a_{y,x} in the order of the pairs,
-        unobserved source blocks as implicit identity columns."""
-        totals = self.source_counts[np.searchsorted(self.source_codes, self.x)]
-        entries = {(y, x): Fraction(c, d) for x, y, c, d in
-                   zip(self.x.tolist(), self.y.tolist(), self.count.tolist(), totals.tolist())}
-        return SparseStochasticCertificate(self.dimension, entries, self.declared_m,
-                                           UnobservedColumns(self.dimension,
-                                                             self.source_codes.tolist()))
 
 
 def block_coupling(seq: DigitSequence, m: int, l: int, n: int,
@@ -843,19 +846,13 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
                                  product_digits: Optional[DigitSequence] = None):
     """Coupling certificate between block statistics of alpha and m*alpha.
 
-    The rational form of :func:`block_coupling`: the k^l x k^l matrix whose
-    column x distributes the observed l-blocks of alpha equal to x over the
-    aligned blocks of frac(m*alpha) they produce, a_{y,x} = #{j < n :
-    block_j(alpha) = x, block_j(m*alpha) = y} / #{j < n : block_j(alpha) = x},
-    with identity columns where x never occurs (kept implicit as
-    :class:`UnobservedColumns`, so it costs O(n), not O(k^l)).  The result
-    is stochastic, maps the block distribution of alpha exactly onto that of
+    The table of :func:`block_coupling` (see :class:`BlockCoupling`): it is
+    stochastic, maps the block distribution of alpha exactly onto that of
     m*alpha, and has column support at most (s+1)*m and row support at most
     g*(s+1)*m for g = gcd(m, k^l), so it certifies a dispersion bound
-    independent of l and n.  Checking the table itself
-    (:meth:`BlockCoupling.validate`) gives the same verdict in integers.
+    independent of l and n.
 
     Returns (certificate, block distribution of alpha, of m*alpha).
     """
     table = block_coupling(seq, m, l, n, lookahead_cap, product_digits)
-    return (table.to_certificate(), *table.distributions())
+    return (table, *table.distributions())

@@ -266,8 +266,10 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
 
     norm_n = min(10_000, target - normality_w_len)
     if norm_n >= 1:
+        # a derived stream holds its certified digits only, which may be fewer than target
         report.details["normality_deviation"] = {
-            name: float(normality_deviation(stream, normality_w_len, norm_n))
+            name: float(normality_deviation(stream, normality_w_len, max(1, min(
+                norm_n, stream.length_available - normality_w_len + 1))))
             for name, stream in streams.items()
         }
 

@@ -2,19 +2,20 @@
 
 Everything here deliberately avoids the library's own algorithms: digit
 expansion by per-digit long division, block counting by naive slicing,
-dispersion by support-pattern enumeration plus exact-rational max-flow.
+dispersion by support-pattern enumeration plus exact-rational max-flow,
+certificate checks in Fractions over the rational entries.
 Slow is fine; these only run at small sizes.
 """
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
 
 from fsdim import (InsufficientDigitsError, SparseStochasticCertificate, UnresolvedCarryError,
-                   add_rational_mod1, mul_int_mod1, mul_rational_mod1, validate_certificate)
+                   ValidationOutcome, add_rational_mod1, mul_int_mod1, mul_rational_mod1)
 from fsdim.verify import ENTROPY_SLACK, VerificationReport
 
 
@@ -361,6 +362,71 @@ def dispersion_m_bruteforce(pi, mu):
     return n
 
 
+def rational_support_counts(cert):
+    """(entries per row, entries per column) of a certificate's rational entries,
+    every identity column adding one entry to its column and to its row."""
+    rows = Counter(i for (i, _) in cert.entries)
+    cols = Counter(j for (_, j) in cert.entries)
+    for j in cert.identity_columns:
+        rows[j] += 1
+        cols[j] += 1
+    return rows, cols
+
+
+def validate_certificate_rational(cert, pi, mu):
+    """validate_certificate in Fractions over `cert.entries`: the reference the
+    library's integer check is compared with.
+
+    (i) every column is an identity column or its entries sum to 1, (ii) A*pi
+    equals mu entry by entry, (iii) no row or column holds more than
+    declared_m entries.  The first condition broken is reported; where several
+    columns or rows break it, the least index.
+    """
+    n = cert.n
+    vectors = []
+    for vec in (pi, mu):
+        if not isinstance(vec, dict):
+            vec = vec.p if hasattr(vec, "p") else vec
+            if len(vec) != n:
+                raise ValueError("vector dimension does not match certificate")
+            vec = dict(enumerate(vec))
+        vectors.append({j: Fraction(v) for j, v in vec.items() if v})
+    pi, mu = vectors
+    identity = cert.identity_columns
+
+    sums = defaultdict(Fraction)
+    for (_, j), v in cert.entries.items():
+        sums[j] += v
+    bad = [j for j, total in sums.items() if total != 1]
+    if len(sums) + len(identity) != n:  # identity columns hold no entries
+        bad.append(next(j for j in range(n) if j not in sums and j not in identity))
+    if bad:
+        j = min(bad)
+        return ValidationOutcome(False, "stochastic-columns",
+                                 f"column {j} sums to {sums[j]}" if j in sums
+                                 else f"column {j} has no entries")
+
+    product = defaultdict(Fraction)
+    for (i, j), v in cert.entries.items():
+        product[i] += v * pi.get(j, 0)
+    for j, v in pi.items():
+        if j in identity:
+            product[j] += v
+    product = {i: v for i, v in product.items() if v}
+    if product != mu:
+        i = min(i for i in product.keys() | mu.keys() if product.get(i, 0) != mu.get(i, 0))
+        return ValidationOutcome(False, "marginal-map",
+                                 f"(A*pi)[{i}] = {product.get(i, 0)} != {mu.get(i, 0)}")
+
+    rows, cols = rational_support_counts(cert)
+    for name, counts in (("row", rows), ("column", cols)):
+        over = sorted(i for i, c in counts.items() if c > cert.declared_m)
+        if over:
+            return ValidationOutcome(False, "support-bound", f"{name} {over[0]} has "
+                                     f"{counts[over[0]]} > {cert.declared_m} entries")
+    return ValidationOutcome(True)
+
+
 def block_certificate(seq, product_digits, m: int, l: int, n: int):
     """(entries, identity columns, declared_m) of the rational block certificate.
 
@@ -410,8 +476,8 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     The certified streams come from the library's arithmetic, which
     tests/test_arith_properties.py checks against certified_affine above.
     Everything counted from them is naive: each cell is the rational
-    certificate of block_certificate, checked by validate_certificate against
-    block distributions from naive_block_counts, with entropies from
+    certificate of block_certificate, checked by validate_certificate_rational
+    against block distributions from naive_block_counts, with entropies from
     entropy_from_counts; every grid entry recounts its blocks the same way.
     """
     k = seq.alphabet.k
@@ -452,9 +518,11 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
                 cert = SparseStochasticCertificate(k ** l, entries, declared, identity)
                 source = _naive_code_counts(stream.prefix(n * l), k, l, n)
                 image = _naive_code_counts(product.digits.prefix(n * l), k, l, n)
-                outcome = validate_certificate(cert, {x: Fraction(c, n) for x, c in source.items()},
-                                               {y: Fraction(c, n) for y, c in image.items()})
-                row_support, col_support = cert.max_degrees()
+                outcome = validate_certificate_rational(
+                    cert, {x: Fraction(c, n) for x, c in source.items()},
+                    {y: Fraction(c, n) for y, c in image.items()})
+                rows, cols = rational_support_counts(cert)
+                row_support, col_support = max(rows.values()), max(cols.values())
                 h_a = entropy_from_counts(source.values(), n)
                 h_b = entropy_from_counts(image.values(), n)
                 delta_h = abs(h_a - h_b)
@@ -502,12 +570,13 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     if norm_n >= 1:
         deviations = {}
         for name, stream in streams.items():
-            need = norm_n + normality_w_len - 1
+            window = max(1, min(norm_n, stream.length_available - normality_w_len + 1))
+            need = window + normality_w_len - 1
             if stream.length_available < need:
                 raise InsufficientDigitsError(f"requested {need} digits but only "
                                               f"{stream.length_available} are available")
             deviations[name] = float(sliding_normality_deviation(
-                stream.prefix(need), k, normality_w_len, norm_n))
+                stream.prefix(need), k, normality_w_len, window))
         report.details["normality_deviation"] = deviations
 
     if b == 1 and a >= 1:

@@ -1,4 +1,10 @@
-"""Differential property tests of block certificates.
+"""Differential property tests of certificates.
+
+A certificate holds integer flows over column masses, and validate_certificate
+checks it in integers.  tests/oracles.py keeps the rational check as the
+reference (validate_certificate_rational, over the certificate's Fraction
+entries).  Both report the first condition broken at its least row or column
+index, so outcomes, violation names and detail strings must all agree.
 
 A block certificate keeps its unobserved columns as an UnobservedColumns view.
 The first tests rebuild the same certificate with the identity columns written
@@ -6,11 +12,13 @@ out as frozenset(range(k^l) - observed), the observed codes taken by naive
 slicing, and check that both forms behave alike, on valid and on corrupted
 certificates.
 
-The integer joint-count table (BlockCoupling) is checked against the rational
-certificate it converts to: its validator agrees with validate_certificate on
-valid and on corrupted tables, to_certificate() equals the rational builder
-in tests/oracles.py, and a table built from codes changed after they were
-counted fails its checks, since its marginals are counted apart from its pairs.
+The block table (BlockCoupling) is itself the certificate: its entries equal
+the rational builder in tests/oracles.py, its validate() agrees with the
+reference on valid and on corrupted tables, and a table built from codes
+changed after they were counted fails its checks, since its masses and image
+counts are counted apart from its pairs.  Small random certificates, exact
+solver witnesses and their reversals and compositions are checked against the
+reference too, valid and with one flow, mass or entry changed.
 """
 
 import dataclasses
@@ -22,11 +30,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import fsdim.verify
-from fsdim import (Alphabet, BlockCoupling, DigitSequence, SparseStochasticCertificate,
-                   UnobservedColumns, UnresolvedCarryError, block_coupling,
-                   block_distribution_as_code_vector, gen_champernowne,
-                   integer_multiple_certificate, mul_int_mod1, validate_certificate,
-                   verify_rational_arithmetic)
+from fsdim import (Alphabet, BlockCoupling, DigitSequence, ProbabilityVector,
+                   SparseStochasticCertificate, UnobservedColumns, UnresolvedCarryError,
+                   block_coupling, block_distribution_as_code_vector, compose_certificates,
+                   delta_exact, gen_champernowne, integer_multiple_certificate, mul_int_mod1,
+                   reverse_certificate, validate_certificate, verify_rational_arithmetic)
 from fsdim.blockstats import _BlockCounts
 from fsdim.digitseq import digits_to_int
 
@@ -68,8 +76,22 @@ def outcome_tuple(cert, pi, mu):
     return outcome.ok, outcome.violation, outcome.detail
 
 
+def reference_tuple(cert, pi, mu):
+    outcome = oracles.validate_certificate_rational(cert, pi, mu)
+    return outcome.ok, outcome.violation, outcome.detail
+
+
+def assert_matches_reference(cert, pi, mu):
+    """The integer check and its degrees agree with the rational reference."""
+    assert outcome_tuple(cert, pi, mu) == reference_tuple(cert, pi, mu)
+    rows, cols = oracles.rational_support_counts(cert)
+    assert cert.max_degrees() == (max(rows.values(), default=0), max(cols.values(), default=0))
+    assert cert.support_counts() == (rows, cols)
+
+
 def assert_same_behaviour(implicit, materialized, pi, mu):
     assert outcome_tuple(implicit, pi, mu) == outcome_tuple(materialized, pi, mu)
+    assert_matches_reference(implicit, pi, mu)
     for cert in (implicit, materialized):
         rows, cols = cert.support_counts()
         assert cert.max_degrees() == (max(rows.values(), default=0),
@@ -206,6 +228,91 @@ def test_entry_colliding_with_identity_column_raises(cell, data):
             with_entries(cert, entries)
 
 
+# ------------------------------------------- small certificates of any origin
+
+@st.composite
+def probability_vectors(draw, n):
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    return ProbabilityVector(tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@st.composite
+def small_certificates(draw):
+    """(rational entries, identity columns, declared_m, pi, mu, solver-made certificate or None).
+
+    Random sparse matrices, half of them made column-stochastic with mu their
+    exact image of pi, or exact solver witnesses and their reversals and
+    compositions for pi -> mu, whose rational entries are taken as they are."""
+    n = draw(st.integers(1, 4))
+    pi, mu, nu = (draw(probability_vectors(n)) for _ in range(3))
+    kind = draw(st.sampled_from(["random", "witness", "reverse", "compose"]))
+    if kind != "random":
+        made = {"witness": lambda: delta_exact(pi, mu).witness,
+                "reverse": lambda: reverse_certificate(delta_exact(mu, pi).witness, mu, pi),
+                "compose": lambda: compose_certificates(delta_exact(nu, mu).witness,
+                                                        delta_exact(pi, nu).witness, pi, nu, mu)}[kind]()
+        return dict(made.entries), made.identity_columns, made.declared_m, pi, mu, made
+    explicit = draw(st.sets(st.integers(0, n - 1)))
+    spare = sorted(set(range(n)) - explicit)
+    identity = frozenset(draw(st.sets(st.sampled_from(spare)))) if spare else frozenset()
+    entries = {}
+    for j in sorted(explicit):
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            entries[(i, j)] = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        totals = {j: sum(v for (_, jj), v in entries.items() if jj == j) for j in explicit}
+        entries = {(i, j): v / totals[j] for (i, j), v in entries.items()}
+        image = {}
+        for (i, j), v in entries.items():
+            image[i] = image.get(i, 0) + v * pi[j]
+        for j in identity:
+            image[j] = image.get(j, 0) + pi[j]
+        mu = {i: v for i, v in image.items() if v}
+    return entries, identity, draw(st.integers(1, n)), pi, mu, None
+
+
+@PROPERTY_SETTINGS
+@given(small_certificates(),
+       st.sampled_from(["none", "flow", "mass", "extra", "dropped", "identity"]),
+       st.sampled_from(["vector", "list", "dict"]), st.data())
+def test_small_certificates_match_rational_reference(made, change, form, data):
+    entries, identity, declared, pi, mu, solved = made
+    entries = dict(entries)
+    if change != "none":
+        assume(entries)
+        keys = sorted(entries)
+        i, j = keys[data.draw(st.integers(0, len(keys) - 1))]
+        factor = Fraction(data.draw(st.sampled_from([1, 2, 3, 5])), data.draw(st.sampled_from([2, 3, 4])))
+        if change == "flow":
+            entries[(i, j)] *= factor
+        elif change == "mass":  # every flow of the column over a changed mass
+            entries = {(r, c): v * factor if c == j else v for (r, c), v in entries.items()}
+        elif change == "extra":
+            free = [r for r in range(len(pi.p)) if (r, j) not in entries]
+            assume(free)
+            entries[(data.draw(st.sampled_from(free)), j)] = factor
+        elif change == "dropped":
+            del entries[(i, j)]
+        else:  # an entry in an identity column is malformed, not merely invalid
+            assume(identity)
+            entries[(i, data.draw(st.sampled_from(sorted(identity))))] = factor
+            with pytest.raises(ValueError, match="collide"):
+                SparseStochasticCertificate(len(pi.p), entries, declared, identity)
+            return
+    cert = SparseStochasticCertificate(len(pi.p), entries, declared, identity)
+    assert cert.entries == entries
+
+    def shaped(v):
+        if isinstance(v, dict) or form == "vector":
+            return v
+        return list(v.p) if form == "list" else {j: x for j, x in enumerate(v.p) if x}
+
+    assert_matches_reference(cert, shaped(pi), shaped(mu))
+    if solved is not None and change == "none":
+        assert validate_certificate(solved, pi, mu).ok
+        assert_matches_reference(solved, pi, mu)
+
+
 # ------------------------------------------------- integer joint-count tables
 
 @st.composite
@@ -231,27 +338,33 @@ def build_table(cell):
 
 
 def rational_view(table):
-    """validate_certificate of to_certificate(), and the certificate's degrees."""
-    cert = table.to_certificate()
-    pi, mu = (block_distribution_as_code_vector(d) for d in table.distributions())
-    outcome = validate_certificate(cert, pi, mu)
-    return (outcome.ok, outcome.violation), cert.max_degrees()
+    """The reference check against the table's block frequencies, and its degrees."""
+    pi, mu = ({code: Fraction(c, table.blocks) for code, c in zip(codes.tolist(), counts.tolist())}
+              for codes, counts in ((table.columns, table.masses),
+                                    (table.image_codes, table.image_counts)))
+    rows, cols = oracles.rational_support_counts(table)
+    return reference_tuple(table, pi, mu), (max(rows.values(), default=0),
+                                             max(cols.values(), default=0))
 
 
 def integer_view(table):
     outcome = table.validate()
-    return (outcome.ok, outcome.violation), table.max_degrees()
+    return (outcome.ok, outcome.violation, outcome.detail), table.max_degrees()
 
 
-def replace_pairs(table, x, y, count, **changes):
-    return dataclasses.replace(table, x=np.asarray(x, dtype=np.int64),
-                               y=np.asarray(y, dtype=np.int64),
-                               count=np.asarray(count, dtype=np.int64), **changes)
+def replace_pairs(table, x, y, count, blocks=None, source=None, image=None):
+    """The table with its pairs, and optionally its block count and marginals, replaced."""
+    return BlockCoupling(table.alphabet, table.l, table.m,
+                         table.blocks if blocks is None else blocks,
+                         np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64),
+                         np.asarray(count, dtype=np.int64),
+                         *(source or (table.columns, table.masses)),
+                         *(image or (table.image_codes, table.image_counts)))
 
 
 def shared_column(table, data):
     """Indices of two pairs in one column, or skip the example."""
-    x = table.x.tolist()
+    x = table.cols.tolist()
     shared = [t for t in range(len(x)) if x.count(x[t]) > 1]
     assume(shared)
     t1 = data.draw(st.sampled_from(shared))
@@ -261,8 +374,8 @@ def shared_column(table, data):
 
 def breaking_image(table, x):
     """An image block y with (y - m*x) mod k^l >= m that is not yet paired with x."""
-    dimension = table.dimension
-    taken = {y for xx, y in zip(table.x.tolist(), table.y.tolist()) if xx == x}
+    dimension = table.n
+    taken = {y for xx, y in zip(table.cols.tolist(), table.rows.tolist()) if xx == x}
     return next((y for y in range(dimension)
                  if (y - table.m * x) % dimension >= table.m and y not in taken), None)
 
@@ -273,21 +386,22 @@ def test_table_validator_agrees_on_valid_tables(cell):
     table = build_table(cell)
     assert integer_view(table) == rational_view(table)
     assert table.validate().ok
+    assert_matches_reference(table, *(block_distribution_as_code_vector(d)
+                                       for d in table.distributions()))
 
 
 @PROPERTY_SETTINGS
 @given(coupling_cells())
-def test_to_certificate_matches_rational_builder(cell):
+def test_table_matches_rational_builder(cell):
     k, l, n, m, digits = cell
     table = build_table(cell)
     seq = DigitSequence(Alphabet(k), digits)
     product = mul_int_mod1(seq, m, n * l, 64).digits
     entries, identity, declared = oracles.block_certificate(seq, product, m, l, n)
-    cert = table.to_certificate()
     # entries (y, x) in ascending (x, y) order, the table's pair order
-    assert list(cert.entries.items()) == sorted(entries.items(), key=lambda e: e[0][::-1])
-    assert cert.identity_columns == identity
-    assert cert.declared_m == declared
+    assert list(table.entries.items()) == sorted(entries.items(), key=lambda e: e[0][::-1])
+    assert table.identity_columns == identity
+    assert table.declared_m == declared
     assert integer_multiple_certificate(seq, m, l, n, 64)[0].entries == entries
 
 
@@ -298,37 +412,51 @@ def test_table_validator_agrees_on_moved_count(cell, data):
     # breaks both row sums; moving all of them drops the first pair
     table = build_table(cell)
     t1, t2 = shared_column(table, data)
-    count = table.count.tolist()
+    count = table.flows.tolist()
     moved = data.draw(st.integers(1, count[t1]))
     count[t1] -= moved
     count[t2] += moved
     keep = [t for t in range(len(count)) if count[t]]
-    bad = replace_pairs(table, table.x[keep], table.y[keep], np.asarray(count)[keep])
+    bad = replace_pairs(table, table.cols[keep], table.rows[keep], np.asarray(count)[keep])
     assert integer_view(bad) == rational_view(bad)
-    assert integer_view(bad)[0] == (False, "marginal-map")
+    assert integer_view(bad)[0][:2] == (False, "marginal-map")
 
 
 @PROPERTY_SETTINGS
 @given(coupling_cells(), st.data())
 def test_table_validator_agrees_on_dropped_pair(cell, data):
     table = build_table(cell)
-    t = data.draw(st.integers(0, len(table.x) - 1))
-    keep = [i for i in range(len(table.x)) if i != t]
-    bad = replace_pairs(table, table.x[keep], table.y[keep], table.count[keep])
+    t = data.draw(st.integers(0, len(table.cols) - 1))
+    keep = [i for i in range(len(table.cols)) if i != t]
+    bad = replace_pairs(table, table.cols[keep], table.rows[keep], table.flows[keep])
     assert integer_view(bad) == rational_view(bad)
-    assert integer_view(bad)[0] == (False, "stochastic-columns")
+    assert integer_view(bad)[0][:2] == (False, "stochastic-columns")
 
 
 @PROPERTY_SETTINGS
 @given(coupling_cells(), st.data())
 def test_table_validator_agrees_on_bumped_count(cell, data):
     table = build_table(cell)
-    t = data.draw(st.integers(0, len(table.x) - 1))
-    count = table.count.copy()
+    t = data.draw(st.integers(0, len(table.cols) - 1))
+    count = table.flows.copy()
     count[t] += data.draw(st.integers(1, 5))
-    bad = replace_pairs(table, table.x, table.y, count)
+    bad = replace_pairs(table, table.cols, table.rows, count)
     assert integer_view(bad) == rational_view(bad)
-    assert integer_view(bad)[0] == (False, "stochastic-columns")
+    assert integer_view(bad)[0][:2] == (False, "stochastic-columns")
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.data())
+def test_table_validator_agrees_on_changed_mass(cell, data):
+    table = build_table(cell)
+    t = data.draw(st.integers(0, len(table.columns) - 1))
+    masses = table.masses.copy()
+    masses[t] = max(1, masses[t] + data.draw(st.sampled_from([-2, -1, 1, 3])))
+    assume(masses[t] != table.masses[t])
+    bad = replace_pairs(table, table.cols, table.rows, table.flows,
+                        source=(table.columns, masses))
+    assert integer_view(bad) == rational_view(bad)
+    assert integer_view(bad)[0][:2] == (False, "stochastic-columns")
 
 
 @PROPERTY_SETTINGS
@@ -336,13 +464,13 @@ def test_table_validator_agrees_on_bumped_count(cell, data):
 def test_table_validator_agrees_on_added_pair(cell, data):
     # a pair that breaks the residue identity, added to an observed column
     table = build_table(cell)
-    x = data.draw(st.sampled_from(table.source_codes.tolist()))
+    x = data.draw(st.sampled_from(table.columns.tolist()))
     y = breaking_image(table, x)
     assume(y is not None)
     c = data.draw(st.integers(1, 5))
-    bad = replace_pairs(table, [*table.x, x], [*table.y, y], [*table.count, c])
+    bad = replace_pairs(table, [*table.cols, x], [*table.rows, y], [*table.flows, c])
     assert integer_view(bad) == rational_view(bad)
-    assert integer_view(bad)[0] == (False, "stochastic-columns")
+    assert integer_view(bad)[0][:2] == (False, "stochastic-columns")
 
 
 @PROPERTY_SETTINGS
@@ -351,24 +479,24 @@ def test_residue_guard_catches_balanced_pair(cell, data):
     # the same pair with both marginals grown to match: the rational
     # conditions may all hold, the residue identity still fails
     table = build_table(cell)
-    x = data.draw(st.sampled_from(table.source_codes.tolist()))
+    x = data.draw(st.sampled_from(table.columns.tolist()))
     y = breaking_image(table, x)
     assume(y is not None)
     c = data.draw(st.integers(1, 5))
-    source = dict(zip(table.source_codes.tolist(), table.source_counts.tolist()))
+    source = dict(zip(table.columns.tolist(), table.masses.tolist()))
     image = dict(zip(table.image_codes.tolist(), table.image_counts.tolist()))
     source[x] += c
     image[y] = image.get(y, 0) + c
     bad = replace_pairs(
-        table, [*table.x, x], [*table.y, y], [*table.count, c], n=table.n + c,
-        source_codes=np.array(sorted(source)), source_counts=np.array([source[j] for j in sorted(source)]),
-        image_codes=np.array(sorted(image)), image_counts=np.array([image[j] for j in sorted(image)]))
-    (ok, violation), degrees = rational_view(bad)
+        table, [*table.cols, x], [*table.rows, y], [*table.flows, c], blocks=table.blocks + c,
+        source=(np.array(sorted(source)), np.array([source[j] for j in sorted(source)])),
+        image=(np.array(sorted(image)), np.array([image[j] for j in sorted(image)])))
+    reference, degrees = rational_view(bad)
     assert bad.max_degrees() == degrees
-    if ok:
-        assert integer_view(bad)[0] == (False, "residue-identity")
+    if reference[0]:
+        assert integer_view(bad)[0][:2] == (False, "residue-identity")
     else:
-        assert integer_view(bad)[0] == (False, violation) == (False, "support-bound")
+        assert integer_view(bad)[0] == reference and reference[1] == "support-bound"
 
 
 @PROPERTY_SETTINGS
@@ -392,18 +520,19 @@ def test_table_checks_marginals_counted_apart_from_pairs(cell, in_source, data):
         image.codes[j] = (image.codes[j] + data.draw(st.integers(1, k ** l - 1))) % k ** l
     table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image, n)
     assert integer_view(table) == rational_view(table)
-    assert integer_view(table)[0] == (False, "stochastic-columns" if in_source else "marginal-map")
+    assert integer_view(table)[0][:2] == (False, "stochastic-columns" if in_source
+                                          else "marginal-map")
 
 
 @PROPERTY_SETTINGS
 @given(coupling_cells(), st.data())
 def test_pair_in_unobserved_column_raises(cell, data):
     table = build_table(cell)
-    unobserved = sorted(set(range(table.dimension)) - set(table.source_codes.tolist()))
+    unobserved = sorted(set(range(table.n)) - set(table.columns.tolist()))
     assume(unobserved)
     x = data.draw(st.sampled_from(unobserved))
     with pytest.raises(ValueError, match="collide"):
-        replace_pairs(table, [*table.x, x], [*table.y, 0], [*table.count, 1])
+        replace_pairs(table, [*table.cols, x], [*table.rows, 0], [*table.flows, 1])
 
 
 def test_mismatched_paired_images_are_a_violation(monkeypatch):

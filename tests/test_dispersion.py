@@ -339,6 +339,30 @@ def test_certificate_soundness_bounds_exact_solution():
         assert delta_exact(pi, nu).m_star <= comp.declared_m
 
 
+def test_solver_certificate_json_roundtrip():
+    # a witness with a zero-mass column, its reversal and a composition: the
+    # file gives back the same flows, masses and identity columns, and the
+    # same bytes when written again
+    import json
+    from fsdim import certificate_from_json_dict, certificate_to_json_dict
+    pi, mu, nu = vec(F(1, 2), F(0), F(1, 2)), vec(F(1, 3), F(1, 3), F(1, 3)), vec(F(1, 6), F(1, 2), F(1, 3))
+    witness = delta_exact(pi, mu).witness
+    assert [v for (_, j), v in witness.entries.items() if j == 1] == [1]  # the zero-mass column
+    product = delta_exact(vec(F(1, 3), F(2, 3)), vec(F(1, 2), F(1, 2))).witness  # m* = n
+    certs = [witness, product, reverse_certificate(delta_exact(mu, pi).witness, mu, pi),
+             compose_certificates(delta_exact(mu, nu).witness, witness, pi, mu, nu)]
+    for cert in certs:
+        text = json.dumps(certificate_to_json_dict(cert), indent=2)
+        back = certificate_from_json_dict(json.loads(text))
+        assert sorted(zip(back.cols.tolist(), back.rows.tolist(), back.flows.tolist())) == \
+            sorted(zip(cert.cols.tolist(), cert.rows.tolist(), cert.flows.tolist()))
+        assert back.columns.tolist() == cert.columns.tolist()
+        assert back.masses.tolist() == cert.masses.tolist()
+        assert back.identity_columns == cert.identity_columns
+        assert (back.n, back.declared_m) == (cert.n, cert.declared_m)
+        assert json.dumps(certificate_to_json_dict(back), indent=2) == text
+
+
 def test_certificate_json_roundtrip():
     import json
     from fsdim import certificate_from_json_dict, certificate_to_json_dict

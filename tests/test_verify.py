@@ -8,6 +8,8 @@ from fsdim import (Alphabet, entropy_rate_grid, gen_champernowne, gen_rational_e
                    negate_mod1, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
 
+import oracles
+
 
 class TestSuites:
     def test_pseudometric_suite_clean(self):
@@ -116,6 +118,16 @@ class TestRationalArithmetic:
         seq = gen_champernowne(Alphabet(2), 3000)
         with pytest.raises(ValueError, match=message):
             verify_rational_arithmetic(seq, Fraction(1, 3), max_block_len, n_schedule)
+
+
+    def test_normality_window_fits_each_certified_stream(self):
+        # with no guard digits past the largest cell, q*alpha certifies one
+        # digit fewer than requested; its window shrinks to its own digits
+        seq = gen_champernowne(Alphabet(10), 900)
+        report = verify_rational_arithmetic(seq, 3, 5, [100, 400, 1000])
+        assert report.passes
+        assert report.to_json() == \
+            oracles.rational_arithmetic_report(seq, Fraction(3), 5, [100, 400, 1000]).to_json()
 
 
 class TestReports:
