@@ -52,8 +52,8 @@ def _code_dtype(k: int, l: int):
 def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
     """Base-k integer codes of the first n aligned l-blocks.
 
-    Codes are int64 while k^l <= 2^62 and Python ints (an object array)
-    beyond that, so every block length is served.
+    Codes are int32 while k^l <= 2^31, int64 while k^l <= 2^62 and Python
+    ints (an object array) beyond that, so every block length is served.
     """
     k = seq.alphabet.k
     blocks = seq.prefix_array(n * l).reshape(n, l)

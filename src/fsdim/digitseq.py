@@ -69,19 +69,15 @@ class Alphabet:
 
 
 def digits_to_int(digits, k: int) -> int:
-    """Value of big-endian base-k digits, by divide and conquer.
+    """Value of big-endian base-k digits.
 
-    Avoids per-digit Python loops for long prefixes; the split keeps the
-    multiplications balanced so conversion stays subquadratic overall.
+    A plain Horner loop: callers pass one block, one limb or one shift-in
+    window, each a few dozen digits at most.
     """
-    n = len(digits)
-    if n <= 64:
-        v = 0
-        for d in digits:
-            v = v * k + d
-        return v
-    mid = n // 2
-    return digits_to_int(digits[:mid], k) * pow(k, n - mid) + digits_to_int(digits[mid:], k)
+    v = 0
+    for d in digits:
+        v = v * k + d
+    return v
 
 
 def int_to_digits(v: int, k: int, width: int) -> bytearray:
@@ -91,16 +87,12 @@ def int_to_digits(v: int, k: int, width: int) -> bytearray:
     """
     if v < 0:
         raise ValueError("negative value")
-    if width <= 64:
-        out = bytearray(width)
-        for i in range(width - 1, -1, -1):
-            v, out[i] = divmod(v, k)
-        if v:
-            raise ValueError("value does not fit in width")
-        return out
-    mid = width // 2
-    hi, lo = divmod(v, pow(k, width - mid))
-    return int_to_digits(hi, k, mid) + int_to_digits(lo, k, width - mid)
+    out = bytearray(width)
+    for i in range(width - 1, -1, -1):
+        v, out[i] = divmod(v, k)
+    if v:
+        raise ValueError("value does not fit in width")
+    return out
 
 
 def limb_width(k: int, m: int = 1):

@@ -437,8 +437,6 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
             raise _BudgetExceeded
         if not open_cols and not open_rows:
             return True
-        if not open_cols or not open_rows:
-            return False  # leftover mass with no partners
         # a node that may take no more edges but still has mass is stuck
         if any(d == 0 for (_, d) in open_cols.values()) or \
            any(d == 0 for (_, d) in open_rows.values()):

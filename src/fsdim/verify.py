@@ -29,6 +29,7 @@ byte-identical output (timing is kept out of the canonical form).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -58,8 +59,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return value
 
 
@@ -96,11 +95,6 @@ class VerificationReport:
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
-
-
-def _default_schedule(total_digits: int, max_block_len: int, points: int = 5) -> List[int]:
-    top = max(1, total_digits // max_block_len)
-    return sorted({max(1, top // 2 ** i) for i in range(points)})
 
 
 def _count_blocks(streams: Dict[str, Tuple[DigitSequence, List[int]]], l: int):
@@ -163,18 +157,20 @@ def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
 
 def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
                                n_schedule: Sequence[int], tail_fraction: float = 0.5,
-                               lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
-                               normality_w_len: int = 3) -> VerificationReport:
+                               lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> VerificationReport:
     """Finite-scale check that q+alpha and q*alpha carry alpha's dimension.
 
     Computes both derived digit streams, builds coupling certificates for
     every integer-multiplication leg of the reduction chain (alpha -> |a|*alpha
     and q*alpha -> |a|*alpha for multiplication; alpha -> b*alpha and
     (q+alpha) -> b*alpha for addition, with q = a/b), and reports dimension
-    estimates, estimate gaps, and normality deviations for all streams.
-    The two legs that end in one image must produce the same certified
-    digits; a difference is a violation.  Unresolved carries shorten the
-    usable prefix and are reported rather than fatal.
+    estimates, estimate gaps, and normality deviations (blocks of length
+    <= 3, windows of up to 10 000 digits) for the streams.  The two legs
+    that end in one image must produce the same certified digits; a
+    difference is a violation.  Unresolved carries shorten the usable prefix
+    and are reported rather than fatal: a derived stream whose certified
+    digits fit no grid cell has no estimate and is a violation.  An alpha
+    too short for any grid cell raises InsufficientDigitsError.
     """
     start = time.monotonic()
     schedule = _grid_schedule(max_block_len, n_schedule)
@@ -253,6 +249,10 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
 
     estimates = {}
     for name, stream in streams.items():
+        if name != "alpha" and not bits[name]:
+            report.violations.append(
+                f"{name}: {stream.length_available} certified digits fit no grid cell")
+            continue
         grid = _grid_from_bits(stream.alphabet, max_block_len, schedule,
                                stream.length_available, bits[name])
         lo, hi = dim_estimates(grid, tail_fraction)
@@ -261,16 +261,17 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     report.details["estimate_gaps"] = {
         name: {"lower": abs(estimates["alpha"]["lower"] - estimates[name]["lower"]),
                "upper": abs(estimates["alpha"]["upper"] - estimates[name]["upper"])}
-        for name in ("q-alpha", "q-plus-alpha")
+        for name in ("q-alpha", "q-plus-alpha") if name in estimates
     }
 
-    norm_n = min(10_000, target - normality_w_len)
+    w_len = 3
+    norm_n = min(10_000, target - w_len)
     if norm_n >= 1:
         # a derived stream holds its certified digits only, which may be fewer than target
         report.details["normality_deviation"] = {
-            name: float(normality_deviation(stream, normality_w_len, max(1, min(
-                norm_n, stream.length_available - normality_w_len + 1))))
-            for name, stream in streams.items()
+            name: float(normality_deviation(stream, w_len, max(1, min(
+                norm_n, stream.length_available - w_len + 1))))
+            for name, stream in streams.items() if stream.length_available >= w_len
         }
 
     if b == 1 and a >= 1:
@@ -286,18 +287,17 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     return report
 
 
-def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8,
-                                   n_schedule: Optional[Sequence[int]] = None,
-                                   tail_fraction: float = 0.5,
-                                   diluted_band: Tuple[float, float] = (0.40, 0.65),
-                                   dense_floor: float = 0.80) -> VerificationReport:
+def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) -> VerificationReport:
     """Selection along arithmetic progressions does not preserve dimension.
 
     Interleaving a normal binary sequence with zeros halves its dimension at
     desk scale, while the two progression selections of the interleaving
     recover the normal sequence and the zero sequence: one estimate stays
     high, the other is exactly zero, so neither matches the interleaved
-    sequence's own estimate.
+    sequence's own estimate.  The protocol is fixed: block counts
+    top // 2^i for i < 5 with top = total_digits // max_block_len, tail
+    fraction 0.5, the diluted estimates within [0.4, 0.65] and the even
+    selection's lower estimate at least 0.8.
     """
     if total_digits < 2 ** 12:
         raise ValueError("need at least 2^12 digits for a meaningful run")
@@ -311,13 +311,15 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8,
     zeros = DigitSequence(alphabet, bytes(total_digits))
     sel_even = select_progression(diluted, 0, 2, half)
     sel_odd = select_progression(diluted, 1, 2, total_digits // 2)
-    schedule = list(n_schedule) if n_schedule else _default_schedule(total_digits, max_block_len)
+    top = max(1, total_digits // max_block_len)
+    schedule = sorted({max(1, top // 2 ** i) for i in range(5)})
+    tail_fraction, (lo_band, hi_band), dense_floor = 0.5, (0.40, 0.65), 0.80
 
     report = VerificationReport(
         scenario="dilution-counterexample",
         inputs={"k": 2, "total_digits": total_digits, "max_block_len": max_block_len,
                 "n_schedule": schedule, "tail_fraction": tail_fraction,
-                "diluted_band": list(diluted_band), "dense_floor": dense_floor},
+                "diluted_band": [lo_band, hi_band], "dense_floor": dense_floor},
     )
     streams = {"source": source, "diluted": diluted, "zeros": zeros,
                "selection-even": sel_even, "selection-odd": sel_odd}
@@ -329,7 +331,6 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8,
         report.records.append({"stream": name, "lower": lo, "upper": hi})
     report.details["estimates"] = estimates
 
-    lo_band, hi_band = diluted_band
     checks = [
         ("zeros estimates exactly (0, 0)",
          estimates["zeros"]["lower"] == 0.0 and estimates["zeros"]["upper"] == 0.0),
@@ -351,16 +352,13 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8,
 def _random_rational_vector(rng: random.Random, n: int) -> ProbabilityVector:
     # denominator <= 64; uniform weak composition via stars and bars
     d = rng.randint(1, 64)
-    if n == 1:
-        parts = [d]
-    else:
-        cuts = sorted(rng.sample(range(d + n - 1), n - 1))
-        parts = []
-        prev = -1
-        for c in cuts:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(d + n - 2 - prev)
+    cuts = sorted(rng.sample(range(d + n - 1), n - 1))
+    parts = []
+    prev = -1
+    for c in cuts:
+        parts.append(c - prev - 1)
+        prev = c
+    parts.append(d + n - 2 - prev)
     return ProbabilityVector(tuple(Fraction(x, d) for x in parts))
 
 
@@ -390,33 +388,22 @@ def _sample_triples(sample_count: int, n_max: int, seed: int):
     return triples
 
 
-class _DeltaCache:
-    def __init__(self, n_cap: int, time_budget: float):
-        self.n_cap = n_cap
-        self.time_budget = time_budget
-        self._cache = {}
-
-    def __call__(self, pi: ProbabilityVector, mu: ProbabilityVector):
-        key = (pi.p, mu.p)
-        if key not in self._cache:
-            self._cache[key] = delta_exact(pi, mu, self.n_cap, self.time_budget)
-        return self._cache[key]
-
-
-def verify_pseudometric_suite(sample_count: int = 200, n_max: int = 4, seed: int = 0,
-                              n_cap: int = 6, time_budget: float = 10.0) -> VerificationReport:
+def verify_pseudometric_suite(sample_count: int = 200, n_max: int = 4,
+                              seed: int = 0) -> VerificationReport:
     """Pseudometric axioms of the exact dispersion on seeded random triples.
 
     Checks nonnegativity, identity, symmetry, and the triangle inequality
     (in exact integer form m13 <= m12 * m23), and re-validates the reversal
-    and composition constructions on the solver witnesses.
+    and composition constructions on the solver witnesses.  Each distinct
+    pair is solved once by delta_exact with its defaults (n <= 6, a 10 s
+    budget); a solve that hits the budget is a violation.
     """
     start = time.monotonic()
     report = VerificationReport(
         scenario="pseudometric-suite",
         inputs={"sample_count": sample_count, "n_max": n_max, "seed": seed},
     )
-    solve = _DeltaCache(n_cap, time_budget)
+    solve = functools.cache(delta_exact)  # each pair is solved once per call
     for idx, (n, pi, mu, nu) in enumerate(_sample_triples(sample_count, n_max, seed)):
         results = {
             "identity": solve(pi, pi),
@@ -457,20 +444,21 @@ def verify_pseudometric_suite(sample_count: int = 200, n_max: int = 4, seed: int
     return report
 
 
-def verify_contractivity_suite(sample_count: int = 200, n_max: int = 4, seed: int = 0,
-                               n_cap: int = 6, time_budget: float = 10.0) -> VerificationReport:
+def verify_contractivity_suite(sample_count: int = 200, n_max: int = 4,
+                               seed: int = 0) -> VerificationReport:
     """Entropy contractivity and the banded worst-case chain, same pairs.
 
     For each seeded pair: |H(pi) - H(mu)| <= log2(m*); and with B the banded
     matrix for m*, r = B * (pi sorted descending) majorizes mu sorted
-    descending, H(r) <= H(mu), and H(pi) <= H(r) + log2(m*).
+    descending, H(r) <= H(mu), and H(pi) <= H(r) + log2(m*).  The pairs are
+    solved as in verify_pseudometric_suite.
     """
     start = time.monotonic()
     report = VerificationReport(
         scenario="contractivity-suite",
         inputs={"sample_count": sample_count, "n_max": n_max, "seed": seed},
     )
-    solve = _DeltaCache(n_cap, time_budget)
+    solve = functools.cache(delta_exact)  # each pair is solved once per call
     for idx, (n, pi, mu, _nu) in enumerate(_sample_triples(sample_count, n_max, seed)):
         res = solve(pi, mu)
         if res.method != "exact-search":

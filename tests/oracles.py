@@ -555,6 +555,9 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
                         _naive_code_counts(stream.prefix(n * l), k, l, n).values(), n)
                         / (l * math.log2(k)), 1.0))
                    for l in range(1, max_block_len + 1) for n in schedule if n * l <= avail]
+        if not entries and name != "alpha":
+            report.violations.append(f"{name}: {avail} certified digits fit no grid cell")
+            continue
         if not entries:
             raise InsufficientDigitsError("sequence too short for any grid cell")
         lower, upper = _naive_dim_estimates(entries, max_block_len, tail_fraction)
@@ -564,12 +567,14 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     report.details["estimate_gaps"] = {
         name: {"lower": abs(estimates["alpha"]["lower"] - estimates[name]["lower"]),
                "upper": abs(estimates["alpha"]["upper"] - estimates[name]["upper"])}
-        for name in ("q-alpha", "q-plus-alpha")}
+        for name in ("q-alpha", "q-plus-alpha") if name in estimates}
 
     norm_n = min(10_000, target - normality_w_len)
     if norm_n >= 1:
         deviations = {}
         for name, stream in streams.items():
+            if stream.length_available < normality_w_len:
+                continue  # a derived stream with too few certified digits
             window = max(1, min(norm_n, stream.length_available - normality_w_len + 1))
             need = window + normality_w_len - 1
             if stream.length_available < need:

@@ -18,7 +18,9 @@ reference on valid and on corrupted tables, and a table built from codes
 changed after they were counted fails its checks, since its masses and image
 counts are counted apart from its pairs.  Small random certificates, exact
 solver witnesses and their reversals and compositions are checked against the
-reference too, valid and with one flow, mass or entry changed.
+reference too, valid and with one flow, mass or entry changed, and so are fixed
+edge cases: a column over its sparsity bound, flows and masses beyond int64,
+and the reversal and composition of a certificate with an identity column.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import fsdim.verify
@@ -271,10 +273,58 @@ def small_certificates(draw):
     return entries, identity, draw(st.integers(1, n)), pi, mu, None
 
 
+def image_of(entries, identity, pi):
+    mu = [Fraction(0)] * len(pi.p)
+    for (i, j), v in entries.items():
+        mu[i] += v * pi[j]
+    for j in identity:
+        mu[j] += pi[j]
+    return ProbabilityVector(tuple(mu))
+
+
+def stochastic(entries, identity, declared, pi):
+    """The small_certificates tuple of a column-stochastic matrix, mu its image of pi."""
+    return entries, frozenset(identity), declared, pi, image_of(entries, identity, pi), None
+
+
+def through_identity_columns():
+    """Reversal and composition of a certificate with an identity column, which
+    read that column through triples()."""
+    entries = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (0, 1): Fraction(1)}
+    pi = ProbabilityVector((Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)))
+    mu = image_of(entries, {2}, pi)
+    nu = image_of(entries, {2}, mu)
+    cert = SparseStochasticCertificate(3, entries, 2, frozenset({2}))
+    reverse = reverse_certificate(cert, pi, mu)
+    compose = compose_certificates(cert, cert, pi, mu, nu)
+    return [(dict(reverse.entries), reverse.identity_columns, reverse.declared_m, mu, pi, reverse),
+            (dict(compose.entries), compose.identity_columns, compose.declared_m, pi, nu, compose)]
+
+
+HALVES = ProbabilityVector((Fraction(1, 2), Fraction(1, 2)))
+EDGE_CERTIFICATES = [
+    # a column over declared_m while every row keeps within it
+    stochastic({(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 3), (2, 0): Fraction(1, 3),
+                (3, 1): Fraction(1)}, {2, 3}, 2, ProbabilityVector((Fraction(1, 4),) * 4)),
+    # masses and flows beyond int64 are held as Python ints
+    stochastic({(0, 0): Fraction(1, 2 ** 70), (1, 0): Fraction(2 ** 70 - 1, 2 ** 70)}, {1}, 2,
+               HALVES),
+    # flows that fit int64 but whose column sum does not
+    ({(0, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1), (1, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1)},
+     frozenset({1}), 2, HALVES, HALVES, None),
+    *through_identity_columns(),
+]
+
+
 @PROPERTY_SETTINGS
 @given(small_certificates(),
        st.sampled_from(["none", "flow", "mass", "extra", "dropped", "identity"]),
        st.sampled_from(["vector", "list", "dict"]), st.data())
+@example(EDGE_CERTIFICATES[0], "none", "vector", None)
+@example(EDGE_CERTIFICATES[1], "none", "vector", None)
+@example(EDGE_CERTIFICATES[2], "none", "list", None)
+@example(EDGE_CERTIFICATES[3], "none", "dict", None)
+@example(EDGE_CERTIFICATES[4], "none", "vector", None)
 def test_small_certificates_match_rational_reference(made, change, form, data):
     entries, identity, declared, pi, mu, solved = made
     entries = dict(entries)

@@ -162,6 +162,30 @@ def test_verify_wall_cli(tmp_path, capsys):
     assert data["details"]["sum_digits_identical"] is True
 
 
+def test_verify_wall_writes_fail_report_when_a_stream_fits_no_cell(tmp_path, capsys):
+    # 3 * 0.333... never resolves a carry: q*alpha certifies no digit
+    src = tmp_path / "threes.txt"
+    run(tmp_path, "gen", "rational", "--base", "10", "--count", "2000",
+        "--num", "1", "--den", "3", "--out", str(src))
+    report = tmp_path / "wall.json"
+    assert dispatch(["verify", "wall", "--in", str(src), "--base", "10",
+                     "--num", "3", "--den", "1", "--max-block-len", "2",
+                     "--blocks", "100", "--report", str(report)]) == 1
+    assert capsys.readouterr().out == "rational-arithmetic-preservation: FAIL (1 violations)\n"
+    data = json.loads(report.read_text())
+    assert data["passes"] is False
+    assert data["violations"] == ["q-alpha: 0 certified digits fit no grid cell"]
+
+
+def test_delta_certificate_unresolved_exits_two(tmp_path, capsys):
+    src = tmp_path / "threes.txt"
+    run(tmp_path, "gen", "rational", "--base", "10", "--count", "2000",
+        "--num", "1", "--den", "3", "--out", str(src))
+    assert dispatch(["delta", "certificate", "--alpha", str(src), "--m", "3", "--l", "2",
+                     "--n", "100", "--lookahead", "16"]) == 2
+    assert set(json.loads(capsys.readouterr().out)) == {"unresolved_at"}
+
+
 def test_cli_idempotent_outputs(tmp_path):
     out1 = tmp_path / "a.txt"
     out2 = tmp_path / "b.txt"
@@ -186,6 +210,28 @@ def test_validation_errors_exit_one(tmp_path, capsys):
                      "--max-block-len", "2", "--blocks", "10"]) == 1
     assert dispatch(["nonsense"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("blocks,message", [
+    ("1,x", "error: bad --blocks list '1,x'\n"),
+    ("0", "error: --blocks needs positive integers\n"),
+])
+def test_dim_bad_blocks_exit_one(tmp_path, capsys, blocks, message):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "2", "--count", "100", "--out", str(src))
+    assert dispatch(["dim", "--in", str(src), "--max-block-len", "2", "--blocks", blocks]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_wall_zero_q_exits_one(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "1000", "--out", str(src))
+    report = tmp_path / "w.json"
+    assert dispatch(["verify", "wall", "--in", str(src), "--base", "10", "--num", "0",
+                     "--den", "1", "--max-block-len", "2", "--blocks", "100",
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "error: wall needs --num nonzero\n"
+    assert not report.exists()
 
 
 def test_wall_base_mismatch_exits_one(tmp_path, capsys):

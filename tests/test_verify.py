@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 import fsdim.verify
-from fsdim import (Alphabet, entropy_rate_grid, gen_champernowne, gen_rational_expansion,
-                   negate_mod1, verify_contractivity_suite, verify_dilution_counterexample,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, entropy_rate_grid,
+                   gen_champernowne, gen_rational_expansion, negate_mod1,
+                   verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
 
 import oracles
@@ -128,6 +129,30 @@ class TestRationalArithmetic:
         assert report.passes
         assert report.to_json() == \
             oracles.rational_arithmetic_report(seq, Fraction(3), 5, [100, 400, 1000]).to_json()
+
+    @pytest.mark.parametrize("head,q,stream,certified", [
+        (60, Fraction(3), "q-alpha", 59),
+        (60, Fraction(2, 3), "q-plus-alpha", 59),
+        (0, Fraction(3), "q-alpha", 0),  # 3 * 0.333... leaves no digit certified
+    ])
+    def test_derived_stream_too_short_for_any_cell_is_a_violation(self, head, q, stream,
+                                                                    certified):
+        # after its head alpha is all threes, so the derived stream's carries never resolve
+        seq = DigitSequence(Alphabet(10),
+                            gen_champernowne(Alphabet(10), head).prefix(head) + bytes([3]) * 3000)
+        report = verify_rational_arithmetic(seq, q, 3, [100, 400])
+        assert not report.passes
+        assert report.violations == [f"{stream}: {certified} certified digits fit no grid cell"]
+        assert stream not in report.details["estimates"]
+        assert stream not in report.details["estimate_gaps"]
+        assert (stream in report.details["normality_deviation"]) == (certified >= 3)
+        assert report.to_json() == \
+            oracles.rational_arithmetic_report(seq, q, 3, [100, 400]).to_json()
+
+    def test_alpha_too_short_for_any_cell_raises(self):
+        seq = gen_champernowne(Alphabet(10), 50)
+        with pytest.raises(InsufficientDigitsError, match="too short for any grid cell"):
+            verify_rational_arithmetic(seq, Fraction(1, 3), 2, [100])
 
 
 class TestReports:
