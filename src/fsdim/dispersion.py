@@ -348,6 +348,7 @@ class DispersionResult:
     delta_bits: float
     witness: SparseStochasticCertificate
     method: str  # "exact-search" | "certificate-upper-bound"
+    nodes: int  # search calls summed over every m tried; not part of any report
 
 
 def _as_dict(vec, n: int) -> Dict:
@@ -411,7 +412,8 @@ class _BudgetExceeded(Exception):
 
 
 def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int,
-                                deadline: Optional[float]) -> Optional[Dict[Tuple[int, int], int]]:
+                                deadline: Optional[float],
+                                nodes: List[int]) -> Optional[Dict[Tuple[int, int], int]]:
     """A coupling of positive integer masses with support degrees <= m, or None.
 
     Runs leaf peeling forward: every support forest can be built by
@@ -419,10 +421,18 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     endpoint's full remaining mass, which closes that endpoint (both on a
     tie: a tied partner with other positive edges is impossible in a
     support forest).  Depth-first search over those moves with per-node
-    degree budgets is therefore complete.  Failures memoize on the
-    canonical state (sorted multisets of open (mass, remaining degree)
-    profiles) and branching collapses nodes with identical profiles, which
-    keeps dimension-6 instances tractable.
+    degree budgets is therefore complete.
+
+    A state is dead when an open node with mass x and d edges left has x
+    above the sum of the d largest open masses on the other side: its
+    later edges go to d distinct open partners (a forest joins no pair
+    twice), each carrying at most the partner's current mass (a flow is
+    the min of its ends' masses, and masses only fall).  d = 0 is the
+    plain degree test; at the root it rejects every m below the
+    majorization bound.  Failures memoize on the canonical state (sorted
+    multisets of open (mass, remaining degree) profiles) and branching
+    collapses nodes with identical profiles, which keeps dimension-6
+    instances tractable.  Each call of the search adds one to `nodes[0]`.
     """
     open_cols = {j: (col_mass[j], m) for j in range(len(col_mass))}
     open_rows = {i: (row_mass[i], m) for i in range(len(row_mass))}
@@ -432,14 +442,17 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     def canonical():
         return (tuple(sorted(open_cols.values())), tuple(sorted(open_rows.values())))
 
+    def reachable(side, other) -> bool:
+        top = [0, *itertools.accumulate(sorted((x for x, _ in other.values()), reverse=True))]
+        return all(x <= top[min(d, len(top) - 1)] for x, d in side.values())
+
     def rec() -> bool:
+        nodes[0] += 1
         if deadline is not None and time.monotonic() > deadline:
             raise _BudgetExceeded
         if not open_cols and not open_rows:
             return True
-        # a node that may take no more edges but still has mass is stuck
-        if any(d == 0 for (_, d) in open_cols.values()) or \
-           any(d == 0 for (_, d) in open_rows.values()):
+        if not (reachable(open_cols, open_rows) and reachable(open_rows, open_cols)):
             return False
         key = canonical()
         if key in failed:
@@ -548,6 +561,7 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
     rows_pos = [i for i in range(n) if mu[i] > 0]
     col_mass = [int(pi[j] * scale) for j in cols_pos]
     row_mass = [int(mu[i] * scale) for i in rows_pos]
+    nodes = [0]
 
     for m in range(1, n + 1):
         if m == n:
@@ -558,13 +572,13 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
                      for j in range(len(cols_pos)) for i in range(len(rows_pos))}
         else:
             try:
-                flows = _coupling_with_degree_bound(col_mass, row_mass, m, deadline)
+                flows = _coupling_with_degree_bound(col_mass, row_mass, m, deadline, nodes)
             except _BudgetExceeded:
                 coupling = {(cols_pos[j], rows_pos[i]): f
                             for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
                 witness = _certificate_from_coupling(coupling, scale, pi, None)
                 return DispersionResult(witness.declared_m, math.log2(witness.declared_m),
-                                        witness, "certificate-upper-bound")
+                                        witness, "certificate-upper-bound", nodes[0])
         if flows is not None:
             coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
             witness = _certificate_from_coupling(coupling, scale * scale if m == n else scale,
@@ -572,7 +586,7 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
             outcome = validate_certificate(witness, pi, mu)
             if not outcome.ok:
                 raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
-            return DispersionResult(m, math.log2(m), witness, "exact-search")
+            return DispersionResult(m, math.log2(m), witness, "exact-search", nodes[0])
     raise AssertionError("unreachable: m = n is always feasible")
 
 

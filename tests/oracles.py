@@ -3,7 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: digit
 expansion by per-digit long division, block counting by naive slicing,
 dispersion by support-pattern enumeration plus exact-rational max-flow,
-certificate checks in Fractions over the rational entries.
+certificate checks in Fractions over the rational entries.  The one
+exception is dispersion_m_unpruned, the solver's leaf-peeling search with
+only the plain degree test: it reaches n = 6, where enumeration cannot, and
+checks the solver's pruning.
 Slow is fine; these only run at small sizes.
 """
 
@@ -360,6 +363,55 @@ def dispersion_m_bruteforce(pi, mu):
                 if _maxflow_feasible(pattern, col_mass, row_mass):
                     return m
     return n
+
+
+def dispersion_m_unpruned(pi, mu):
+    """Least sparsity bound by leaf-peeling search that prunes a state only
+    when an open node with mass left has no edges left (n <= 6).
+
+    Every support forest is built by repeatedly joining an open column and
+    an open row with the smaller one's remaining mass, which closes it (both
+    on a tie).  States memoize on their sorted (mass, degrees left)
+    profiles, and one node per profile is tried.  m = n always admits the
+    product coupling, so it is not searched.
+    """
+    n = len(pi)
+    scale = math.lcm(*(Fraction(x).denominator for x in (*pi, *mu)))
+    col_mass = [int(x * scale) for x in pi if x > 0]
+    row_mass = [int(x * scale) for x in mu if x > 0]
+
+    def feasible(m):
+        failed = set()
+
+        def rec(cols, rows):
+            if not cols and not rows:
+                return True
+            if any(d == 0 for _, d in cols + rows):
+                return False
+            key = (tuple(sorted(cols)), tuple(sorted(rows)))
+            if key in failed:
+                return False
+            for a, (cmass, cdeg) in enumerate(cols):
+                if (cmass, cdeg) in cols[:a]:
+                    continue
+                for b, (rmass, rdeg) in enumerate(rows):
+                    if (rmass, rdeg) in rows[:b]:
+                        continue
+                    flow = min(cmass, rmass)
+                    rest_cols = cols[:a] + cols[a + 1:]
+                    rest_rows = rows[:b] + rows[b + 1:]
+                    if cmass > flow:
+                        rest_cols.append((cmass - flow, cdeg - 1))
+                    if rmass > flow:
+                        rest_rows.append((rmass - flow, rdeg - 1))
+                    if rec(rest_cols, rest_rows):
+                        return True
+            failed.add(key)
+            return False
+
+        return rec([(x, m) for x in col_mass], [(x, m) for x in row_mass])
+
+    return next((m for m in range(1, n) if feasible(m)), n)
 
 
 def rational_support_counts(cert):

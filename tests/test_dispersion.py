@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, ProbabilityVector, SparseStochasticCertificate,
                    block_distribution_as_code_vector, build_banded_worst_case,
@@ -10,7 +12,8 @@ from fsdim import (Alphabet, DigitSequence, ProbabilityVector, SparseStochasticC
                    gen_champernowne, gen_rational_expansion, integer_multiple_certificate,
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
-from oracles import dispersion_m_bruteforce
+from fsdim.dispersion import _coupling_with_degree_bound
+from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
 F = Fraction
 
@@ -125,6 +128,42 @@ class TestDeltaExact:
         exact = delta_exact(pi, mu, n_cap=6, time_budget=30.0)
         assert exact.method == "exact-search"
         assert exact.m_star <= res.m_star
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two probability vectors of one dimension n <= 6, denominators <= 12."""
+    n = draw(st.integers(2, 6))
+
+    def vector():
+        d = draw(st.integers(1, 12))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+        return vec(*(F(b - a, d) for a, b in zip([0] + cuts, cuts + [d])))
+
+    return vector(), vector()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(vector_pairs())
+def test_pruned_search_matches_unpruned_search(pair):
+    """The reachability pruning loses no coupling: the least m equals the
+    search that prunes only nodes with no edges left, the witness is valid
+    at that m, and for n <= 4 every m the search refuses is infeasible by
+    exhaustive enumeration."""
+    pi, mu = pair
+    res = delta_exact(pi, mu, time_budget=0)
+    assert res.method == "exact-search"
+    assert res.m_star == dispersion_m_unpruned(pi.p, mu.p), (pi.p, mu.p)
+    assert res.witness.declared_m == res.m_star
+    assert validate_certificate_rational(res.witness, pi, mu).ok
+    if pi.n <= 4:
+        least = dispersion_m_bruteforce(pi.p, mu.p)
+        scale = math.lcm(*(x.denominator for x in pi.p + mu.p))
+        col_mass = [int(x * scale) for x in pi.p if x]
+        row_mass = [int(x * scale) for x in mu.p if x]
+        for m in range(1, pi.n + 1):
+            found = _coupling_with_degree_bound(col_mass, row_mass, m, None, [0])
+            assert (found is None) == (m < least), (pi.p, mu.p, m)
 
 
 class TestPseudometricAxioms:
