@@ -17,7 +17,7 @@ from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigi
                        read_digit_file, select_progression, write_digit_file)
 from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
                          SparseStochasticCertificate, UnobservedColumns, ValidationOutcome,
-                         block_coupling, block_distribution_as_code_vector,
+                         block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
                          certificate_from_json_dict, certificate_to_json_dict,
                          compose_certificates, delta_exact, integer_multiple_certificate,
@@ -38,7 +38,7 @@ __all__ = [
     "GridEntry", "InsufficientDigitsError", "ProbabilityVector",
     "SparseStochasticCertificate", "TraceEntry", "UnobservedColumns",
     "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
-    "block_coupling", "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
+    "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
     "carry_advice_trace", "certificate_bound_bits", "certificate_from_json_dict",
     "certificate_to_json_dict", "compose_certificates",
     "delta_exact", "dim_estimates", "div_int", "entropy_rate_grid", "gen_champernowne",

@@ -17,8 +17,8 @@ from .blockstats import dim_estimates, entropy_rate_grid
 from .digitseq import (Alphabet, DigitFileError, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, write_digit_file)
-from .dispersion import (ProbabilityVector, block_coupling, certificate_bound_bits,
-                         certificate_to_json_dict, delta_exact)
+from .dispersion import (ProbabilityVector, certificate_bound_bits, certificate_to_json_dict,
+                         delta_exact, integer_multiple_certificate)
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
                         div_int, mul_int_mod1, mul_rational_mod1)
 from .verify import (verify_contractivity_suite, verify_dilution_counterexample,
@@ -216,7 +216,7 @@ def _cmd_delta(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return EXIT_BUDGET if result.method == "certificate-upper-bound" else EXIT_OK
     seq = read_digit_file(args.alpha)
-    table = block_coupling(seq, args.m, args.l, args.n, args.lookahead)
+    table = integer_multiple_certificate(seq, args.m, args.l, args.n, args.lookahead)[0]
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             json.dump(certificate_to_json_dict(table), fh, indent=2)
@@ -274,10 +274,7 @@ def dispatch(argv) -> int:
         if args.command == "delta":
             return _cmd_delta(args)
         return _cmd_verify(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (DigitFileError, InsufficientDigitsError, ValueError, OSError) as exc:
+    except (_CliError, DigitFileError, InsufficientDigitsError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except UnresolvedCarryError as exc:

@@ -255,9 +255,6 @@ class SparseStochasticCertificate:
             return row_max, col_max
         return max(row_max, 1), max(col_max, 1)
 
-    def max_support(self) -> int:
-        return max(self.max_degrees())
-
     def apply(self, pi) -> Dict[int, Fraction]:
         """Sparse product A*pi as {row: value}, zero rows omitted."""
         weights, scale, hits, _ = _scaled(self, pi, {})
@@ -505,6 +502,16 @@ def _staircase_coupling(col_mass: List[int], row_mass: List[int]) -> Dict[Tuple[
     return coupling
 
 
+def _complete_columns(entries: Dict, empty: Iterable[int], n: int) -> None:
+    """Give each column of `empty` in turn a single 1, in the row with the least
+    entries so far (the least such row on a tie)."""
+    support = Counter(i for i, _ in entries)
+    for j in empty:
+        target = min(range(n), key=support.__getitem__)
+        entries[(target, j)] = 1
+        support[target] += 1
+
+
 def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
                                pi: ProbabilityVector, declared_m: Optional[int]) -> SparseStochasticCertificate:
     """The certificate of an integer coupling (column j -> row i flows over `scale`).
@@ -516,12 +523,7 @@ def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
     """
     n = pi.n
     flows = {(i, j): f for (j, i), f in coupling.items() if f}
-    row_support = Counter(i for (i, _) in flows)
-    for j in range(n):
-        if pi[j] == 0:
-            target = min(range(n), key=lambda i: row_support[i])
-            flows[(target, j)] = 1
-            row_support[target] += 1
+    _complete_columns(flows, [j for j in range(n) if pi[j] == 0], n)
     mass = {j: pi[j].numerator * (scale // pi[j].denominator) or 1 for j in range(n)}
     common = dict(mass)
     for (_, j), f in flows.items():
@@ -531,7 +533,7 @@ def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
                  [f // common[j] for (_, j), f in flows.items()], range(n),
                  [mass[j] // common[j] for j in range(n)])
     if declared_m is None:
-        witness.declared_m = witness.max_support()
+        witness.declared_m = max(witness.max_degrees())
     return witness
 
 
@@ -539,11 +541,13 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
     """Exact log-dispersion with a validating witness.
 
     Searches m = 1, 2, ... for a coupling with support degrees <= m; the
-    first hit gives delta = log2(m) with the derived matrix as witness.
-    m = n is always feasible (the product coupling), so the search ends.
-    If the time budget runs out first, the northwest-corner staircase gives
-    an upper-bound certificate and the result is flagged accordingly.  A
-    budget of 0 means no limit; a negative one is refused.
+    first hit gives delta = log2(m) with the derived matrix, a support forest
+    on the positive-mass columns, as witness.  At m = n every open node keeps
+    an edge for each open partner, so the search takes its first path (at
+    most 2n calls), unbudgeted.  If the time budget runs out below n, the
+    northwest-corner staircase gives an upper-bound certificate and the
+    result is flagged accordingly.  A budget of 0 means no limit; a negative
+    one is refused.
     """
     if time_budget < 0:
         raise ValueError(f"time budget must be nonnegative, got {time_budget}")
@@ -564,25 +568,18 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
     nodes = [0]
 
     for m in range(1, n + 1):
-        if m == n:
-            # the product coupling b_ij = mu_i * pi_j (over scale^2) always
-            # works; reaching this branch means no sparser coupling exists, so
-            # its support degree equals n
-            flows = {(j, i): col_mass[j] * row_mass[i]
-                     for j in range(len(cols_pos)) for i in range(len(rows_pos))}
-        else:
-            try:
-                flows = _coupling_with_degree_bound(col_mass, row_mass, m, deadline, nodes)
-            except _BudgetExceeded:
-                coupling = {(cols_pos[j], rows_pos[i]): f
-                            for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
-                witness = _certificate_from_coupling(coupling, scale, pi, None)
-                return DispersionResult(witness.declared_m, math.log2(witness.declared_m),
-                                        witness, "certificate-upper-bound", nodes[0])
+        try:
+            flows = _coupling_with_degree_bound(col_mass, row_mass, m,
+                                                deadline if m < n else None, nodes)
+        except _BudgetExceeded:
+            coupling = {(cols_pos[j], rows_pos[i]): f
+                        for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
+            witness = _certificate_from_coupling(coupling, scale, pi, None)
+            return DispersionResult(witness.declared_m, math.log2(witness.declared_m),
+                                    witness, "certificate-upper-bound", nodes[0])
         if flows is not None:
             coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
-            witness = _certificate_from_coupling(coupling, scale * scale if m == n else scale,
-                                                 pi, m)
+            witness = _certificate_from_coupling(coupling, scale, pi, m)
             outcome = validate_certificate(witness, pi, mu)
             if not outcome.ok:
                 raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
@@ -615,12 +612,7 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
         if w != 0:
             entries[(j, i)] = entries.get((j, i), Fraction(0)) + w
     covered = {j for (_, j) in entries}
-    row_support = Counter(i for (i, _) in entries)
-    for j in range(n):
-        if j not in covered:
-            target = min(range(n), key=lambda i: row_support[i])
-            entries[(target, j)] = Fraction(1)
-            row_support[target] += 1
+    _complete_columns(entries, [j for j in range(n) if j not in covered], n)
     reversed_cert = SparseStochasticCertificate(n, entries, cert.declared_m)
     check = validate_certificate(reversed_cert, pi, mu)
     if not check.ok:
@@ -693,11 +685,16 @@ def majorizes(x, y) -> bool:
     return True
 
 
-def certificate_bound_bits(m: int, k: int, l: int) -> float:
-    """log2(g*(s+1)*m) with g = gcd(m, k^l) and s the base-k digit sum of m."""
+def _coupling_bounds(m: int, k: int, l: int) -> Tuple[int, int]:
+    """The column and row support bounds (s+1)*m and g*(s+1)*m of the l-block
+    coupling of alpha and m*alpha, s the base-k digit sum of m, g = gcd(m, k^l)."""
     _, _, s = _multiplier_shape(m, k)
-    g = math.gcd(m, k ** l)
-    return math.log2(g * (s + 1) * m)
+    return (s + 1) * m, math.gcd(m, k ** l) * (s + 1) * m
+
+
+def certificate_bound_bits(m: int, k: int, l: int) -> float:
+    """log2 of the row bound of :func:`_coupling_bounds`."""
+    return math.log2(_coupling_bounds(m, k, l)[1])
 
 
 def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
@@ -766,18 +763,20 @@ class BlockCoupling(SparseStochasticCertificate):
     its own, never from the pairs, so the column and row checks compare two
     independent counts.  Against the block distributions every w_x * L of
     :func:`validate_certificate` is 1 for L = `blocks` and mu_y * L is the
-    image count of y, the integers :meth:`validate` checks.
+    image count of y, the integers :meth:`validate` checks.  `declared_m` is
+    `row_bound` (:func:`_coupling_bounds`) capped at k^l.
     """
 
-    __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts")
+    __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts", "col_bound",
+                 "row_bound")
 
     def __init__(self, alphabet: Alphabet, l: int, m: int, blocks: int, x, y, count,
                  source_codes, source_counts, image_codes, image_counts):
         self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
         self.image_codes, self.image_counts = image_codes, image_counts
         dimension = _certificate_dimension(alphabet.k, l)
-        _, _, s = _multiplier_shape(m, alphabet.k)
-        self._set(dimension, min(math.gcd(m, dimension) * (s + 1) * m, dimension),
+        self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
+        self._set(dimension, min(self.row_bound, dimension),
                   UnobservedColumns(dimension, source_codes), y, x, count,
                   source_codes, source_counts)
 
@@ -825,14 +824,21 @@ class BlockCoupling(SparseStochasticCertificate):
                                   _sparse(self.image_codes, self.image_counts)))
 
 
-def block_coupling(seq: DigitSequence, m: int, l: int, n: int,
-                   lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
-                   product_digits: Optional[DigitSequence] = None) -> BlockCoupling:
-    """Joint-count table of the first n aligned l-blocks of alpha and frac(m*alpha).
+def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
+                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
+                                 product_digits: Optional[DigitSequence] = None):
+    """Coupling certificate between block statistics of alpha and m*alpha.
 
-    `product_digits` may pass a precomputed certified stream of frac(m*alpha)
-    covering at least n*l digits, saving the multiplication when many (l, n)
-    cells are built from one stream.
+    The joint-count table of the first n aligned l-blocks of alpha and
+    frac(m*alpha) (see :class:`BlockCoupling`): it is stochastic, maps the
+    block distribution of alpha exactly onto that of m*alpha, and has column
+    support at most (s+1)*m and row support at most g*(s+1)*m for
+    g = gcd(m, k^l), so it certifies a dispersion bound independent of l
+    and n.  `product_digits` may pass a precomputed certified stream of
+    frac(m*alpha), in alpha's base and covering at least n*l digits, saving
+    the multiplication when many (l, n) cells are built from one stream.
+
+    Returns (certificate, block distribution of alpha, of m*alpha).
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -845,26 +851,13 @@ def block_coupling(seq: DigitSequence, m: int, l: int, n: int,
             raise UnresolvedCarryError(
                 f"only {product.certified_count} of {n * l} product digits certified")
         product_digits = product.digits
+    elif product_digits.alphabet != seq.alphabet:
+        raise ValueError(f"product digits are base {product_digits.alphabet.k}, "
+                         f"alpha is base {seq.alphabet.k}")
     elif product_digits.length_available < n * l:
         raise UnresolvedCarryError(
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
-    return BlockCoupling.from_codes(seq.alphabet, l, m, _BlockCounts(seq, l, [n]),
-                                    _BlockCounts(product_digits, l, [n]), n)
-
-
-def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
-                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
-                                 product_digits: Optional[DigitSequence] = None):
-    """Coupling certificate between block statistics of alpha and m*alpha.
-
-    The table of :func:`block_coupling` (see :class:`BlockCoupling`): it is
-    stochastic, maps the block distribution of alpha exactly onto that of
-    m*alpha, and has column support at most (s+1)*m and row support at most
-    g*(s+1)*m for g = gcd(m, k^l), so it certifies a dispersion bound
-    independent of l and n.
-
-    Returns (certificate, block distribution of alpha, of m*alpha).
-    """
-    table = block_coupling(seq, m, l, n, lookahead_cap, product_digits)
+    table = BlockCoupling.from_codes(seq.alphabet, l, m, _BlockCounts(seq, l, [n]),
+                                     _BlockCounts(product_digits, l, [n]), n)
     return (table, *table.distributions())

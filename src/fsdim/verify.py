@@ -44,10 +44,10 @@ from .blockstats import (_BlockCounts, _grid_from_bits, _grid_schedule, dim_esti
                          entropy_rate_grid, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (BlockCoupling, ProbabilityVector, _certificate_dimension,
-                         build_banded_worst_case, certificate_bound_bits, compose_certificates,
+                         build_banded_worst_case, compose_certificates,
                          delta_exact, majorizes, reverse_certificate, validate_certificate)
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, CertifiedDigitResult, add_rational_mod1,
-                        mul_int_mod1, mul_rational_mod1, _multiplier_shape)
+                        mul_int_mod1, mul_rational_mod1)
 
 ENTROPY_SLACK = 2.0 ** -30
 
@@ -120,23 +120,20 @@ def _certificate_cell(leg: str, m: int, source: _BlockCounts, image: _BlockCount
     its product frac(m * stream): an integer joint-count table checked against
     the plan's marginals, with the plan's entropies.  Appends its record and
     any violation."""
-    k = alphabet.k
-    _, _, s = _multiplier_shape(m, k)
-    g = math.gcd(m, k ** l)
-    bound = certificate_bound_bits(m, k, l)
     table = BlockCoupling.from_codes(alphabet, l, m, source, image, n)
+    bound = math.log2(table.row_bound)
     h_a, h_b = source.at(n)[1], image.at(n)[1]
     outcome = table.validate()
     row_support, col_support = table.max_degrees()
     delta_h = abs(h_a - h_b)
     ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
-          and col_support <= (s + 1) * m and row_support <= g * (s + 1) * m)
+          and col_support <= table.col_bound and row_support <= table.row_bound)
     records.append({
         "leg": leg, "m": m, "l": l, "n": n,
         "h_source": h_a, "h_image": h_b, "delta_h": delta_h,
         "bound_bits": bound,
-        "col_support": col_support, "col_bound": (s + 1) * m,
-        "row_support": row_support, "row_bound": g * (s + 1) * m,
+        "col_support": col_support, "col_bound": table.col_bound,
+        "row_support": row_support, "row_bound": table.row_bound,
         "valid": outcome.ok, "passed": ok,
     })
     if not ok:

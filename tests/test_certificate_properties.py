@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import fsdim.verify
 from fsdim import (Alphabet, BlockCoupling, DigitSequence, ProbabilityVector,
                    SparseStochasticCertificate, UnobservedColumns, UnresolvedCarryError,
-                   block_coupling, block_distribution_as_code_vector, compose_certificates,
+                   block_distribution_as_code_vector, compose_certificates,
                    delta_exact, gen_champernowne, integer_multiple_certificate, mul_int_mod1,
                    reverse_certificate, validate_certificate, verify_rational_arithmetic)
 from fsdim.blockstats import _BlockCounts
@@ -98,7 +98,6 @@ def assert_same_behaviour(implicit, materialized, pi, mu):
         rows, cols = cert.support_counts()
         assert cert.max_degrees() == (max(rows.values(), default=0),
                                       max(cols.values(), default=0))
-        assert cert.max_support() == max(cert.max_degrees())
 
 
 def with_entries(cert, entries, identity=None, declared_m=None):
@@ -382,7 +381,7 @@ def build_table(cell):
     k, l, n, m, digits = cell
     seq = DigitSequence(Alphabet(k), digits)
     try:
-        return block_coupling(seq, m, l, n, lookahead_cap=64)
+        return integer_multiple_certificate(seq, m, l, n, lookahead_cap=64)[0]
     except UnresolvedCarryError:
         assume(False)
 

@@ -257,6 +257,14 @@ def test_zero_denominator_exits_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_delta_certificate_zero_multiplier_exits_one(tmp_path, capsys):
+    src = tmp_path / "champ.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "200", "--out", str(src))
+    assert dispatch(["delta", "certificate", "--alpha", str(src), "--m", "0", "--l", "2",
+                     "--n", "10"]) == 1
+    assert capsys.readouterr().err == "error: m must be a positive integer\n"
+
+
 def test_wall_oversized_block_space_exits_one(tmp_path, capsys, monkeypatch):
     # 2^25 blocks exceed the certificate cap: refused before any arithmetic
     import fsdim.verify

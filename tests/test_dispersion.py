@@ -3,16 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, ProbabilityVector, SparseStochasticCertificate,
+                   UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
                    certificate_bound_bits, compose_certificates, delta_exact,
                    gen_champernowne, gen_rational_expansion, integer_multiple_certificate,
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
-from fsdim.dispersion import _coupling_with_degree_bound
+from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION, _coupling_with_degree_bound
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
 F = Fraction
@@ -94,7 +95,7 @@ class TestDeltaExact:
             res = delta_exact(pi, mu)
             out = validate_certificate(res.witness, pi, mu)
             assert out.ok, out.detail
-            assert res.witness.max_support() <= res.witness.declared_m
+            assert max(res.witness.max_degrees()) <= res.witness.declared_m
 
     def test_matches_bruteforce_oracle(self):
         rng = random.Random(200)
@@ -166,6 +167,44 @@ def test_pruned_search_matches_unpruned_search(pair):
             assert (found is None) == (m < least), (pi.p, mu.p, m)
 
 
+@st.composite
+def vector_triples(draw):
+    """Three probability vectors of one dimension n <= 5, denominators <= 12."""
+    n = draw(st.integers(1, 5))
+
+    def vector():
+        d = draw(st.integers(1, 12))
+        cuts = sorted(draw(st.lists(st.integers(0, d), min_size=n - 1, max_size=n - 1)))
+        return vec(*(F(b - a, d) for a, b in zip([0] + cuts, cuts + [d])))
+
+    return vector(), vector(), vector()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(vector_triples())
+@example((vec(F(1, 2), F(1, 2)), vec(F(1, 3), F(2, 3)), vec(F(1, 4), F(3, 4))))
+def test_solver_is_symmetric_submultiplicative_and_forest_at_n(triple):
+    """m(pi, mu) = m(mu, pi) and m(pi, nu) <= m(pi, mu) * m(mu, nu); the reversal
+    and the composition of solver witnesses validate at their declared bounds;
+    a witness with m* = n is a support forest on its positive-mass columns."""
+    pi, mu, nu = triple
+    pm, mp, mn, pn = (delta_exact(a, b, time_budget=0)
+                      for a, b in ((pi, mu), (mu, pi), (mu, nu), (pi, nu)))
+    assert pm.m_star == mp.m_star
+    assert pn.m_star <= pm.m_star * mn.m_star
+    rev = reverse_certificate(pm.witness, pi, mu)
+    assert rev.declared_m == pm.m_star
+    assert validate_certificate_rational(rev, mu, pi).ok
+    comp = compose_certificates(mn.witness, pm.witness, pi, mu, nu)
+    assert comp.declared_m == pm.m_star * mn.m_star
+    assert validate_certificate_rational(comp, pi, nu).ok
+    for res, src, dst in ((pm, pi, mu), (mp, mu, pi), (mn, mu, nu), (pn, pi, nu)):
+        assert res.method == "exact-search"
+        if res.m_star == pi.n:
+            edges = sum(1 for _, j in res.witness.entries if src[j] > 0)
+            assert edges <= sum(x > 0 for x in src.p) + sum(x > 0 for x in dst.p) - 1
+
+
 class TestPseudometricAxioms:
     def test_axioms_on_random_small_vectors(self):
         rng = random.Random(400)
@@ -220,7 +259,7 @@ class TestReverseCertificate:
             res = delta_exact(mu, pi)  # witness maps mu -> pi
             rev = reverse_certificate(res.witness, mu, pi)
             assert validate_certificate(rev, pi, mu).ok
-            assert rev.max_support() <= res.witness.declared_m
+            assert max(rev.max_degrees()) <= res.witness.declared_m
 
     def test_rejects_invalid_input(self):
         pi = vec(F(1, 2), F(1, 2))
@@ -256,7 +295,7 @@ class TestComposeCertificates:
             r2 = delta_exact(mu, nu)
             comp = compose_certificates(r2.witness, r1.witness, pi, mu, nu)
             assert validate_certificate(comp, pi, nu).ok
-            assert comp.max_support() <= r1.m_star * r2.m_star
+            assert max(comp.max_degrees()) <= r1.m_star * r2.m_star
 
 
 class TestBandedWorstCase:
@@ -357,6 +396,26 @@ class TestIntegerMultipleCertificate:
                                                     product_digits=product.digits)
         assert c1.entries == c2.entries
         assert da1.counts == da2.counts and db1.counts == db2.counts
+
+    @pytest.mark.parametrize("m,l,n,product,error,message", [
+        (0, 2, 10, None, ValueError, "m must be a positive integer"),
+        (3, 0, 10, None, ValueError, "need l >= 1 and n >= 1"),
+        (3, 2, 0, None, ValueError, "need l >= 1 and n >= 1"),
+        (3, 8, 10, None, ValueError,
+         f"block space k^l = 100000000 exceeds the certificate cap {MAX_CERTIFICATE_DIMENSION}"),
+        (3, 2, 10, 19, UnresolvedCarryError, "precomputed product covers 19 of 20 digits"),
+    ])
+    def test_refuses_bad_inputs(self, m, l, n, product, error, message):
+        seq = gen_champernowne(Alphabet(10), 100)
+        digits = None if product is None else gen_champernowne(Alphabet(10), product)
+        with pytest.raises(error) as excinfo:
+            integer_multiple_certificate(seq, m, l, n, product_digits=digits)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    def test_refuses_product_in_another_base(self):
+        with pytest.raises(ValueError, match="^product digits are base 10, alpha is base 2$"):
+            integer_multiple_certificate(gen_champernowne(Alphabet(2), 20000), 3, 3, 1000,
+                                         product_digits=gen_champernowne(Alphabet(10), 20000))
 
 
 def test_certificate_soundness_bounds_exact_solution():
