@@ -39,8 +39,7 @@ fsdim delta exact --pi "$out/pi.json" --mu "$out/mu.json" \
 # reachability pruning; its witness may change with the search order, so stdout only
 printf '%s\n' '{"n": 6, "p": ["2/15", "1/5", "2/15", "1/15", "1/5", "4/15"]}' > "$out/pi6.json"
 printf '%s\n' '{"n": 6, "p": ["0", "4/13", "5/13", "1/13", "3/13", "0"]}' > "$out/mu6.json"
-fsdim delta exact --pi "$out/pi6.json" --mu "$out/mu6.json" --budget-ms 0 \
-  > "$out/heavy6.stdout"
+fsdim delta exact --pi "$out/pi6.json" --mu "$out/mu6.json" > "$out/heavy6.stdout"
 fsdim gen champernowne --base 2 --order integers --count 100000 --out "$out/int2.txt"
 fsdim gen champernowne --base 36 --count 50000 --out "$out/base36.txt"
 fsdim dim --in "$out/int2.txt" --max-block-len 8 \

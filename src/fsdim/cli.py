@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 unresolved carry
 (the result sits on a k-adic point the stream prefix cannot decide),
-3 time budget exhausted with a partial (upper-bound) result.
+3 search node budget exhausted: `delta exact` (dimensions up to 6) gave an
+upper-bound certificate after 10^6 search nodes.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ def _build_parser() -> _Parser:
     exact = delta_sub.add_parser("exact")
     exact.add_argument("--pi", required=True, help="distribution JSON file")
     exact.add_argument("--mu", required=True)
-    exact.add_argument("--n-cap", type=int, default=6)
-    exact.add_argument("--budget-ms", type=int, default=10_000)
     exact.add_argument("--witness", help="write the witness certificate JSON here")
     cert = delta_sub.add_parser("certificate")
     cert.add_argument("--alpha", required=True, help="digit file of the source stream")
@@ -206,7 +205,7 @@ def _cmd_delta(args) -> int:
     if args.delta_command == "exact":
         pi = _read_distribution(args.pi)
         mu = _read_distribution(args.mu)
-        result = delta_exact(pi, mu, args.n_cap, args.budget_ms / 1000.0)
+        result = delta_exact(pi, mu)
         payload = {"m": result.m_star, "delta_bits": result.delta_bits,
                    "method": result.method}
         if args.witness:

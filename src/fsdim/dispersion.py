@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import Counter, defaultdict
 from collections.abc import Set
 from dataclasses import dataclass
@@ -47,6 +46,12 @@ from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod
 # are implicit, so memory grows with the observed blocks, not with k^l; the
 # cap keeps pair codes x * k^l + y within int64
 MAX_CERTIFICATE_DIMENSION = 16_777_216
+
+# the exact solver takes vectors of at most this dimension, and its searches
+# below m = n together take at most this many nodes before it settles for an
+# upper bound: a count, so the same inputs give the same result under any load
+MAX_EXACT_DIMENSION = 6
+SEARCH_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -409,7 +414,7 @@ class _BudgetExceeded(Exception):
 
 
 def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int,
-                                deadline: Optional[float],
+                                budget: Optional[int],
                                 nodes: List[int]) -> Optional[Dict[Tuple[int, int], int]]:
     """A coupling of positive integer masses with support degrees <= m, or None.
 
@@ -427,32 +432,30 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     the min of its ends' masses, and masses only fall).  d = 0 is the
     plain degree test; at the root it rejects every m below the
     majorization bound.  Failures memoize on the canonical state (sorted
-    multisets of open (mass, remaining degree) profiles) and branching
-    collapses nodes with identical profiles, which keeps dimension-6
-    instances tractable.  Each call of the search adds one to `nodes[0]`.
+    multisets of open (mass, remaining degree) profiles), whose sorted
+    profiles also give the masses the bound reads, and branching collapses
+    nodes with identical profiles, which keeps dimension-6 instances
+    tractable.  Each call of the search adds one to `nodes[0]`; a call that
+    takes it above `budget` raises :class:`_BudgetExceeded` (None: no limit).
     """
     open_cols = {j: (col_mass[j], m) for j in range(len(col_mass))}
     open_rows = {i: (row_mass[i], m) for i in range(len(row_mass))}
     edges: Dict[Tuple[int, int], int] = {}
     failed: set = set()
 
-    def canonical():
-        return (tuple(sorted(open_cols.values())), tuple(sorted(open_rows.values())))
-
     def reachable(side, other) -> bool:
-        top = [0, *itertools.accumulate(sorted((x for x, _ in other.values()), reverse=True))]
-        return all(x <= top[min(d, len(top) - 1)] for x, d in side.values())
+        # `other` ascends by mass, so reversed it gives the largest masses first
+        top = [0, *itertools.accumulate(x for x, _ in reversed(other))]
+        return all(x <= top[min(d, len(top) - 1)] for x, d in side)
 
     def rec() -> bool:
         nodes[0] += 1
-        if deadline is not None and time.monotonic() > deadline:
+        if budget is not None and nodes[0] > budget:
             raise _BudgetExceeded
         if not open_cols and not open_rows:
             return True
-        if not (reachable(open_cols, open_rows) and reachable(open_rows, open_cols)):
-            return False
-        key = canonical()
-        if key in failed:
+        key = cols, rows = (tuple(sorted(open_cols.values())), tuple(sorted(open_rows.values())))
+        if key in failed or not (reachable(cols, rows) and reachable(rows, cols)):
             return False
         # branch on one representative per (mass, degrees-left) profile
         col_reps = {}
@@ -482,24 +485,6 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     if rec():
         return dict(edges)
     return None
-
-
-def _staircase_coupling(col_mass: List[int], row_mass: List[int]) -> Dict[Tuple[int, int], int]:
-    """Northwest-corner transportation plan; always feasible, support acyclic."""
-    coupling: Dict[Tuple[int, int], int] = {}
-    rc, rr = list(col_mass), list(row_mass)
-    ci = ri = 0
-    while ci < len(rc) and ri < len(rr):
-        f = min(rc[ci], rr[ri])
-        if f > 0:
-            coupling[(ci, ri)] = f
-        rc[ci] -= f
-        rr[ri] -= f
-        if rc[ci] == 0:
-            ci += 1
-        if ri < len(rr) and rr[ri] == 0:
-            ri += 1
-    return coupling
 
 
 def _complete_columns(entries: Dict, empty: Iterable[int], n: int) -> None:
@@ -537,28 +522,26 @@ def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
     return witness
 
 
-def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> DispersionResult:
+def delta_exact(pi, mu) -> DispersionResult:
     """Exact log-dispersion with a validating witness.
 
     Searches m = 1, 2, ... for a coupling with support degrees <= m; the
     first hit gives delta = log2(m) with the derived matrix, a support forest
-    on the positive-mass columns, as witness.  At m = n every open node keeps
-    an edge for each open partner, so the search takes its first path (at
-    most 2n calls), unbudgeted.  If the time budget runs out below n, the
-    northwest-corner staircase gives an upper-bound certificate and the
-    result is flagged accordingly.  A budget of 0 means no limit; a negative
-    one is refused.
+    on the positive-mass columns, as witness.  Vectors of dimension above
+    MAX_EXACT_DIMENSION are refused.  The searches below m = n share
+    SEARCH_NODE_BUDGET nodes (read at each call); at m = n every open node
+    keeps an edge for each open partner, so the search takes its first path
+    (at most 2n calls), unbudgeted.  If the budget runs out, the m = n
+    search still gives a witness: the result is flagged
+    "certificate-upper-bound" and its m_star is the witness's largest degree.
     """
-    if time_budget < 0:
-        raise ValueError(f"time budget must be nonnegative, got {time_budget}")
     pi = pi if isinstance(pi, ProbabilityVector) else ProbabilityVector(tuple(pi))
     mu = mu if isinstance(mu, ProbabilityVector) else ProbabilityVector(tuple(mu))
     if pi.n != mu.n:
         raise ValueError(f"dimension mismatch: {pi.n} vs {mu.n}")
     n = pi.n
-    if n > n_cap:
-        raise ValueError(f"dimension {n} exceeds exact-solver cap {n_cap}")
-    deadline = time.monotonic() + time_budget if time_budget else None
+    if n > MAX_EXACT_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds exact-solver cap {MAX_EXACT_DIMENSION}")
 
     scale = math.lcm(*(x.denominator for x in pi.p), *(x.denominator for x in mu.p))
     cols_pos = [j for j in range(n) if pi[j] > 0]
@@ -567,24 +550,24 @@ def delta_exact(pi, mu, n_cap: int = 6, time_budget: float = 10.0) -> Dispersion
     row_mass = [int(mu[i] * scale) for i in rows_pos]
     nodes = [0]
 
+    method = "exact-search"
     for m in range(1, n + 1):
         try:
             flows = _coupling_with_degree_bound(col_mass, row_mass, m,
-                                                deadline if m < n else None, nodes)
+                                                SEARCH_NODE_BUDGET if m < n else None, nodes)
         except _BudgetExceeded:
-            coupling = {(cols_pos[j], rows_pos[i]): f
-                        for (j, i), f in _staircase_coupling(col_mass, row_mass).items()}
-            witness = _certificate_from_coupling(coupling, scale, pi, None)
-            return DispersionResult(witness.declared_m, math.log2(witness.declared_m),
-                                    witness, "certificate-upper-bound", nodes[0])
+            # the m = n search always succeeds; its witness declares its largest degree
+            method, m = "certificate-upper-bound", None
+            flows = _coupling_with_degree_bound(col_mass, row_mass, n, None, nodes)
         if flows is not None:
-            coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
-            witness = _certificate_from_coupling(coupling, scale, pi, m)
-            outcome = validate_certificate(witness, pi, mu)
-            if not outcome.ok:
-                raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
-            return DispersionResult(m, math.log2(m), witness, "exact-search", nodes[0])
-    raise AssertionError("unreachable: m = n is always feasible")
+            break
+    coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
+    witness = _certificate_from_coupling(coupling, scale, pi, m)
+    outcome = validate_certificate(witness, pi, mu)
+    if not outcome.ok:
+        raise AssertionError(f"solver produced invalid witness: {outcome.detail}")
+    m_star = witness.declared_m
+    return DispersionResult(m_star, math.log2(m_star), witness, method, nodes[0])
 
 
 def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStochasticCertificate:

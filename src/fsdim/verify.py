@@ -46,8 +46,7 @@ from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, s
 from .dispersion import (BlockCoupling, ProbabilityVector, _certificate_dimension,
                          build_banded_worst_case, compose_certificates,
                          delta_exact, majorizes, reverse_certificate, validate_certificate)
-from .realarith import (DEFAULT_LOOKAHEAD_CAP, CertifiedDigitResult, add_rational_mod1,
-                        mul_int_mod1, mul_rational_mod1)
+from .realarith import CertifiedDigitResult, add_rational_mod1, mul_int_mod1, mul_rational_mod1
 
 ENTROPY_SLACK = 2.0 ** -30
 
@@ -153,8 +152,8 @@ def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
 
 
 def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
-                               n_schedule: Sequence[int], tail_fraction: float = 0.5,
-                               lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> VerificationReport:
+                               n_schedule: Sequence[int],
+                               tail_fraction: float = 0.5) -> VerificationReport:
     """Finite-scale check that q+alpha and q*alpha carry alpha's dimension.
 
     Computes both derived digit streams, builds coupling certificates for
@@ -181,8 +180,8 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     # certificate multiplications have lookahead room at the tail
     target = min(max_block_len * schedule[-1] + 256, seq_alpha.length_available)
 
-    sum_result = add_rational_mod1(seq_alpha, q, target, lookahead_cap)
-    prod_result = mul_rational_mod1(seq_alpha, q, target, lookahead_cap)
+    sum_result = add_rational_mod1(seq_alpha, q, target)
+    prod_result = mul_rational_mod1(seq_alpha, q, target)
 
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
@@ -205,7 +204,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     # one multiplication per leg covers every (l, n) cell of that leg
     products = {leg: mul_int_mod1(streams[name], m,
                                   min(max_block_len * schedule[-1],
-                                      streams[name].length_available), lookahead_cap)
+                                      streams[name].length_available))
                 for leg, name, m in legs}
     cells = {leg: ([], [], []) for leg, _, _ in legs}  # records, violations, skipped
     bits = {name: {} for name in streams}
@@ -392,8 +391,8 @@ def verify_pseudometric_suite(sample_count: int = 200, n_max: int = 4,
     Checks nonnegativity, identity, symmetry, and the triangle inequality
     (in exact integer form m13 <= m12 * m23), and re-validates the reversal
     and composition constructions on the solver witnesses.  Each distinct
-    pair is solved once by delta_exact with its defaults (n <= 6, a 10 s
-    budget); a solve that hits the budget is a violation.
+    pair is solved once by delta_exact (n <= 6, at most 10^6 search nodes
+    below m = n); a solve that hits the node budget is a violation.
     """
     start = time.monotonic()
     report = VerificationReport(
@@ -448,7 +447,8 @@ def verify_contractivity_suite(sample_count: int = 200, n_max: int = 4,
     For each seeded pair: |H(pi) - H(mu)| <= log2(m*); and with B the banded
     matrix for m*, r = B * (pi sorted descending) majorizes mu sorted
     descending, H(r) <= H(mu), and H(pi) <= H(r) + log2(m*).  The pairs are
-    solved as in verify_pseudometric_suite.
+    solved as in verify_pseudometric_suite: once each by delta_exact, and a
+    solve that hits the node budget is a violation.
     """
     start = time.monotonic()
     report = VerificationReport(

@@ -592,8 +592,8 @@ def test_mismatched_paired_images_are_a_violation(monkeypatch):
     assert clean.passes, clean.violations
     calls = []
 
-    def planted(stream, m, count, lookahead_cap):
-        result = mul_int_mod1(stream, m, count, lookahead_cap)
+    def planted(stream, m, count):
+        result = mul_int_mod1(stream, m, count)
         calls.append(m)
         if len(calls) == 2:  # the q-alpha-times-b leg
             digits = bytearray(result.digits.prefix(result.certified_count))

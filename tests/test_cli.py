@@ -141,6 +141,28 @@ def test_delta_exact_witness_file(tmp_path, capsys):
     assert validate_certificate(cert, p_vec, m_vec).ok
 
 
+def test_delta_exact_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
+    import fsdim.dispersion
+    from fsdim import ProbabilityVector, certificate_from_json_dict
+    from fractions import Fraction
+    from oracles import validate_certificate_rational
+    monkeypatch.setattr(fsdim.dispersion, "SEARCH_NODE_BUDGET", 0)
+    pi = tmp_path / "p.json"
+    mu = tmp_path / "u.json"
+    pi.write_text(json.dumps({"n": 3, "p": ["1/2", "1/2", "0"]}))
+    mu.write_text(json.dumps({"n": 3, "p": ["1/2", "1/4", "1/4"]}))
+    witness = tmp_path / "witness.json"
+    run(tmp_path, "delta", "exact", "--pi", str(pi), "--mu", str(mu),
+        "--witness", str(witness), expect=3)
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert payload["method"] == "certificate-upper-bound"
+    cert = certificate_from_json_dict(json.loads(witness.read_text()))
+    assert cert.declared_m == payload["m"] >= 2
+    p_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    m_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    assert validate_certificate_rational(cert, p_vec, m_vec).ok
+
+
 def test_verify_pseudometric_cli(tmp_path, capsys):
     report = tmp_path / "suite.json"
     run(tmp_path, "verify", "pseudometric", "--seed", "3", "--samples", "12",
@@ -292,13 +314,6 @@ def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
     mu.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
     assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_delta_exact_negative_budget_exits_one(tmp_path, capsys):
-    pi = tmp_path / "p.json"
-    pi.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
-    assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(pi), "--budget-ms", "-5"]) == 1
-    assert capsys.readouterr().err.startswith("error: time budget must be nonnegative")
 
 
 @pytest.mark.parametrize("suite,samples", [("pseudometric", "-1"), ("contractivity", "0")])

@@ -1,18 +1,21 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, ProbabilityVector, SparseStochasticCertificate,
                    UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
-                   certificate_bound_bits, compose_certificates, delta_exact,
+                   certificate_bound_bits, certificate_to_json_dict, compose_certificates,
+                   delta_exact,
                    gen_champernowne, gen_rational_expansion, integer_multiple_certificate,
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
+import fsdim.dispersion
 from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION, _coupling_with_degree_bound
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
@@ -117,18 +120,32 @@ class TestDeltaExact:
             assert res.m_star == expected
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            delta_exact(vec(*([F(1, 7)] * 7)), vec(*([F(1, 7)] * 7)), n_cap=6)
+        with pytest.raises(ValueError, match="dimension 7 exceeds exact-solver cap 6"):
+            delta_exact(vec(*([F(1, 7)] * 7)), vec(*([F(1, 7)] * 7)))
 
-    def test_budget_fallback_is_flagged_upper_bound(self):
+    def test_budget_fallback_is_flagged_upper_bound(self, monkeypatch):
         pi = vec(F(1, 6), F(1, 6), F(1, 6), F(1, 6), F(1, 6), F(1, 6))
         mu = vec(F(1, 2), F(1, 10), F(1, 10), F(1, 10), F(1, 10), F(1, 10))
-        res = delta_exact(pi, mu, n_cap=6, time_budget=1e-9)
-        assert res.method == "certificate-upper-bound"
-        assert validate_certificate(res.witness, pi, mu).ok
-        exact = delta_exact(pi, mu, n_cap=6, time_budget=30.0)
+        exact = delta_exact(pi, mu)
         assert exact.method == "exact-search"
+        monkeypatch.setattr(fsdim.dispersion, "SEARCH_NODE_BUDGET", 0)
+        res = delta_exact(pi, mu)
+        assert res.method == "certificate-upper-bound"
+        assert res.witness.declared_m == res.m_star == max(res.witness.max_degrees())
+        assert validate_certificate_rational(res.witness, pi, mu).ok
         assert exact.m_star <= res.m_star
+
+    def test_result_does_not_depend_on_the_clock(self, monkeypatch):
+        """The heavy n = 6 pair of scripts/report_bytes.sh solves exactly however
+        much time seems to pass: the search counts nodes, not seconds."""
+        pi = vec(F(2, 15), F(1, 5), F(2, 15), F(1, 15), F(1, 5), F(4, 15))
+        mu = vec(0, F(4, 13), F(5, 13), F(1, 13), F(3, 13), 0)
+        expected = delta_exact(pi, mu)
+        clock = iter(range(0, 10 ** 9, 100))
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(clock)))
+        res = delta_exact(pi, mu)
+        assert res.method == expected.method == "exact-search"
+        assert res.m_star == expected.m_star
 
 
 @st.composite
@@ -152,7 +169,7 @@ def test_pruned_search_matches_unpruned_search(pair):
     at that m, and for n <= 4 every m the search refuses is infeasible by
     exhaustive enumeration."""
     pi, mu = pair
-    res = delta_exact(pi, mu, time_budget=0)
+    res = delta_exact(pi, mu)
     assert res.method == "exact-search"
     assert res.m_star == dispersion_m_unpruned(pi.p, mu.p), (pi.p, mu.p)
     assert res.witness.declared_m == res.m_star
@@ -165,6 +182,35 @@ def test_pruned_search_matches_unpruned_search(pair):
         for m in range(1, pi.n + 1):
             found = _coupling_with_degree_bound(col_mass, row_mass, m, None, [0])
             assert (found is None) == (m < least), (pi.p, mu.p, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(vector_pairs(), st.integers(0, 96))
+def test_node_budget_changes_nothing_it_does_not_cut(monkeypatch, pair, share):
+    """With SEARCH_NODE_BUDGET = B, a search that stays within B returns the
+    unbudgeted result, witness bytes and node count included; one that needs
+    more below m = n returns the m = n witness, flagged as an upper bound and
+    valid at its declared m* >= the exact one.  Only the searches below m = n
+    count against B, so an exact m* = n may also be reached with B below the
+    unbudgeted node count.  B is drawn in [0, 1.5 * nodes], and the two
+    budgets either side of the node count are checked every time."""
+    pi, mu = pair
+    exact = delta_exact(pi, mu)  # the default budget is far above these searches
+    for budget in (share * exact.nodes // 64, exact.nodes - 1, exact.nodes):
+        with monkeypatch.context() as patch:
+            patch.setattr(fsdim.dispersion, "SEARCH_NODE_BUDGET", budget)
+            res = delta_exact(pi, mu)
+        if res.method == "exact-search":
+            assert budget >= exact.nodes or exact.m_star == pi.n, (pi.p, mu.p, budget)
+            assert (res.m_star, res.nodes) == (exact.m_star, exact.nodes)
+            assert (certificate_to_json_dict(res.witness)
+                    == certificate_to_json_dict(exact.witness))
+        else:
+            assert res.method == "certificate-upper-bound"
+            assert budget < exact.nodes, (pi.p, mu.p, budget)
+            assert res.witness.declared_m == res.m_star >= exact.m_star
+            assert validate_certificate_rational(res.witness, pi, mu).ok
 
 
 @st.composite
@@ -188,7 +234,7 @@ def test_solver_is_symmetric_submultiplicative_and_forest_at_n(triple):
     and the composition of solver witnesses validate at their declared bounds;
     a witness with m* = n is a support forest on its positive-mass columns."""
     pi, mu, nu = triple
-    pm, mp, mn, pn = (delta_exact(a, b, time_budget=0)
+    pm, mp, mn, pn = (delta_exact(a, b)
                       for a, b in ((pi, mu), (mu, pi), (mu, nu), (pi, nu)))
     assert pm.m_star == mp.m_star
     assert pn.m_star <= pm.m_star * mn.m_star

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import fsdim.dispersion
 import fsdim.verify
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, entropy_rate_grid,
                    gen_champernowne, gen_rational_expansion, negate_mod1,
@@ -35,6 +36,14 @@ class TestSuites:
         b = verify_contractivity_suite(sample_count=12, n_max=3, seed=99)
         assert [r["n"] for r in a.records] == [r["n"] for r in b.records]
         assert [r["m"]["pi_mu"] for r in a.records] == [r["m"] for r in b.records]
+
+    @pytest.mark.parametrize("suite,message", [(verify_pseudometric_suite, "pi_mu hit the budget"),
+                                               (verify_contractivity_suite, "solver hit the budget")])
+    def test_suites_fail_on_an_exhausted_node_budget(self, monkeypatch, suite, message):
+        monkeypatch.setattr(fsdim.dispersion, "SEARCH_NODE_BUDGET", 0)
+        rep = suite(sample_count=3, n_max=3, seed=1)
+        assert not rep.passes
+        assert sum(message in v for v in rep.violations) == 3
 
     @pytest.mark.parametrize("suite", [verify_pseudometric_suite, verify_contractivity_suite])
     def test_suites_refuse_empty_sample(self, suite):
