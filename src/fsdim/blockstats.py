@@ -11,6 +11,7 @@ staying honest about finite scale.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -99,16 +100,32 @@ def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     return BlockDistribution(seq.alphabet, l, n, dict(zip(values.tolist(), counts.tolist())))
 
 
+# below this many observed codes a Counter groups equal counts faster than numpy
+FEW_CODES = 64
+
+
 def _entropy_from_counts(counts, n: int) -> float:
     # H = sum (c/n) * (log2 n - log2 c); identical counts are grouped so the
     # number of log evaluations is O(sqrt(n)) and fsum keeps the sum exact.
     # The per-group form makes point masses exactly 0.0 and bounds the total
-    # rounding error by a few ulps of H, far below the 2^-40 budget.
+    # rounding error by a few ulps of H, far below the 2^-40 budget.  Groups
+    # come from a Counter over few codes, from a bincount while the largest
+    # count is at most twice the number of codes (the dense rule of
+    # _prefix_counts), and from a sort otherwise, so memory stays O(codes);
+    # fsum sums the same terms in any order, so the three give the same float.
     if n <= 0:
         raise ValueError("empty distribution")
     counts = np.asarray(counts, dtype=np.int64)
-    values, mults = np.unique(counts[counts > 0], return_counts=True)
-    groups = list(zip(values.tolist(), mults.tolist()))
+    counts = counts[counts > 0]
+    if len(counts) <= FEW_CODES:
+        groups = list(Counter(counts.tolist()).items())
+    elif counts.max() <= 2 * len(counts):
+        mults = np.bincount(counts)
+        values = np.flatnonzero(mults)
+        groups = list(zip(values.tolist(), mults[values].tolist()))
+    else:
+        values, mults = np.unique(counts, return_counts=True)
+        groups = list(zip(values.tolist(), mults.tolist()))
     if sum(c * mult for c, mult in groups) != n:
         raise ValueError("counts do not sum to n")
     log_n = math.log2(n)
@@ -122,19 +139,46 @@ class _BlockCounts:
     at(n) gives the block counts (ascending codes, counts) of the first n
     blocks and their entropy in bits, for n of the ascending `schedule` asked
     in ascending order: the nested prefixes are counted in one pass and one
-    prefix's counts are held at a time.
+    prefix's counts are held at a time.  An n outside the schedule, or below
+    the prefix last asked for, raises ValueError.
     """
 
     def __init__(self, seq: DigitSequence, l: int, schedule: Sequence[int]):
         self.codes = block_codes(seq, l, schedule[-1])
+        self._schedule = frozenset(schedule)
         self._prefixes = ((n, blocks, _entropy_from_counts(blocks[1], n)) for n, blocks in
                           zip(schedule, _prefix_counts(self.codes, seq.alphabet.k ** l, schedule)))
         self._now = (0,)
 
     def at(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], float]:
+        if n not in self._schedule:
+            raise ValueError(f"n={n} is not in the counted schedule")
+        if n < self._now[0]:
+            raise ValueError(f"n={n} is below the prefix already counted, n={self._now[0]}")
         while self._now[0] < n:
             self._now = next(self._prefixes)
         return self._now[1:]
+
+
+def _count_blocks(streams: Dict[str, Tuple[DigitSequence, List[int]]], l: int):
+    """The counting plan of one block length: {name: _BlockCounts} for `streams`,
+    which maps a name to (digits, ascending nonempty block counts it needs).
+    Taken longest need first, a stream shares the counts of the first earlier
+    one whose digits agree with its own needed prefix."""
+    groups = []  # (digits, sequence, block counts, names) of each distinct prefix
+    for name, (seq, fits) in sorted(streams.items(), key=lambda item: -item[1][1][-1]):
+        view = seq.prefix_array(fits[-1] * l)
+        # distinct streams mostly differ in their first digits, and
+        # np.array_equal reads every digit before it answers
+        head = view[:64].tobytes()
+        group = next((g for g in groups if g[0][:len(head)].tobytes() == head
+                      and np.array_equal(g[0][:len(view)], view)), None)
+        if group is None:
+            groups.append(group := (view, seq, set(), []))
+        group[2].update(fits)
+        group[3].append(name)
+    return {name: counted for _, seq, fits, names in groups
+            for counted in [_BlockCounts(seq, l, sorted(fits))] for name in names}
 
 
 def shannon_entropy(dist) -> float:
@@ -206,15 +250,30 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     largest feasible grid.
     """
     schedule = _grid_schedule(max_block_len, n_schedule)
-    avail = seq.length_available
-    bits = {}
+    bits, = _grid_bits({"seq": seq}, max_block_len, schedule).values()
+    return _grid_from_bits(seq.alphabet, max_block_len, schedule, seq.length_available, bits)
+
+
+def _grid_bits(streams: Dict[str, DigitSequence], max_block_len: int,
+               schedule: List[int]) -> Dict[str, Dict[Tuple[int, int], float]]:
+    """{name: {(l, n): entropy in bits}} over the cells (l, n) of the grid whose
+    n*l digits each stream has, in ascending l then n.  Each row l is counted
+    by one plan (_count_blocks), so streams whose digits agree share counts;
+    n runs outside the streams because a shared count moves only forward."""
+    bits = {name: {} for name in streams}
     for l in range(1, max_block_len + 1):
-        fits = [n for n in schedule if n * l <= avail]
+        fits = {name: [n for n in schedule if n * l <= seq.length_available]
+                for name, seq in streams.items()}
+        fits = {name: f for name, f in fits.items() if f}
         if not fits:
             break
-        row = _BlockCounts(seq, l, fits)  # encode the row once
-        bits.update(((l, n), row.at(n)[1]) for n in fits)
-    return _grid_from_bits(seq.alphabet, max_block_len, schedule, avail, bits)
+        plan = _count_blocks({name: (streams[name], f) for name, f in fits.items()}, l)
+        for n in schedule:
+            for name, f in fits.items():
+                if n in f:
+                    bits[name][l, n] = plan[name].at(n)[1]
+        del plan  # hold one block length's codes at a time
+    return bits
 
 
 def _grid_from_bits(alphabet: Alphabet, max_block_len: int, schedule: List[int], avail: int,

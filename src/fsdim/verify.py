@@ -16,12 +16,15 @@ preservation results:
   dispersion solver on seeded random rational vectors, including the banded
   worst-case majorization chain.
 
-The rational-arithmetic check counts blocks by one plan per block length l:
-each stream it reads (alpha, q*alpha, q+alpha and the four certified
-products) is encoded once, streams with equal digits share one encoding, and
-the nested prefixes of the schedule are counted in one pass.  Grid entries,
-certificate entropies and the marginals each pair table is checked against
-all read those counts; the tables' own pairs never supply a marginal.
+Both digit-stream checks count blocks by one plan per block length l
+(blockstats._count_blocks): each stream is encoded once, streams with equal
+digits share one encoding, and the nested prefixes of the schedule are
+counted in one pass.  The rational-arithmetic check reads alpha, q*alpha,
+q+alpha and the four certified products; its grid entries, certificate
+entropies and the marginals each pair table is checked against all read
+those counts, and the tables' own pairs never supply a marginal.  The
+dilution check reads five streams but encodes three per row: the even
+selection shares the source's counts and the odd selection the zeros'.
 
 Reports serialize to JSON deterministically: same seed and inputs give
 byte-identical output (timing is kept out of the canonical form).
@@ -40,8 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import (_BlockCounts, _grid_from_bits, _grid_schedule, dim_estimates,
-                         entropy_rate_grid, normality_deviation, shannon_entropy)
+from .blockstats import (_BlockCounts, _count_blocks, _grid_bits, _grid_from_bits, _grid_schedule,
+                         dim_estimates, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (BlockCoupling, ProbabilityVector, _certificate_dimension,
                          build_banded_worst_case, compose_certificates,
@@ -94,23 +97,6 @@ class VerificationReport:
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
-
-
-def _count_blocks(streams: Dict[str, Tuple[DigitSequence, List[int]]], l: int):
-    """The counting plan of one block length: {name: _BlockCounts} for `streams`,
-    which maps a name to (digits, ascending nonempty block counts it needs).
-    Taken longest need first, a stream shares the counts of the first earlier
-    one whose digits agree with its own needed prefix."""
-    groups = []  # (digits, sequence, block counts, names) of each distinct prefix
-    for name, (seq, fits) in sorted(streams.items(), key=lambda item: -item[1][1][-1]):
-        view = seq.prefix_array(fits[-1] * l)
-        group = next((g for g in groups if np.array_equal(g[0][:len(view)], view)), None)
-        if group is None:
-            groups.append(group := (view, seq, set(), []))
-        group[2].update(fits)
-        group[3].append(name)
-    return {name: counted for _, seq, fits, names in groups
-            for counted in [_BlockCounts(seq, l, sorted(fits))] for name in names}
 
 
 def _certificate_cell(leg: str, m: int, source: _BlockCounts, image: _BlockCounts,
@@ -293,7 +279,11 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
     sequence's own estimate.  The protocol is fixed: block counts
     top // 2^i for i < 5 with top = total_digits // max_block_len, tail
     fraction 0.5, the diluted estimates within [0.4, 0.65] and the even
-    selection's lower estimate at least 0.8.
+    selection's lower estimate at least 0.8.  The five grids come from one
+    counting plan per block length, in which the even selection shares the
+    source's counts and the odd selection the zeros' (its digits are a
+    prefix of them), so each row encodes three streams; every estimate
+    equals that of entropy_rate_grid on the stream alone.
     """
     if total_digits < 2 ** 12:
         raise ValueError("need at least 2^12 digits for a meaningful run")
@@ -320,8 +310,10 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
     streams = {"source": source, "diluted": diluted, "zeros": zeros,
                "selection-even": sel_even, "selection-odd": sel_odd}
     estimates = {}
+    bits = _grid_bits(streams, max_block_len, schedule)
     for name, stream in streams.items():
-        grid = entropy_rate_grid(stream, max_block_len, schedule)
+        grid = _grid_from_bits(alphabet, max_block_len, schedule, stream.length_available,
+                               bits[name])
         lo, hi = dim_estimates(grid, tail_fraction)
         estimates[name] = {"lower": lo, "upper": hi}
         report.records.append({"stream": name, "lower": lo, "upper": hi})

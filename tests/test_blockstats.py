@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsEr
                    block_frequencies, dim_estimates, entropy_rate_grid, gen_champernowne,
                    gen_dilution, gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
-from fsdim.blockstats import BlockDistribution, _entropy_from_counts
+from fsdim.blockstats import FEW_CODES, BlockDistribution, _BlockCounts, _entropy_from_counts
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
@@ -223,6 +224,16 @@ def count_lists(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(count_lists(), st.booleans())
 @example([887] * 5 + [5], False)
+# a Counter groups at most FEW_CODES positive counts, zeros not counted
+@example([3] * FEW_CODES, False)
+@example([3] * (FEW_CODES + 1), True)
+@example([0] * 7 + [10 ** 9] * FEW_CODES, True)
+@example([10 ** 9] * (FEW_CODES + 1), False)
+# past it, a bincount while the largest count is at most twice the codes, else a sort
+@example([2 * 100] + [1] * 99, True)
+@example([2 * 100 + 1] + [1] * 99, False)
+@example([0] * 5 + [2 * (FEW_CODES + 1)] + [1] * FEW_CODES, True)
+@example([0] * 5 + [2 * (FEW_CODES + 1) + 1] + [1] * FEW_CODES, False)
 def test_entropy_from_counts_matches_counter_grouping(counts, as_array):
     n = sum(counts)
     arg = np.array(counts, dtype=np.int64) if as_array else counts
@@ -236,3 +247,39 @@ def test_entropy_from_counts_matches_counter_grouping(counts, as_array):
         if wrong > 0:
             with pytest.raises(ValueError, match="counts do not sum to n"):
                 _entropy_from_counts(arg, wrong)
+
+
+def test_entropy_from_counts_memory_does_not_grow_with_the_largest_count():
+    # a bincount here would allocate 8 GB; grouping is O(number of codes)
+    counts = np.array([10 ** 9] * 65 + [1] * 100, dtype=np.int64)
+    n = int(counts.sum())
+    tracemalloc.start()
+    try:
+        h = _entropy_from_counts(counts, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.hex() == entropy_from_counts(counts.tolist(), n).hex()
+    assert peak < 2 ** 20
+
+
+def test_block_counts_refuse_a_prefix_below_the_last_one_asked():
+    seq = gen_champernowne(Alphabet(2), 1000)
+    counted = _BlockCounts(seq, 2, [100, 150, 200])
+    for n in (100, 200, 200):  # the current prefix may be asked again
+        naive = naive_code_counts(seq.prefix(2 * n), 2, 2, n)
+        assert counted.at(n)[1] == entropy_from_counts(naive.values(), n)
+    for n in (100, 150):
+        with pytest.raises(ValueError, match="below the prefix already counted"):
+            counted.at(n)
+
+
+def test_block_counts_refuse_a_prefix_outside_the_schedule():
+    seq = gen_champernowne(Alphabet(2), 1000)
+    counted = _BlockCounts(seq, 2, [100, 200])
+    for n in (50, 150, 300):
+        with pytest.raises(ValueError, match="not in the counted schedule"):
+            counted.at(n)
+    naive = naive_code_counts(seq.prefix(400), 2, 2, 200)
+    values, counts = counted.at(200)[0]
+    assert dict(zip(values.tolist(), counts.tolist())) == naive

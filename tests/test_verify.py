@@ -1,12 +1,15 @@
+import collections
 import json
 from fractions import Fraction
 
 import pytest
 
+import fsdim.blockstats
 import fsdim.dispersion
 import fsdim.verify
-from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, entropy_rate_grid,
-                   gen_champernowne, gen_rational_expansion, negate_mod1,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, dim_estimates,
+                   entropy_rate_grid, gen_champernowne, gen_dilution, gen_rational_expansion,
+                   negate_mod1, select_progression,
                    verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
 
@@ -63,6 +66,38 @@ class TestDilution:
         assert est["selection-even"]["lower"] >= 0.80
         # the even selection recovers the source stream exactly
         assert est["selection-even"] == est["source"]
+
+    @pytest.mark.parametrize("total, max_block_len", [(2 ** 12, 8), (4097, 3), (6001, 12)])
+    def test_estimates_match_each_stream_counted_alone(self, monkeypatch, total, max_block_len):
+        # the streams share counts where their digits agree: selection-even is
+        # source and selection-odd a prefix of zeros, so each row encodes 3 streams
+        encoded = collections.Counter()
+        block_codes = fsdim.blockstats.block_codes
+
+        def counted(seq, l, n):
+            encoded[l] += 1
+            return block_codes(seq, l, n)
+        monkeypatch.setattr(fsdim.blockstats, "block_codes", counted)
+        rep = verify_dilution_counterexample(total, max_block_len)
+        monkeypatch.undo()
+        assert encoded == {l: 3 for l in range(1, max_block_len + 1)}
+        half = (total + 1) // 2
+        source = gen_champernowne(Alphabet(2), half)
+        diluted = gen_dilution(source, total)
+        zeros = DigitSequence(Alphabet(2), bytes(total))
+        streams = {"source": source, "diluted": diluted, "zeros": zeros,
+                   "selection-even": select_progression(diluted, 0, 2, half),
+                   "selection-odd": select_progression(diluted, 1, 2, total // 2)}
+        schedule = rep.inputs["n_schedule"]
+        alone = {}
+        for name, stream in streams.items():
+            grid = entropy_rate_grid(stream, max_block_len, schedule)
+            lo, hi = dim_estimates(grid, 0.5)
+            alone[name] = {"lower": lo, "upper": hi}
+            if name in ("source", "selection-odd"):
+                assert grid.clipped  # fewer digits than the largest cells need
+        assert rep.details["estimates"] == alone
+        assert rep.records == [{"stream": name, **est} for name, est in alone.items()]
 
     def test_rejects_tiny_inputs(self):
         with pytest.raises(ValueError):
