@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError
+from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError, digits_to_limbs
 
 
 @dataclass
@@ -57,13 +57,7 @@ def block_codes(seq: DigitSequence, l: int, n: int) -> np.ndarray:
     ints (an object array) beyond that, so every block length is served.
     """
     k = seq.alphabet.k
-    blocks = seq.prefix_array(n * l).reshape(n, l)
-    # Horner in place: one owned array, no temporary per digit column
-    codes = blocks[:, 0].astype(_code_dtype(k, l))
-    for j in range(1, l):
-        codes *= k
-        codes += blocks[:, j]
-    return codes
+    return digits_to_limbs(seq.prefix_array(n * l), k, l, _code_dtype(k, l))[0]
 
 
 def _prefix_counts(codes: np.ndarray, space: int, schedule: Sequence[int]):
@@ -254,25 +248,40 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     return _grid_from_bits(seq.alphabet, max_block_len, schedule, seq.length_available, bits)
 
 
+def _count_rows(streams: Dict[str, Tuple[DigitSequence, int]], max_block_len: int,
+                schedule: List[int]):
+    """Yield (l, n, counted) for the cells of the grid, ascending l then n, up to
+    the first row that no stream reaches.  `streams` maps a name to (digits,
+    usable digit count); `counted` maps the name of each stream with n*l usable
+    digits to its counted blocks (_BlockCounts).  Each row l is counted by one
+    plan (_count_blocks), so streams whose digits agree share counts; ask
+    at(n) of the cells in the order given, since a shared count moves only
+    forward.  `counted` is the row's one dict: a stream leaves it past its last
+    n, and it is emptied before the next row is counted, so one block length's
+    codes are held at a time."""
+    for l in range(1, max_block_len + 1):
+        fits = {name: [n for n in schedule if n * l <= count]
+                for name, (_, count) in streams.items()}
+        counted = _count_blocks({name: (streams[name][0], f) for name, f in fits.items() if f}, l)
+        if not counted:
+            return
+        for n in schedule:
+            for name in [name for name in counted if n not in fits[name]]:
+                del counted[name]
+            if counted:
+                yield l, n, counted
+        counted.clear()
+
+
 def _grid_bits(streams: Dict[str, DigitSequence], max_block_len: int,
                schedule: List[int]) -> Dict[str, Dict[Tuple[int, int], float]]:
     """{name: {(l, n): entropy in bits}} over the cells (l, n) of the grid whose
-    n*l digits each stream has, in ascending l then n.  Each row l is counted
-    by one plan (_count_blocks), so streams whose digits agree share counts;
-    n runs outside the streams because a shared count moves only forward."""
+    n*l digits each stream has, in ascending l then n (see _count_rows)."""
     bits = {name: {} for name in streams}
-    for l in range(1, max_block_len + 1):
-        fits = {name: [n for n in schedule if n * l <= seq.length_available]
-                for name, seq in streams.items()}
-        fits = {name: f for name, f in fits.items() if f}
-        if not fits:
-            break
-        plan = _count_blocks({name: (streams[name], f) for name, f in fits.items()}, l)
-        for n in schedule:
-            for name, f in fits.items():
-                if n in f:
-                    bits[name][l, n] = plan[name].at(n)[1]
-        del plan  # hold one block length's codes at a time
+    for l, n, counted in _count_rows({name: (seq, seq.length_available)
+                                      for name, seq in streams.items()}, max_block_len, schedule):
+        for name in counted:
+            bits[name][l, n] = counted[name].at(n)[1]
     return bits
 
 
@@ -300,12 +309,13 @@ def dim_estimates(grid: DimensionEstimateGrid, tail_fraction: float = 0.5) -> Tu
         raise ValueError("empty grid")
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")
+    rows: Dict[int, List[GridEntry]] = {}
+    for e in grid.entries:
+        rows.setdefault(e.l, []).append(e)
     lower = math.inf
     upper = math.inf
-    for l in range(1, grid.max_block_len + 1):
-        row = sorted(grid.row(l), key=lambda e: e.n)
-        if not row:
-            continue
+    for row in rows.values():
+        row.sort(key=lambda e: e.n)
         window = max(1, int(len(row) * tail_fraction))
         tail = row[-window:]
         lower = min(lower, min(e.h for e in tail))

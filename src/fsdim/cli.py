@@ -100,7 +100,6 @@ def _build_parser() -> _Parser:
     wall.add_argument("--den", type=int, required=True)
     wall.add_argument("--max-block-len", type=int, required=True)
     wall.add_argument("--blocks", required=True)
-    wall.add_argument("--tail-fraction", type=float, default=0.5)
     wall.add_argument("--report", required=True)
     dil = verify_sub.add_parser("dilution")
     dil.add_argument("--digits", type=int, default=200_000)
@@ -243,9 +242,8 @@ def _cmd_verify(args) -> int:
         q = _parse_rational(args, "wall")
         if q == 0:
             raise _CliError("wall needs --num nonzero")
-        report = verify_rational_arithmetic(seq, q,
-                                            args.max_block_len, _parse_blocks(args.blocks),
-                                            args.tail_fraction)
+        report = verify_rational_arithmetic(seq, q, args.max_block_len,
+                                            _parse_blocks(args.blocks))
     elif args.verify_command == "dilution":
         report = verify_dilution_counterexample(args.digits, args.max_block_len)
     elif args.verify_command == "pseudometric":

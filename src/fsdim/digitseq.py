@@ -117,15 +117,17 @@ def limb_width(k: int, m: int = 1):
 def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
     """Big-endian limbs of c base-k digits each, and the zero digits padded on the right.
 
-    The limbs hold the digits' numeral times k^pad, built by Horner's rule over
-    the uint8 columns, so no digit is copied to a wider type.
+    The limbs hold the digits' numeral times k^pad, built in place by Horner's
+    rule over the uint8 columns from a cast of the first, so no other digit is
+    copied to a wider type.
     """
     n = len(digits)
     full = n // c
-    limbs = np.zeros(-(-n // c), dtype)
+    limbs = np.empty(-(-n // c), dtype)
     head = limbs[:full]
     body = digits[:full * c].reshape(full, c)
-    for j in range(c):
+    head[:] = body[:, 0]
+    for j in range(1, c):
         head *= k
         head += body[:, j]
     pad = len(limbs) * c - n

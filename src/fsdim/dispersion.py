@@ -99,7 +99,13 @@ class UnobservedColumns(Set):
             raise ValueError(f"observed code outside range({n})")
 
     def __contains__(self, j) -> bool:
-        return 0 <= j < self.n and not _in_sorted(np.array([j]), self.observed)[0]
+        # as in a frozenset of ints: a member is any hashable equal to one of them
+        hash(j)
+        try:
+            i = int(j.real)
+        except (AttributeError, TypeError, ValueError, OverflowError):
+            return False
+        return i == j and 0 <= i < self.n and not _in_sorted(np.array([i]), self.observed)[0]
 
     def __len__(self) -> int:
         return self.n - len(self.observed)
@@ -497,31 +503,6 @@ def _complete_columns(entries: Dict, empty: Iterable[int], n: int) -> None:
         support[target] += 1
 
 
-def _certificate_from_coupling(coupling: Dict[Tuple[int, int], int], scale: int,
-                               pi: ProbabilityVector, declared_m: Optional[int]) -> SparseStochasticCertificate:
-    """The certificate of an integer coupling (column j -> row i flows over `scale`).
-
-    Column j with positive mass keeps its flows over the mass pi(j) * scale,
-    so a_ij = b_ij / (pi(j) * scale); zero-mass columns each get a single 1
-    in a row with minimal current support.  Each column is then put in
-    lowest terms, the form the constructor gives its rational entries.
-    """
-    n = pi.n
-    flows = {(i, j): f for (j, i), f in coupling.items() if f}
-    _complete_columns(flows, [j for j in range(n) if pi[j] == 0], n)
-    mass = {j: pi[j].numerator * (scale // pi[j].denominator) or 1 for j in range(n)}
-    common = dict(mass)
-    for (_, j), f in flows.items():
-        common[j] = math.gcd(common[j], f)
-    witness = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
-    witness._set(n, declared_m or 1, frozenset(), [i for i, _ in flows], [j for _, j in flows],
-                 [f // common[j] for (_, j), f in flows.items()], range(n),
-                 [mass[j] // common[j] for j in range(n)])
-    if declared_m is None:
-        witness.declared_m = max(witness.max_degrees())
-    return witness
-
-
 def delta_exact(pi, mu) -> DispersionResult:
     """Exact log-dispersion with a validating witness.
 
@@ -561,8 +542,14 @@ def delta_exact(pi, mu) -> DispersionResult:
             flows = _coupling_with_degree_bound(col_mass, row_mass, n, None, nodes)
         if flows is not None:
             break
-    coupling = {(cols_pos[j], rows_pos[i]): f for (j, i), f in flows.items()}
-    witness = _certificate_from_coupling(coupling, scale, pi, m)
+    # column j holds its flows over the mass pi(j) * scale; a zero-mass column
+    # gets a single 1 in a row with minimal current support
+    flows = {(rows_pos[i], cols_pos[j]): f for (j, i), f in flows.items() if f}
+    _complete_columns(flows, [j for j in range(n) if pi[j] == 0], n)
+    witness = SparseStochasticCertificate(
+        n, {(i, j): Fraction(f, int(pi[j] * scale) or 1) for (i, j), f in flows.items()}, m or 1)
+    if m is None:
+        witness.declared_m = max(witness.max_degrees())
     outcome = validate_certificate(witness, pi, mu)
     if not outcome.ok:
         raise AssertionError(f"solver produced invalid witness: {outcome.detail}")

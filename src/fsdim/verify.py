@@ -16,15 +16,16 @@ preservation results:
   dispersion solver on seeded random rational vectors, including the banded
   worst-case majorization chain.
 
-Both digit-stream checks count blocks by one plan per block length l
-(blockstats._count_blocks): each stream is encoded once, streams with equal
-digits share one encoding, and the nested prefixes of the schedule are
-counted in one pass.  The rational-arithmetic check reads alpha, q*alpha,
-q+alpha and the four certified products; its grid entries, certificate
-entropies and the marginals each pair table is checked against all read
-those counts, and the tables' own pairs never supply a marginal.  The
-dilution check reads five streams but encodes three per row: the even
-selection shares the source's counts and the odd selection the zeros'.
+Both digit-stream checks walk the grid's row loop (blockstats._count_rows),
+which counts blocks by one plan per block length l: each stream is encoded
+once, streams with equal digits share one encoding, and the nested prefixes
+of the schedule are counted in one pass.  The rational-arithmetic check
+reads alpha, q*alpha, q+alpha and the four certified products; its grid
+entries, certificate entropies and the marginals each pair table is checked
+against all read those counts, and the tables' own pairs never supply a
+marginal.  The dilution check reads five streams but encodes three per row:
+the even selection shares the source's counts and the odd selection the
+zeros'.
 
 Reports serialize to JSON deterministically: same seed and inputs give
 byte-identical output (timing is kept out of the canonical form).
@@ -43,11 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import (_BlockCounts, _count_blocks, _grid_bits, _grid_from_bits, _grid_schedule,
+from .blockstats import (_BlockCounts, _count_rows, _grid_bits, _grid_from_bits, _grid_schedule,
                          dim_estimates, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
-from .dispersion import (BlockCoupling, ProbabilityVector, _certificate_dimension,
-                         build_banded_worst_case, compose_certificates,
+from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
+                         _certificate_dimension, build_banded_worst_case, compose_certificates,
                          delta_exact, majorizes, reverse_certificate, validate_certificate)
 from .realarith import CertifiedDigitResult, add_rational_mod1, mul_int_mod1, mul_rational_mod1
 
@@ -82,8 +83,8 @@ class VerificationReport:
     passes: bool = True
     elapsed_seconds: Optional[float] = None
 
-    def to_dict(self, include_timing: bool = False) -> Dict:
-        out = {
+    def to_dict(self) -> Dict:
+        return {
             "scenario": self.scenario,
             "inputs": _jsonable(self.inputs),
             "records": _jsonable(self.records),
@@ -91,12 +92,9 @@ class VerificationReport:
             "violations": list(self.violations),
             "passes": self.passes,
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def _certificate_cell(leg: str, m: int, source: _BlockCounts, image: _BlockCounts,
@@ -138,8 +136,7 @@ def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
 
 
 def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
-                               n_schedule: Sequence[int],
-                               tail_fraction: float = 0.5) -> VerificationReport:
+                               n_schedule: Sequence[int]) -> VerificationReport:
     """Finite-scale check that q+alpha and q*alpha carry alpha's dimension.
 
     Computes both derived digit streams, builds coupling certificates for
@@ -149,9 +146,11 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     estimates, estimate gaps, and normality deviations (blocks of length
     <= 3, windows of up to 10 000 digits) for the streams.  The two legs
     that end in one image must produce the same certified digits; a
-    difference is a violation.  Unresolved carries shorten the usable prefix
-    and are reported rather than fatal: a derived stream whose certified
-    digits fit no grid cell has no estimate and is a violation.  An alpha
+    difference is a violation.  The estimates take the tail fraction 0.5.
+    Unresolved carries shorten the usable prefix and are reported rather
+    than fatal: the leg cells they leave out are listed as skipped, and a
+    derived stream whose certified digits fit no grid cell has no estimate
+    and is a violation.  An alpha
     too short for any grid cell raises InsufficientDigitsError.
     """
     start = time.monotonic()
@@ -172,7 +171,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
         inputs={"k": k, "q": q, "max_block_len": max_block_len,
-                "n_schedule": schedule, "tail_fraction": tail_fraction,
+                "n_schedule": schedule, "tail_fraction": 0.5,
                 "digits_used": target},
     )
     if sum_result.unresolved:
@@ -192,33 +191,25 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
                                   min(max_block_len * schedule[-1],
                                       streams[name].length_available))
                 for leg, name, m in legs}
-    cells = {leg: ([], [], []) for leg, _, _ in legs}  # records, violations, skipped
+    cells = {leg: ([], []) for leg, _, _ in legs}  # records, violations
     bits = {name: {} for name in streams}
     # each stream's grid cells cover its legs' source cells; an image has its legs' cells
     digits = {**{name: (seq, seq.length_available) for name, seq in streams.items()},
               **{leg: (p.digits, p.certified_count) for leg, p in products.items()}}
-    for l in range(1, max_block_len + 1):
-        fits = {name: [n for n in schedule if n * l <= count]
-                for name, (_, count) in digits.items()}
-        plan = _count_blocks({name: (digits[name][0], f) for name, f in fits.items() if f}, l)
-        for n in schedule:
-            for name in streams:
-                if n in fits[name]:
-                    bits[name][l, n] = plan[name].at(n)[1]
-            for leg, name, m in legs:
-                records, violations, skipped = cells[leg]
-                if n in fits[leg]:
-                    _certificate_cell(leg, m, plan[name], plan[leg], seq_alpha.alphabet, l, n,
-                                      records, violations)
-                else:
-                    skipped.append({"leg": leg, "l": l, "n": n,
-                                    "reason": "insufficient certified digits"})
-        del plan  # hold one block length's codes at a time
-    skipped_cells = []
-    for records, violations, skipped in cells.values():
+    for l, n, counted in _count_rows(digits, max_block_len, schedule):
+        for name in streams.keys() & counted.keys():
+            bits[name][l, n] = counted[name].at(n)[1]
+        for leg, name, m in legs:
+            if leg in counted:
+                _certificate_cell(leg, m, counted[name], counted[leg], seq_alpha.alphabet, l, n,
+                                  *cells[leg])
+    for records, violations in cells.values():
         report.records.extend(records)
         report.violations.extend(violations)
-        skipped_cells.extend(skipped)
+    built = {(r["leg"], r["l"], r["n"]) for r in report.records}
+    skipped_cells = [{"leg": leg, "l": l, "n": n, "reason": "insufficient certified digits"}
+                     for leg, _, _ in legs for l in range(1, max_block_len + 1) for n in schedule
+                     if (leg, l, n) not in built]
     # the legs pair up on one image: b*frac(|q|*alpha) = |a|*alpha and
     # b*frac(q + alpha) = b*alpha (mod 1), so each pair's certified digits agree
     for leg_a, leg_b in (("alpha-times-|a|", "q-alpha-times-b"),
@@ -237,7 +228,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
             continue
         grid = _grid_from_bits(stream.alphabet, max_block_len, schedule,
                                stream.length_available, bits[name])
-        lo, hi = dim_estimates(grid, tail_fraction)
+        lo, hi = dim_estimates(grid)
         estimates[name] = {"lower": lo, "upper": hi, "clipped": grid.clipped}
     report.details["estimates"] = estimates
     report.details["estimate_gaps"] = {
@@ -358,8 +349,8 @@ def _sample_triples(sample_count: int, n_max: int, seed: int):
     """
     if sample_count < 1:
         raise ValueError("sample_count must be positive")
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if not 2 <= n_max <= MAX_EXACT_DIMENSION:
+        raise ValueError(f"n_max must lie in [2, {MAX_EXACT_DIMENSION}]")
     rng = random.Random(seed)
     triples = []
     for i in range(sample_count):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from fsdim.blockstats import FEW_CODES, BlockDistribution, _BlockCounts, _entrop
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
-from oracles import entropy_from_counts, naive_block_counts, sliding_normality_deviation
+from oracles import (_naive_dim_estimates, entropy_from_counts, naive_block_counts,
+                     sliding_normality_deviation)
 
 
 def naive_code_counts(digits: bytes, k: int, l: int, n: int):
@@ -137,6 +139,18 @@ def test_dim_estimates_ordering_property():
         grid = entropy_rate_grid(DigitSequence(Alphabet(2), digits), 3, [50, 100, 400])
         lo, hi = dim_estimates(grid, rng.choice([0.3, 0.5, 1.0]))
         assert lo <= hi
+
+
+def test_dim_estimates_read_each_entry_once():
+    # a 200-digit stream fills 200 rows of a grid 10^6 block lengths tall: the
+    # estimates group the entries by l once instead of filtering them per l
+    seq = gen_champernowne(Alphabet(2), 200)
+    start = time.perf_counter()
+    grid = entropy_rate_grid(seq, 10 ** 6, [1, 2])
+    estimates = dim_estimates(grid)
+    assert time.perf_counter() - start < 1.0
+    assert len(grid.entries) == 300
+    assert estimates == _naive_dim_estimates([(e.l, e.n, e.h) for e in grid.entries], 200, 0.5)
 
 
 def test_dilution_estimates_near_half():

@@ -148,7 +148,10 @@ def test_identity_view_matches_frozenset(cell, data):
     assert list(view) == sorted(frozen)
     assert view == frozen and frozen == view
     assert not view != frozen
-    for j in data.draw(st.lists(st.integers(-2, implicit.n + 2), max_size=20)):
+    near = st.integers(-2, implicit.n + 2)
+    members = st.one_of(near, near.map(float), near.map(str), st.text(max_size=3), st.none(),
+                        st.floats(-2, implicit.n + 2).filter(lambda x: not x.is_integer()))
+    for j in data.draw(st.lists(members, max_size=20)):
         assert (j in view) == (j in frozen)
     for j in observed:
         assert j not in view

@@ -324,6 +324,17 @@ def test_suite_empty_sample_exits_one(tmp_path, capsys, suite, samples):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("suite", ["pseudometric", "contractivity"])
+@pytest.mark.parametrize("samples", ["3", "8"])
+def test_suite_n_max_above_solver_cap_exits_one(tmp_path, capsys, suite, samples):
+    # refused before any solve, whether or not the samples reach n = 7
+    report = tmp_path / "suite.json"
+    assert dispatch(["verify", suite, "--n-max", "7", "--samples", samples,
+                     "--report", str(report)]) == 1
+    assert capsys.readouterr().err == "error: n_max must lie in [2, 6]\n"
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("max_block_len", ["0", "-1"])
 def test_dilution_nonpositive_block_length_exits_one(tmp_path, capsys, max_block_len):
     report = tmp_path / "dil.json"
