@@ -28,6 +28,11 @@ fsdim verify wall --in "$out/alpha.txt" --base 10 --num 3 --den 1 \
   --max-block-len 6 --blocks 250,500,1250 --report "$out/wall3.json" > "$out/wall3.stdout"
 fsdim verify wall --in "$out/alpha.txt" --base 10 --num 1 --den 3 \
   --max-block-len 6 --blocks 250,500,1250 --report "$out/wall13.json" > "$out/wall13.stdout"
+# base 2 at the certificate cap k^l = 2^24: pair keys reach 2^48 and nearly
+# every row of the longest blocks is an identity row
+fsdim gen champernowne --base 2 --count 60000 --out "$out/champ2.txt"
+fsdim verify wall --in "$out/champ2.txt" --base 2 --num 5 --den 3 \
+  --max-block-len 24 --blocks 200,800,2000 --report "$out/wall-cap.json" > "$out/wall-cap.stdout"
 fsdim delta certificate --alpha "$out/alpha.txt" --m 3 --l 4 --n 2000 \
   --out "$out/cert.json" > "$out/cert.stdout"
 # an n = 5 pair whose pi has a zero entry: the witness has a zero-mass column

@@ -89,10 +89,9 @@ class UnobservedColumns(Set):
 
     def __init__(self, n: int, observed: Iterable[int]):
         self.n = n
-        if not isinstance(observed, np.ndarray):
-            observed = np.fromiter(observed, dtype=np.int64)
-        observed = observed.astype(np.int64, copy=False)
-        if (observed[1:] <= observed[:-1]).any():  # block tables pass them ascending
+        observed = np.asarray(observed if isinstance(observed, np.ndarray) else list(observed),
+                              dtype=np.int64)
+        if np.count_nonzero(observed[1:] <= observed[:-1]):  # block tables pass them ascending
             observed = np.unique(observed)
         self.observed = observed
         if len(self.observed) and not (self.observed[0] >= 0 and self.observed[-1] < n):
@@ -139,6 +138,16 @@ def _identity_mask(identity: Set, codes: np.ndarray) -> np.ndarray:
     return np.fromiter(map(identity.__contains__, codes.tolist()), dtype=bool, count=len(codes))
 
 
+def _any_identity(identity: Set, codes: np.ndarray) -> bool:
+    """Whether any of `codes`, ascending, distinct and nonnegative, is an identity column."""
+    if (isinstance(identity, UnobservedColumns) and 0 < len(identity.observed) <= len(codes)
+            and codes[-1] < identity.n):
+        # distinct codes in range(identity.n) that are no identity columns are
+        # observed codes; as many as those or more, they are the observed codes
+        return not _same(codes, identity.observed)
+    return bool(np.count_nonzero(_identity_mask(identity, codes)))
+
+
 def _int_array(values) -> np.ndarray:
     """Exact integers: int64 where they fit, Python ints otherwise."""
     try:
@@ -148,7 +157,7 @@ def _int_array(values) -> np.ndarray:
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    return len(a) == len(b) and bool((a == b).all())
+    return len(a) == len(b) and not np.count_nonzero(a != b)
 
 
 class SparseStochasticCertificate:
@@ -163,15 +172,18 @@ class SparseStochasticCertificate:
     frozenset.  `declared_m` is the sparsity bound claimed for every row and
     column.  The constructor converts rational entries {(row, col): value},
     column j taking the least common multiple of its denominators as its
-    mass.  The arrays do not change once set: groupings are cached from them.
+    mass.  The arrays do not change once set: setting them checks their
+    structure and caches the groupings and largest degrees every check reads.
     """
 
     __slots__ = ("n", "declared_m", "identity_columns", "rows", "cols", "flows", "columns",
-                 "masses", "_col_bounds", "_row_order", "_row_bounds", "_maxima", "_entries")
+                 "masses", "_col_bounds", "_row_order", "_row_bounds", "_row_codes", "_maxima",
+                 "_entries")
 
     def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int,
                  identity_columns: Set = frozenset()):
-        values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
+        values = {key: v if type(v) is Fraction else Fraction(v)  # in column order
+                  for key, v in sorted(entries.items(), key=lambda item: item[0][1])}
         mass: Dict[int, int] = {}
         for (_, j), v in values.items():
             mass[j] = math.lcm(mass.get(j, 1), v.denominator)
@@ -181,51 +193,47 @@ class SparseStochasticCertificate:
                   columns, [mass[j] for j in columns])
 
     def _set(self, n: int, declared_m: int, identity: Set, rows, cols, flows, columns, masses):
-        """Hold the flows (entries in any order) over the masses of `columns`
-        (ascending), after checking their structure."""
+        """Hold the flows, in column order (`cols` ascending), over the masses
+        of `columns` (ascending) after checking their structure."""
         if n < 1 or declared_m < 1:
             raise ValueError("dimension and declared_m must be positive")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         flows = _int_array(flows)
-        if (cols[1:] < cols[:-1]).any():
-            order = cols.argsort(kind="stable")
-            rows, cols, flows = rows[order], cols[order], flows[order]
         self.n, self.declared_m, self.identity_columns = n, declared_m, identity
         self.rows, self.cols, self.flows = rows, cols, flows
         self.columns, self.masses = np.asarray(columns, dtype=np.int64), _int_array(masses)
-        # entries are in column order; every check reads them in row order too
         self._col_bounds = col_bounds = _bounds(cols)
         self._row_order = rows.argsort(kind="stable")
-        self._row_bounds = _bounds(rows[self._row_order])
-        row_codes = self._row_codes()
+        by_row = rows[self._row_order]
+        self._row_bounds = row_bounds = _bounds(by_row)
+        self._row_codes = row_codes = by_row[row_bounds[:-1]]
         if len(cols) and (min(cols[0], row_codes[0]) < 0 or max(cols[-1], row_codes[-1]) >= n
                           or flows.min() < 1):
             raise ValueError(f"entry outside range({n}) or flow not positive")
         if flows.dtype == np.int64 and len(flows) and int(flows.max()) * len(flows) >= 2 ** 63:
             self.flows = flows.astype(object)  # column sums must not overflow
-        self._maxima = (int(self._row_degrees().max(initial=0)),
-                        int((col_bounds[1:] - col_bounds[:-1]).max(initial=0)))
-        self._entries = None
+        row_degrees = row_bounds[1:] - row_bounds[:-1]
+        row_max = int(row_degrees.max(initial=0))
+        col_max = int((col_bounds[1:] - col_bounds[:-1]).max(initial=0))
         if identity:
-            if isinstance(identity, UnobservedColumns):
-                in_range = identity.n <= n  # its codes lie in range(identity.n)
-            else:
-                in_range = 0 <= min(identity) and max(identity) < n
-            if not in_range:
+            if not (identity.n <= n if isinstance(identity, UnobservedColumns)
+                    else 0 <= min(identity) and max(identity) < n):
                 raise ValueError("identity column outside dimension")
-            if _identity_mask(identity, cols[col_bounds[:-1]]).any():
+            if _any_identity(identity, cols[col_bounds[:-1]]):
                 raise ValueError("identity columns collide with explicit entries")
+            # an identity 1 raises the largest degree only in a row of that degree
+            row_max = max(row_max + _any_identity(identity, row_codes[row_degrees == row_max]), 1)
+            col_max = max(col_max, 1)
+        self._maxima = row_max, col_max
+        self._entries = None
 
-    def _row_codes(self) -> np.ndarray:
-        """The rows holding entries, ascending."""
-        return self.rows[self._row_order[self._row_bounds[:-1]]]
-
-    def _row_degrees(self) -> np.ndarray:
-        """Entries of each row holding any, counting the 1 of its identity column."""
-        degrees = self._row_bounds[1:] - self._row_bounds[:-1]
+    def _degrees(self) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+        """(codes, entries) of the rows and columns holding entries; rows count their identity 1."""
+        rows, cols = self._row_bounds, self._col_bounds
+        row_degrees = rows[1:] - rows[:-1]
         if self.identity_columns:
-            degrees = degrees + _identity_mask(self.identity_columns, self._row_codes())
-        return degrees
+            row_degrees = row_degrees + _identity_mask(self.identity_columns, self._row_codes)
+        return (self._row_codes, row_degrees), (self.cols[cols[:-1]], cols[1:] - cols[:-1])
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
@@ -247,12 +255,11 @@ class SparseStochasticCertificate:
 
     def support_counts(self) -> Tuple[Counter, Counter]:
         """Entries per row and per column, identity columns included (O(n) for those)."""
-        bounds = self._col_bounds
+        row_degrees, col_degrees = self._degrees()
         rows = Counter(dict.fromkeys(self.identity_columns, 1))
         cols = Counter(rows)
-        # row degrees already count the identity 1
-        dict.update(rows, _sparse(self._row_codes(), self._row_degrees()))
-        cols.update(_sparse(self.cols[bounds[:-1]], bounds[1:] - bounds[:-1]))
+        dict.update(rows, _sparse(*row_degrees))  # row degrees already count the identity 1
+        cols.update(_sparse(*col_degrees))
         return rows, cols
 
     def max_degrees(self) -> Tuple[int, int]:
@@ -261,10 +268,7 @@ class SparseStochasticCertificate:
         An identity column j is a column of degree 1 and adds 1 to row j; a
         row holding only its identity entry has degree 1.
         """
-        row_max, col_max = self._maxima
-        if not self.identity_columns:
-            return row_max, col_max
-        return max(row_max, 1), max(col_max, 1)
+        return self._maxima
 
     def apply(self, pi) -> Dict[int, Fraction]:
         """Sparse product A*pi as {row: value}, zero rows omitted."""
@@ -274,30 +278,34 @@ class SparseStochasticCertificate:
         codes, values = self._image(weights, hits)
         return {i: Fraction(v, scale) for i, v in zip(codes.tolist(), values.tolist())}
 
-    def _image(self, weights: np.ndarray, hits: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """(rows ascending, values) of the nonzero entries of L*A*pi, from the
-        weight w_j * L of each entry's column and `hits` as in :meth:`_check`."""
-        codes = self._row_codes()
-        values = np.add.reduceat((self.flows * weights)[self._row_order], self._row_bounds[:-1])
+    def _image(self, weights, hits: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        """(rows ascending, values) of the nonzero entries of L*A*pi, from each entry's
+        column weight w_j * L (None: all 1) and `hits` as in :meth:`_check`."""
+        codes = self._row_codes
+        values = (self.flows if weights is None else self.flows * weights)[self._row_order]
+        if len(codes) < len(values):  # some row holds several entries
+            values = np.add.reduceat(values, self._row_bounds[:-1])
         if hits:
             codes = np.concatenate((codes, np.fromiter(hits, dtype=np.int64, count=len(hits))))
             values = np.concatenate((values, _int_array(list(hits.values()))))
             order = codes.argsort(kind="stable")
             starts = _bounds(codes[order])[:-1]
             codes, values = codes[order][starts], np.add.reduceat(values[order], starts)
-        nonzero = values.nonzero()[0]
-        return codes[nonzero], values[nonzero]
+        if np.count_nonzero(values) < len(values):
+            codes, values = codes[values != 0], values[values != 0]
+        return codes, values
 
-    def _check(self, weights: np.ndarray, scale: int, hits: Dict[int, int],
+    def _check(self, weights: Optional[np.ndarray], scale: int, hits: Dict[int, int],
                target: Tuple[np.ndarray, np.ndarray]) -> "ValidationOutcome":
         """Conditions (i)-(iii) of :func:`validate_certificate` in integers, all
-        scaled by L = `scale`, from the output of :func:`_scaled` (`weights`
-        is int64 only where no sum of its products with the flows can
-        overflow once the columns check).  Where several rows or columns
-        break a condition, the least index is reported."""
-        bounds = self._col_bounds
-        starts, degrees = bounds[:-1], bounds[1:] - bounds[:-1]
-        codes, sums = self.cols[starts], np.add.reduceat(self.flows, starts)
+        scaled by L = `scale`, from the output of :func:`_scaled` (`weights`,
+        w_j * L per explicit column or None where all are 1, is int64 only where
+        no sum of its products with the flows can overflow once the columns
+        check).  Where several rows or columns break a condition, the least
+        index is reported."""
+        bounds, codes, sums = self._col_bounds, self.cols, self.flows
+        if len(bounds) <= len(codes):  # some column holds several entries
+            codes, sums = codes[bounds[:-1]], np.add.reduceat(sums, bounds[:-1])
         # mass columns and identity columns are disjoint, so coverage is a count
         covered = len(self.columns) + len(self.identity_columns) == self.n
         if not (covered and _same(codes, self.columns) and _same(sums, self.masses)):
@@ -312,7 +320,8 @@ class SparseStochasticCertificate:
             return ValidationOutcome(False, "stochastic-columns", detail)
 
         # the columns now hold entries in the order of `columns`
-        image_codes, image = self._image(np.repeat(weights, degrees), hits)
+        image_codes, image = self._image(
+            None if weights is None else np.repeat(weights, bounds[1:] - bounds[:-1]), hits)
         if not (_same(image_codes, target[0]) and _same(image, target[1])):
             got, want = _sparse(image_codes, image), _sparse(*target)
             i = min(c for c in got.keys() | want.keys() if got.get(c, 0) != want.get(c, 0))
@@ -320,18 +329,13 @@ class SparseStochasticCertificate:
                                      f"(A*pi)[{i}] = {Fraction(got.get(i, 0), scale)} "
                                      f"!= {Fraction(want.get(i, 0), scale)}")
 
-        # a row or column holding only an identity entry has degree 1 <= declared_m
         declared = self.declared_m
-        row_max, col_max = self._maxima
-        if row_max > declared:
-            row_codes, row_degrees = self._row_codes(), self._row_degrees()
-            i = int(np.argmax(row_degrees > declared))
-            return ValidationOutcome(False, "support-bound",
-                                     f"row {row_codes[i]} has {row_degrees[i]} > {declared} entries")
-        if col_max > declared:
-            j = int(np.argmax(degrees > declared))
-            return ValidationOutcome(False, "support-bound",
-                                     f"column {codes[j]} has {degrees[j]} > {declared} entries")
+        if max(self._maxima) > declared:
+            for name, (codes, degrees) in zip(("row", "column"), self._degrees()):
+                if degrees.max() > declared:
+                    i = int(np.argmax(degrees > declared))
+                    detail = f"{name} {codes[i]} has {degrees[i]} > {declared} entries"
+                    return ValidationOutcome(False, "support-bound", detail)
         return ValidationOutcome(True)
 
     def __repr__(self) -> str:
@@ -727,14 +731,14 @@ class BlockCoupling(SparseStochasticCertificate):
 
     Column x is a block code among the first `blocks` l-blocks of alpha, its
     mass the number of those blocks equal to x; its flow into row y counts
-    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y.
-    Block codes absent from alpha are the implicit identity columns.  The
-    masses and the image block counts are counted from each code stream on
-    its own, never from the pairs, so the column and row checks compare two
-    independent counts.  Against the block distributions every w_x * L of
-    :func:`validate_certificate` is 1 for L = `blocks` and mu_y * L is the
-    image count of y, the integers :meth:`validate` checks.  `declared_m` is
-    `row_bound` (:func:`_coupling_bounds`) capped at k^l.
+    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y,
+    pairs in ascending (x, y) order.  Block codes absent from alpha are the
+    implicit identity columns.  The masses and the image block counts are
+    counted from each code stream on its own, never from the pairs, so the
+    column and row checks compare two independent counts.  Against the block
+    distributions every w_x * L of :func:`validate_certificate` is 1 for
+    L = `blocks` and mu_y * L is the image count of y, the integers
+    :meth:`validate` checks.  `declared_m` is `row_bound` capped at k^l.
     """
 
     __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts", "col_bound",
@@ -746,6 +750,11 @@ class BlockCoupling(SparseStochasticCertificate):
         self.image_codes, self.image_counts = image_codes, image_counts
         dimension = _certificate_dimension(alphabet.k, l)
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        if (np.count_nonzero(x[1:] < x[:-1])
+                or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
+            order = np.lexsort((y, x))
+            x, y, count = x[order], y[order], _int_array(count)[order]
         self._set(dimension, min(self.row_bound, dimension),
                   UnobservedColumns(dimension, source_codes), y, x, count,
                   source_codes, source_counts)
@@ -762,10 +771,10 @@ class BlockCoupling(SparseStochasticCertificate):
         keys += image.codes[:n]
         keys.sort()
         bounds = _bounds(keys)
-        x, counts = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+        y, counts = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
         del keys, bounds  # free the keys before the table groups its pairs
-        y = x % dimension
-        x //= dimension
+        x = y // dimension  # numpy divides by a scalar faster than it takes a remainder
+        y -= x * dimension
         return cls(alphabet, l, m, n, x, y, counts, *source.at(n)[0], *image.at(n)[0])
 
     def validate(self) -> ValidationOutcome:
@@ -774,12 +783,12 @@ class BlockCoupling(SparseStochasticCertificate):
         (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
         block j of alpha, so a pair with (y - m*x) mod k^l > m - 1 fails as
         "residue-identity"."""
-        outcome = self._check(np.ones(len(self.columns), dtype=np.int64), self.blocks, {},
-                              (self.image_codes, self.image_counts))
+        outcome = self._check(None, self.blocks, {}, (self.image_codes, self.image_counts))
         if not outcome.ok:
             return outcome
-        residue = (self.rows - (self.m % self.n) * self.cols) % self.n
-        if (residue >= self.m).any():
+        residue = self.rows - (self.m % self.n) * self.cols
+        residue -= residue // self.n * self.n
+        if residue.max(initial=0) >= self.m:
             t = int(np.argmax(residue >= self.m))
             return ValidationOutcome(False, "residue-identity",
                                      f"pair ({self.cols[t]}, {self.rows[t]}): (y - m*x) mod k^l = "
@@ -788,10 +797,9 @@ class BlockCoupling(SparseStochasticCertificate):
 
     def distributions(self) -> Tuple[BlockDistribution, BlockDistribution]:
         """Block distributions of alpha and of m*alpha."""
-        return (BlockDistribution(self.alphabet, self.l, self.blocks,
-                                  _sparse(self.columns, self.masses)),
-                BlockDistribution(self.alphabet, self.l, self.blocks,
-                                  _sparse(self.image_codes, self.image_counts)))
+        return tuple(BlockDistribution(self.alphabet, self.l, self.blocks, _sparse(codes, counts))
+                     for codes, counts in ((self.columns, self.masses),
+                                           (self.image_codes, self.image_counts)))
 
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,

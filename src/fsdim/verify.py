@@ -56,6 +56,8 @@ ENTROPY_SLACK = 2.0 ** -30
 
 
 def _jsonable(value):
+    if type(value) in (str, int, float, bool, type(None)):  # most of a report: tested first
+        return value
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (list, tuple)):

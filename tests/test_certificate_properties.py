@@ -14,7 +14,8 @@ certificates.
 
 The block table (BlockCoupling) is itself the certificate: its entries equal
 the rational builder in tests/oracles.py, its validate() agrees with the
-reference on valid and on corrupted tables, and a table built from codes
+reference on valid and on corrupted tables, pairs given out of order build the
+same table as pairs given ascending, and a table built from codes
 changed after they were counted fails its checks, since its masses and image
 counts are counted apart from its pairs.  Small random certificates, exact
 solver witnesses and their reversals and compositions are checked against the
@@ -455,6 +456,26 @@ def test_table_matches_rational_builder(cell):
     assert table.identity_columns == identity
     assert table.declared_m == declared
     assert integer_multiple_certificate(seq, m, l, n, 64)[0].entries == entries
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells(), st.booleans(), st.data())
+def test_table_from_shuffled_pairs_matches_ascending_build(cell, bumped, data):
+    # from_codes passes its pairs in ascending (x, y) order; the constructor
+    # must put pairs given in any other order into that order
+    table = build_table(cell)
+    count = table.flows.copy()
+    if bumped:
+        count[data.draw(st.integers(0, len(count) - 1))] += data.draw(st.integers(1, 5))
+    ascending = replace_pairs(table, table.cols, table.rows, count)
+    order = np.array(data.draw(st.permutations(range(len(count)))), dtype=np.int64)
+    shuffled = replace_pairs(table, table.cols[order], table.rows[order], count[order])
+    for name in ("rows", "cols", "flows"):
+        assert getattr(shuffled, name).tolist() == getattr(ascending, name).tolist()
+    assert list(shuffled.entries.items()) == list(ascending.entries.items())
+    assert integer_view(shuffled) == integer_view(ascending)
+    assert integer_view(ascending)[0][:2] == ((False, "stochastic-columns") if bumped
+                                              else (True, None))
 
 
 @PROPERTY_SETTINGS
