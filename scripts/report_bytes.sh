@@ -49,9 +49,11 @@ fsdim gen champernowne --base 2 --order integers --count 100000 --out "$out/int2
 fsdim gen champernowne --base 36 --count 50000 --out "$out/base36.txt"
 fsdim dim --in "$out/int2.txt" --max-block-len 8 \
   --blocks 1000,4000,12500 --report "$out/dim.json"
-# rows l > 62 of base 2 encode their blocks as Python ints (object arrays)
+# grid rows l > 62 of base 2 count their blocks as l-byte digit strings
 fsdim dim --in "$out/int2.txt" --max-block-len 70 \
   --blocks 100,400,1400 --report "$out/dim-long.json"
+fsdim dim --in "$out/champ2.txt" --max-block-len 200 \
+  --blocks 37,75,150 --report "$out/dim-200.json"
 # rows l <= 5 count blocks by running bincounts (10^5 = 2 * 50000), row 6 sorts
 fsdim gen champernowne --base 10 --count 300000 --out "$out/champ10.txt"
 fsdim dim --in "$out/champ10.txt" --max-block-len 6 \

@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -127,52 +127,29 @@ def _entropy_from_counts(counts, n: int) -> float:
     return max(h, 0.0)
 
 
-class _BlockCounts:
-    """The first schedule[-1] aligned l-blocks of `seq` as base-k `codes`.
+class _Blocks(NamedTuple):
+    """The first n aligned l-blocks of one stream: their keys `codes` in block
+    order, the observed keys `values` ascending with their positive `counts`,
+    and the entropy of those counts in bits.  Keys are base-k codes while
+    l * log2 k <= 62, and l-byte digit strings (np.void) beyond, whose memcmp
+    order is base-k code order."""
 
-    at(n) gives the block counts (ascending codes, counts) of the first n
-    blocks and their entropy in bits, for n of the ascending `schedule` asked
-    in ascending order: the nested prefixes are counted in one pass and one
-    prefix's counts are held at a time.  An n outside the schedule, or below
-    the prefix last asked for, raises ValueError.
-    """
-
-    def __init__(self, seq: DigitSequence, l: int, schedule: Sequence[int]):
-        self.codes = block_codes(seq, l, schedule[-1])
-        self._schedule = frozenset(schedule)
-        self._prefixes = ((n, blocks, _entropy_from_counts(blocks[1], n)) for n, blocks in
-                          zip(schedule, _prefix_counts(self.codes, seq.alphabet.k ** l, schedule)))
-        self._now = (0,)
-
-    def at(self, n: int) -> Tuple[Tuple[np.ndarray, np.ndarray], float]:
-        if n not in self._schedule:
-            raise ValueError(f"n={n} is not in the counted schedule")
-        if n < self._now[0]:
-            raise ValueError(f"n={n} is below the prefix already counted, n={self._now[0]}")
-        while self._now[0] < n:
-            self._now = next(self._prefixes)
-        return self._now[1:]
+    codes: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    bits: float
 
 
-def _count_blocks(streams: Dict[str, Tuple[DigitSequence, List[int]]], l: int):
-    """The counting plan of one block length: {name: _BlockCounts} for `streams`,
-    which maps a name to (digits, ascending nonempty block counts it needs).
-    Taken longest need first, a stream shares the counts of the first earlier
-    one whose digits agree with its own needed prefix."""
-    groups = []  # (digits, sequence, block counts, names) of each distinct prefix
-    for name, (seq, fits) in sorted(streams.items(), key=lambda item: -item[1][1][-1]):
-        view = seq.prefix_array(fits[-1] * l)
-        # distinct streams mostly differ in their first digits, and
-        # np.array_equal reads every digit before it answers
-        head = view[:64].tobytes()
-        group = next((g for g in groups if g[0][:len(head)].tobytes() == head
-                      and np.array_equal(g[0][:len(view)], view)), None)
-        if group is None:
-            groups.append(group := (view, seq, set(), []))
-        group[2].update(fits)
-        group[3].append(name)
-    return {name: counted for _, seq, fits, names in groups
-            for counted in [_BlockCounts(seq, l, sorted(fits))] for name in names}
+def _prefix_blocks(seq: DigitSequence, l: int, schedule: Sequence[int]):
+    """Yield the _Blocks of the first n aligned l-blocks of `seq` for each n of
+    the ascending `schedule`, counting the nested prefixes in one pass."""
+    k = seq.alphabet.k
+    if l * math.log2(k) > 62:
+        codes = seq.prefix_array(schedule[-1] * l).view(np.dtype((np.void, l)))
+    else:
+        codes = block_codes(seq, l, schedule[-1])
+    for n, (values, counts) in zip(schedule, _prefix_counts(codes, k ** l, schedule)):
+        yield _Blocks(codes[:n], values, counts, _entropy_from_counts(counts, n))
 
 
 def shannon_entropy(dist) -> float:
@@ -243,46 +220,52 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
     flagged clipped instead of failing, so partial sources still produce the
     largest feasible grid.
     """
-    schedule = _grid_schedule(max_block_len, n_schedule)
-    bits, = _grid_bits({"seq": seq}, max_block_len, schedule).values()
-    return _grid_from_bits(seq.alphabet, max_block_len, schedule, seq.length_available, bits)
+    return _grids({"seq": seq}, max_block_len, _grid_schedule(max_block_len, n_schedule))["seq"]
 
 
-def _count_rows(streams: Dict[str, Tuple[DigitSequence, int]], max_block_len: int,
-                schedule: List[int]):
-    """Yield (l, n, counted) for the cells of the grid, ascending l then n, up to
-    the first row that no stream reaches.  `streams` maps a name to (digits,
-    usable digit count); `counted` maps the name of each stream with n*l usable
-    digits to its counted blocks (_BlockCounts).  Each row l is counted by one
-    plan (_count_blocks), so streams whose digits agree share counts; ask
-    at(n) of the cells in the order given, since a shared count moves only
-    forward.  `counted` is the row's one dict: a stream leaves it past its last
-    n, and it is emptied before the next row is counted, so one block length's
-    codes are held at a time."""
+def _count_rows(streams: Dict[str, DigitSequence], max_block_len: int, schedule: List[int]):
+    """Yield (l, n, cells) for the cells of the grid, ascending l then n, up to
+    the first row that no stream reaches; `cells` maps the name of each stream
+    holding n*l digits to its _Blocks of the first n l-blocks.  Each row is
+    counted by one plan: taken longest need first, a stream shares the counts
+    of the first earlier one whose digits agree with its own needed prefix,
+    so each distinct prefix is encoded once and its nested prefixes are
+    counted in one pass.  `cells` is one dict, emptied after each yield, so
+    one block length's codes are held at a time."""
+    cells = {}
     for l in range(1, max_block_len + 1):
-        fits = {name: [n for n in schedule if n * l <= count]
-                for name, (_, count) in streams.items()}
-        counted = _count_blocks({name: (streams[name][0], f) for name, f in fits.items() if f}, l)
-        if not counted:
+        fits = {name: [n for n in schedule if n * l <= seq.length_available]
+                for name, seq in streams.items()}
+        groups = []  # (needed digits, prefix blocks, names) of each distinct prefix
+        for name in sorted((name for name in fits if fits[name]), key=lambda name: -fits[name][-1]):
+            view = streams[name].prefix_array(fits[name][-1] * l)
+            # distinct streams mostly differ in their first digits, and
+            # np.array_equal reads every digit before it answers
+            head = view[:64].tobytes()
+            group = next((g for g in groups if g[0][:len(head)].tobytes() == head
+                          and np.array_equal(g[0][:len(view)], view)), None)
+            if group is None:
+                groups.append(group := (view, _prefix_blocks(streams[name], l, fits[name]), []))
+            group[2].append(name)
+        if not groups:
             return
         for n in schedule:
-            for name in [name for name in counted if n not in fits[name]]:
-                del counted[name]
-            if counted:
-                yield l, n, counted
-        counted.clear()
+            cells.update((name, blocks) for view, prefixes, names in groups if n * l <= len(view)
+                         for blocks in [next(prefixes)] for name in names if n in fits[name])
+            if cells:
+                yield l, n, cells
+            cells.clear()
 
 
-def _grid_bits(streams: Dict[str, DigitSequence], max_block_len: int,
-               schedule: List[int]) -> Dict[str, Dict[Tuple[int, int], float]]:
-    """{name: {(l, n): entropy in bits}} over the cells (l, n) of the grid whose
-    n*l digits each stream has, in ascending l then n (see _count_rows)."""
+def _grids(streams: Dict[str, DigitSequence], max_block_len: int,
+           schedule: List[int]) -> Dict[str, DimensionEstimateGrid]:
+    """{name: grid} of each stream, its cells counted by one plan (see _count_rows)."""
     bits = {name: {} for name in streams}
-    for l, n, counted in _count_rows({name: (seq, seq.length_available)
-                                      for name, seq in streams.items()}, max_block_len, schedule):
-        for name in counted:
-            bits[name][l, n] = counted[name].at(n)[1]
-    return bits
+    for l, n, cells in _count_rows(streams, max_block_len, schedule):
+        for name, blocks in cells.items():
+            bits[name][l, n] = blocks.bits
+    return {name: _grid_from_bits(seq.alphabet, max_block_len, schedule, seq.length_available,
+                                  bits[name]) for name, seq in streams.items()}
 
 
 def _grid_from_bits(alphabet: Alphabet, max_block_len: int, schedule: List[int], avail: int,

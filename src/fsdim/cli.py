@@ -139,7 +139,7 @@ def _read_distribution(path) -> ProbabilityVector:
         raise _CliError(f"distribution file {path}: no \"p\" list of probabilities")
     try:
         entries = tuple(Fraction(x) for x in data["p"])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _CliError(f"distribution file {path}: bad entry in \"p\": {exc}") from exc
     if "n" in data and data["n"] != len(entries):
         raise _CliError(f"distribution file {path}: n={data['n']} but {len(entries)} entries")

@@ -178,13 +178,16 @@ def rational_digits(num: int, den: int, k: int, count: int) -> bytes:
 class DigitSequence:
     """A finite, immutable buffer of base-k digits.
 
-    The digits are copied into `bytes` once, on construction.  `exact_value`
+    The digits are copied into `bytes` once, on construction; an array of
+    another dtype than uint8 is read by its values.  `exact_value`
     is set when the digits are a prefix of the canonical
     (terminating-preferred) expansion of that rational.
     """
 
     def __init__(self, alphabet: Alphabet, digits, exact_value: Optional[Fraction] = None):
         self.alphabet = alphabet
+        if isinstance(digits, np.ndarray) and digits.dtype != np.uint8:
+            digits = digits.tolist()  # bytes() of a wider array would copy its memory
         self._buf = bytes(digits)
         if exact_value is not None and not 0 <= exact_value < 1:
             raise ValueError("exact_value must lie in [0, 1)")

@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .blockstats import BlockDistribution, _BlockCounts
+from .blockstats import BlockDistribution, _Blocks, _prefix_blocks
 from .digitseq import Alphabet, DigitSequence
 from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
                         _multiplier_shape)
@@ -755,27 +755,29 @@ class BlockCoupling(SparseStochasticCertificate):
                 or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
             order = np.lexsort((y, x))
             x, y, count = x[order], y[order], _int_array(count)[order]
-        self._set(dimension, min(self.row_bound, dimension),
-                  UnobservedColumns(dimension, source_codes), y, x, count,
-                  source_codes, source_counts)
+        identity = UnobservedColumns(dimension, source_codes)  # its int64 codes are the columns
+        self._set(dimension, min(self.row_bound, dimension), identity, y, x, count,
+                  identity.observed, source_counts)
 
     @classmethod
-    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: _BlockCounts,
-                   image: _BlockCounts, n: int) -> "BlockCoupling":
-        """Count the aligned pairs of the first n blocks of two counted code
-        streams by one in-place sort of the keys x*k^l + y; the masses and the
-        image counts are the streams' own block counts."""
+    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: _Blocks,
+                   image: _Blocks) -> "BlockCoupling":
+        """The table of two counted cells of n = len(source.codes) blocks: the
+        aligned pairs are counted by one in-place sort of the keys x*k^l + y of
+        the cells' codes, and the masses and the image counts are the cells'
+        own values and counts."""
         dimension = _certificate_dimension(alphabet.k, l)
-        keys = source.codes[:n].astype(np.int64)
+        keys = source.codes.astype(np.int64)
         keys *= dimension
-        keys += image.codes[:n]
+        keys += image.codes
         keys.sort()
         bounds = _bounds(keys)
         y, counts = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
         del keys, bounds  # free the keys before the table groups its pairs
         x = y // dimension  # numpy divides by a scalar faster than it takes a remainder
         y -= x * dimension
-        return cls(alphabet, l, m, n, x, y, counts, *source.at(n)[0], *image.at(n)[0])
+        return cls(alphabet, l, m, len(source.codes), x, y, counts, source.values, source.counts,
+                   image.values, image.counts)
 
     def validate(self) -> ValidationOutcome:
         """:func:`validate_certificate` against the two block distributions, then a
@@ -836,6 +838,6 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
         raise UnresolvedCarryError(
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
-    table = BlockCoupling.from_codes(seq.alphabet, l, m, _BlockCounts(seq, l, [n]),
-                                     _BlockCounts(product_digits, l, [n]), n)
+    (source,), (image,) = _prefix_blocks(seq, l, [n]), _prefix_blocks(product_digits, l, [n])
+    table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image)
     return (table, *table.distributions())

@@ -17,15 +17,16 @@ preservation results:
   worst-case majorization chain.
 
 Both digit-stream checks walk the grid's row loop (blockstats._count_rows),
-which counts blocks by one plan per block length l: each stream is encoded
-once, streams with equal digits share one encoding, and the nested prefixes
-of the schedule are counted in one pass.  The rational-arithmetic check
-reads alpha, q*alpha, q+alpha and the four certified products; its grid
-entries, certificate entropies and the marginals each pair table is checked
-against all read those counts, and the tables' own pairs never supply a
-marginal.  The dilution check reads five streams but encodes three per row:
-the even selection shares the source's counts and the odd selection the
-zeros'.
+which yields each (l, n) cell finished: for each stream holding n*l digits,
+the codes of its first n l-blocks, their counts and their entropy.  Each
+stream is encoded once per block length, streams with equal digits share one
+encoding, and the nested prefixes of the schedule are counted in one pass.
+The rational-arithmetic check reads alpha, q*alpha, q+alpha and the four
+certified products; its grid entries, its certificate entropies and the
+marginals each pair table is checked against all come from those cells, and
+the tables' own pairs never supply a marginal.  The dilution check reads five
+streams but encodes three per row: the even selection shares the source's
+counts and the odd selection the zeros'.
 
 Reports serialize to JSON deterministically: same seed and inputs give
 byte-identical output (timing is kept out of the canonical form).
@@ -44,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import (_BlockCounts, _count_rows, _grid_bits, _grid_from_bits, _grid_schedule,
+from .blockstats import (_Blocks, _count_rows, _grid_from_bits, _grid_schedule, _grids,
                          dim_estimates, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
@@ -99,15 +100,15 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _certificate_cell(leg: str, m: int, source: _BlockCounts, image: _BlockCounts,
+def _certificate_cell(leg: str, m: int, source: _Blocks, image: _Blocks,
                       alphabet: Alphabet, l: int, n: int, records: List, violations: List):
     """Check cell (l, n) of one leg, from the counted blocks of its stream and of
     its product frac(m * stream): an integer joint-count table checked against
     the plan's marginals, with the plan's entropies.  Appends its record and
     any violation."""
-    table = BlockCoupling.from_codes(alphabet, l, m, source, image, n)
+    table = BlockCoupling.from_codes(alphabet, l, m, source, image)
     bound = math.log2(table.row_bound)
-    h_a, h_b = source.at(n)[1], image.at(n)[1]
+    h_a, h_b = source.bits, image.bits
     outcome = table.validate()
     row_support, col_support = table.max_degrees()
     delta_h = abs(h_a - h_b)
@@ -195,12 +196,12 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
                 for leg, name, m in legs}
     cells = {leg: ([], []) for leg, _, _ in legs}  # records, violations
     bits = {name: {} for name in streams}
-    # each stream's grid cells cover its legs' source cells; an image has its legs' cells
-    digits = {**{name: (seq, seq.length_available) for name, seq in streams.items()},
-              **{leg: (p.digits, p.certified_count) for leg, p in products.items()}}
+    # each stream's grid cells cover its legs' source cells; an image, which
+    # holds its certified digits only, has its legs' cells
+    digits = {**streams, **{leg: p.digits for leg, p in products.items()}}
     for l, n, counted in _count_rows(digits, max_block_len, schedule):
         for name in streams.keys() & counted.keys():
-            bits[name][l, n] = counted[name].at(n)[1]
+            bits[name][l, n] = counted[name].bits
         for leg, name, m in legs:
             if leg in counted:
                 _certificate_cell(leg, m, counted[name], counted[leg], seq_alpha.alphabet, l, n,
@@ -303,10 +304,7 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
     streams = {"source": source, "diluted": diluted, "zeros": zeros,
                "selection-even": sel_even, "selection-odd": sel_odd}
     estimates = {}
-    bits = _grid_bits(streams, max_block_len, schedule)
-    for name, stream in streams.items():
-        grid = _grid_from_bits(alphabet, max_block_len, schedule, stream.length_available,
-                               bits[name])
+    for name, grid in _grids(streams, max_block_len, schedule).items():
         lo, hi = dim_estimates(grid, tail_fraction)
         estimates[name] = {"lower": lo, "upper": hi}
         report.records.append({"stream": name, "lower": lo, "upper": hi})

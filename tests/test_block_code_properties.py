@@ -1,22 +1,26 @@
 """Differential property tests: integer block codes against byte-slice counting.
 
 Block statistics count base-k integer codes, int64 while k^l <= 2^62 and
-Python ints beyond.  Each test draws a base in 2..36 and block lengths on
-both sides of that boundary, and checks the counts, the normality deviation
-and the entropy grid against naive counting over byte slices.
+Python ints beyond; grid rows beyond count l-byte digit strings instead.
+Each test draws a base in 2..36 and block lengths on both sides of that
+boundary, and checks the counts, the grid rows' keys, counts and entropies,
+the normality deviation and the entropy grid against naive counting over
+byte slices.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, block_frequencies, entropy_rate_grid,
                    normality_deviation, shannon_entropy)
+from fsdim.blockstats import _prefix_blocks
 from fsdim.digitseq import digits_to_int
 
-from oracles import naive_block_counts, sliding_normality_deviation
+from oracles import entropy_from_counts, naive_block_counts, sliding_normality_deviation
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -72,6 +76,35 @@ def test_block_counts_match_naive_slicing(cell):
     k, l, n, digits = cell
     expected = {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
     assert block_frequencies(DigitSequence(Alphabet(k), digits), l, n).counts == expected
+
+
+@st.composite
+def prefix_rows(draw):
+    k, l = draw(block_lengths())
+    schedule = sorted(set(draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))))
+    return k, l, schedule, draw(repeating_digits(k, l, schedule[-1] * l))
+
+
+def _key_code(key, k: int) -> int:
+    """The base-k code of a block key: an integer code, or an l-byte digit string."""
+    return digits_to_int(key.tobytes(), k) if isinstance(key, np.void) else int(key)
+
+
+@PROPERTY_SETTINGS
+@given(prefix_rows())
+@example((2, 63, [1, 3, 4], bytes([1]) * 126 + bytes(63) + bytes([1]) * 63))
+@example((36, 13, [2, 5], bytes(range(13)) * 3 + bytes([35] * 13) * 2))
+def test_prefix_blocks_match_naive_counts(row):
+    # past 62 bits the keys are digit strings, whose memcmp order must be code order
+    k, l, schedule, digits = row
+    for n, blocks in zip(schedule, _prefix_blocks(DigitSequence(Alphabet(k), digits), l, schedule)):
+        expected = {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
+        assert [_key_code(key, k) for key in blocks.codes] == [
+            digits_to_int(digits[j * l:(j + 1) * l], k) for j in range(n)]
+        values = [_key_code(key, k) for key in blocks.values]
+        assert values == sorted(expected)
+        assert blocks.counts.tolist() == [expected[v] for v in values]
+        assert blocks.bits == entropy_from_counts(expected.values(), n)
 
 
 @PROPERTY_SETTINGS

@@ -13,7 +13,7 @@ from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsEr
                    block_frequencies, dim_estimates, entropy_rate_grid, gen_champernowne,
                    gen_dilution, gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
-from fsdim.blockstats import FEW_CODES, BlockDistribution, _BlockCounts, _entropy_from_counts
+from fsdim.blockstats import FEW_CODES, BlockDistribution, _entropy_from_counts
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
@@ -275,25 +275,3 @@ def test_entropy_from_counts_memory_does_not_grow_with_the_largest_count():
         tracemalloc.stop()
     assert h.hex() == entropy_from_counts(counts.tolist(), n).hex()
     assert peak < 2 ** 20
-
-
-def test_block_counts_refuse_a_prefix_below_the_last_one_asked():
-    seq = gen_champernowne(Alphabet(2), 1000)
-    counted = _BlockCounts(seq, 2, [100, 150, 200])
-    for n in (100, 200, 200):  # the current prefix may be asked again
-        naive = naive_code_counts(seq.prefix(2 * n), 2, 2, n)
-        assert counted.at(n)[1] == entropy_from_counts(naive.values(), n)
-    for n in (100, 150):
-        with pytest.raises(ValueError, match="below the prefix already counted"):
-            counted.at(n)
-
-
-def test_block_counts_refuse_a_prefix_outside_the_schedule():
-    seq = gen_champernowne(Alphabet(2), 1000)
-    counted = _BlockCounts(seq, 2, [100, 200])
-    for n in (50, 150, 300):
-        with pytest.raises(ValueError, match="not in the counted schedule"):
-            counted.at(n)
-    naive = naive_code_counts(seq.prefix(400), 2, 2, 200)
-    values, counts = counted.at(200)[0]
-    assert dict(zip(values.tolist(), counts.tolist())) == naive

@@ -38,7 +38,7 @@ from fsdim import (Alphabet, BlockCoupling, DigitSequence, ProbabilityVector,
                    block_distribution_as_code_vector, compose_certificates,
                    delta_exact, gen_champernowne, integer_multiple_certificate, mul_int_mod1,
                    reverse_certificate, validate_certificate, verify_rational_arithmetic)
-from fsdim.blockstats import _BlockCounts
+from fsdim.blockstats import _prefix_blocks
 from fsdim.digitseq import digits_to_int
 
 import oracles
@@ -581,17 +581,15 @@ def test_table_checks_marginals_counted_apart_from_pairs(cell, in_source, data):
     seq = DigitSequence(Alphabet(k), digits)
     product = mul_int_mod1(seq, m, n * l, 64)
     assume(product.certified_count == n * l)
-    source, image = _BlockCounts(seq, l, [n]), _BlockCounts(product.digits, l, [n])
-    (observed, _), _ = source.at(n)
-    image.at(n)
+    (source,), (image,) = _prefix_blocks(seq, l, [n]), _prefix_blocks(product.digits, l, [n])
     j = data.draw(st.integers(0, n - 1))
     if in_source:
-        others = [x for x in observed.tolist() if x != source.codes[j]]
+        others = [x for x in source.values.tolist() if x != source.codes[j]]
         assume(others)
         source.codes[j] = data.draw(st.sampled_from(others))
     else:
         image.codes[j] = (image.codes[j] + data.draw(st.integers(1, k ** l - 1))) % k ** l
-    table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image, n)
+    table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image)
     assert integer_view(table) == rational_view(table)
     assert integer_view(table)[0][:2] == (False, "stochastic-columns" if in_source
                                           else "marginal-map")

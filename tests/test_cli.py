@@ -316,6 +316,16 @@ def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p_text", ['{"n": 2, "p": [1e400, 0]}', '{"n": 2, "p": [Infinity, 0]}'])
+def test_delta_exact_infinite_probability_exits_one(tmp_path, capsys, p_text):
+    pi = tmp_path / "p.json"
+    mu = tmp_path / "u.json"
+    pi.write_text(p_text)
+    mu.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
+    assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: distribution file {pi}: bad entry in \"p\"")
+
+
 @pytest.mark.parametrize("suite,samples", [("pseudometric", "-1"), ("contractivity", "0")])
 def test_suite_empty_sample_exits_one(tmp_path, capsys, suite, samples):
     report = tmp_path / "suite.json"

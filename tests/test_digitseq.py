@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,19 @@ def test_sequence_is_finite_immutable_buffer():
     assert view.flags.writeable is False
     with pytest.raises(ValueError):
         DigitSequence(Alphabet(2), bytes([0, 1, 2]))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint16])
+def test_sequence_reads_arrays_by_their_digit_values(dtype):
+    # bytes() of a wider array would copy its memory: 1, 2, 3 became 24 digits
+    seq = DigitSequence(Alphabet(10), np.array([1, 2, 3], dtype=dtype))
+    assert seq.prefix_str(seq.length_available) == "123"
+    for bad in ([1, 12], [9, 99]):
+        with pytest.raises(ValueError, match="out of range for base 10"):
+            DigitSequence(Alphabet(10), np.array(bad, dtype=dtype))
+    if np.iinfo(dtype).min < 0:
+        with pytest.raises(ValueError):
+            DigitSequence(Alphabet(10), np.array([1, -1], dtype=dtype))
 
 
 def test_negative_prefix_lengths_are_refused(tmp_path):
