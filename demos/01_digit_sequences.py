@@ -3,8 +3,9 @@
 Run:  python demos/01_digit_sequences.py
 """
 
+import os
 from fractions import Fraction
-from tempfile import NamedTemporaryFile
+from tempfile import TemporaryDirectory
 
 from fsdim import (Alphabet, gen_champernowne, gen_dilution, gen_rational_expansion,
                    read_digit_file, write_digit_file)
@@ -30,9 +31,10 @@ print("diluted Champernowne:", diluted.prefix_str(40))
 
 # Digit files: an ASCII form with a one-line header, and a binary form
 # magic "FSD1" + base byte + one byte per digit. Round trips are exact.
-with NamedTemporaryFile(suffix=".txt", delete=False) as handle:
-    path = handle.name
-write_digit_file(champ2, 40, path)
-back = read_digit_file(path)
-print("file round trip ok  :", back.prefix(40) == champ2.prefix(40))
-print(open(path).read().splitlines()[0], "<- file header")
+with TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "champ2.txt")
+    write_digit_file(champ2, 40, path)
+    back = read_digit_file(path)
+    print("file round trip ok  :", back.prefix(40) == champ2.prefix(40))
+    with open(path) as handle:
+        print(handle.read().splitlines()[0], "<- file header")

@@ -11,8 +11,8 @@ Run:  python demos/03_certified_arithmetic.py
 
 from fractions import Fraction
 
-from fsdim import (Alphabet, DigitSequence, add_rational_mod1, carry_advice_trace,
-                   div_int, gen_champernowne, gen_rational_expansion, mul_int_mod1,
+from fsdim import (Alphabet, DigitSequence, add_rational_mod1, div_int, gen_champernowne,
+                   gen_rational_expansion, integer_multiple_certificate, mul_int_mod1,
                    mul_rational_mod1)
 
 alphabet = Alphabet(10)
@@ -42,19 +42,16 @@ third = gen_rational_expansion(Fraction(1, 3), alphabet, 50)
 res = mul_int_mod1(third, 3, 10)
 print("3 * (1/3 exact)   :", res.digits.prefix_str(10), "(frac(1) = 0, terminating form)")
 
-# Multiplication by m is finite-state friendly: each output block depends
-# only on the matching input block, a carry bounded by the digit sum of m,
-# and the next floor(log_k m) digits. The trace makes that visible.
-trace = carry_advice_trace(gen_rational_expansion(Fraction(345, 1000), alphabet, 60), 12, 2, 4)
-print(f"x12 trace (r={trace.r}, carry bound s={trace.s}):")
-for entry in trace.entries:
-    print(f"  block {entry.j}: in={entry.block.hex()} carry={entry.carry}"
-          f" shift_in={entry.shift_in.hex()} out={entry.out_block.hex()}")
-
-# With m = 123 two digits shift in per block. The trace's output blocks
-# joined together are the certified product's digits.
-trace = carry_advice_trace(champ, 123, 3, 100)
-product = mul_int_mod1(champ, 123, 300)
-assert b"".join(entry.out_block for entry in trace.entries) == product.digits.prefix(300)
-print(f"x123 trace (r={trace.r}, s={trace.s}): 100 blocks of 3 match the product;"
-      f" carries used {sorted({entry.carry for entry in trace.entries})}")
+# Multiplication by m is finite-state friendly: block j of m*alpha is
+# (m*x + floor(m*tau_j)) mod k^l for the input block x and the tail tau_j
+# after it, so every aligned pair of a block table has (y - m*x) mod k^l at
+# most m - 1: a carry bounded by the digit sum of m plus what the next
+# floor(log_k m) digits shift in. With m = 123 two digits shift in per block.
+m, l = 123, 3
+table, _, _ = integer_multiple_certificate(champ, m, l, 100)
+residues = (table.rows - m * table.cols) % alphabet.k ** l
+print(f"x{m} table over 100 blocks of {l}: largest (y - m*x) mod k^l = {residues.max()}"
+      f" <= m - 1 = {m - 1}; validates: {table.validate().ok}")
+rows, cols = table.max_degrees()
+print(f"  largest column support {cols} <= {table.col_bound},"
+      f" largest row support {rows} <= {table.row_bound}")

@@ -22,10 +22,8 @@ from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
                          certificate_from_json_dict, certificate_to_json_dict,
                          compose_certificates, delta_exact, integer_multiple_certificate,
                          majorizes, reverse_certificate, validate_certificate)
-from .realarith import (CarryAdviceTrace, CertifiedDigitResult, TraceEntry,
-                        UnresolvedCarryError, add_rational_mod1, block_image,
-                        carry_advice_trace, div_int, mul_int_mod1, mul_rational_mod1,
-                        negate_mod1)
+from .realarith import (CertifiedDigitResult, UnresolvedCarryError, add_rational_mod1, div_int,
+                        mul_int_mod1, mul_rational_mod1, negate_mod1)
 from .verify import (VerificationReport, verify_contractivity_suite,
                      verify_dilution_counterexample, verify_pseudometric_suite,
                      verify_rational_arithmetic)
@@ -33,13 +31,13 @@ from .verify import (VerificationReport, verify_contractivity_suite,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet", "BlockCoupling", "BlockDistribution", "CarryAdviceTrace", "CertifiedDigitResult",
+    "Alphabet", "BlockCoupling", "BlockDistribution", "CertifiedDigitResult",
     "DigitFileError", "DigitSequence", "DimensionEstimateGrid", "DispersionResult",
     "GridEntry", "InsufficientDigitsError", "ProbabilityVector",
-    "SparseStochasticCertificate", "TraceEntry", "UnobservedColumns",
-    "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1", "block_image",
+    "SparseStochasticCertificate", "UnobservedColumns",
+    "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1",
     "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
-    "carry_advice_trace", "certificate_bound_bits", "certificate_from_json_dict",
+    "certificate_bound_bits", "certificate_from_json_dict",
     "certificate_to_json_dict", "compose_certificates",
     "delta_exact", "dim_estimates", "div_int", "entropy_rate_grid", "gen_champernowne",
     "gen_dilution", "gen_rational_expansion", "integer_multiple_certificate",

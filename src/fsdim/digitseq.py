@@ -71,28 +71,13 @@ class Alphabet:
 def digits_to_int(digits, k: int) -> int:
     """Value of big-endian base-k digits.
 
-    A plain Horner loop: callers pass one block, one limb or one shift-in
-    window, each a few dozen digits at most.
+    A plain Horner loop: it reads the last, partial limb of a digit array,
+    a few dozen digits at most.
     """
     v = 0
     for d in digits:
         v = v * k + d
     return v
-
-
-def int_to_digits(v: int, k: int, width: int) -> bytearray:
-    """Big-endian base-k digits of v, zero-padded on the left to `width`.
-
-    Requires 0 <= v < k**width.
-    """
-    if v < 0:
-        raise ValueError("negative value")
-    out = bytearray(width)
-    for i in range(width - 1, -1, -1):
-        v, out[i] = divmod(v, k)
-    if v:
-        raise ValueError("value does not fit in width")
-    return out
 
 
 def limb_width(k: int, m: int = 1):

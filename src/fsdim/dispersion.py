@@ -39,8 +39,7 @@ import numpy as np
 
 from .blockstats import BlockDistribution, _Blocks, _prefix_blocks
 from .digitseq import Alphabet, DigitSequence
-from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1,
-                        _multiplier_shape)
+from .realarith import DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1
 
 # block certificates index blocks by integer code; their unobserved columns
 # are implicit, so memory grows with the observed blocks, not with k^l; the
@@ -662,7 +661,10 @@ def majorizes(x, y) -> bool:
 def _coupling_bounds(m: int, k: int, l: int) -> Tuple[int, int]:
     """The column and row support bounds (s+1)*m and g*(s+1)*m of the l-block
     coupling of alpha and m*alpha, s the base-k digit sum of m, g = gcd(m, k^l)."""
-    _, _, s = _multiplier_shape(m, k)
+    s, rest = 0, m
+    while rest:
+        rest, digit = divmod(rest, k)
+        s += digit
     return (s + 1) * m, math.gcd(m, k ** l) * (s + 1) * m
 
 
@@ -784,7 +786,11 @@ class BlockCoupling(SparseStochasticCertificate):
         guard from how multiplication acts on blocks: block j of m*alpha is
         (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
         block j of alpha, so a pair with (y - m*x) mod k^l > m - 1 fails as
-        "residue-identity"."""
+        "residue-identity".  Multiplication is thus finite-state on blocks:
+        floor(m*tau_j) is a carry in [0, s], s the base-k digit sum of m, plus
+        what the next floor(log_k m) digits of alpha contribute, so each
+        output block is a function of the input block, that carry and those
+        digits."""
         outcome = self._check(None, self.blocks, {}, (self.image_codes, self.image_counts))
         if not outcome.ok:
             return outcome

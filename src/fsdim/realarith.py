@@ -11,12 +11,6 @@ The lookahead N grows geometrically until the digits resolve or a cap is
 reached.  Streams carrying an exact rational value skip the enclosure and
 emit digits by exact long division, which also resolves results that sit
 exactly on k-adic points (undetectable from any finite stream prefix).
-
-The carry/advice decomposition shows why multiplication by a positive
-integer m is a finite-state-friendly operation: each output block is a
-function of the matching input block, a carry bounded by the digit sum of m,
-and the next floor(log_k m) incoming digits.  The trace reads every such
-carry from one certified product.
 """
 
 from __future__ import annotations
@@ -24,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List
 
 import numpy as np
 
-from .digitseq import (Alphabet, DigitSequence, InsufficientDigitsError, digits_to_int,
-                       digits_to_limbs, divide_limbs, int_to_digits, limb_width,
-                       limbs_to_digits, rational_digits)
+from .digitseq import (DigitSequence, InsufficientDigitsError, digits_to_limbs, divide_limbs,
+                       limb_width, limbs_to_digits, rational_digits)
 
 DEFAULT_LOOKAHEAD_CAP = 4096
 
@@ -53,26 +45,6 @@ class CertifiedDigitResult:
     certified_count: int
     lookahead_used: int
     unresolved: bool
-
-
-@dataclass
-class TraceEntry:
-    j: int
-    block: bytes       # j-th l-block of the input stream
-    carry: int         # bounded by the base-k digit sum of the multiplier
-    shift_in: bytes    # next floor(log_k m) digits entering from the right
-    out_block: bytes   # j-th l-block of the product stream
-
-
-@dataclass
-class CarryAdviceTrace:
-    """Per-block carry/advice decomposition of multiplication by m."""
-
-    m: int
-    l: int
-    r: int  # floor(log_k m): digits shifted in from the right per block
-    s: int  # base-k digit sum of m: inclusive upper bound for every carry
-    entries: List[TraceEntry]
 
 
 def _resolve_carries(limbs: np.ndarray, K: int) -> int:
@@ -245,101 +217,3 @@ def negate_mod1(seq: DigitSequence, count: int,
                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
     """Certified digits of frac(-alpha)."""
     return _certified_affine(seq, Fraction(-1), Fraction(0), count, lookahead_cap)
-
-
-def _multiplier_shape(m: int, k: int):
-    # r = floor(log_k m), base-k digits of m (least significant first), digit sum
-    r = 0
-    while k ** (r + 1) <= m:
-        r += 1
-    m_digits = [(m // k ** i) % k for i in range(r + 1)]
-    return r, m_digits, sum(m_digits)
-
-
-def _shift_in_sum(z: bytes, m_digits: List[int], k: int) -> int:
-    """sum_i m_i * value(z[:i]), each prefix of z read most significant digit first."""
-    total = value = 0
-    for zi, mi in zip(z, m_digits[1:]):
-        value = value * k + zi
-        total += mi * value
-    return total
-
-
-def block_image(x, c: int, z, m: int, alphabet: Alphabet) -> bytes:
-    """Output block of multiplication by m from (input block, carry, shift-in).
-
-    For an l-digit block x with integer value v, carry c, and the next r
-    digits z entering from the right, the product stream's matching block is
-    the l-digit numeral of (m*v + c + sum_i m_i * value(z[:i])) mod k^l,
-    where m = sum_i m_i k^i in base k and value(z[:i]) = z[0]*k^(i-1) + ...
-    + z[i-1] reads the first i shift-in digits as a numeral.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    k = alphabet.k
-    x = alphabet.block(x)
-    z = alphabet.block(z)
-    r, m_digits, s = _multiplier_shape(m, k)
-    if len(z) != r:
-        raise ValueError(f"shift-in must have length {r}, got {len(z)}")
-    if not 0 <= c <= s:
-        raise ValueError(f"carry {c} outside [0, {s}]")
-    l = len(x)
-    if l < 1:
-        raise ValueError("block must be nonempty")
-    value = (m * digits_to_int(x, k) + c + _shift_in_sum(z, m_digits, k)) % (k ** l)
-    return bytes(int_to_digits(value, k, l))
-
-
-def carry_advice_trace(seq: DigitSequence, m: int, l: int, n_blocks: int,
-                       lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CarryAdviceTrace:
-    """Exact per-block carries, shift-in digits, and output blocks under *m.
-
-    Block j of m*alpha is (m*X_j + floor(m*tau_j)) mod k^l for the block X_j
-    and the tail tau_j after it.  Every floor(m*tau_j) comes from one
-    certified product: times m, the stream shifted right by w = r + 1 zeros
-    stays below 1 (k^w > m), so floor(m*tau_j) = (Y - m*X) mod k^w for the
-    codes Y and X of the w product and source digits ending with the block.
-    The carry is that less the shift-in sum and lies in [0, s].  Streams
-    without an exact value read at most `lookahead_cap` digits past the last
-    shift-in digit.
-    """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if l < 1 or n_blocks < 1:
-        raise ValueError("need l >= 1 and n_blocks >= 1")
-    if lookahead_cap < 1:
-        raise ValueError("lookahead_cap must be positive")
-    k = seq.alphabet.k
-    r, m_digits, s = _multiplier_shape(m, k)
-    need = n_blocks * l + r
-    if need > seq.length_available:
-        raise InsufficientDigitsError(
-            f"trace of {n_blocks} blocks needs {need} digits, "
-            f"only {seq.length_available} available")
-    w = r + 1
-    exact = None if seq.exact_value is None else seq.exact_value / k ** w
-    source = bytes(w) + seq.prefix(min(seq.length_available, need + lookahead_cap))
-    count = n_blocks * l + w
-    # mul_int_mod1 counts its cap from the product's last digit, r digits
-    # before the last shift-in digit
-    result = mul_int_mod1(DigitSequence(seq.alphabet, source, exact), m, count, lookahead_cap + r)
-    if result.certified_count < count:
-        j = max(result.certified_count - w, 0) // l
-        raise UnresolvedCarryError(
-            f"carry after block {j} unresolved within {lookahead_cap} digits of lookahead")
-    product = result.digits.prefix(count)
-
-    entries = []
-    for j in range(n_blocks):
-        end = (j + 1) * l + w  # the block's end in the shifted streams
-        block, shift_in, out = source[end - l:end], source[end:end + r], product[end - l:end]
-        tail = (digits_to_int(product[end - w:end], k)
-                - m * digits_to_int(source[end - w:end], k)) % k ** w  # floor(m*tau_j)
-        carry = tail - _shift_in_sum(shift_in, m_digits, k)
-        if not 0 <= carry <= s:
-            raise AssertionError(f"carry {carry} escaped [0, {s}] at block {j}")
-        if block_image(block, carry, shift_in, m, seq.alphabet) != out:
-            raise AssertionError(f"block_image disagrees with the product at block {j}")
-        entries.append(TraceEntry(j, block, carry, shift_in, out))
-    return CarryAdviceTrace(m, l, r, s, entries)

@@ -155,6 +155,12 @@ def carry_after(seq, m: int, position: int, lookahead_cap: int) -> int:
         window *= 2
 
 
+def shift_in_sum(digits, m: int, k: int) -> int:
+    """sum_i m_i * value(digits[:i]) for m = sum_i m_i k^i: what the r digits after
+    a block add to floor(m * tail) beside the carry of :func:`carry_after`."""
+    return sum((m // k ** i) % k * _numeral(digits[:i], k) for i in range(1, len(digits) + 1))
+
+
 def frac_digits(value: Fraction, k: int, count: int):
     """Digits of value mod 1, terminating expansion."""
     frac_part = value - (value.numerator // value.denominator)

@@ -21,9 +21,7 @@ from fsdim import (Alphabet, DigitSequence, block_distribution_as_code_vector,
                    validate_certificate, add_rational_mod1, div_int, mul_rational_mod1,
                    verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
-from fsdim.realarith import _multiplier_shape
-
-from oracles import frac_digits
+from oracles import _digit_sum, frac_digits
 
 SEED = 20260808
 ENTROPY_SLACK = 2.0 ** -30
@@ -62,7 +60,7 @@ def test_criterion_3_integer_multiple_certificates():
     for k in (2, 10):
         seq = gen_champernowne(Alphabet(k), 100_000)
         for m in (2, 3, 5, 7, 12):
-            _, _, s = _multiplier_shape(m, k)
+            s = _digit_sum(m, k)
             for l in range(1, 7):
                 guard_blocks = -(-64 // l) + 4
                 n = 100_000 // l - guard_blocks

@@ -7,10 +7,12 @@ runs of 0 and k-1, all k-1, exact k-adic points, periodic expansions, with
 and without the exact value), an operand on both sides of the int64 limb
 edge, a count and a lookahead cap, and checks every field of the result, or
 the exception type, against tests/oracles.py:certified_affine, the enclosure
-over k^N-sized Fractions.
+over k^N-sized Fractions.  On the same streams, the pairs of a block table
+are checked against the carries tests/oracles.py:carry_after encloses.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -19,12 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
-                   add_rational_mod1, carry_advice_trace, div_int, gen_rational_expansion,
-                   mul_int_mod1, mul_rational_mod1, negate_mod1)
+                   add_rational_mod1, div_int, gen_rational_expansion,
+                   integer_multiple_certificate, mul_int_mod1, mul_rational_mod1, negate_mod1)
 from fsdim import digitseq
+from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION
 from fsdim.realarith import _certified_affine
 
-from oracles import carry_after, certified_affine, long_division_digits
+from oracles import (_digit_sum, _numeral, carry_after, certified_affine, long_division_digits,
+                     shift_in_sum)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -114,7 +118,7 @@ def counts(seq):
 def cases(draw, name):
     seq = draw(streams())
     operand = draw(OPERATIONS[name][1])
-    return seq, operand, draw(counts(seq)), draw(st.sampled_from([1, 3, 16, 4096]))
+    return seq, operand, draw(counts(seq)), draw(st.sampled_from([0, 1, 3, 16, 4096]))
 
 
 @PROPERTY_SETTINGS
@@ -124,7 +128,7 @@ def test_affine_maps_match_fraction_enclosure(seq, coef, offset, data):
     # negative coefficients with |M| > 1 or d > 1 take the k's complement
     # route that no public operation but negate_mod1 (M = -1) reaches
     count = data.draw(counts(seq))
-    cap = data.draw(st.sampled_from([1, 3, 16, 4096]))
+    cap = data.draw(st.sampled_from([0, 1, 3, 16, 4096]))
     offset = Fraction(offset)
     assert outcome(_certified_affine, seq, coef, offset, count, cap) == outcome(
         certified_affine, seq, coef, offset, count, cap)
@@ -171,31 +175,48 @@ def test_long_division_across_blocks(seq, name, data):
 
 @PROPERTY_SETTINGS
 @given(seq=streams(), data=st.data())
-def test_trace_carries_match_fraction_windows(seq, data):
-    k = seq.alphabet.k
+def test_table_residues_match_fraction_carries(seq, data):
+    # block j of m*alpha is (m*x_j + carry_j + shift-in sum) mod k^l: every pair
+    # of the table, counted with its flow, has the residue the oracle gives
+    k, avail = seq.alphabet.k, seq.length_available
     # r = floor(log_k m) in 0..3, or an operand past the int64 limb edge
     m = data.draw(st.integers(0, 3).flatmap(lambda r: st.integers(k ** r, k ** (r + 1) - 1))
                   | st.just(2 ** 62 + 3))
     r = next(i for i in itertools.count() if k ** (i + 1) > m)
-    l = data.draw(st.integers(1, 5))
+    l = data.draw(st.integers(1, 5).filter(lambda l: k ** l <= MAX_CERTIFICATE_DIMENSION))
     # at most one block more than the stream holds
-    n_blocks = data.draw(st.integers(1, max(seq.length_available - r, 0) // l + 1))
+    n = data.draw(st.integers(1, max(avail - r, 0) // l + 1))
     cap = data.draw(st.sampled_from([1, 3, 16, 4096]))
-    if n_blocks * l + r > seq.length_available:
-        with pytest.raises(InsufficientDigitsError):
-            carry_advice_trace(seq, m, l, n_blocks, cap)
+    try:
+        # the product's cap counts from its last digit, the oracle's from the
+        # last shift-in digit r digits later: with cap + r both read as far
+        table = integer_multiple_certificate(seq, m, l, n, cap + r)[0]
+    except (InsufficientDigitsError, UnresolvedCarryError) as exc:
+        table = exc
+    if n * l > avail:
+        assert isinstance(table, InsufficientDigitsError)
         return
-    try:
-        expected = [carry_after(seq, m, (j + 1) * l, cap) for j in range(n_blocks)]
-    except UnresolvedCarryError:
-        expected = UnresolvedCarryError
-    try:
-        carries = [e.carry for e in carry_advice_trace(seq, m, l, n_blocks, cap).entries]
-    except UnresolvedCarryError:
-        carries = UnresolvedCarryError
-    # one certified product reads past every block's window, so the trace may
-    # resolve carries the oracle cannot; it must resolve all that the oracle does
-    assert carries == expected or expected is UnresolvedCarryError
+    digits = seq.prefix(avail) if seq.exact_value is None else long_division_digits(
+        seq.exact_value, k, n * l + r)
+    s, resolved, residues = _digit_sum(m, k), True, Counter()
+    for p in range(l, n * l + 1, l):
+        try:
+            carry = carry_after(seq, m, p, cap)
+        except (InsufficientDigitsError, UnresolvedCarryError):
+            resolved = False
+            continue
+        assert 0 <= carry <= s
+        residues[_numeral(digits[p - l:p], k),
+                 (carry + shift_in_sum(digits[p:p + r], m, k)) % k ** l] += 1
+    if isinstance(table, Exception):
+        # wherever the oracle resolves every carry, the table is built
+        assert isinstance(table, UnresolvedCarryError) and not resolved
+        return
+    assert table.validate().ok
+    table_residues = Counter({(x, (y - m * x) % k ** l): flow for x, y, flow in zip(
+        table.cols.tolist(), table.rows.tolist(), table.flows.tolist())})
+    # the product reads past blocks whose own windows the oracle cannot resolve
+    assert residues == table_residues if resolved else residues <= table_residues
 
 
 @PROPERTY_SETTINGS

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                    gen_champernowne, gen_dilution, gen_rational_expansion,
                    read_digit_file, select_progression, write_digit_file)
-from fsdim.digitseq import digits_to_int, int_to_digits
+from fsdim.digitseq import digits_to_int
 
-from oracles import DIGIT_CHARS, champernowne_digits, long_division_digits, parse_digit_file
+from oracles import (DIGIT_CHARS, _width_digits, champernowne_digits, long_division_digits,
+                     parse_digit_file)
 
 FILE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -34,9 +35,7 @@ def test_digit_int_conversions_roundtrip():
         k = rng.randint(2, 36)
         width = rng.randint(1, 300)
         v = rng.randrange(k ** width)
-        digits = int_to_digits(v, k, width)
-        assert len(digits) == width
-        assert digits_to_int(digits, k) == v
+        assert digits_to_int(_width_digits(v, k, width), k) == v
 
 
 def test_champernowne_binary_prefix():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fsdim import (Alphabet, DigitSequence, ProbabilityVector, SparseStochasticCertificate,
-                   UnresolvedCarryError,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, ProbabilityVector,
+                   SparseStochasticCertificate, UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
                    certificate_bound_bits, certificate_to_json_dict, compose_certificates,
                    delta_exact,
@@ -20,6 +20,7 @@ from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION, _coupling_with_degree_bo
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
 F = Fraction
+CHAMPERNOWNE_100 = gen_champernowne(Alphabet(10), 100)
 
 
 def vec(*entries):
@@ -443,20 +444,51 @@ class TestIntegerMultipleCertificate:
         assert c1.entries == c2.entries
         assert da1.counts == da2.counts and db1.counts == db2.counts
 
-    @pytest.mark.parametrize("m,l,n,product,error,message", [
-        (0, 2, 10, None, ValueError, "m must be a positive integer"),
-        (3, 0, 10, None, ValueError, "need l >= 1 and n >= 1"),
-        (3, 2, 0, None, ValueError, "need l >= 1 and n >= 1"),
-        (3, 8, 10, None, ValueError,
+    @pytest.mark.parametrize("seq,m,l,n,product,error,message", [
+        (CHAMPERNOWNE_100, 0, 2, 10, None, ValueError, "m must be a positive integer"),
+        (CHAMPERNOWNE_100, 3, 0, 10, None, ValueError, "need l >= 1 and n >= 1"),
+        (CHAMPERNOWNE_100, 3, 2, 0, None, ValueError, "need l >= 1 and n >= 1"),
+        (CHAMPERNOWNE_100, 3, 8, 10, None, ValueError,
          f"block space k^l = 100000000 exceeds the certificate cap {MAX_CERTIFICATE_DIMENSION}"),
-        (3, 2, 10, 19, UnresolvedCarryError, "precomputed product covers 19 of 20 digits"),
+        (CHAMPERNOWNE_100, 3, 2, 10, 19, UnresolvedCarryError,
+         "precomputed product covers 19 of 20 digits"),
+        (DigitSequence(Alphabet(10), bytes([1, 2, 3])), 12, 2, 5, None, InsufficientDigitsError,
+         "requested 10 result digits but the stream has only 3"),
+        # 3 times 0.333... straddles 1 at every lookahead: no digit is certified
+        (DigitSequence(Alphabet(10), bytes([3] * 200)), 3, 2, 10, None, UnresolvedCarryError,
+         "only 0 of 20 product digits certified"),
     ])
-    def test_refuses_bad_inputs(self, m, l, n, product, error, message):
-        seq = gen_champernowne(Alphabet(10), 100)
+    def test_refuses_bad_inputs(self, seq, m, l, n, product, error, message):
         digits = None if product is None else gen_champernowne(Alphabet(10), product)
         with pytest.raises(error) as excinfo:
-            integer_multiple_certificate(seq, m, l, n, product_digits=digits)
+            integer_multiple_certificate(seq, m, l, n, lookahead_cap=64, product_digits=digits)
         assert type(excinfo.value) is error and str(excinfo.value) == message
+
+    @pytest.mark.parametrize("m", [3, 12])
+    def test_refuses_nonpositive_lookahead_cap(self, m):
+        with pytest.raises(ValueError, match="^lookahead_cap must be positive$"):
+            integer_multiple_certificate(CHAMPERNOWNE_100, m, 2, 5, lookahead_cap=0)
+
+    def test_worked_example_residues(self):
+        # 12 * 0.345 = 4.14: block 34 maps to 14, and (14 - 12*34) mod 100 = 6
+        # is the carry 1 plus the shift-in digit 5 times m_1 = 1
+        seq = gen_rational_expansion(F(345, 1000), Alphabet(10), 40)
+        cert = integer_multiple_certificate(seq, 12, 2, 3)[0]
+        assert sorted(zip(cert.cols.tolist(), cert.rows.tolist(), cert.flows.tolist())) == [
+            (0, 0, 1), (34, 14, 1), (50, 0, 1)]
+
+    def test_carry_bound_m9(self):
+        # r = 0: the residue (y - m*x) mod k^l is the carry alone, at most s = 9
+        cert = integer_multiple_certificate(gen_champernowne(Alphabet(10), 800), 9, 3, 200)[0]
+        residues = [(y - 9 * x) % 1000 for x, y in zip(cert.cols.tolist(), cert.rows.tolist())]
+        assert 0 <= min(residues) and max(residues) <= 9
+
+    @pytest.mark.parametrize("m", [12, 345])  # r = 1 and r = 2
+    def test_stream_and_exact_tables_agree(self, m):
+        exact = gen_rational_expansion(F(22, 7 ** 3), Alphabet(10), 400)
+        stream = DigitSequence(Alphabet(10), exact.prefix(400))
+        assert integer_multiple_certificate(exact, m, 3, 40)[0].entries == \
+            integer_multiple_certificate(stream, m, 3, 40)[0].entries
 
     def test_refuses_product_in_another_base(self):
         with pytest.raises(ValueError, match="^product digits are base 10, alpha is base 2$"):

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
-                   add_rational_mod1, block_image, carry_advice_trace, div_int,
-                   gen_champernowne, gen_rational_expansion, mul_int_mod1,
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, add_rational_mod1,
+                   div_int, gen_champernowne, gen_rational_expansion, mul_int_mod1,
                    mul_rational_mod1, negate_mod1)
 from fsdim.digitseq import digits_to_int
 
@@ -198,76 +197,3 @@ def test_partial_certification_reports_common_prefix():
     assert res.unresolved
     assert res.certified_count < 8
     assert res.digits.prefix(res.certified_count) == bytes([2, 4, 9, 9, 9, 9, 9])[:res.certified_count]
-
-
-class TestBlockImage:
-    def test_examples(self):
-        assert block_image("57", 1, "", 3, A10) == bytes([7, 2])
-        assert block_image("34", 1, "5", 12, A10) == bytes([1, 4])
-        assert block_image("09", 0, "", 1, A10) == bytes([0, 9])
-        # 123 * 0.3456 = 42.5088: shift-in prefixes are read most significant first
-        assert block_image("34", 2, "56", 123, A10) == bytes([5, 0])
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            block_image("34", 4, "5", 12, A10)  # carry above digit sum s=3
-        with pytest.raises(ValueError):
-            block_image("34", 1, "55", 12, A10)  # shift-in length must be 1
-        with pytest.raises(ValueError, match="is not a base-10 digit"):
-            block_image([3, 12], 1, [5], 12, A10)  # digit values are checked like characters
-        with pytest.raises(ValueError, match="is not a base-10 digit"):
-            block_image([3, 4], 1, [10], 12, A10)
-
-
-class TestCarryAdviceTrace:
-    def test_worked_example(self):
-        seq = gen_rational_expansion(Fraction(345, 1000), A10, 40)
-        trace = carry_advice_trace(seq, 12, 2, 3)
-        assert (trace.r, trace.s) == (1, 3)
-        first = trace.entries[0]
-        assert first.block == bytes([3, 4])
-        assert first.carry == 1
-        assert first.shift_in == bytes([5])
-        assert first.out_block == bytes([1, 4])
-
-    def test_carry_bound_m9(self):
-        seq = gen_champernowne(A10, 800)
-        trace = carry_advice_trace(seq, 9, 3, 200)
-        assert trace.s == 9
-        assert all(0 <= e.carry <= 9 for e in trace.entries)
-
-    def test_identity_multiplier(self):
-        seq = gen_champernowne(A10, 500)
-        trace = carry_advice_trace(seq, 1, 4, 100)
-        assert all(e.carry == 0 and e.out_block == e.block for e in trace.entries)
-
-    def test_reconstructs_product_blocks(self):
-        for k, m, l in ((10, 12, 2), (2, 3, 4), (10, 7, 3), (2, 4, 3), (10, 123, 4), (3, 10, 3)):
-            seq = gen_champernowne(Alphabet(k), 2500)
-            n_blocks = 150
-            trace = carry_advice_trace(seq, m, l, n_blocks)
-            product = mul_int_mod1(seq, m, n_blocks * l)
-            rebuilt = b"".join(e.out_block for e in trace.entries)
-            assert rebuilt == product.digits.prefix(n_blocks * l)
-
-    def test_stream_and_exact_carries_agree(self):
-        q = Fraction(22, 7 ** 3)
-        exact_seq = gen_rational_expansion(q, A10, 400)
-        stream_seq = bare(exact_seq.prefix(400), 10)
-        for m in (12, 345):  # r = 1 and r = 2
-            t_exact = carry_advice_trace(exact_seq, m, 3, 40)
-            t_stream = carry_advice_trace(stream_seq, m, 3, 40)
-            assert t_exact.entries == t_stream.entries
-
-    def test_unresolved_tail_carry(self):
-        with pytest.raises(UnresolvedCarryError):
-            carry_advice_trace(bare([3] * 500), 3, 2, 10, lookahead_cap=128)
-
-    def test_insufficient_digits(self):
-        with pytest.raises(InsufficientDigitsError):
-            carry_advice_trace(bare([1, 2, 3]), 12, 2, 5)
-
-    @pytest.mark.parametrize("m", [3, 12])
-    def test_refuses_nonpositive_lookahead_cap(self, m):
-        with pytest.raises(ValueError, match="lookahead_cap must be positive"):
-            carry_advice_trace(gen_champernowne(A10, 100), m, 2, 5, lookahead_cap=0)
