@@ -28,8 +28,8 @@ the tables' own pairs never supply a marginal.  The dilution check reads five
 streams but encodes three per row: the even selection shares the source's
 counts and the odd selection the zeros'.
 
-Reports serialize to JSON deterministically: same seed and inputs give
-byte-identical output (timing is kept out of the canonical form).
+Reports hold JSON values and serialize deterministically: same seed and
+inputs give byte-identical output (timing is kept out of the canonical form).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,22 +50,10 @@ from .blockstats import (_Blocks, _count_rows, _grid_from_bits, _grid_schedule, 
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
                          _certificate_dimension, build_banded_worst_case, compose_certificates,
-                         delta_exact, majorizes, reverse_certificate, validate_certificate)
+                         delta_exact, majorizes, reverse_certificate)
 from .realarith import CertifiedDigitResult, add_rational_mod1, mul_int_mod1, mul_rational_mod1
 
 ENTROPY_SLACK = 2.0 ** -30
-
-
-def _jsonable(value):
-    if type(value) in (str, int, float, bool, type(None)):  # most of a report: tested first
-        return value
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
 
 
 @dataclass
@@ -73,9 +61,11 @@ class VerificationReport:
     """Structured result of one verification scenario.
 
     `records` carries the per-cell or per-sample checks, `details` the
-    scenario-level numbers, and `violations` one message per failed check.
-    `elapsed_seconds` is informational and excluded from canonical JSON so
-    reruns with the same inputs serialize identically.
+    scenario-level numbers, and `violations` one message per failed check;
+    the report passes exactly when there is none.  All four hold JSON values
+    only (a rational q is the string "num/den").  `elapsed_seconds` is
+    informational and excluded from canonical JSON so reruns with the same
+    inputs serialize identically.
     """
 
     scenario: str
@@ -83,18 +73,15 @@ class VerificationReport:
     records: List[Dict] = field(default_factory=list)
     details: Dict = field(default_factory=dict)
     violations: List[str] = field(default_factory=list)
-    passes: bool = True
     elapsed_seconds: Optional[float] = None
 
+    @property
+    def passes(self) -> bool:
+        return not self.violations
+
     def to_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "inputs": _jsonable(self.inputs),
-            "records": _jsonable(self.records),
-            "details": _jsonable(self.details),
-            "violations": list(self.violations),
-            "passes": self.passes,
-        }
+        names = ("scenario", "inputs", "records", "details", "violations", "passes")
+        return {name: getattr(self, name) for name in names}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -153,8 +140,9 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     Unresolved carries shorten the usable prefix and are reported rather
     than fatal: the leg cells they leave out are listed as skipped, and a
     derived stream whose certified digits fit no grid cell has no estimate
-    and is a violation.  An alpha
-    too short for any grid cell raises InsufficientDigitsError.
+    and is a violation.  For an integer q, of either sign, the certified
+    digits of q+alpha must be alpha's own.  An alpha too short for any grid
+    cell raises InsufficientDigitsError.
     """
     start = time.monotonic()
     schedule = _grid_schedule(max_block_len, n_schedule)
@@ -173,7 +161,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
 
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
-        inputs={"k": k, "q": q, "max_block_len": max_block_len,
+        inputs={"k": k, "q": f"{a}/{b}", "max_block_len": max_block_len,
                 "n_schedule": schedule, "tail_fraction": 0.5,
                 "digits_used": target},
     )
@@ -250,7 +238,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
             for name, stream in streams.items() if stream.length_available >= w_len
         }
 
-    if b == 1 and a >= 1:
+    if b == 1:
         # integer shifts leave the fractional digits untouched
         n_cmp = sum_result.certified_count
         identical = sum_result.digits.prefix(n_cmp) == seq_alpha.prefix(n_cmp)
@@ -258,7 +246,6 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
         if not identical:
             report.violations.append("integer addition changed fractional digits")
 
-    report.passes = not report.violations
     report.elapsed_seconds = time.monotonic() - start
     return report
 
@@ -320,10 +307,7 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
         ("odd selection estimates exactly (0, 0)",
          estimates["selection-odd"]["lower"] == 0.0 and estimates["selection-odd"]["upper"] == 0.0),
     ]
-    for label, ok in checks:
-        if not ok:
-            report.violations.append(label)
-    report.passes = not report.violations
+    report.violations.extend(label for label, ok in checks if not ok)
     report.elapsed_seconds = time.monotonic() - start
     return report
 
@@ -331,13 +315,8 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
 def _random_rational_vector(rng: random.Random, n: int) -> ProbabilityVector:
     # denominator <= 64; uniform weak composition via stars and bars
     d = rng.randint(1, 64)
-    cuts = sorted(rng.sample(range(d + n - 1), n - 1))
-    parts = []
-    prev = -1
-    for c in cuts:
-        parts.append(c - prev - 1)
-        prev = c
-    parts.append(d + n - 2 - prev)
+    bars = [-1, *sorted(rng.sample(range(d + n - 1), n - 1)), d + n - 1]
+    parts = [hi - lo - 1 for lo, hi in zip(bars, bars[1:])]
     return ProbabilityVector(tuple(Fraction(x, d) for x in parts))
 
 
@@ -367,60 +346,91 @@ def _sample_triples(sample_count: int, n_max: int, seed: int):
     return triples
 
 
+def _axiom_suite(scenario: str, unit: str, sample_count: int, n_max: int, seed: int,
+                 check) -> VerificationReport:
+    """The loop both axiom suites share, over the seeded triples.
+
+    `check(solve, pi, mu, nu)` returns the solver results it read by name,
+    the record's own fields, and (label, ok) pairs; `solve` solves each
+    distinct pair once by delta_exact.  A result that hit the node budget
+    and each failed label are violations.
+    """
+    start = time.monotonic()
+    report = VerificationReport(
+        scenario=scenario,
+        inputs={"sample_count": sample_count, "n_max": n_max, "seed": seed},
+    )
+    solve = functools.cache(delta_exact)
+    for idx, (n, pi, mu, nu) in enumerate(_sample_triples(sample_count, n_max, seed)):
+        results, fields, checks = check(solve, pi, mu, nu)
+        report.violations.extend(f"{unit} {idx}: {name} hit the budget"
+                                 for name, res in results.items() if res.method != "exact-search")
+        failed = [label for label, ok in checks if not ok]
+        report.records.append({unit: idx, "n": n, **fields, "failed": failed})
+        report.violations.extend(f"{unit} {idx} (n={n}): {label}" for label in failed)
+    report.details[f"{unit}s_checked"] = sample_count
+    report.elapsed_seconds = time.monotonic() - start
+    return report
+
+
+def _pseudometric_check(solve, pi, mu, nu):
+    results = {
+        "identity": solve(pi, pi),
+        "pi_mu": solve(pi, mu),
+        "mu_pi": solve(mu, pi),
+        "mu_nu": solve(mu, nu),
+        "pi_nu": solve(pi, nu),
+    }
+    checks = [
+        ("nonnegativity", all(r.m_star >= 1 for r in results.values())),
+        ("identity", results["identity"].m_star == 1),
+        ("symmetry", results["pi_mu"].m_star == results["mu_pi"].m_star),
+        ("triangle", results["pi_nu"].m_star
+         <= results["pi_mu"].m_star * results["mu_nu"].m_star),
+    ]
+    try:
+        # both constructions validate what they build and raise AssertionError if it fails
+        reverse_certificate(results["mu_pi"].witness, mu, pi)
+        compose_certificates(results["mu_nu"].witness, results["pi_mu"].witness, pi, mu, nu)
+    except (ValueError, AssertionError) as exc:
+        checks.append((f"construction-error: {exc}", False))
+    return results, {"m": {name: res.m_star for name, res in results.items()}}, checks
+
+
 def verify_pseudometric_suite(sample_count: int = 200, n_max: int = 4,
                               seed: int = 0) -> VerificationReport:
     """Pseudometric axioms of the exact dispersion on seeded random triples.
 
     Checks nonnegativity, identity, symmetry, and the triangle inequality
-    (in exact integer form m13 <= m12 * m23), and re-validates the reversal
-    and composition constructions on the solver witnesses.  Each distinct
-    pair is solved once by delta_exact (n <= 6, at most 10^6 search nodes
-    below m = n); a solve that hits the node budget is a violation.
+    (in exact integer form m13 <= m12 * m23), and rebuilds the reversal and
+    composition constructions, which validate themselves, on the solver
+    witnesses.  Each distinct pair is solved once by delta_exact (n <= 6, at
+    most 10^6 search nodes below m = n); a solve that hits the node budget is
+    a violation.
     """
-    start = time.monotonic()
-    report = VerificationReport(
-        scenario="pseudometric-suite",
-        inputs={"sample_count": sample_count, "n_max": n_max, "seed": seed},
-    )
-    solve = functools.cache(delta_exact)  # each pair is solved once per call
-    for idx, (n, pi, mu, nu) in enumerate(_sample_triples(sample_count, n_max, seed)):
-        results = {
-            "identity": solve(pi, pi),
-            "pi_mu": solve(pi, mu),
-            "mu_pi": solve(mu, pi),
-            "mu_nu": solve(mu, nu),
-            "pi_nu": solve(pi, nu),
-        }
-        for name, res in results.items():
-            if res.method != "exact-search":
-                report.violations.append(f"triple {idx}: {name} hit the budget")
-        checks = [
-            ("nonnegativity", all(r.m_star >= 1 for r in results.values())),
-            ("identity", results["identity"].m_star == 1),
-            ("symmetry", results["pi_mu"].m_star == results["mu_pi"].m_star),
-            ("triangle", results["pi_nu"].m_star
-             <= results["pi_mu"].m_star * results["mu_nu"].m_star),
-        ]
-        try:
-            rev = reverse_certificate(results["mu_pi"].witness, mu, pi)
-            checks.append(("reverse-validates", validate_certificate(rev, pi, mu).ok))
-            comp = compose_certificates(results["mu_nu"].witness,
-                                        results["pi_mu"].witness, pi, mu, nu)
-            checks.append(("compose-validates", validate_certificate(comp, pi, nu).ok))
-        except (ValueError, AssertionError) as exc:
-            checks.append((f"construction-error: {exc}", False))
-        failed = [label for label, ok in checks if not ok]
-        report.records.append({
-            "triple": idx, "n": n,
-            "m": {name: res.m_star for name, res in results.items()},
-            "failed": failed,
-        })
-        for label in failed:
-            report.violations.append(f"triple {idx} (n={n}): {label}")
-    report.details["triples_checked"] = sample_count
-    report.passes = not report.violations
-    report.elapsed_seconds = time.monotonic() - start
-    return report
+    return _axiom_suite("pseudometric-suite", "triple", sample_count, n_max, seed,
+                        _pseudometric_check)
+
+
+def _contractivity_check(solve, pi, mu, _nu):
+    res = solve(pi, mu)
+    m = res.m_star
+    h_pi = shannon_entropy(pi)
+    h_mu = shannon_entropy(mu)
+
+    pi_sorted = sorted(pi.p, reverse=True)
+    banded = build_banded_worst_case(pi.n, m)
+    spread = banded.apply(list(pi_sorted))
+    r_vec = tuple(spread.get(i, Fraction(0)) for i in range(pi.n))
+    h_r = shannon_entropy(ProbabilityVector(r_vec))
+
+    checks = [
+        ("contractive", abs(h_pi - h_mu) <= res.delta_bits + ENTROPY_SLACK),
+        ("banded-majorizes", majorizes(r_vec, mu.p)),
+        ("H(r) <= H(mu)", h_r <= h_mu + ENTROPY_SLACK),
+        ("H(pi) <= H(r) + log2(m)", h_pi <= h_r + math.log2(m) + ENTROPY_SLACK),
+    ]
+    return {"solver": res}, {"m": m, "h_pi": h_pi, "h_mu": h_mu, "h_spread": h_r}, checks
 
 
 def verify_contractivity_suite(sample_count: int = 200, n_max: int = 4,
@@ -433,42 +443,5 @@ def verify_contractivity_suite(sample_count: int = 200, n_max: int = 4,
     solved as in verify_pseudometric_suite: once each by delta_exact, and a
     solve that hits the node budget is a violation.
     """
-    start = time.monotonic()
-    report = VerificationReport(
-        scenario="contractivity-suite",
-        inputs={"sample_count": sample_count, "n_max": n_max, "seed": seed},
-    )
-    solve = functools.cache(delta_exact)  # each pair is solved once per call
-    for idx, (n, pi, mu, _nu) in enumerate(_sample_triples(sample_count, n_max, seed)):
-        res = solve(pi, mu)
-        if res.method != "exact-search":
-            report.violations.append(f"pair {idx}: solver hit the budget")
-        m = res.m_star
-        delta_bits = res.delta_bits
-        h_pi = shannon_entropy(pi)
-        h_mu = shannon_entropy(mu)
-
-        pi_sorted = sorted(pi.p, reverse=True)
-        banded = build_banded_worst_case(n, m)
-        spread = banded.apply(list(pi_sorted))
-        r_vec = tuple(spread.get(i, Fraction(0)) for i in range(n))
-        h_r = shannon_entropy(ProbabilityVector(r_vec))
-
-        checks = [
-            ("contractive", abs(h_pi - h_mu) <= delta_bits + ENTROPY_SLACK),
-            ("banded-majorizes", majorizes(r_vec, mu.p)),
-            ("H(r) <= H(mu)", h_r <= h_mu + ENTROPY_SLACK),
-            ("H(pi) <= H(r) + log2(m)", h_pi <= h_r + math.log2(m) + ENTROPY_SLACK),
-        ]
-        failed = [label for label, ok in checks if not ok]
-        report.records.append({
-            "pair": idx, "n": n, "m": m,
-            "h_pi": h_pi, "h_mu": h_mu, "h_spread": h_r,
-            "failed": failed,
-        })
-        for label in failed:
-            report.violations.append(f"pair {idx} (n={n}): {label}")
-    report.details["pairs_checked"] = sample_count
-    report.passes = not report.violations
-    report.elapsed_seconds = time.monotonic() - start
-    return report
+    return _axiom_suite("contractivity-suite", "pair", sample_count, n_max, seed,
+                        _contractivity_check)

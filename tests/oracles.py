@@ -546,7 +546,7 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     prod_result = mul_rational_mod1(seq, q, target, lookahead_cap)
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
-        inputs={"k": k, "q": q, "max_block_len": max_block_len, "n_schedule": schedule,
+        inputs={"k": k, "q": f"{a}/{b}", "max_block_len": max_block_len, "n_schedule": schedule,
                 "tail_fraction": tail_fraction, "digits_used": target})
     if sum_result.unresolved:
         report.details["sum_certified"] = sum_result.certified_count
@@ -642,11 +642,10 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
                 stream.prefix(need), k, normality_w_len, window))
         report.details["normality_deviation"] = deviations
 
-    if b == 1 and a >= 1:
+    if b == 1:
         n_cmp = sum_result.certified_count
         identical = sum_result.digits.prefix(n_cmp) == seq.prefix(n_cmp)
         report.details["sum_digits_identical"] = identical
         if not identical:
             report.violations.append("integer addition changed fractional digits")
-    report.passes = not report.violations
     return report

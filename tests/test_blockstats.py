@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,8 @@ from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsEr
                    block_frequencies, dim_estimates, entropy_rate_grid, gen_champernowne,
                    gen_dilution, gen_rational_expansion, normality_deviation, shannon_entropy,
                    sliding_frequency)
-from fsdim.blockstats import FEW_CODES, BlockDistribution, _entropy_from_counts
+from fsdim.blockstats import (FEW_CODES, BlockDistribution, DimensionEstimateGrid,
+                              _entropy_from_counts)
 from fsdim.digitseq import digits_to_int
 from fsdim.dispersion import block_distribution_as_code_vector
 
@@ -220,6 +222,34 @@ def test_normality_deviation_examples():
     assert normality_deviation(alt, 2, 200) == Fraction(1, 4)
     champ = gen_champernowne(Alphabet(2), 100_010)
     assert normality_deviation(champ, 4, 100_000) < Fraction(5, 100)
+
+
+CHAMP_2 = gen_champernowne(Alphabet(2), 64)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BlockDistribution(Alphabet(2), 0, 1, {0: 1}),
+     "block length and block count must be positive"),
+    (lambda: BlockDistribution(Alphabet(2), 1, 0, {}),
+     "block length and block count must be positive"),
+    (lambda: block_frequencies(CHAMP_2, 0, 5), "need l >= 1 and n >= 1"),
+    (lambda: block_frequencies(CHAMP_2, 2, 0), "need l >= 1 and n >= 1"),
+    (lambda: shannon_entropy([Fraction(3, 2), Fraction(-1, 2)]), "negative probability"),
+    (lambda: shannon_entropy([1.5, -0.5]), "negative probability"),
+    (lambda: dim_estimates(DimensionEstimateGrid(Alphabet(2), 2, (10,))), "empty grid"),
+    (lambda: dim_estimates(entropy_rate_grid(CHAMP_2, 2, [10]), 0),
+     "tail_fraction must lie in (0, 1]"),
+    (lambda: dim_estimates(entropy_rate_grid(CHAMP_2, 2, [10]), 1.5),
+     "tail_fraction must lie in (0, 1]"),
+    (lambda: sliding_frequency(CHAMP_2, [], 10), "w must be nonempty"),
+    (lambda: sliding_frequency(CHAMP_2, [1], 0), "n must be positive"),
+    (lambda: normality_deviation(CHAMP_2, 0, 10), "w_max_len must be >= 1"),
+], ids=["distribution-l", "distribution-n", "frequencies-l", "frequencies-n",
+        "entropy-exact-negative", "entropy-float-negative", "empty-grid", "tail-zero",
+        "tail-above-one", "empty-word", "sliding-n", "normality-w"])
+def test_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_block_distribution_validates_totals():

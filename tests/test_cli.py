@@ -245,6 +245,33 @@ def test_dim_bad_blocks_exit_one(tmp_path, capsys, blocks, message):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "champernowne", "--count", "-1"], "--count must be nonnegative"),
+    (["gen", "dilution", "--count", "10"], "dilution needs --in FILE"),
+    (["arith", "mul-int", "--in", "{src}", "--count", "5"], "mul-int needs --m"),
+    (["arith", "div-int", "--in", "{src}", "--count", "5"], "div-int needs --m"),
+])
+def test_missing_or_bad_arguments_exit_one(tmp_path, capsys, argv, message):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "100", "--out", str(src))
+    out = tmp_path / "x.txt"
+    argv = [arg.format(src=src) for arg in argv] + ["--out", str(out)]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_dim_without_report_prints_it(tmp_path, capsys):
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "2", "--count", "600", "--out", str(src))
+    report = tmp_path / "dim.json"
+    argv = ["dim", "--in", str(src), "--max-block-len", "3", "--blocks", "50,150"]
+    run(tmp_path, *argv, "--report", str(report))
+    capsys.readouterr()
+    run(tmp_path, *argv)
+    assert capsys.readouterr().out == report.read_text()
+
+
 def test_wall_zero_q_exits_one(tmp_path, capsys):
     src = tmp_path / "c.txt"
     run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "1000", "--out", str(src))
@@ -306,14 +333,18 @@ def test_wall_oversized_block_space_exits_one(tmp_path, capsys, monkeypatch):
     assert not report.exists()
 
 
-@pytest.mark.parametrize("p_file", [{"n": 2, "q": ["1/2", "1/2"]}, {"n": 2, "p": ["1/0", "1"]}])
-def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file):
+@pytest.mark.parametrize("p_file,detail", [
+    ({"n": 2, "q": ["1/2", "1/2"]}, 'no "p" list of probabilities'),
+    ({"n": 2, "p": ["1/0", "1"]}, 'bad entry in "p": Fraction(1, 0)'),
+    ({"n": 3, "p": ["1/2", "1/2"]}, "n=3 but 2 entries"),
+])
+def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file, detail):
     pi = tmp_path / "p.json"
     mu = tmp_path / "u.json"
     pi.write_text(json.dumps(p_file))
     mu.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
     assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: distribution file {pi}: {detail}\n"
 
 
 @pytest.mark.parametrize("p_text", ['{"n": 2, "p": [1e400, 0]}', '{"n": 2, "p": [Infinity, 0]}'])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -181,6 +182,25 @@ def test_select_progression():
     assert list(select_progression(seq, 1, 3, 3).prefix(3)) == [1, 4, 7]
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: DigitSequence(Alphabet(10), bytes([3]), exact_value=Fraction(1)),
+     "exact_value must lie in [0, 1)"),
+    (lambda: gen_rational_expansion(Fraction(1, 3), Alphabet(10), -1),
+     "count must be nonnegative"),
+    (lambda: gen_dilution(gen_champernowne(Alphabet(2), 4), -1), "count must be nonnegative"),
+    (lambda: select_progression(gen_champernowne(Alphabet(2), 8), 0, 0, 2),
+     "offset >= 0, step >= 1, count >= 0 required"),
+    (lambda: select_progression(gen_champernowne(Alphabet(2), 8), -1, 2, 2),
+     "offset >= 0, step >= 1, count >= 0 required"),
+    (lambda: select_progression(gen_champernowne(Alphabet(2), 8), 0, 2, -1),
+     "offset >= 0, step >= 1, count >= 0 required"),
+], ids=["exact-value-one", "rational-count", "dilution-count", "progression-step",
+        "progression-offset", "progression-count"])
+def test_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_sequence_is_finite_immutable_buffer():
     source = bytearray([1, 0, 1, 1, 0])
     seq = DigitSequence(Alphabet(2), source)
@@ -266,6 +286,21 @@ def test_digit_file_errors(tmp_path):
     binpath.write_bytes(b"FSD1" + bytes([5]) + bytes([7]))  # digit >= base
     with pytest.raises(DigitFileError):
         read_digit_file(binpath)
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"FSD1\x01", "binary digit file declares unsupported base 1"),
+    (b"FSD1\x25\x00", "binary digit file declares unsupported base 37"),
+    (b"k=x\n01\n", "malformed base in header 'k=x'"),
+    (b"k=1\n0\n", "unsupported base 1 in digit file"),
+    (b"k=37\n0\n", "unsupported base 37 in digit file"),
+])
+def test_digit_file_bases_rejected_like_oracle(tmp_path, raw, message):
+    path = tmp_path / "bad"
+    path.write_bytes(raw)
+    with pytest.raises(DigitFileError, match=f"^{re.escape(message)}$"):
+        read_digit_file(path)
+    assert_rejected_like_oracle(path)
 
 
 def test_rational_sequences_carry_exact_value():

@@ -16,7 +16,8 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, Probability
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
 import fsdim.dispersion
-from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION, _coupling_with_degree_bound
+from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, UnobservedColumns,
+                              _coupling_with_degree_bound)
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
 F = Fraction
@@ -391,6 +392,37 @@ class TestMajorizes:
 
     def test_unequal_totals(self):
         assert not majorizes([F(1, 2), F(1, 4)], [F(1, 2), F(1, 2)])
+
+
+IDENTITY_2 = SparseStochasticCertificate(2, {(0, 0): F(1), (1, 1): F(1)}, 1)
+HALVES = vec(F(1, 2), F(1, 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: UnobservedColumns(4, [1, 4]), r"observed code outside range\(4\)"),
+    (lambda: SparseStochasticCertificate(0, {}, 1), "dimension and declared_m must be positive"),
+    (lambda: SparseStochasticCertificate(2, {(0, 0): F(1)}, 0),
+     "dimension and declared_m must be positive"),
+    (lambda: SparseStochasticCertificate(2, {(0, 2): F(1)}, 1),
+     r"entry outside range\(2\) or flow not positive"),
+    (lambda: SparseStochasticCertificate(2, {(0, 0): F(1)}, 1, {2}),
+     "identity column outside dimension"),
+    (lambda: validate_certificate(IDENTITY_2, vec(F(1, 3), F(1, 3), F(1, 3)), HALVES),
+     "vector dimension does not match certificate"),
+    (lambda: delta_exact(HALVES, vec(1, 0, 0)), "dimension mismatch: 2 vs 3"),
+    (lambda: compose_certificates(IDENTITY_2, SparseStochasticCertificate(
+        3, {(i, i): F(1) for i in range(3)}, 1), HALVES, HALVES, HALVES),
+     "inner dimension mismatch"),
+    (lambda: compose_certificates(IDENTITY_2, IDENTITY_2, HALVES, vec(1, 0), HALVES),
+     r"inner certificate invalid: marginal-map \(\(A\*pi\)\[0\] = 1/2 != 1\)"),
+    (lambda: build_banded_worst_case(3, 4), "need 1 <= m <= n"),
+    (lambda: build_banded_worst_case(3, 0), "need 1 <= m <= n"),
+], ids=["observed-code", "zero-dimension", "zero-declared-m", "entry-outside", "identity-outside",
+        "vector-dimension", "solver-dimensions", "compose-dimensions", "compose-invalid-inner",
+        "banded-m-above-n", "banded-m-zero"])
+def test_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestIntegerMultipleCertificate:

@@ -161,6 +161,18 @@ class TestMulRational:
         assert checked_wrap_free >= 5
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: mul_int_mod1(bare([1, 2, 3]), 3, -1), "count must be nonnegative"),
+    (lambda: add_rational_mod1(bare([1, 2, 3]), Fraction(1, 3), -1), "count must be nonnegative"),
+    (lambda: div_int(bare([1, 2, 3]), 0, 2), "b must be a positive integer"),
+    (lambda: div_int(bare([1, 2, 3]), -2, 2), "b must be a positive integer"),
+    (lambda: mul_rational_mod1(bare([1, 2, 3]), 0, 2), "q must be nonzero"),
+], ids=["mul-int-count", "add-count", "div-zero", "div-negative", "mul-q-zero"])
+def test_refuses_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_enclosure_soundness_random_rationals():
     # certified digits equal the exact result's digits for every operation
     rng = random.Random(20260808)

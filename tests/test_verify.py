@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -14,6 +15,15 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, dim_estimat
                    verify_pseudometric_suite, verify_rational_arithmetic)
 
 import oracles
+
+
+def _raise_boom(*args):
+    raise AssertionError("boom")
+
+
+def _budget_hit(pi, mu):
+    return dataclasses.replace(fsdim.dispersion.delta_exact(pi, mu),
+                               method="certificate-upper-bound")
 
 
 class TestSuites:
@@ -47,6 +57,23 @@ class TestSuites:
         rep = suite(sample_count=3, n_max=3, seed=1)
         assert not rep.passes
         assert sum(message in v for v in rep.violations) == 3
+
+    @pytest.mark.parametrize("suite,name,replacement,failed,violation", [
+        (verify_pseudometric_suite, "reverse_certificate", _raise_boom,
+         ["construction-error: boom"], "triple 0 (n=2): construction-error: boom"),
+        (verify_contractivity_suite, "majorizes", lambda x, y: False,
+         ["banded-majorizes"], "pair 0 (n=2): banded-majorizes"),
+        (verify_pseudometric_suite, "delta_exact", _budget_hit,
+         [], "triple 0: identity hit the budget"),
+        (verify_contractivity_suite, "delta_exact", _budget_hit,
+         [], "pair 0: solver hit the budget"),
+    ])
+    def test_suite_messages(self, monkeypatch, suite, name, replacement, failed, violation):
+        monkeypatch.setattr(fsdim.verify, name, replacement)
+        rep = suite(sample_count=1, n_max=2, seed=0)
+        assert not rep.passes
+        assert rep.records[0]["failed"] == failed
+        assert rep.violations[0] == violation
 
     @pytest.mark.parametrize("suite", [verify_pseudometric_suite, verify_contractivity_suite])
     def test_suites_refuse_empty_sample(self, suite):
@@ -151,6 +178,23 @@ class TestRationalArithmetic:
         seq = gen_champernowne(Alphabet(10), 6000)
         rep = verify_rational_arithmetic(seq, Fraction(-2), 2, [200, 600])
         assert rep.passes, rep.violations
+        # frac(q + alpha) = alpha for every integer q, negative ones included
+        assert rep.details["sum_digits_identical"] is True
+
+    def test_integer_addition_that_changes_a_digit_is_a_violation(self, monkeypatch):
+        add = fsdim.verify.add_rational_mod1
+
+        def one_digit_off(seq, q, count):
+            result = add(seq, q, count)
+            digits = bytearray(result.digits.prefix(result.certified_count))
+            digits[10] = (digits[10] + 1) % 10
+            return dataclasses.replace(result, digits=DigitSequence(Alphabet(10), bytes(digits)))
+        monkeypatch.setattr(fsdim.verify, "add_rational_mod1", one_digit_off)
+        rep = verify_rational_arithmetic(gen_champernowne(Alphabet(10), 6000), Fraction(2), 2,
+                                         [200, 600])
+        assert rep.details["sum_digits_identical"] is False
+        assert rep.violations == ["alpha-times-b and q-plus-alpha-times-b images differ at digit 10 "
+                                  "of 1200", "integer addition changed fractional digits"]
 
     def test_rejects_zero_q(self):
         seq = gen_champernowne(Alphabet(10), 2000)
@@ -241,6 +285,20 @@ class TestReports:
         assert rep.elapsed_seconds >= 0
         data = json.loads(rep.to_json())
         assert "elapsed_seconds" not in data
+
+    @pytest.mark.parametrize("scenario", [
+        lambda: verify_rational_arithmetic(gen_champernowne(Alphabet(10), 6000),
+                                           Fraction(-7, 12), 3, [200, 600]),
+        lambda: verify_dilution_counterexample(2 ** 12, max_block_len=4),
+        lambda: verify_pseudometric_suite(sample_count=12, n_max=5, seed=3),
+        lambda: verify_contractivity_suite(sample_count=12, n_max=5, seed=3),
+    ], ids=["rational-arithmetic", "dilution", "pseudometric", "contractivity"])
+    def test_reports_hold_json_values(self, scenario):
+        # a Fraction, tuple or numpy integer anywhere in the report fails here
+        rep = scenario()
+        assert json.loads(rep.to_json()) == rep.to_dict()
+        if rep.scenario == "rational-arithmetic-preservation":
+            assert rep.inputs["q"] == "-7/12"
 
     def test_report_fields_stable(self):
         rep = verify_pseudometric_suite(sample_count=4, n_max=3, seed=2)
