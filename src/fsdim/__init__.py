@@ -11,7 +11,7 @@ scale.
 
 from .blockstats import (BlockDistribution, DimensionEstimateGrid, GridEntry,
                          block_frequencies, dim_estimates, entropy_rate_grid,
-                         normality_deviation, shannon_entropy, sliding_frequency)
+                         normality_deviation, shannon_entropy)
 from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, select_progression, write_digit_file)
@@ -43,7 +43,7 @@ __all__ = [
     "gen_dilution", "gen_rational_expansion", "integer_multiple_certificate",
     "majorizes", "mul_int_mod1", "mul_rational_mod1", "negate_mod1",
     "normality_deviation", "read_digit_file", "reverse_certificate",
-    "select_progression", "shannon_entropy", "sliding_frequency",
+    "select_progression", "shannon_entropy",
     "validate_certificate", "verify_contractivity_suite",
     "verify_dilution_counterexample", "verify_pseudometric_suite",
     "verify_rational_arithmetic", "write_digit_file",

@@ -306,31 +306,12 @@ def dim_estimates(grid: DimensionEstimateGrid, tail_fraction: float = 0.5) -> Tu
     return lower, upper
 
 
-def sliding_frequency(seq: DigitSequence, w, n: int) -> Fraction:
-    """Frequency of `w` at arbitrary offsets among the first n positions.
-
-    Counts offsets i < n with seq[i : i+|w|] == w, divided by n; this is the
-    occurrence notion under which normal sequences hit k^(-|w|) in the limit.
-    """
-    w = seq.alphabet.block(w)
-    if len(w) < 1:
-        raise ValueError("w must be nonempty")
-    if n < 1:
-        raise ValueError("n must be positive")
-    text = seq.prefix(n + len(w) - 1)
-    count = 0
-    start = text.find(w)
-    while 0 <= start < n:
-        count += 1
-        start = text.find(w, start + 1)
-    return Fraction(count, n)
-
-
 def normality_deviation(seq: DigitSequence, w_max_len: int, n: int) -> Fraction:
     """Worst sliding-frequency deviation max_w |freq(w) - k^(-|w|)|.
 
-    The maximum ranges over every nonempty w of length up to w_max_len;
-    blocks that never occur contribute deviation k^(-|w|) exactly.
+    freq(w) is the share of offsets i < n with seq[i : i+|w|] == w.  The
+    maximum ranges over every nonempty w of length up to w_max_len; blocks
+    that never occur contribute deviation k^(-|w|) exactly.
     """
     if w_max_len < 1:
         raise ValueError("w_max_len must be >= 1")

@@ -51,22 +51,6 @@ class Alphabet:
         if not isinstance(self.k, int) or not 2 <= self.k <= 36:
             raise ValueError(f"base must be an integer in [2, 36], got {self.k!r}")
 
-    def char_digit(self, ch: str) -> int:
-        d = _DIGIT_CHARS.find(ch.upper())
-        if d < 0 or d >= self.k:
-            raise DigitFileError(f"character {ch!r} is not a base-{self.k} digit")
-        return d
-
-    def block(self, w) -> bytes:
-        """A block given as digit values or as a string of digit characters."""
-        if isinstance(w, str):
-            return bytes(self.char_digit(ch) for ch in w)
-        block = bytes(w)
-        bad = block.translate(None, _DIGIT_VALUES[:self.k])
-        if bad:
-            raise DigitFileError(f"digit {bad[0]} is not a base-{self.k} digit")
-        return block
-
 
 def digits_to_int(digits, k: int) -> int:
     """Value of big-endian base-k digits.
@@ -164,8 +148,8 @@ class DigitSequence:
     """A finite, immutable buffer of base-k digits.
 
     The digits are copied into `bytes` once, on construction; an array of
-    another dtype than uint8 is read by its values.  `exact_value`
-    is set when the digits are a prefix of the canonical
+    another dtype than uint8 is read by its values.  `exact_value`, kept as
+    a Fraction, is set when the digits are a prefix of the canonical
     (terminating-preferred) expansion of that rational.
     """
 
@@ -174,9 +158,9 @@ class DigitSequence:
         if isinstance(digits, np.ndarray) and digits.dtype != np.uint8:
             digits = digits.tolist()  # bytes() of a wider array would copy its memory
         self._buf = bytes(digits)
-        if exact_value is not None and not 0 <= exact_value < 1:
+        self.exact_value = None if exact_value is None else Fraction(exact_value)
+        if self.exact_value is not None and not 0 <= self.exact_value < 1:
             raise ValueError("exact_value must lie in [0, 1)")
-        self.exact_value = exact_value
         bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
         if bad:
             raise ValueError(f"digit {bad[0]} out of range for base {alphabet.k}")
@@ -285,14 +269,14 @@ def write_digit_file(seq: DigitSequence, count: int, path, binary: bool = False)
     wrapped at 80 columns (readers ignore whitespace).  Binary mode: magic
     ``FSD1``, one base byte, then one byte per digit.
     """
-    digits = seq.prefix(count)
     if binary:
+        digits = seq.prefix(count)
         with open(path, "wb") as fh:
             fh.write(_BINARY_MAGIC)
             fh.write(bytes([seq.alphabet.k]))
             fh.write(digits)
         return
-    chars = digits.translate(_VALUE_TO_CHAR).decode("ascii")
+    chars = seq.prefix_str(count)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"k={seq.alphabet.k}\n")
         for start in range(0, len(chars), 80):

@@ -689,10 +689,18 @@ def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
 
 
 def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
-    entries = {(int(i), int(j)): Fraction(v) for i, j, v in data["entries"]}
-    return SparseStochasticCertificate(
-        int(data["n"]), entries, int(data["declared_m"]),
-        frozenset(int(j) for j in data.get("identity_columns", ())))
+    """Inverse of :func:`certificate_to_json_dict`; refuses a repeated entry or identity
+    column and any size or index that is not a JSON integer (bool included)."""
+    triples = data["entries"]
+    listed = data.get("identity_columns", [])
+    ints = [data["n"], data["declared_m"], *listed, *(x for t in triples for x in t[:2])]
+    if any(type(x) is not int for x in ints):
+        raise ValueError("n, declared_m and every row and column index must be JSON integers")
+    entries = {(i, j): Fraction(v) for i, j, v in triples}
+    identity = frozenset(listed)
+    if len(entries) < len(triples) or len(identity) < len(listed):
+        raise ValueError("certificate lists an entry or an identity column twice")
+    return SparseStochasticCertificate(data["n"], entries, data["declared_m"], identity)
 
 
 def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Fraction]:

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
-                   block_frequencies, dim_estimates, entropy_rate_grid, gen_champernowne,
-                   gen_dilution, gen_rational_expansion, normality_deviation, shannon_entropy,
-                   sliding_frequency)
+from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
+                   dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
+                   gen_rational_expansion, normality_deviation, shannon_entropy)
 from fsdim.blockstats import (FEW_CODES, BlockDistribution, DimensionEstimateGrid,
                               _entropy_from_counts)
 from fsdim.digitseq import digits_to_int
@@ -174,45 +173,13 @@ def test_relabeling_invariance():
     assert [(e.l, e.n, e.h) for e in g1.entries] == [(e.l, e.n, e.h) for e in g2.entries]
 
 
-def test_sliding_frequency_examples():
-    alt = _alternating(100)
-    assert sliding_frequency(alt, "0", 4) == Fraction(1, 2)
-    assert sliding_frequency(alt, "00", 90) == 0
-    champ = gen_champernowne(Alphabet(2), 10_100)
-    freq = sliding_frequency(champ, "11", 10_000)
-    # frozen from the naive recount oracle
-    assert freq == Fraction(229, 1000)
-    assert abs(freq - Fraction(1, 4)) < Fraction(25, 1000)
-
-
-def test_sliding_frequency_matches_naive_recount():
-    rng = random.Random(14)
-    digits = bytes(rng.randrange(2) for _ in range(500))
-    seq = DigitSequence(Alphabet(2), digits)
-    for w in (b"\x00", b"\x01\x01", b"\x01\x00\x01"):
-        n = 400
-        count = sum(1 for i in range(n) if digits[i:i + len(w)] == w)
-        assert sliding_frequency(seq, w, n) == Fraction(count, n)
-
-
 def test_sliding_windows_read_exactly_the_digits_they_cover():
     # offsets i < n read digits up to n + |w| - 2, so n + |w| - 1 digits suffice
     digits = bytes([0, 1]) * 5
     alt = DigitSequence(Alphabet(2), digits)
-    assert sliding_frequency(alt, "01", 9) == Fraction(5, 9)
     assert normality_deviation(alt, 2, 9) == sliding_normality_deviation(digits, 2, 2, 9)
     with pytest.raises(InsufficientDigitsError):
-        sliding_frequency(alt, "01", 10)
-    with pytest.raises(InsufficientDigitsError):
         normality_deviation(alt, 2, 10)
-
-
-def test_sliding_frequency_refuses_digit_values_outside_the_base():
-    seq = DigitSequence(Alphabet(10), bytes(range(10)) * 3)
-    with pytest.raises(DigitFileError, match="is not a base-10 digit"):
-        sliding_frequency(seq, [12], 20)
-    with pytest.raises(DigitFileError, match="is not a base-10 digit"):
-        sliding_frequency(seq, [1, 10], 20)
 
 
 def test_normality_deviation_examples():
@@ -241,12 +208,10 @@ CHAMP_2 = gen_champernowne(Alphabet(2), 64)
      "tail_fraction must lie in (0, 1]"),
     (lambda: dim_estimates(entropy_rate_grid(CHAMP_2, 2, [10]), 1.5),
      "tail_fraction must lie in (0, 1]"),
-    (lambda: sliding_frequency(CHAMP_2, [], 10), "w must be nonempty"),
-    (lambda: sliding_frequency(CHAMP_2, [1], 0), "n must be positive"),
     (lambda: normality_deviation(CHAMP_2, 0, 10), "w_max_len must be >= 1"),
 ], ids=["distribution-l", "distribution-n", "frequencies-l", "frequencies-n",
         "entropy-exact-negative", "entropy-float-negative", "empty-grid", "tail-zero",
-        "tail-above-one", "empty-word", "sliding-n", "normality-w"])
+        "tail-above-one", "normality-w"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, ProbabilityVector,
                    SparseStochasticCertificate, UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
-                   certificate_bound_bits, certificate_to_json_dict, compose_certificates,
-                   delta_exact,
+                   certificate_bound_bits, certificate_from_json_dict, certificate_to_json_dict,
+                   compose_certificates, delta_exact,
                    gen_champernowne, gen_rational_expansion, integer_multiple_certificate,
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
 import fsdim.dispersion
-from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, UnobservedColumns,
+from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, UnobservedColumns, ValidationOutcome,
                               _coupling_with_degree_bound)
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
@@ -425,6 +425,35 @@ def test_refuses_bad_arguments(call, message):
         call()
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: delta_exact(HALVES, HALVES), "solver produced invalid witness: planted"),
+    (lambda: reverse_certificate(IDENTITY_2, HALVES, HALVES),
+     "reversed certificate invalid: planted"),
+    (lambda: compose_certificates(IDENTITY_2, IDENTITY_2, HALVES, HALVES, HALVES),
+     "composed certificate invalid: planted"),
+], ids=["solver-witness", "reversed", "composed"])
+def test_invalid_constructed_certificate_is_an_internal_error(monkeypatch, build, message):
+    # the inputs validate as usual; only the check of the constructed output fails
+    real = fsdim.dispersion.validate_certificate
+
+    def fail_on_output(cert, pi, mu):
+        if cert is IDENTITY_2:
+            return real(cert, pi, mu)
+        return ValidationOutcome(False, "marginal-map", "planted")
+
+    monkeypatch.setattr(fsdim.dispersion, "validate_certificate", fail_on_output)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        build()
+
+
+def test_unobserved_columns_compare_and_print_as_a_set():
+    view = UnobservedColumns(5, [1, 3])
+    assert (view == 3) is False
+    difference = view - {0}
+    assert type(difference) is frozenset and difference == {2, 4}
+    assert repr(view) == "UnobservedColumns(n=5, observed=2 codes)"
+
+
 class TestIntegerMultipleCertificate:
     def test_point_mass_stream(self):
         seq = gen_rational_expansion(F(1, 3), Alphabet(10), 300)
@@ -584,3 +613,26 @@ def test_certificate_json_roundtrip():
     assert validate_certificate(back,
                                 block_distribution_as_code_vector(da),
                                 block_distribution_as_code_vector(db)).ok
+
+
+REPEATED = "certificate lists an entry or an identity column twice"
+NOT_INTEGER = "n, declared_m and every row and column index must be JSON integers"
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [0, 0, "1"], [1, 1, "1"]]}', REPEATED),
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": [1, 1]}',
+     REPEATED),
+    ('{"n": 2, "declared_m": 1, "entries": [[0.5, 0, "1"], [1, 1, "1"]]}', NOT_INTEGER),
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [1, 1.0, "1"]]}', NOT_INTEGER),
+    ('{"n": true, "declared_m": 1, "entries": [[0, 0, "1"]]}', NOT_INTEGER),
+    ('{"n": 2, "declared_m": 1.0, "entries": [[0, 0, "1"], [1, 1, "1"]]}', NOT_INTEGER),
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": ["1"]}',
+     NOT_INTEGER),
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [false, 1, "1"]]}', NOT_INTEGER),
+], ids=["entry-twice", "identity-twice", "row-half", "column-float", "n-true",
+        "declared-m-float", "identity-string", "row-false"])
+def test_certificate_json_refuses_repeats_and_non_integers(text, message):
+    import json
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        certificate_from_json_dict(json.loads(text))

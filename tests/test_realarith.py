@@ -7,6 +7,7 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, add_rationa
                    div_int, gen_champernowne, gen_rational_expansion, mul_int_mod1,
                    mul_rational_mod1, negate_mod1)
 from fsdim.digitseq import digits_to_int
+from fsdim.realarith import _certified_affine
 
 from oracles import frac_digits, product_prefix_digits
 
@@ -52,6 +53,14 @@ class TestMulInt:
         assert not res.unresolved
         assert list(res.digits.prefix(5)) == [0, 0, 0, 0, 0]
         assert res.digits.exact_value == 0
+
+    def test_float_exact_value_takes_the_exact_path(self):
+        # the value is kept as a Fraction, which the exact path reads
+        seq = DigitSequence(A10, b"\x05", exact_value=0.5)
+        assert seq.exact_value == Fraction(1, 2) and type(seq.exact_value) is Fraction
+        res = mul_int_mod1(seq, 3, 4)
+        assert list(res.digits.prefix(4)) == [5, 0, 0, 0]
+        assert res.digits.exact_value == Fraction(1, 2)
 
     def test_count_beyond_stream_raises(self):
         # a short stream is an input error, not a carry on a k-adic boundary
@@ -167,7 +176,10 @@ class TestMulRational:
     (lambda: div_int(bare([1, 2, 3]), 0, 2), "b must be a positive integer"),
     (lambda: div_int(bare([1, 2, 3]), -2, 2), "b must be a positive integer"),
     (lambda: mul_rational_mod1(bare([1, 2, 3]), 0, 2), "q must be nonzero"),
-], ids=["mul-int-count", "add-count", "div-zero", "div-negative", "mul-q-zero"])
+    (lambda: _certified_affine(bare([1, 2, 3]), Fraction(0), Fraction(1, 3), 2, 8),
+     "coefficient must be nonzero"),
+], ids=["mul-int-count", "add-count", "div-zero", "div-negative", "mul-q-zero",
+        "affine-coefficient-zero"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
