@@ -29,8 +29,8 @@ print("22/101 in base 10   :", third.prefix_str(24), "... exact:", third.exact_v
 diluted = gen_dilution(champ2, 40)
 print("diluted Champernowne:", diluted.prefix_str(40))
 
-# Digit files: an ASCII form with a one-line header, and a binary form
-# magic "FSD1" + base byte + one byte per digit. Round trips are exact.
+# Digit files are ASCII: a one-line header k=<base>, then the digit
+# characters 0-9A-Z wrapped at 80 columns. Round trips are exact.
 with TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "champ2.txt")
     write_digit_file(champ2, 40, path)

@@ -20,6 +20,8 @@ import numpy as np
 
 from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError, digits_to_limbs
 
+TAIL_FRACTION = 0.5  # share of each grid row, largest n first, that the estimates read
+
 
 @dataclass
 class BlockDistribution:
@@ -280,27 +282,23 @@ def _grid_from_bits(alphabet: Alphabet, max_block_len: int, schedule: List[int],
                                  clipped=schedule[-1] * max_block_len > avail)
 
 
-def dim_estimates(grid: DimensionEstimateGrid, tail_fraction: float = 0.5) -> Tuple[float, float]:
+def dim_estimates(grid: DimensionEstimateGrid) -> Tuple[float, float]:
     """Finite-scale (lower, upper) dimension estimates from a grid.
 
-    For each block length the tail window is the last `tail_fraction` of the
-    available n values; the lower estimate takes the window minimum and the
+    For each block length the tail window is the last half (`TAIL_FRACTION`)
+    of the available n values; the lower estimate takes the window minimum and the
     upper estimate the window maximum, then both take the minimum over block
     lengths.  The lower estimate never exceeds the upper one.
     """
     if not grid.entries:
         raise ValueError("empty grid")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     rows: Dict[int, List[GridEntry]] = {}
     for e in grid.entries:
         rows.setdefault(e.l, []).append(e)
-    lower = math.inf
-    upper = math.inf
+    lower = upper = math.inf
     for row in rows.values():
         row.sort(key=lambda e: e.n)
-        window = max(1, int(len(row) * tail_fraction))
-        tail = row[-window:]
+        tail = row[-max(1, int(len(row) * TAIL_FRACTION)):]
         lower = min(lower, min(e.h for e in tail))
         upper = min(upper, max(e.h for e in tail))
     return lower, upper

@@ -1,7 +1,8 @@
 """Command-line interface: fsdim gen | dim | arith | delta | verify.
 
 Exit codes: 0 success, 1 validation or usage error, 2 unresolved carry
-(the result sits on a k-adic point the stream prefix cannot decide),
+(the result sits on a k-adic point the stream prefix cannot decide within
+the fixed lookahead of 4096 digits, realarith.DEFAULT_LOOKAHEAD_CAP),
 3 search node budget exhausted: `delta exact` (dimensions up to 6) gave an
 upper-bound certificate after 10^6 search nodes.
 """
@@ -15,13 +16,12 @@ from fractions import Fraction
 
 from . import __version__
 from .blockstats import dim_estimates, entropy_rate_grid
-from .digitseq import (Alphabet, DigitFileError, InsufficientDigitsError,
-                       gen_champernowne, gen_dilution, gen_rational_expansion,
+from .digitseq import (Alphabet, gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, write_digit_file)
 from .dispersion import (ProbabilityVector, certificate_bound_bits, certificate_to_json_dict,
                          delta_exact, integer_multiple_certificate)
-from .realarith import (DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, add_rational_mod1,
-                        div_int, mul_int_mod1, mul_rational_mod1)
+from .realarith import (UnresolvedCarryError, add_rational_mod1, div_int, mul_int_mod1,
+                        mul_rational_mod1)
 from .verify import (verify_contractivity_suite, verify_dilution_counterexample,
                      verify_pseudometric_suite, verify_rational_arithmetic)
 
@@ -56,14 +56,12 @@ def _build_parser() -> _Parser:
     gen.add_argument("--den", type=int, help="denominator for rational expansions")
     gen.add_argument("--in", dest="infile", help="source digits for dilution")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--binary", action="store_true")
     gen.add_argument("--order", choices=["shortlex", "integers"], default="shortlex")
 
     dim = sub.add_parser("dim", help="dimension estimates from block entropies")
     dim.add_argument("--in", dest="infile", required=True)
     dim.add_argument("--max-block-len", type=int, required=True)
     dim.add_argument("--blocks", required=True, help="comma-separated block counts")
-    dim.add_argument("--tail-fraction", type=float, default=0.5)
     dim.add_argument("--report", help="write the report JSON here (default: stdout)")
 
     arith = sub.add_parser("arith", help="certified digit-stream arithmetic")
@@ -73,9 +71,7 @@ def _build_parser() -> _Parser:
     arith.add_argument("--num", type=int, help="rational numerator")
     arith.add_argument("--den", type=int, help="rational denominator")
     arith.add_argument("--count", type=int, required=True)
-    arith.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD_CAP)
     arith.add_argument("--out", required=True)
-    arith.add_argument("--binary", action="store_true")
 
     delta = sub.add_parser("delta", help="log-dispersion: exact solve or certificate")
     delta_sub = delta.add_subparsers(dest="delta_command", required=True)
@@ -88,7 +84,6 @@ def _build_parser() -> _Parser:
     cert.add_argument("--m", type=int, required=True)
     cert.add_argument("--l", type=int, required=True)
     cert.add_argument("--n", type=int, required=True)
-    cert.add_argument("--lookahead", type=int, default=DEFAULT_LOOKAHEAD_CAP)
     cert.add_argument("--out", help="write the certificate JSON here")
 
     verify = sub.add_parser("verify", help="verification scenarios")
@@ -132,16 +127,23 @@ def _parse_rational(args, what: str) -> Fraction:
     return Fraction(args.num, args.den)
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")
+
+
 def _read_distribution(path) -> ProbabilityVector:
     with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "p" not in data:
         raise _CliError(f"distribution file {path}: no \"p\" list of probabilities")
     try:
+        if any(isinstance(x, bool) for x in data["p"]):
+            raise TypeError("a JSON boolean is not a probability")
         entries = tuple(Fraction(x) for x in data["p"])
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _CliError(f"distribution file {path}: bad entry in \"p\": {exc}") from exc
-    if "n" in data and data["n"] != len(entries):
+    if "n" in data and (type(data["n"]) is not int or data["n"] != len(entries)):
         raise _CliError(f"distribution file {path}: n={data['n']} but {len(entries)} entries")
     return ProbabilityVector(entries)
 
@@ -158,7 +160,7 @@ def _cmd_gen(args) -> int:
         if not args.infile:
             raise _CliError("dilution needs --in FILE")
         seq = gen_dilution(read_digit_file(args.infile), args.count)
-    write_digit_file(seq, args.count, args.out, binary=args.binary)
+    write_digit_file(seq, args.count, args.out)
     return EXIT_OK
 
 
@@ -166,7 +168,7 @@ def _cmd_dim(args) -> int:
     seq = read_digit_file(args.infile)
     blocks = _parse_blocks(args.blocks)
     grid = entropy_rate_grid(seq, args.max_block_len, blocks)
-    lo, hi = dim_estimates(grid, args.tail_fraction)
+    lo, hi = dim_estimates(grid)
     payload = {
         "k": seq.alphabet.k,
         "grid": [{"l": e.l, "n": e.n, "h": e.h} for e in grid.entries],
@@ -175,8 +177,7 @@ def _cmd_dim(args) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write(args.report, text)
     else:
         print(text)
     return EXIT_OK
@@ -188,12 +189,12 @@ def _cmd_arith(args) -> int:
         if args.m is None:
             raise _CliError(f"{args.op} needs --m")
         fn = mul_int_mod1 if args.op == "mul-int" else div_int
-        result = fn(seq, args.m, args.count, args.lookahead)
+        result = fn(seq, args.m, args.count)
     else:
         q = _parse_rational(args, args.op)
         fn = add_rational_mod1 if args.op == "add-q" else mul_rational_mod1
-        result = fn(seq, q, args.count, args.lookahead)
-    write_digit_file(result.digits, result.certified_count, args.out, binary=args.binary)
+        result = fn(seq, q, args.count)
+    write_digit_file(result.digits, result.certified_count, args.out)
     if result.unresolved:
         print(json.dumps({"unresolved_at": result.certified_count}))
         return EXIT_UNRESOLVED
@@ -208,17 +209,13 @@ def _cmd_delta(args) -> int:
         payload = {"m": result.m_star, "delta_bits": result.delta_bits,
                    "method": result.method}
         if args.witness:
-            with open(args.witness, "w", encoding="ascii") as fh:
-                json.dump(certificate_to_json_dict(result.witness), fh, indent=2)
-                fh.write("\n")
+            _write(args.witness, json.dumps(certificate_to_json_dict(result.witness), indent=2))
         print(json.dumps(payload, sort_keys=True))
         return EXIT_BUDGET if result.method == "certificate-upper-bound" else EXIT_OK
     seq = read_digit_file(args.alpha)
-    table = integer_multiple_certificate(seq, args.m, args.l, args.n, args.lookahead)[0]
+    table = integer_multiple_certificate(seq, args.m, args.l, args.n)[0]
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            json.dump(certificate_to_json_dict(table), fh, indent=2)
-            fh.write("\n")
+        _write(args.out, json.dumps(certificate_to_json_dict(table), indent=2))
     outcome = table.validate()
     row_support, col_support = table.max_degrees()
     payload = {
@@ -250,28 +247,22 @@ def _cmd_verify(args) -> int:
         report = verify_pseudometric_suite(args.samples, args.n_max, args.seed)
     else:
         report = verify_contractivity_suite(args.samples, args.n_max, args.seed)
-    with open(args.report, "w", encoding="ascii") as fh:
-        fh.write(report.to_json() + "\n")
+    _write(args.report, report.to_json())
     print(f"{report.scenario}: {'PASS' if report.passes else 'FAIL'} "
           f"({len(report.violations)} violations)")
     return EXIT_OK if report.passes else EXIT_VALIDATION
 
 
+_COMMANDS = {"gen": _cmd_gen, "dim": _cmd_dim, "arith": _cmd_arith, "delta": _cmd_delta,
+             "verify": _cmd_verify}
+
+
 def dispatch(argv) -> int:
     """Parse argv and run exactly one subcommand, returning the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "dim":
-            return _cmd_dim(args)
-        if args.command == "arith":
-            return _cmd_arith(args)
-        if args.command == "delta":
-            return _cmd_delta(args)
-        return _cmd_verify(args)
-    except (_CliError, DigitFileError, InsufficientDigitsError, ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (_CliError, ValueError, OSError) as exc:  # digit-file and too-short errors included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except UnresolvedCarryError as exc:

@@ -2,22 +2,20 @@
 
 A :class:`DigitSequence` is a finite, immutable buffer of digits over the
 alphabet {0, ..., k-1}: a generated prefix, the certified output of an
-arithmetic operation, or the contents of a digit file.  Sequences produced
-from a known rational carry the exact value along, which downstream
-arithmetic uses as an exact fast path.
+arithmetic operation, or the contents of a digit file.  Sequences whose
+digits were computed from a known rational carry the exact value along,
+which downstream arithmetic uses as an exact fast path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 _DIGIT_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _DIGIT_VALUES = bytes(range(len(_DIGIT_CHARS)))
-_BINARY_MAGIC = b"FSD1"
 # translate tables: digit value -> character, and character (either case) ->
 # digit value; the second is only applied to text already checked for digits
 _VALUE_TO_CHAR = bytes.maketrans(_DIGIT_VALUES, _DIGIT_CHARS.encode("ascii"))
@@ -30,7 +28,7 @@ _DIVIDE_BLOCK = 4096
 
 
 class DigitFileError(ValueError):
-    """Malformed digit file: bad header, out-of-range digit, or truncation."""
+    """Malformed digit file: bad header, non-ASCII bytes, or a character that is no digit."""
 
 
 class InsufficientDigitsError(ValueError):
@@ -148,19 +146,17 @@ class DigitSequence:
     """A finite, immutable buffer of base-k digits.
 
     The digits are copied into `bytes` once, on construction; an array of
-    another dtype than uint8 is read by its values.  `exact_value`, kept as
-    a Fraction, is set when the digits are a prefix of the canonical
-    (terminating-preferred) expansion of that rational.
+    another dtype than uint8 is read by its values.  `exact_value` is the rational
+    whose terminating-preferred expansion the digits begin, set only where they were
+    computed from it (:func:`gen_rational_expansion`, exact arithmetic), else None.
     """
 
-    def __init__(self, alphabet: Alphabet, digits, exact_value: Optional[Fraction] = None):
+    def __init__(self, alphabet: Alphabet, digits):
         self.alphabet = alphabet
         if isinstance(digits, np.ndarray) and digits.dtype != np.uint8:
             digits = digits.tolist()  # bytes() of a wider array would copy its memory
         self._buf = bytes(digits)
-        self.exact_value = None if exact_value is None else Fraction(exact_value)
-        if self.exact_value is not None and not 0 <= self.exact_value < 1:
-            raise ValueError("exact_value must lie in [0, 1)")
+        self.exact_value = None
         bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
         if bad:
             raise ValueError(f"digit {bad[0]} out of range for base {alphabet.k}")
@@ -235,8 +231,9 @@ def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> Digit
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    digits = rational_digits(q.numerator, q.denominator, alphabet.k, count)
-    return DigitSequence(alphabet, digits, exact_value=q)
+    seq = DigitSequence(alphabet, rational_digits(q.numerator, q.denominator, alphabet.k, count))
+    seq.exact_value = q
+    return seq
 
 
 def gen_dilution(source: DigitSequence, count: int) -> DigitSequence:
@@ -262,20 +259,10 @@ def select_progression(source: DigitSequence, offset: int, step: int, count: int
     return DigitSequence(source.alphabet, src[offset::step][:count])
 
 
-def write_digit_file(seq: DigitSequence, count: int, path, binary: bool = False) -> None:
-    """Write the first `count` digits to `path`.
-
-    ASCII mode: header line ``k=<base>``, then digit characters 0-9A-Z
-    wrapped at 80 columns (readers ignore whitespace).  Binary mode: magic
-    ``FSD1``, one base byte, then one byte per digit.
-    """
-    if binary:
-        digits = seq.prefix(count)
-        with open(path, "wb") as fh:
-            fh.write(_BINARY_MAGIC)
-            fh.write(bytes([seq.alphabet.k]))
-            fh.write(digits)
-        return
+def write_digit_file(seq: DigitSequence, count: int, path) -> None:
+    """Write the first `count` digits to `path`: a header line ``k=<base>``,
+    then digit characters 0-9A-Z wrapped at 80 columns (readers ignore
+    whitespace)."""
     chars = seq.prefix_str(count)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"k={seq.alphabet.k}\n")
@@ -285,25 +272,12 @@ def write_digit_file(seq: DigitSequence, count: int, path, binary: bool = False)
 
 
 def read_digit_file(path) -> DigitSequence:
-    """Read a digit file written by :func:`write_digit_file` (either mode)."""
+    """Read a digit file written by :func:`write_digit_file`."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head == _BINARY_MAGIC:
-            base_byte = fh.read(1)
-            if len(base_byte) != 1:
-                raise DigitFileError("truncated binary digit file: missing base byte")
-            k = base_byte[0]
-            if not 2 <= k <= 36:
-                raise DigitFileError(f"binary digit file declares unsupported base {k}")
-            payload = fh.read()
-            bad = payload.translate(None, _DIGIT_VALUES[:k])
-            if bad:
-                raise DigitFileError(f"binary digit file contains digit {bad[0]} >= base {k}")
-            return DigitSequence(Alphabet(k), payload)
-        rest = head + fh.read()
-    if not rest.isascii():
-        raise DigitFileError("digit file is neither FSD1 binary nor ASCII")
-    header, _, body = rest.partition(b"\n")
+        raw = fh.read()
+    if not raw.isascii():
+        raise DigitFileError("digit file is not ASCII")
+    header, _, body = raw.partition(b"\n")
     header = header.decode("ascii").strip()
     if not header.startswith("k="):
         raise DigitFileError(f"malformed header {header!r}, expected 'k=<base>'")

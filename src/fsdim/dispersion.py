@@ -690,13 +690,19 @@ def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
 
 def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
     """Inverse of :func:`certificate_to_json_dict`; refuses a repeated entry or identity
-    column and any size or index that is not a JSON integer (bool included)."""
+    column, any size or index that is not a JSON integer (bool included) and any
+    entry value that is not a JSON string of a rational."""
     triples = data["entries"]
     listed = data.get("identity_columns", [])
     ints = [data["n"], data["declared_m"], *listed, *(x for t in triples for x in t[:2])]
     if any(type(x) is not int for x in ints):
         raise ValueError("n, declared_m and every row and column index must be JSON integers")
-    entries = {(i, j): Fraction(v) for i, j, v in triples}
+    if any(type(v) is not str for t in triples for v in t[2:]):
+        raise ValueError('every entry value must be a JSON string "num/den"')
+    try:
+        entries = {(i, j): Fraction(v) for i, j, v in triples}
+    except ZeroDivisionError:
+        raise ValueError("an entry value has denominator 0") from None
     identity = frozenset(listed)
     if len(entries) < len(triples) or len(identity) < len(listed):
         raise ValueError("certificate lists an entry or an identity column twice")

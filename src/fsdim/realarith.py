@@ -153,7 +153,8 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
         value = coef * seq.exact_value + offset
         frac_part = value - math.floor(value)
         digits = rational_digits(frac_part.numerator, frac_part.denominator, k, count)
-        out = DigitSequence(seq.alphabet, digits, exact_value=frac_part)
+        out = DigitSequence(seq.alphabet, digits)
+        out.exact_value = frac_part
         return CertifiedDigitResult(out, count, 0, False)
 
     avail = seq.length_available

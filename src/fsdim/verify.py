@@ -45,8 +45,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .blockstats import (_Blocks, _count_rows, _grid_from_bits, _grid_schedule, _grids,
-                         dim_estimates, normality_deviation, shannon_entropy)
+from .blockstats import (TAIL_FRACTION, _Blocks, _count_rows, _grid_from_bits, _grid_schedule,
+                         _grids, dim_estimates, normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
                          _certificate_dimension, build_banded_worst_case, compose_certificates,
@@ -162,7 +162,7 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
         inputs={"k": k, "q": f"{a}/{b}", "max_block_len": max_block_len,
-                "n_schedule": schedule, "tail_fraction": 0.5,
+                "n_schedule": schedule, "tail_fraction": TAIL_FRACTION,
                 "digits_used": target},
     )
     if sum_result.unresolved:
@@ -280,19 +280,19 @@ def verify_dilution_counterexample(total_digits: int, max_block_len: int = 8) ->
     sel_odd = select_progression(diluted, 1, 2, total_digits // 2)
     top = max(1, total_digits // max_block_len)
     schedule = sorted({max(1, top // 2 ** i) for i in range(5)})
-    tail_fraction, (lo_band, hi_band), dense_floor = 0.5, (0.40, 0.65), 0.80
+    (lo_band, hi_band), dense_floor = (0.40, 0.65), 0.80
 
     report = VerificationReport(
         scenario="dilution-counterexample",
         inputs={"k": 2, "total_digits": total_digits, "max_block_len": max_block_len,
-                "n_schedule": schedule, "tail_fraction": tail_fraction,
+                "n_schedule": schedule, "tail_fraction": TAIL_FRACTION,
                 "diluted_band": [lo_band, hi_band], "dense_floor": dense_floor},
     )
     streams = {"source": source, "diluted": diluted, "zeros": zeros,
                "selection-even": sel_even, "selection-odd": sel_odd}
     estimates = {}
     for name, grid in _grids(streams, max_block_len, schedule).items():
-        lo, hi = dim_estimates(grid, tail_fraction)
+        lo, hi = dim_estimates(grid)
         estimates[name] = {"lower": lo, "upper": hi}
         report.records.append({"stream": name, "lower": lo, "upper": hi})
     report.details["estimates"] = estimates

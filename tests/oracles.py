@@ -202,27 +202,17 @@ def entropy_from_counts(counts, n: int) -> float:
 
 
 def parse_digit_file(path):
-    """(k, digits) of a digit file, parsed one character or byte at a time.
+    """(k, digits) of a digit file, parsed one character at a time.
 
     A malformed file raises ValueError with the message the library's
     reader gives for it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] == b"FSD1":
-        if len(raw) < 5:
-            raise ValueError("truncated binary digit file: missing base byte")
-        k = raw[4]
-        if not 2 <= k <= 36:
-            raise ValueError(f"binary digit file declares unsupported base {k}")
-        for d in raw[5:]:
-            if d >= k:
-                raise ValueError(f"binary digit file contains digit {d} >= base {k}")
-        return k, raw[5:]
     try:
         text = raw.decode("ascii")
     except UnicodeDecodeError:
-        raise ValueError("digit file is neither FSD1 binary nor ASCII") from None
+        raise ValueError("digit file is not ASCII") from None
     header, _, body = text.partition("\n")
     header = header.strip()
     if not header.startswith("k="):

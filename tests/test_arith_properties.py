@@ -43,7 +43,6 @@ def streams(draw, max_len=160):
     k = draw(st.integers(2, 36))
     n = draw(st.integers(0, max_len))
     kind = draw(st.sampled_from(KINDS))
-    exact = None
     if kind == "random":
         digits = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     elif kind == "runs":
@@ -66,10 +65,10 @@ def streams(draw, max_len=160):
         else:
             den = draw(st.integers(2, 10 ** 6))
         exact = Fraction(draw(st.integers(0, den - 1)), den)
+        if kind.endswith("exact"):
+            return gen_rational_expansion(exact, Alphabet(k), n)
         digits = long_division_digits(exact, k, n)
-        if not kind.endswith("exact"):
-            exact = None
-    return DigitSequence(Alphabet(k), bytes(digits), exact_value=exact)
+    return DigitSequence(Alphabet(k), bytes(digits))
 
 
 # below, at and past the int64 limb edge (|M| * k^c < 2^62 with k^c >= |M|)

@@ -138,7 +138,7 @@ def test_dim_estimates_ordering_property():
     for _ in range(10):
         digits = bytes(rng.randrange(2) for _ in range(2000))
         grid = entropy_rate_grid(DigitSequence(Alphabet(2), digits), 3, [50, 100, 400])
-        lo, hi = dim_estimates(grid, rng.choice([0.3, 0.5, 1.0]))
+        lo, hi = dim_estimates(grid)
         assert lo <= hi
 
 
@@ -204,14 +204,9 @@ CHAMP_2 = gen_champernowne(Alphabet(2), 64)
     (lambda: shannon_entropy([Fraction(3, 2), Fraction(-1, 2)]), "negative probability"),
     (lambda: shannon_entropy([1.5, -0.5]), "negative probability"),
     (lambda: dim_estimates(DimensionEstimateGrid(Alphabet(2), 2, (10,))), "empty grid"),
-    (lambda: dim_estimates(entropy_rate_grid(CHAMP_2, 2, [10]), 0),
-     "tail_fraction must lie in (0, 1]"),
-    (lambda: dim_estimates(entropy_rate_grid(CHAMP_2, 2, [10]), 1.5),
-     "tail_fraction must lie in (0, 1]"),
     (lambda: normality_deviation(CHAMP_2, 0, 10), "w_max_len must be >= 1"),
 ], ids=["distribution-l", "distribution-n", "frequencies-l", "frequencies-n",
-        "entropy-exact-negative", "entropy-float-negative", "empty-grid", "tail-zero",
-        "tail-above-one", "normality-w"])
+        "entropy-exact-negative", "entropy-float-negative", "empty-grid", "normality-w"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -43,15 +43,34 @@ def test_dim_zeros_report(tmp_path):
     assert data["dim_lower"] == 0.0 and data["dim_upper"] == 0.0
 
 
-def test_gen_dilution_binary_roundtrip(tmp_path):
+def test_gen_dilution(tmp_path):
     src = tmp_path / "src.txt"
     run(tmp_path, "gen", "champernowne", "--base", "2", "--count", "100", "--out", str(src))
-    diluted = tmp_path / "diluted.bin"
+    diluted = tmp_path / "diluted.txt"
     run(tmp_path, "gen", "dilution", "--in", str(src), "--count", "200",
-        "--out", str(diluted), "--binary")
-    raw = diluted.read_bytes()
-    assert raw[:4] == b"FSD1" and raw[4] == 2
-    assert raw[5:15] == bytes([0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
+        "--out", str(diluted))
+    lines = diluted.read_text().splitlines()
+    assert lines[0] == "k=2"
+    assert "".join(lines[1:])[:10] == "0010000000"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "champernowne", "--count", "10", "--out", "{dir}/x.txt", "--binary"], "--binary"),
+    (["dim", "--in", "{src}", "--max-block-len", "2", "--blocks", "10",
+      "--tail-fraction", "0.5"], "--tail-fraction"),
+    (["arith", "mul-int", "--in", "{src}", "--m", "3", "--count", "5",
+      "--out", "{dir}/x.txt", "--lookahead", "128"], "--lookahead"),
+    (["delta", "certificate", "--alpha", "{src}", "--m", "3", "--l", "2", "--n", "10",
+      "--lookahead", "16"], "--lookahead"),
+])
+def test_removed_flags_exit_one(tmp_path, capsys, argv, flag):
+    # digit files are ASCII only, and the tail window and the lookahead are fixed
+    src = tmp_path / "c.txt"
+    run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "100", "--out", str(src))
+    argv = [arg.format(src=src, dir=tmp_path) for arg in argv]
+    assert dispatch(argv) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_arith_mul_int(tmp_path):
@@ -65,12 +84,13 @@ def test_arith_mul_int(tmp_path):
 
 
 def test_arith_unresolved_exit_code(tmp_path, capsys):
+    # 3 * 0.333... straddles 1 at every prefix: a file of threes resolves at no lookahead
     src = tmp_path / "third.txt"
     run(tmp_path, "gen", "rational", "--base", "10", "--count", "300",
         "--num", "1", "--den", "3", "--out", str(src))
     out = tmp_path / "tripled.txt"
     code = dispatch(["arith", "mul-int", "--in", str(src), "--m", "3",
-                     "--count", "5", "--lookahead", "128", "--out", str(out)])
+                     "--count", "5", "--out", str(out)])
     assert code == 2
     diag = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert diag == {"unresolved_at": 0}
@@ -200,11 +220,12 @@ def test_verify_wall_writes_fail_report_when_a_stream_fits_no_cell(tmp_path, cap
 
 
 def test_delta_certificate_unresolved_exits_two(tmp_path, capsys):
+    # 3 * 0.333... straddles 1 at every prefix: a file of threes resolves at no lookahead
     src = tmp_path / "threes.txt"
     run(tmp_path, "gen", "rational", "--base", "10", "--count", "2000",
         "--num", "1", "--den", "3", "--out", str(src))
     assert dispatch(["delta", "certificate", "--alpha", str(src), "--m", "3", "--l", "2",
-                     "--n", "100", "--lookahead", "16"]) == 2
+                     "--n", "100"]) == 2
     assert set(json.loads(capsys.readouterr().out)) == {"unresolved_at"}
 
 
@@ -336,7 +357,9 @@ def test_wall_oversized_block_space_exits_one(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("p_file,detail", [
     ({"n": 2, "q": ["1/2", "1/2"]}, 'no "p" list of probabilities'),
     ({"n": 2, "p": ["1/0", "1"]}, 'bad entry in "p": Fraction(1, 0)'),
+    ({"n": 2, "p": [True, False]}, 'bad entry in "p": a JSON boolean is not a probability'),
     ({"n": 3, "p": ["1/2", "1/2"]}, "n=3 but 2 entries"),
+    ({"n": True, "p": ["1"]}, "n=True but 1 entries"),
 ])
 def test_delta_exact_bad_distribution_exits_one(tmp_path, capsys, p_file, detail):
     pi = tmp_path / "p.json"

@@ -183,8 +183,6 @@ def test_select_progression():
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: DigitSequence(Alphabet(10), bytes([3]), exact_value=Fraction(1)),
-     "exact_value must lie in [0, 1)"),
     (lambda: gen_rational_expansion(Fraction(1, 3), Alphabet(10), -1),
      "count must be nonnegative"),
     (lambda: gen_dilution(gen_champernowne(Alphabet(2), 4), -1), "count must be nonnegative"),
@@ -194,7 +192,7 @@ def test_select_progression():
      "offset >= 0, step >= 1, count >= 0 required"),
     (lambda: select_progression(gen_champernowne(Alphabet(2), 8), 0, 2, -1),
      "offset >= 0, step >= 1, count >= 0 required"),
-], ids=["exact-value-one", "rational-count", "dilution-count", "progression-step",
+], ids=["rational-count", "dilution-count", "progression-step",
         "progression-offset", "progression-count"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -241,11 +239,10 @@ def test_negative_prefix_lengths_are_refused(tmp_path):
     assert seq.prefix(0) == b"" and seq.prefix_array(0).tolist() == []
 
 
-@pytest.mark.parametrize("binary", [False, True])
-def test_digit_file_roundtrip(tmp_path, binary):
+def test_digit_file_roundtrip(tmp_path):
     seq = gen_champernowne(Alphabet(2), 1000)
-    path = tmp_path / ("seq.bin" if binary else "seq.txt")
-    write_digit_file(seq, 1000, path, binary=binary)
+    path = tmp_path / "seq.txt"
+    write_digit_file(seq, 1000, path)
     back = read_digit_file(path)
     assert back.alphabet.k == 2
     assert back.prefix(1000) == seq.prefix(1000)
@@ -268,18 +265,19 @@ def test_digit_file_errors(tmp_path):
     path.write_text("k=5\n7\n")
     with pytest.raises(DigitFileError):
         read_digit_file(path)
-    binpath = tmp_path / "bad.bin"
-    binpath.write_bytes(b"FSD1")  # truncated before the base byte
-    with pytest.raises(DigitFileError):
-        read_digit_file(binpath)
-    binpath.write_bytes(b"FSD1" + bytes([5]) + bytes([7]))  # digit >= base
-    with pytest.raises(DigitFileError):
-        read_digit_file(binpath)
+
+
+@pytest.mark.parametrize("k", [2, 10, 36])
+def test_binary_digit_files_are_refused(tmp_path, k):
+    # magic "FSD1", a base byte and one byte per digit: no "k=<base>" header line
+    path = tmp_path / "seq.bin"
+    path.write_bytes(b"FSD1" + bytes([k]) + bytes(range(k)))
+    with pytest.raises(DigitFileError, match="^malformed header 'FSD1"):
+        read_digit_file(path)
+    assert_rejected_like_oracle(path)
 
 
 @pytest.mark.parametrize("raw,message", [
-    (b"FSD1\x01", "binary digit file declares unsupported base 1"),
-    (b"FSD1\x25\x00", "binary digit file declares unsupported base 37"),
     (b"k=x\n01\n", "malformed base in header 'k=x'"),
     (b"k=1\n0\n", "unsupported base 1 in digit file"),
     (b"k=37\n0\n", "unsupported base 37 in digit file"),
@@ -296,13 +294,15 @@ def test_rational_sequences_carry_exact_value():
     q = Fraction(22, 101)
     seq = gen_rational_expansion(q, Alphabet(10), 50)
     assert seq.exact_value == q
-    # a bare buffer does not
+    # a bare buffer does not, and no caller attaches a value its digits could contradict
     assert DigitSequence(Alphabet(10), seq.prefix(10)).exact_value is None
+    with pytest.raises(TypeError):
+        DigitSequence(Alphabet(10), b"\x05", exact_value=Fraction(1, 3))
 
 
 @st.composite
 def digit_files(draw):
-    """(k, digits, ASCII file bytes, binary file bytes) of one random sequence.
+    """(k, digits, ASCII file bytes) of one random sequence.
 
     The ASCII body mixes lowercase letters and whitespace among the digits.
     """
@@ -315,20 +315,18 @@ def digit_files(draw):
                              for d, low, gap in zip(digits, lower, gaps[1:]))
     header = f"k={k}" + draw(st.sampled_from(["", " ", "\r"]))
     ascii_file = (header + "\n" + body).encode("ascii")
-    binary_file = b"FSD1" + bytes([k]) + bytes(digits)
-    return k, bytes(digits), ascii_file, binary_file
+    return k, bytes(digits), ascii_file
 
 
 @FILE_SETTINGS
 @given(case=digit_files())
 def test_read_digit_file_matches_oracle(tmp_path_factory, case):
-    k, digits, ascii_file, binary_file = case
+    k, digits, ascii_file = case
     path = tmp_path_factory.mktemp("digits") / "seq"
-    for raw in (ascii_file, binary_file):
-        path.write_bytes(raw)
-        seq = read_digit_file(path)
-        assert (seq.alphabet.k, seq.prefix(seq.length_available)) == parse_digit_file(path)
-        assert seq.prefix(seq.length_available) == digits
+    path.write_bytes(ascii_file)
+    seq = read_digit_file(path)
+    assert (seq.alphabet.k, seq.prefix(seq.length_available)) == parse_digit_file(path)
+    assert seq.prefix(seq.length_available) == digits
 
 
 def assert_rejected_like_oracle(path):
@@ -350,16 +348,14 @@ def insert_bytes(raw: bytes, start: int, values, data) -> bytes:
 @FILE_SETTINGS
 @given(case=digit_files(), data=st.data())
 def test_read_digit_file_rejects_like_oracle(tmp_path_factory, case, data):
-    k, _, ascii_file, binary_file = case
+    k, _, ascii_file = case
     path = tmp_path_factory.mktemp("digits") / "bad"
     header_end = ascii_file.index(b"\n") + 1
     invalid = [c for c in range(128)
                if not chr(c).isspace() and chr(c).upper() not in DIGIT_CHARS[:k]]
     bad_chars = data.draw(st.lists(st.sampled_from(invalid), min_size=1, max_size=3))
     non_ascii = data.draw(st.lists(st.integers(128, 255), min_size=1, max_size=2))
-    big_digits = data.draw(st.lists(st.integers(k, 255), min_size=1, max_size=3))
     for raw in (insert_bytes(ascii_file, header_end, bad_chars, data),
-                insert_bytes(ascii_file, header_end, non_ascii, data),
-                insert_bytes(binary_file, 5, big_digits, data)):
+                insert_bytes(ascii_file, header_end, non_ascii, data)):
         path.write_bytes(raw)
         assert_rejected_like_oracle(path)

@@ -617,6 +617,7 @@ def test_certificate_json_roundtrip():
 
 REPEATED = "certificate lists an entry or an identity column twice"
 NOT_INTEGER = "n, declared_m and every row and column index must be JSON integers"
+NOT_STRING = 'every entry value must be a JSON string "num/den"'
 
 
 @pytest.mark.parametrize("text,message", [
@@ -630,8 +631,13 @@ NOT_INTEGER = "n, declared_m and every row and column index must be JSON integer
     ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": ["1"]}',
      NOT_INTEGER),
     ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [false, 1, "1"]]}', NOT_INTEGER),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, "1/0"]]}', "an entry value has denominator 0"),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, true]]}', NOT_STRING),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1.0]]}', NOT_STRING),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1]]}', NOT_STRING),
 ], ids=["entry-twice", "identity-twice", "row-half", "column-float", "n-true",
-        "declared-m-float", "identity-string", "row-false"])
+        "declared-m-float", "identity-string", "row-false", "value-over-zero", "value-true",
+        "value-float", "value-int"])
 def test_certificate_json_refuses_repeats_and_non_integers(text, message):
     import json
     with pytest.raises(ValueError, match=f"^{message}$"):

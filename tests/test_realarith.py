@@ -54,10 +54,10 @@ class TestMulInt:
         assert list(res.digits.prefix(5)) == [0, 0, 0, 0, 0]
         assert res.digits.exact_value == 0
 
-    def test_float_exact_value_takes_the_exact_path(self):
-        # the value is kept as a Fraction, which the exact path reads
-        seq = DigitSequence(A10, b"\x05", exact_value=0.5)
-        assert seq.exact_value == Fraction(1, 2) and type(seq.exact_value) is Fraction
+    def test_exact_path_agrees_with_the_digits(self):
+        # the one digit 5 is 1/2 exactly, and 3 * 0.5 = 1.5 gives 5, 0, 0, 0
+        seq = gen_rational_expansion(Fraction(1, 2), A10, 1)
+        assert seq.prefix(1) == b"\x05" and seq.exact_value == Fraction(1, 2)
         res = mul_int_mod1(seq, 3, 4)
         assert list(res.digits.prefix(4)) == [5, 0, 0, 0]
         assert res.digits.exact_value == Fraction(1, 2)

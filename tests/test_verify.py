@@ -130,7 +130,7 @@ class TestDilution:
         alone = {}
         for name, stream in streams.items():
             grid = entropy_rate_grid(stream, max_block_len, schedule)
-            lo, hi = dim_estimates(grid, 0.5)
+            lo, hi = dim_estimates(grid)
             alone[name] = {"lower": lo, "upper": hi}
             if name in ("source", "selection-odd"):
                 assert grid.clipped  # fewer digits than the largest cells need
