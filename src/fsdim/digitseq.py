@@ -23,8 +23,6 @@ _CHAR_TO_VALUE = bytes.maketrans((_DIGIT_CHARS + _DIGIT_CHARS.lower()).encode("a
                                  _DIGIT_VALUES * 2)
 # the ASCII characters str.isspace() accepts, which digit files may contain anywhere
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
-# limbs per Python list in long division
-_DIVIDE_BLOCK = 4096
 
 
 class DigitFileError(ValueError):
@@ -104,51 +102,71 @@ def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
 
 
 def limbs_to_digits(limbs: np.ndarray, k: int, c: int) -> np.ndarray:
-    """The c base-k digits of each limb, big-endian, as one uint8 array."""
+    """The c base-k digits of each limb, big-endian, as one uint8 array.
+
+    Each digit is rest - k * (rest // k): numpy divides an int64 array by a
+    scalar through a precomputed reciprocal, which it does not do for `%`.
+    """
     out = np.empty((len(limbs), c), np.uint8)
     rest = np.array(limbs)
+    quot = np.empty_like(rest)
     for j in range(c - 1, -1, -1):
-        out[:, j] = rest % k
-        rest //= k
+        np.floor_divide(rest, k, out=quot)
+        rest -= quot * k
+        out[:, j] = rest
+        rest, quot = quot, rest
     return out.reshape(-1)
 
 
 def divide_limbs(top: int, limbs: np.ndarray, d: int, K: int):
-    """Divide top * K^L + limbs by d in place, by schoolbook long division.
+    """Divide top * K^L + limbs by d in place, by a prefix scan of the remainders.
 
-    The limbs become the quotient's L limbs, each below K since the running
-    remainder stays below d; returns the quotient's part above them and the
-    remainder.  The limbs pass through Python ints a block at a time, so the
-    copy stays small.
+    The L limbs x_i, each below K, become the quotient's L limbs; returns the
+    quotient's part above them and the remainder.  The remainders
+    r_i = (K*r_(i-1) + x_i) mod d, with r_(-1) = top mod d, are an affine
+    recurrence mod d, so a doubling prefix scan (Hillis and Steele; Ladner and
+    Fischer) finds all of them in log2(L) int64 passes: r starts as x mod d
+    with r_(-1) folded into its first entry, and the pass of stride s = 2^j
+    sets r[s:] = (A*r[:-s] + r[s:]) mod d with A = (K mod d)^s mod d.
+    Quotient limb i is then
+    r_(i-1)*(K // d) + x_i // d + (r_(i-1)*(K mod d) + x_i mod d) // d.
+
+    The scan runs on int64 limbs with d < 2^31: every product and sum is then
+    below d^2 + d < 2^63, and r_(i-1)*(K // d) < K.  Object limbs (multipliers
+    past the int64 limb width) or a larger d take one Python divmod per limb.
     """
     qtop, rem = divmod(top, d)
-    for start in range(0, len(limbs), _DIVIDE_BLOCK):
-        block = limbs[start:start + _DIVIDE_BLOCK].tolist()
-        for i, x in enumerate(block):
-            block[i], rem = divmod(rem * K + x, d)
-        limbs[start:start + _DIVIDE_BLOCK] = block
-    return qtop, rem
-
-
-def rational_digits(num: int, den: int, k: int, count: int) -> bytes:
-    """The base-k digits of floor(num * k^count / den) for 0 <= num < den.
-
-    These are the first `count` digits of num/den, terminating expansion
-    preferred, by long division one limb of digits at a time.
-    """
-    c, dtype = limb_width(k)
-    quotient = np.zeros(-(-count // c), dtype)
-    divide_limbs(num, quotient, den, k ** c)
-    return limbs_to_digits(quotient, k, c)[:count].tobytes()
+    if limbs.dtype == object or d >= 2 ** 31:
+        quotient = limbs.tolist()
+        for i, x in enumerate(quotient):
+            quotient[i], rem = divmod(rem * K + x, d)
+        limbs[:] = quotient
+        return qtop, rem
+    if not len(limbs):
+        return qtop, rem
+    Kq, Kr = divmod(K, d)
+    xq = limbs // d
+    xr = limbs - xq * d  # x mod d, without numpy's slower `%`
+    r = xr.copy()
+    r[0] = (Kr * rem + int(r[0])) % d
+    s, A = 1, Kr
+    while s < len(r) and A:  # once A = 0, terms s or more limbs back vanish mod d
+        t = A * r[:-s] + r[s:]
+        r[s:] = t - t // d * d
+        s, A = 2 * s, A * A % d
+    prev = np.empty_like(r)  # r_(i-1)
+    prev[0] = rem
+    prev[1:] = r[:-1]
+    xr += prev * Kr
+    limbs[:] = prev * Kq + xq + xr // d
+    return qtop, int(r[-1])
 
 
 class DigitSequence:
     """A finite, immutable buffer of base-k digits.
 
     The digits are copied into `bytes` once, on construction; an array of
-    another dtype than uint8 is read by its values.  `exact_value` is the rational
-    whose terminating-preferred expansion the digits begin, set only where they were
-    computed from it (:func:`gen_rational_expansion`, exact arithmetic), else None.
+    another dtype than uint8 is read by its values.
     """
 
     def __init__(self, alphabet: Alphabet, digits):
@@ -156,10 +174,19 @@ class DigitSequence:
         if isinstance(digits, np.ndarray) and digits.dtype != np.uint8:
             digits = digits.tolist()  # bytes() of a wider array would copy its memory
         self._buf = bytes(digits)
-        self.exact_value = None
+        self._exact_value = None
         bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
         if bad:
             raise ValueError(f"digit {bad[0]} out of range for base {alphabet.k}")
+
+    @property
+    def exact_value(self):
+        """The rational whose terminating-preferred expansion the digits begin, or None.
+
+        Read-only: only :func:`gen_rational_expansion`, which computes the
+        digits from the value, sets it.
+        """
+        return self._exact_value
 
     @property
     def length_available(self) -> int:
@@ -196,8 +223,8 @@ def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") ->
     Both variants are normal in base k; shortlex is the default.
 
     Each word width w is one numpy pass: the words first, first+1, ... < k^w
-    (first = 0 for shortlex, k^(w-1) for integers) are written into the output
-    one digit column at a time, stopping at the word that reaches `count`.
+    (first = 0 for shortlex, k^(w-1) for integers), up to the word that
+    reaches `count`, are w-digit limbs whose digits fill the output.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -210,11 +237,7 @@ def gen_champernowne(alphabet: Alphabet, count: int, order: str = "shortlex") ->
         first = k ** (w - 1) if order == "integers" else 0
         words = np.arange(first, min(k ** w, first + -(-(count - pos) // w)), dtype=np.int64)
         end = pos + len(words) * w
-        for j in range(w - 1, -1, -1):
-            # digit j of every word; the slice drops the last word's digits past `count`
-            column = out[pos + j:end:w]
-            column[:] = (words % k)[:len(column)]
-            words //= k
+        out[pos:end] = limbs_to_digits(words, k, w)[:count - pos]
         pos, w = end, w + 1
     return DigitSequence(alphabet, out)
 
@@ -223,16 +246,21 @@ def gen_rational_expansion(q: Fraction, alphabet: Alphabet, count: int) -> Digit
     """First `count` digits of the base-k expansion of a rational q in [0, 1).
 
     k-adic rationals get the terminating expansion (trailing zeros): the
-    digits are those of floor(q * k^count), found by long division.  The
-    exact value rides along on the returned sequence.
+    digits are those of floor(q * k^count), found by long division of zero
+    limbs, one limb of digits each.  The exact value rides along on the
+    returned sequence.
     """
     q = Fraction(q)
     if not 0 <= q < 1:
         raise ValueError(f"q must lie in [0, 1), got {q}")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    seq = DigitSequence(alphabet, rational_digits(q.numerator, q.denominator, alphabet.k, count))
-    seq.exact_value = q
+    k = alphabet.k
+    c, dtype = limb_width(k)
+    quotient = np.zeros(-(-count // c), dtype)
+    divide_limbs(q.numerator, quotient, q.denominator, k ** c)
+    seq = DigitSequence(alphabet, limbs_to_digits(quotient, k, c)[:count])
+    seq._exact_value = q
     return seq
 
 

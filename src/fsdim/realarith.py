@@ -6,7 +6,8 @@ Certification works by interval enclosure with exact integer endpoints: an
 N-digit prefix P pins alpha inside [P/k^N, (P+1)/k^N], and each end of the
 affine image, scaled by k^count, is an integer computed on limbs of base-k
 digits (one multiply whose carries a prefix scan resolves, then a long
-division by a small integer); digits are emitted only where both ends agree.
+division by a small integer d whose remainders, an affine recurrence mod d,
+a second prefix scan finds); digits are emitted only where both ends agree.
 The lookahead N grows geometrically until the digits resolve or a cap is
 reached.  Streams carrying an exact rational value skip the enclosure and
 emit digits by exact long division, which also resolves results that sit
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digitseq import (DigitSequence, InsufficientDigitsError, digits_to_limbs, divide_limbs,
-                       limb_width, limbs_to_digits, rational_digits)
+                       gen_rational_expansion, limb_width, limbs_to_digits)
 
 DEFAULT_LOOKAHEAD_CAP = 4096
 
@@ -151,10 +152,7 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
 
     if seq.exact_value is not None:
         value = coef * seq.exact_value + offset
-        frac_part = value - math.floor(value)
-        digits = rational_digits(frac_part.numerator, frac_part.denominator, k, count)
-        out = DigitSequence(seq.alphabet, digits)
-        out.exact_value = frac_part
+        out = gen_rational_expansion(value - math.floor(value), seq.alphabet, count)
         return CertifiedDigitResult(out, count, 0, False)
 
     avail = seq.length_available

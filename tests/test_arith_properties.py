@@ -8,14 +8,16 @@ and without the exact value), an operand on both sides of the int64 limb
 edge, a count and a lookahead cap, and checks every field of the result, or
 the exception type, against tests/oracles.py:certified_affine, the enclosure
 over k^N-sized Fractions.  On the same streams, the pairs of a block table
-are checked against the carries tests/oracles.py:carry_after encloses.
+are checked against the carries tests/oracles.py:carry_after encloses.  The
+long division's prefix scan and the digit extraction are checked on their own
+against Python-int divmod, with limbs laid out as for any operand.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,12 +25,12 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
                    add_rational_mod1, div_int, gen_rational_expansion,
                    integer_multiple_certificate, mul_int_mod1, mul_rational_mod1, negate_mod1)
-from fsdim import digitseq
+from fsdim.digitseq import divide_limbs, limb_width, limbs_to_digits
 from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION
 from fsdim.realarith import _certified_affine
 
-from oracles import (_digit_sum, _numeral, carry_after, certified_affine, long_division_digits,
-                     shift_in_sum)
+from oracles import (_digit_sum, _numeral, _width_digits, carry_after, certified_affine,
+                     long_division_digits, shift_in_sum)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -162,14 +164,38 @@ def test_operations_at_carry_and_width_edges(name, operand, seq, count, cap):
     assert_matches_oracle(name, seq, operand, count, cap)
 
 
+@st.composite
+def limb_arrays(draw):
+    """(k, c, K, limbs): up to 70 limbs of c base-k digits, as limb_width(k, m) lays them out."""
+    k = draw(st.integers(2, 36))
+    c, dtype = limb_width(k, draw(integers))
+    K = k ** c
+    values = st.integers(0, K - 1) | st.sampled_from([0, K - 1])
+    return k, c, K, np.array(draw(st.lists(values, max_size=70)), dtype)
+
+
 @PROPERTY_SETTINGS
-@given(seq=streams(max_len=120), name=st.sampled_from(sorted(OPERATIONS)), data=st.data())
-def test_long_division_across_blocks(seq, name, data):
-    # blocks of 2 limbs: every division crosses several Python-list blocks
-    operand = data.draw(OPERATIONS[name][1])
-    count = data.draw(st.integers(0, seq.length_available))
-    with mock.patch.object(digitseq, "_DIVIDE_BLOCK", 2):
-        assert_matches_oracle(name, seq, operand, count, 16)
+@given(limbs=limb_arrays(), top=st.integers(-2 ** 70, 2 ** 70),
+       d=st.integers(1, 12) | st.integers(2, 2 ** 31 - 1) | st.integers(2 ** 31 - 3, 2 ** 31 + 3)
+       | st.integers(3 * 2 ** 30, 2 ** 32) | st.integers(2 ** 31, 2 ** 80))
+def test_divide_limbs_matches_integer_division(limbs, top, d):
+    # up to 70 limbs cross the scan's power-of-two steps; d on both sides of
+    # its 2^31 gate (past 3 * 2^30, d^2 overflows int64), and object limbs,
+    # reach the per-limb loop
+    _, _, K, limbs = limbs
+    dtype = limbs.dtype
+    x = limbs.tolist()
+    qtop, rem = divide_limbs(top, limbs, d, K)
+    assert limbs.dtype == dtype and all(0 <= q < K for q in limbs.tolist())
+    assert (_numeral([qtop] + limbs.tolist(), K), rem) == divmod(_numeral([top] + x, K), d)
+
+
+@PROPERTY_SETTINGS
+@given(limbs=limb_arrays())
+def test_limbs_to_digits_matches_oracle(limbs):
+    k, c, _, limbs = limbs
+    assert limbs_to_digits(limbs, k, c).tobytes() == b"".join(
+        _width_digits(x, k, c) for x in limbs.tolist())
 
 
 @PROPERTY_SETTINGS

@@ -298,6 +298,9 @@ def test_rational_sequences_carry_exact_value():
     assert DigitSequence(Alphabet(10), seq.prefix(10)).exact_value is None
     with pytest.raises(TypeError):
         DigitSequence(Alphabet(10), b"\x05", exact_value=Fraction(1, 3))
+    with pytest.raises(AttributeError):
+        seq.exact_value = Fraction(1, 3)
+    assert seq.exact_value == q
 
 
 @st.composite
