@@ -23,26 +23,22 @@ from .digitseq import Alphabet, DigitSequence, InsufficientDigitsError, digits_t
 TAIL_FRACTION = 0.5  # share of each grid row, largest n first, that the estimates read
 
 
-@dataclass
-class BlockDistribution:
-    """Empirical distribution of the first n aligned l-blocks of a sequence.
+class BlockDistribution(NamedTuple):
+    """The first n aligned l-blocks of one stream, counted: their keys `codes`
+    in block order, the observed keys `values` ascending with their positive
+    `counts` (which sum to n), and the Shannon entropy of those counts in
+    bits.  Keys are base-k block codes, most significant digit first; grid
+    rows key blocks beyond 62 bits by their l digit bytes (np.void) instead,
+    whose memcmp order is base-k code order."""
 
-    counts maps the base-k integer code of each observed block (most
-    significant digit first) to its occurrence count; counts always sum to
-    exactly n, so the derived probabilities are exact rationals summing to 1.
-    """
+    codes: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    bits: float
 
-    alphabet: Alphabet
-    l: int
-    n: int
-    counts: Dict[int, int]
-
-    def __post_init__(self):
-        if self.l < 1 or self.n < 1:
-            raise ValueError("block length and block count must be positive")
-        total = sum(self.counts.values())
-        if total != self.n:
-            raise ValueError(f"counts sum to {total}, expected n={self.n}")
+    @property
+    def n(self) -> int:
+        return len(self.codes)
 
 
 def _code_dtype(k: int, l: int):
@@ -86,14 +82,15 @@ def _prefix_counts(codes: np.ndarray, space: int, schedule: Sequence[int]):
 
 
 def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
-    """Count the first n aligned l-blocks of `seq`, keyed by block code.
+    """Count the first n aligned l-blocks of `seq`, keyed by integer block code.
 
     Block j is seq[j*l : (j+1)*l]; the distribution needs n*l digits.
     """
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
-    (values, counts), = _prefix_counts(block_codes(seq, l, n), seq.alphabet.k ** l, [n])
-    return BlockDistribution(seq.alphabet, l, n, dict(zip(values.tolist(), counts.tolist())))
+    codes = block_codes(seq, l, n)
+    (values, counts), = _prefix_counts(codes, seq.alphabet.k ** l, [n])
+    return BlockDistribution(codes, values, counts, _entropy_from_counts(counts, n))
 
 
 # below this many observed codes a Counter groups equal counts faster than numpy
@@ -129,50 +126,31 @@ def _entropy_from_counts(counts, n: int) -> float:
     return max(h, 0.0)
 
 
-class _Blocks(NamedTuple):
-    """The first n aligned l-blocks of one stream: their keys `codes` in block
-    order, the observed keys `values` ascending with their positive `counts`,
-    and the entropy of those counts in bits.  Keys are base-k codes while
-    l * log2 k <= 62, and l-byte digit strings (np.void) beyond, whose memcmp
-    order is base-k code order."""
-
-    codes: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-    bits: float
-
-
 def _prefix_blocks(seq: DigitSequence, l: int, schedule: Sequence[int]):
-    """Yield the _Blocks of the first n aligned l-blocks of `seq` for each n of
-    the ascending `schedule`, counting the nested prefixes in one pass."""
+    """Yield the BlockDistribution of the first n aligned l-blocks of `seq` for
+    each n of the ascending `schedule`, counting the nested prefixes in one pass."""
     k = seq.alphabet.k
     if l * math.log2(k) > 62:
         codes = seq.prefix_array(schedule[-1] * l).view(np.dtype((np.void, l)))
     else:
         codes = block_codes(seq, l, schedule[-1])
     for n, (values, counts) in zip(schedule, _prefix_counts(codes, k ** l, schedule)):
-        yield _Blocks(codes[:n], values, counts, _entropy_from_counts(counts, n))
+        yield BlockDistribution(codes[:n], values, counts, _entropy_from_counts(counts, n))
 
 
 def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits, with the 0*log(1/0) = 0 convention.
+    """Shannon entropy in bits of exact probabilities, with the 0*log(1/0) = 0 convention.
 
-    Accepts a :class:`BlockDistribution`, anything with exact rational
-    entries under a ``p`` attribute, or a bare probability vector
-    (fractions or floats).  Probabilities must sum to 1: exactly for exact
-    inputs, within 1e-9 for floats.
+    Takes a vector of Fractions (or ints), or anything holding one under a
+    ``p`` attribute; the entries must be nonnegative and sum to exactly 1.
+    A :class:`BlockDistribution` carries its entropy as ``bits``.
     """
-    if isinstance(dist, BlockDistribution):
-        return _entropy_from_counts(list(dist.counts.values()), dist.n)
     probs = list(dist.p) if hasattr(dist, "p") else list(dist)
-    if all(isinstance(p, (Fraction, int)) for p in probs):
-        total = sum(probs)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-    else:
-        probs = [float(p) for p in probs]
-        if abs(math.fsum(probs) - 1.0) > 1e-9:
-            raise ValueError("probabilities do not sum to 1")
+    if not all(isinstance(p, (Fraction, int)) for p in probs):
+        raise ValueError("probabilities must be exact rationals")
+    total = sum(probs)
+    if total != 1:
+        raise ValueError(f"probabilities sum to {total}, expected exactly 1")
     if any(p < 0 for p in probs):
         raise ValueError("negative probability")
     return max(math.fsum(-float(p) * math.log2(float(p)) for p in probs if p > 0), 0.0)
@@ -228,12 +206,12 @@ def entropy_rate_grid(seq: DigitSequence, max_block_len: int,
 def _count_rows(streams: Dict[str, DigitSequence], max_block_len: int, schedule: List[int]):
     """Yield (l, n, cells) for the cells of the grid, ascending l then n, up to
     the first row that no stream reaches; `cells` maps the name of each stream
-    holding n*l digits to its _Blocks of the first n l-blocks.  Each row is
-    counted by one plan: taken longest need first, a stream shares the counts
-    of the first earlier one whose digits agree with its own needed prefix,
-    so each distinct prefix is encoded once and its nested prefixes are
-    counted in one pass.  `cells` is one dict, emptied after each yield, so
-    one block length's codes are held at a time."""
+    holding n*l digits to its BlockDistribution of the first n l-blocks.  Each
+    row is counted by one plan: taken longest need first, a stream shares the
+    counts of the first earlier one whose digits agree with its own needed
+    prefix, so each distinct prefix is encoded once and its nested prefixes
+    are counted in one pass.  `cells` is one dict, emptied after each yield,
+    so one block length's codes are held at a time."""
     cells = {}
     for l in range(1, max_block_len + 1):
         fits = {name: [n for n in schedule if n * l <= seq.length_available]

@@ -48,18 +48,6 @@ class Alphabet:
             raise ValueError(f"base must be an integer in [2, 36], got {self.k!r}")
 
 
-def digits_to_int(digits, k: int) -> int:
-    """Value of big-endian base-k digits.
-
-    A plain Horner loop: it reads the last, partial limb of a digit array,
-    a few dozen digits at most.
-    """
-    v = 0
-    for d in digits:
-        v = v * k + d
-    return v
-
-
 def limb_width(k: int, m: int = 1):
     """Digits per limb, and the limb dtype, for base-k limbs multiplied by m.
 
@@ -84,7 +72,7 @@ def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
 
     The limbs hold the digits' numeral times k^pad, built in place by Horner's
     rule over the uint8 columns from a cast of the first, so no other digit is
-    copied to a wider type.
+    copied to a wider type; a partial last limb, under c digits, by a plain loop.
     """
     n = len(digits)
     full = n // c
@@ -97,7 +85,10 @@ def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
         head += body[:, j]
     pad = len(limbs) * c - n
     if pad:
-        limbs[-1] = digits_to_int(bytes(digits[full * c:]), k) * k ** pad
+        last = 0
+        for d in digits[full * c:].tolist():
+            last = last * k + d
+        limbs[-1] = last * k ** pad
     return limbs, pad
 
 

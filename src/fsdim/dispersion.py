@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .blockstats import BlockDistribution, _Blocks, _prefix_blocks
+from .blockstats import BlockDistribution, _prefix_blocks
 from .digitseq import Alphabet, DigitSequence
 from .realarith import DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1
 
@@ -711,7 +711,8 @@ def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
 
 def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Fraction]:
     """Sparse {block code: probability} view of a block distribution."""
-    return {code: Fraction(c, dist.n) for code, c in dist.counts.items()}
+    return {code: Fraction(c, dist.n)
+            for code, c in zip(dist.values.tolist(), dist.counts.tolist())}
 
 
 def _certificate_dimension(k: int, l: int) -> int:
@@ -776,9 +777,9 @@ class BlockCoupling(SparseStochasticCertificate):
                   identity.observed, source_counts)
 
     @classmethod
-    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: _Blocks,
-                   image: _Blocks) -> "BlockCoupling":
-        """The table of two counted cells of n = len(source.codes) blocks: the
+    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: BlockDistribution,
+                   image: BlockDistribution) -> "BlockCoupling":
+        """The table of two counted cells of n = source.n blocks: the
         aligned pairs are counted by one in-place sort of the keys x*k^l + y of
         the cells' codes, and the masses and the image counts are the cells'
         own values and counts."""
@@ -792,7 +793,7 @@ class BlockCoupling(SparseStochasticCertificate):
         del keys, bounds  # free the keys before the table groups its pairs
         x = y // dimension  # numpy divides by a scalar faster than it takes a remainder
         y -= x * dimension
-        return cls(alphabet, l, m, len(source.codes), x, y, counts, source.values, source.counts,
+        return cls(alphabet, l, m, source.n, x, y, counts, source.values, source.counts,
                    image.values, image.counts)
 
     def validate(self) -> ValidationOutcome:
@@ -817,12 +818,6 @@ class BlockCoupling(SparseStochasticCertificate):
                                      f"{residue[t]} > m - 1 = {self.m - 1}")
         return ValidationOutcome(True)
 
-    def distributions(self) -> Tuple[BlockDistribution, BlockDistribution]:
-        """Block distributions of alpha and of m*alpha."""
-        return tuple(BlockDistribution(self.alphabet, self.l, self.blocks, _sparse(codes, counts))
-                     for codes, counts in ((self.columns, self.masses),
-                                           (self.image_codes, self.image_counts)))
-
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
                                  lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
@@ -838,7 +833,8 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
     frac(m*alpha), in alpha's base and covering at least n*l digits, saving
     the multiplication when many (l, n) cells are built from one stream.
 
-    Returns (certificate, block distribution of alpha, of m*alpha).
+    Returns (table, source, image): the table and the two counted
+    :class:`BlockDistribution` cells of alpha and of m*alpha it was built from.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -859,5 +855,4 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
     (source,), (image,) = _prefix_blocks(seq, l, [n]), _prefix_blocks(product_digits, l, [n])
-    table = BlockCoupling.from_codes(seq.alphabet, l, m, source, image)
-    return (table, *table.distributions())
+    return BlockCoupling.from_codes(seq.alphabet, l, m, source, image), source, image

@@ -45,8 +45,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .blockstats import (TAIL_FRACTION, _Blocks, _count_rows, _grid_from_bits, _grid_schedule,
-                         _grids, dim_estimates, normality_deviation, shannon_entropy)
+from .blockstats import (TAIL_FRACTION, BlockDistribution, _count_rows, _grid_from_bits,
+                         _grid_schedule, _grids, dim_estimates, normality_deviation,
+                         shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
 from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
                          _certificate_dimension, build_banded_worst_case, compose_certificates,
@@ -87,8 +88,9 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _certificate_cell(leg: str, m: int, source: _Blocks, image: _Blocks,
-                      alphabet: Alphabet, l: int, n: int, records: List, violations: List):
+def _certificate_cell(leg: str, m: int, source: BlockDistribution,
+                      image: BlockDistribution, alphabet: Alphabet, l: int, n: int,
+                      records: List, violations: List):
     """Check cell (l, n) of one leg, from the counted blocks of its stream and of
     its product frac(m * stream): an integer joint-count table checked against
     the plan's marginals, with the plan's entropies.  Appends its record and

@@ -189,6 +189,24 @@ def champernowne_digits(k: int, count: int, order: str) -> bytes:
     return bytes(out[:count])
 
 
+def oscillating_digits(count: int) -> bytes:
+    """`count` base-10 digits of alternating segments, the next Champernowne
+    digits then zeros, the segment lengths growing 4x from 64.  After a
+    Champernowne segment about 4/5 of the digits are Champernowne's, after a
+    run of zeros about 1/5, so the sequence has dimension 1/5 and strong
+    dimension 4/5: its lower and upper estimates stay far apart."""
+    champ = champernowne_digits(10, count, "shortlex")
+    out, used, length, dense = bytearray(), 0, 64, True
+    while len(out) < count:
+        if dense:
+            out += champ[used:used + length]
+            used += length
+        else:
+            out += bytes(length)
+        length, dense = 4 * length, not dense
+    return bytes(out[:count])
+
+
 def entropy_from_counts(counts, n: int) -> float:
     """Entropy in bits of a count vector, equal counts grouped by a Counter."""
     if n <= 0:
@@ -240,6 +258,14 @@ def naive_block_counts(digits: bytes, l: int, n: int):
         w = digits[j * l:(j + 1) * l]
         counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def numpy_block_counts(digits, k: int, l: int, n: int):
+    """{block code: count} of the first n aligned l-blocks: the digits as an
+    n x l matrix times the powers of k, then one np.unique."""
+    blocks = np.frombuffer(bytes(digits[:n * l]), np.uint8).astype(np.int64).reshape(n, l)
+    codes = blocks @ k ** np.arange(l - 1, -1, -1, dtype=np.int64)
+    return dict(zip(*(a.tolist() for a in np.unique(codes, return_counts=True))))
 
 
 def sliding_normality_deviation(digits: bytes, k: int, w_max_len: int, n: int) -> Fraction:

@@ -14,14 +14,13 @@ from fractions import Fraction
 
 import pytest
 
-from fsdim import (Alphabet, DigitSequence, block_distribution_as_code_vector,
-                   certificate_bound_bits, dim_estimates, entropy_rate_grid,
-                   gen_champernowne, gen_dilution, gen_rational_expansion,
-                   integer_multiple_certificate, select_progression, shannon_entropy,
-                   validate_certificate, add_rational_mod1, div_int, mul_rational_mod1,
-                   verify_contractivity_suite, verify_dilution_counterexample,
+from fsdim import (Alphabet, DigitSequence, certificate_bound_bits, dim_estimates,
+                   entropy_rate_grid, gen_champernowne, gen_dilution, gen_rational_expansion,
+                   integer_multiple_certificate, select_progression,
+                   validate_certificate, add_rational_mod1, div_int, mul_int_mod1,
+                   mul_rational_mod1, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
-from oracles import _digit_sum, frac_digits
+from oracles import _digit_sum, entropy_from_counts, frac_digits, numpy_block_counts
 
 SEED = 20260808
 ENTROPY_SLACK = 2.0 ** -30
@@ -56,6 +55,8 @@ def test_criterion_2_contractivity_suite():
 
 
 def test_criterion_3_integer_multiple_certificates():
+    # each table is checked against block counts it did not produce: alpha's
+    # and the certified product's digits, counted by a matrix product and np.unique
     start = time.monotonic()
     for k in (2, 10):
         seq = gen_champernowne(Alphabet(k), 100_000)
@@ -64,17 +65,20 @@ def test_criterion_3_integer_multiple_certificates():
             for l in range(1, 7):
                 guard_blocks = -(-64 // l) + 4
                 n = 100_000 // l - guard_blocks
-                cert, dist_a, dist_b = integer_multiple_certificate(seq, m, l, n)
+                product = mul_int_mod1(seq, m, n * l).digits
+                cert, _, _ = integer_multiple_certificate(seq, m, l, n, product_digits=product)
+                pi, mu = (numpy_block_counts(digits.prefix_array(n * l), k, l, n)
+                          for digits in (seq, product))
                 outcome = validate_certificate(
                     cert,
-                    block_distribution_as_code_vector(dist_a),
-                    block_distribution_as_code_vector(dist_b))
+                    {x: Fraction(c, n) for x, c in pi.items()},
+                    {y: Fraction(c, n) for y, c in mu.items()})
                 assert outcome.ok, (k, m, l, outcome.violation, outcome.detail)
                 row_max, col_max = cert.max_degrees()
                 g = math.gcd(m, k ** l)
                 assert col_max <= (s + 1) * m, (k, m, l)
                 assert row_max <= g * (s + 1) * m, (k, m, l)
-                gap = abs(shannon_entropy(dist_a) - shannon_entropy(dist_b))
+                gap = abs(entropy_from_counts(pi.values(), n) - entropy_from_counts(mu.values(), n))
                 bound = certificate_bound_bits(m, k, l)
                 assert gap <= bound + ENTROPY_SLACK, (k, m, l, gap, bound)
     elapsed = time.monotonic() - start

@@ -16,11 +16,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, block_frequencies, entropy_rate_grid,
-                   normality_deviation, shannon_entropy)
+                   normality_deviation)
 from fsdim.blockstats import _prefix_blocks
-from fsdim.digitseq import digits_to_int
 
-from oracles import entropy_from_counts, naive_block_counts, sliding_normality_deviation
+from oracles import _numeral, entropy_from_counts, naive_block_counts, sliding_normality_deviation
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -74,8 +73,10 @@ def grid_cells(draw):
 @example((2, 64, 3, bytes([1]) * 128 + bytes(64)))
 def test_block_counts_match_naive_slicing(cell):
     k, l, n, digits = cell
-    expected = {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
-    assert block_frequencies(DigitSequence(Alphabet(k), digits), l, n).counts == expected
+    expected = {_numeral(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
+    dist = block_frequencies(DigitSequence(Alphabet(k), digits), l, n)
+    assert dict(zip(dist.values.tolist(), dist.counts.tolist())) == expected
+    assert dist.codes.tolist() == [_numeral(digits[j * l:(j + 1) * l], k) for j in range(n)]
 
 
 @st.composite
@@ -87,7 +88,7 @@ def prefix_rows(draw):
 
 def _key_code(key, k: int) -> int:
     """The base-k code of a block key: an integer code, or an l-byte digit string."""
-    return digits_to_int(key.tobytes(), k) if isinstance(key, np.void) else int(key)
+    return _numeral(key.tobytes(), k) if isinstance(key, np.void) else int(key)
 
 
 @PROPERTY_SETTINGS
@@ -98,9 +99,9 @@ def test_prefix_blocks_match_naive_counts(row):
     # past 62 bits the keys are digit strings, whose memcmp order must be code order
     k, l, schedule, digits = row
     for n, blocks in zip(schedule, _prefix_blocks(DigitSequence(Alphabet(k), digits), l, schedule)):
-        expected = {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
+        expected = {_numeral(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
         assert [_key_code(key, k) for key in blocks.codes] == [
-            digits_to_int(digits[j * l:(j + 1) * l], k) for j in range(n)]
+            _numeral(digits[j * l:(j + 1) * l], k) for j in range(n)]
         values = [_key_code(key, k) for key in blocks.values]
         assert values == sorted(expected)
         assert blocks.counts.tolist() == [expected[v] for v in values]
@@ -127,7 +128,8 @@ def test_entropy_grid_matches_block_frequencies(cell):
     grid = entropy_rate_grid(seq, max_len, schedule)
     cells = [(l, n) for l in range(1, max_len + 1) for n in sorted(set(schedule))]
     fitting = [(l, n) for l, n in cells if n * l <= len(digits)]
-    expected = [(l, n, min(shannon_entropy(block_frequencies(seq, l, n)) / (l * math.log2(k)), 1.0))
+    expected = [(l, n, min(entropy_from_counts(naive_block_counts(digits, l, n).values(), n)
+                           / (l * math.log2(k)), 1.0))
                 for l, n in fitting]
     assert [(e.l, e.n, e.h) for e in grid.entries] == expected
     assert grid.clipped == (len(fitting) < len(cells))

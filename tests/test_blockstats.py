@@ -13,18 +13,21 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
                    dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
                    gen_rational_expansion, normality_deviation, shannon_entropy)
-from fsdim.blockstats import (FEW_CODES, BlockDistribution, DimensionEstimateGrid,
-                              _entropy_from_counts)
-from fsdim.digitseq import digits_to_int
+from fsdim.blockstats import FEW_CODES, DimensionEstimateGrid, _entropy_from_counts
 from fsdim.dispersion import block_distribution_as_code_vector
 
-from oracles import (_naive_dim_estimates, entropy_from_counts, naive_block_counts,
+from oracles import (_naive_dim_estimates, _numeral, entropy_from_counts, naive_block_counts,
                      sliding_normality_deviation)
 
 
 def naive_code_counts(digits: bytes, k: int, l: int, n: int):
     """The oracle's block counts keyed by base-k block code."""
-    return {digits_to_int(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
+    return {_numeral(w, k): c for w, c in naive_block_counts(digits, l, n).items()}
+
+
+def code_counts(dist):
+    """{block code: count} of a block distribution."""
+    return dict(zip(dist.values.tolist(), dist.counts.tolist()))
 
 
 def _alternating(count):
@@ -33,8 +36,9 @@ def _alternating(count):
 
 def test_block_frequencies_trivial_cases():
     dist = block_frequencies(_alternating(16), 2, 4)
-    assert dist.counts == {digits_to_int(bytes([0, 1]), 2): 4}
-    assert block_distribution_as_code_vector(dist) == {digits_to_int(bytes([0, 1]), 2): 1}
+    assert code_counts(dist) == {_numeral(bytes([0, 1]), 2): 4}
+    assert dist.n == 4 and dist.codes.tolist() == [1] * 4 and dist.bits == 0.0
+    assert block_distribution_as_code_vector(dist) == {_numeral(bytes([0, 1]), 2): 1}
 
     seq = DigitSequence(Alphabet(2), bytes([0, 1, 1, 0]))
     dist = block_frequencies(seq, 1, 4)
@@ -44,7 +48,7 @@ def test_block_frequencies_trivial_cases():
 def test_block_frequencies_against_naive_recount():
     seq = gen_champernowne(Alphabet(2), 3100)
     dist = block_frequencies(seq, 3, 1000)
-    assert dist.counts == naive_code_counts(seq.prefix(3000), 2, 3, 1000)
+    assert code_counts(dist) == naive_code_counts(seq.prefix(3000), 2, 3, 1000)
 
     rng = random.Random(3)
     for _ in range(20):
@@ -53,7 +57,7 @@ def test_block_frequencies_against_naive_recount():
         n = rng.randint(1, 200)
         digits = bytes(rng.randrange(k) for _ in range(n * l))
         seq = DigitSequence(Alphabet(k), digits)
-        assert block_frequencies(seq, l, n).counts == naive_code_counts(digits, k, l, n)
+        assert code_counts(block_frequencies(seq, l, n)) == naive_code_counts(digits, k, l, n)
 
 
 def test_block_probabilities_sum_to_one_exactly():
@@ -82,7 +86,7 @@ def test_shannon_entropy_examples():
 def test_shannon_entropy_of_distribution_matches_vector_form():
     seq = gen_champernowne(Alphabet(2), 4000)
     dist = block_frequencies(seq, 2, 2000)
-    direct = shannon_entropy(dist)
+    direct = dist.bits
     from_probs = shannon_entropy(list(block_distribution_as_code_vector(dist).values()))
     assert abs(direct - from_probs) < 1e-12
 
@@ -195,26 +199,23 @@ CHAMP_2 = gen_champernowne(Alphabet(2), 64)
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: BlockDistribution(Alphabet(2), 0, 1, {0: 1}),
-     "block length and block count must be positive"),
-    (lambda: BlockDistribution(Alphabet(2), 1, 0, {}),
-     "block length and block count must be positive"),
+    (lambda: _entropy_from_counts([], 0), "empty distribution"),
     (lambda: block_frequencies(CHAMP_2, 0, 5), "need l >= 1 and n >= 1"),
     (lambda: block_frequencies(CHAMP_2, 2, 0), "need l >= 1 and n >= 1"),
     (lambda: shannon_entropy([Fraction(3, 2), Fraction(-1, 2)]), "negative probability"),
-    (lambda: shannon_entropy([1.5, -0.5]), "negative probability"),
+    (lambda: shannon_entropy([1.5, -0.5]), "probabilities must be exact rationals"),
     (lambda: dim_estimates(DimensionEstimateGrid(Alphabet(2), 2, (10,))), "empty grid"),
     (lambda: normality_deviation(CHAMP_2, 0, 10), "w_max_len must be >= 1"),
-], ids=["distribution-l", "distribution-n", "frequencies-l", "frequencies-n",
-        "entropy-exact-negative", "entropy-float-negative", "empty-grid", "normality-w"])
+], ids=["distribution-n", "frequencies-l", "frequencies-n",
+        "entropy-exact-negative", "entropy-float", "empty-grid", "normality-w"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
 def test_block_distribution_validates_totals():
-    with pytest.raises(ValueError):
-        BlockDistribution(Alphabet(2), 1, 5, {0: 3})
+    with pytest.raises(ValueError, match="^counts do not sum to n$"):
+        _entropy_from_counts([3], 5)
 
 
 @st.composite

@@ -39,7 +39,6 @@ from fsdim import (Alphabet, BlockCoupling, DigitSequence, ProbabilityVector,
                    delta_exact, gen_champernowne, integer_multiple_certificate, mul_int_mod1,
                    reverse_certificate, validate_certificate, verify_rational_arithmetic)
 from fsdim.blockstats import _prefix_blocks
-from fsdim.digitseq import digits_to_int
 
 import oracles
 
@@ -66,7 +65,7 @@ def build(cell):
         cert, dist_a, dist_b = integer_multiple_certificate(seq, m, l, n, lookahead_cap=64)
     except UnresolvedCarryError:
         assume(False)
-    observed = {digits_to_int(digits[j * l:(j + 1) * l], k) for j in range(n)}
+    observed = {oracles._numeral(digits[j * l:(j + 1) * l], k) for j in range(n)}
     materialized = SparseStochasticCertificate(
         cert.n, dict(cert.entries), cert.declared_m,
         frozenset(set(range(k ** l)) - observed))
@@ -436,11 +435,10 @@ def breaking_image(table, x):
 @PROPERTY_SETTINGS
 @given(coupling_cells())
 def test_table_validator_agrees_on_valid_tables(cell):
-    table = build_table(cell)
+    table, _, pi, mu, _ = build(cell)
     assert integer_view(table) == rational_view(table)
     assert table.validate().ok
-    assert_matches_reference(table, *(block_distribution_as_code_vector(d)
-                                       for d in table.distributions()))
+    assert_matches_reference(table, pi, mu)
 
 
 @PROPERTY_SETTINGS

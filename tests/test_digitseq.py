@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                    gen_champernowne, gen_dilution, gen_rational_expansion,
                    read_digit_file, select_progression, write_digit_file)
-from fsdim.digitseq import digits_to_int
+from fsdim.digitseq import digits_to_limbs, limb_width
 
-from oracles import (DIGIT_CHARS, _width_digits, champernowne_digits, long_division_digits,
-                     parse_digit_file)
+from oracles import (DIGIT_CHARS, _numeral, _width_digits, champernowne_digits,
+                     long_division_digits, parse_digit_file)
 
 FILE_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None,
                          suppress_health_check=[HealthCheck.too_slow])
@@ -36,7 +36,12 @@ def test_digit_int_conversions_roundtrip():
         k = rng.randint(2, 36)
         width = rng.randint(1, 300)
         v = rng.randrange(k ** width)
-        assert digits_to_int(_width_digits(v, k, width), k) == v
+        # limbs of c digits each, the last one padded with zero digits
+        c, dtype = limb_width(k)
+        digits = np.frombuffer(_width_digits(v, k, width), np.uint8)
+        limbs, pad = digits_to_limbs(digits, k, c, dtype)
+        assert pad == -width % c
+        assert _numeral(limbs.tolist(), k ** c) == v * k ** pad
 
 
 def test_champernowne_binary_prefix():

@@ -24,6 +24,11 @@ F = Fraction
 CHAMPERNOWNE_100 = gen_champernowne(Alphabet(10), 100)
 
 
+def code_counts(dist):
+    """{block code: count} of a block distribution."""
+    return dict(zip(dist.values.tolist(), dist.counts.tolist()))
+
+
 def vec(*entries):
     return ProbabilityVector(tuple(F(e) for e in entries))
 
@@ -458,15 +463,15 @@ class TestIntegerMultipleCertificate:
     def test_point_mass_stream(self):
         seq = gen_rational_expansion(F(1, 3), Alphabet(10), 300)
         cert, da, db = integer_multiple_certificate(seq, 2, 1, 100)
-        assert da.counts == {3: 100}
-        assert db.counts == {6: 100}
+        assert code_counts(da) == {3: 100}
+        assert code_counts(db) == {6: 100}
         assert cert.entries == {(6, 3): F(1)}
         assert 3 not in cert.identity_columns and 6 in cert.identity_columns
 
     def test_identity_multiplier_is_subpermutation(self):
         seq = gen_champernowne(Alphabet(2), 1000)
         cert, da, db = integer_multiple_certificate(seq, 1, 3, 200)
-        assert da.counts == db.counts
+        assert code_counts(da) == code_counts(db)
         rows, cols = cert.support_counts()
         assert max(rows.values()) == 1 and max(cols.values()) == 1
         assert certificate_bound_bits(1, 2, 3) == 1.0  # log2(1*(1+1)*1)
@@ -491,7 +496,7 @@ class TestIntegerMultipleCertificate:
             bounds.add(round(bound, 12))
             for n in (500, 1500):
                 cert, da, db = integer_multiple_certificate(seq, 5, l, n)
-                gap = abs(shannon_entropy(da) - shannon_entropy(db))
+                gap = abs(da.bits - db.bits)
                 assert gap <= bound + 2 ** -30
         assert len(bounds) == 1  # gcd(5, 2^l) = 1 for every l: bound constant
 
@@ -503,7 +508,7 @@ class TestIntegerMultipleCertificate:
         c2, da2, db2 = integer_multiple_certificate(seq, 7, 2, 700,
                                                     product_digits=product.digits)
         assert c1.entries == c2.entries
-        assert da1.counts == da2.counts and db1.counts == db2.counts
+        assert code_counts(da1) == code_counts(da2) and code_counts(db1) == code_counts(db2)
 
     @pytest.mark.parametrize("seq,m,l,n,product,error,message", [
         (CHAMPERNOWNE_100, 0, 2, 10, None, ValueError, "m must be a positive integer"),

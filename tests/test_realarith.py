@@ -6,10 +6,9 @@ import pytest
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, add_rational_mod1,
                    div_int, gen_champernowne, gen_rational_expansion, mul_int_mod1,
                    mul_rational_mod1, negate_mod1)
-from fsdim.digitseq import digits_to_int
 from fsdim.realarith import _certified_affine
 
-from oracles import frac_digits, product_prefix_digits
+from oracles import _numeral, frac_digits, product_prefix_digits
 
 A10 = Alphabet(10)
 A2 = Alphabet(2)
@@ -86,7 +85,7 @@ class TestDivInt:
         res = div_int(seq, 7, 100)
         assert res.certified_count == 100
         # oracle: long-divide the exact prefix rational, guard digits absorb the tail
-        prefix = digits_to_int(seq.prefix(150), 10)
+        prefix = _numeral(seq.prefix(150), 10)
         lo = frac_digits(Fraction(prefix, 10 ** 150) / 7, 10, 100)
         hi = frac_digits(Fraction(prefix + 1, 10 ** 150) / 7, 10, 100)
         assert lo == hi == res.digits.prefix(100)
@@ -103,7 +102,7 @@ class TestAddRational:
         seq = gen_champernowne(A10, 160)
         res = add_rational_mod1(seq, Fraction(1, 7), 100)
         assert res.certified_count == 100
-        prefix = digits_to_int(seq.prefix(150), 10)
+        prefix = _numeral(seq.prefix(150), 10)
         lo = frac_digits(Fraction(prefix, 10 ** 150) + Fraction(1, 7), 10, 100)
         hi = frac_digits(Fraction(prefix + 1, 10 ** 150) + Fraction(1, 7), 10, 100)
         assert lo == hi == res.digits.prefix(100)
@@ -133,7 +132,7 @@ class TestMulRational:
         seq = gen_champernowne(A10, 170)
         res = mul_rational_mod1(seq, Fraction(3, 2), 100)
         assert res.certified_count == 100
-        prefix = digits_to_int(seq.prefix(160), 10)
+        prefix = _numeral(seq.prefix(160), 10)
         lo = frac_digits(Fraction(prefix, 10 ** 160) * Fraction(3, 2), 10, 100)
         hi = frac_digits(Fraction(prefix + 1, 10 ** 160) * Fraction(3, 2), 10, 100)
         assert lo == hi == res.digits.prefix(100)

@@ -270,6 +270,23 @@ class TestRationalArithmetic:
         with pytest.raises(InsufficientDigitsError, match="too short for any grid cell"):
             verify_rational_arithmetic(seq, Fraction(1, 3), 2, [100])
 
+    @pytest.mark.parametrize("q", [Fraction(3), Fraction(1, 3)])
+    def test_images_keep_dimension_and_strong_dimension_apart(self, q):
+        # alpha has dimension 1/5 and strong dimension 4/5 (lower and upper
+        # read 0.313 and 0.795 on this grid); q*alpha and q+alpha must keep
+        # each of the two, not only one
+        count = 2_000_000
+        seq = DigitSequence(Alphabet(10), oracles.oscillating_digits(count))
+        schedule = [count // 384 * 2 ** i for i in range(8)]
+        report = verify_rational_arithmetic(seq, q, 3, schedule)
+        assert report.passes, report.violations[:3]
+        assert len(report.records) == 4 * 3 * 8 and all(rec["passed"] for rec in report.records)
+        alpha = report.details["estimates"]["alpha"]
+        assert alpha["upper"] - alpha["lower"] > 0.3
+        gaps = report.details["estimate_gaps"]
+        assert set(gaps) == {"q-alpha", "q-plus-alpha"}
+        assert all(gap["lower"] <= 0.1 and gap["upper"] <= 0.1 for gap in gaps.values()), gaps
+
 
 class TestReports:
     def test_reports_are_bit_identical_for_same_inputs(self):
