@@ -23,6 +23,7 @@ _CHAR_TO_VALUE = bytes.maketrans((_DIGIT_CHARS + _DIGIT_CHARS.lower()).encode("a
                                  _DIGIT_VALUES * 2)
 # the ASCII characters str.isspace() accepts, which digit files may contain anywhere
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+_NARROW = [np.uint8] * 9 + [np.uint16] * 8 + [np.uint32] * 16 + [np.int64] * 31 + [object]
 
 
 class DigitFileError(ValueError):
@@ -95,36 +96,67 @@ def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
 def limbs_to_digits(limbs: np.ndarray, k: int, c: int) -> np.ndarray:
     """The c base-k digits of each limb, big-endian, as one uint8 array.
 
-    Each digit is rest - k * (rest // k): numpy divides an int64 array by a
-    scalar through a precomputed reciprocal, which it does not do for `%`.
+    By c - 1 halving splits per limb: w digits split into the high ceil(w/2)
+    and low floor(w/2) by one floor division by k^floor(w/2).  A wider half
+    goes into _NARROW[bits of k^width - 1], the narrowest of uint8, uint16,
+    uint32, int64 and object holding it, so the scalars it meets fit its dtype.
+    Int64 or object parts of even width split into interleaved halves, one
+    array of the same digits in order, so later splits are one pass for both.
     """
+    while c % 2 == 0 and limbs.dtype.kind in "iO":
+        c //= 2
+        p = k ** c
+        halves = np.empty((len(limbs), 2), _NARROW[min((p - 1).bit_length(), 64)])
+        halves[:, 0] = high = limbs // p
+        halves[:, 1] = limbs - high * p
+        limbs = halves.reshape(-1)
     out = np.empty((len(limbs), c), np.uint8)
-    rest = np.array(limbs)
-    quot = np.empty_like(rest)
-    for j in range(c - 1, -1, -1):
-        np.floor_divide(rest, k, out=quot)
-        rest -= quot * k
-        out[:, j] = rest
-        rest, quot = quot, rest
+    parts = [(limbs, 0, c)]
+    while parts:
+        x, j, w = parts.pop()
+        if w == 1:
+            out[:, j] = x
+            continue
+        low = w // 2
+        high = x // k ** low
+        for part, at, width in ((x - high * k ** low, j + w - low, low), (high, j, w - low)):
+            narrow = _NARROW[min((k ** width - 1).bit_length(), 64)]
+            parts.append((part if width == 1 else part.astype(narrow, copy=False), at, width))
     return out.reshape(-1)
 
 
+def _affine_scan(r: np.ndarray, A: int, d: int):
+    """Set r[..., i] = (A*r[..., i-1] + r[..., i]) mod d along the last axis, in place,
+    from entries below d, by the doubling passes of :func:`divide_limbs`."""
+    bound, s = d, 1  # every entry is below bound
+    while s < r.shape[-1] and A:  # once A = 0, terms s or more places back vanish mod d
+        if (A + 1) * bound > 2 ** 63:
+            r -= r // d * d
+            bound = d
+        r[..., s:] += A * r[..., :-s]
+        bound, s, A = (A + 1) * bound, 2 * s, A * A % d
+    r -= r // d * d
+
+
 def divide_limbs(top: int, limbs: np.ndarray, d: int, K: int):
-    """Divide top * K^L + limbs by d in place, by a prefix scan of the remainders.
+    """Divide top * K^L + limbs by d in place, by a two-level prefix scan of the remainders.
 
     The L limbs x_i, each below K, become the quotient's L limbs; returns the
     quotient's part above them and the remainder.  The remainders
     r_i = (K*r_(i-1) + x_i) mod d, with r_(-1) = top mod d, are an affine
-    recurrence mod d, so a doubling prefix scan (Hillis and Steele; Ladner and
-    Fischer) finds all of them in log2(L) int64 passes: r starts as x mod d
-    with r_(-1) folded into its first entry, and the pass of stride s = 2^j
-    sets r[s:] = (A*r[:-s] + r[s:]) mod d with A = (K mod d)^s mod d.
-    Quotient limb i is then
-    r_(i-1)*(K // d) + x_i // d + (r_(i-1)*(K mod d) + x_i mod d) // d.
-
-    The scan runs on int64 limbs with d < 2^31: every product and sum is then
-    below d^2 + d < 2^63, and r_(i-1)*(K // d) < K.  Object limbs (multipliers
-    past the int64 limb width) or a larger d take one Python divmod per limb.
+    recurrence mod d, scanned in two levels (Blelloch): r_(-1) and the x_i
+    mod d in blocks of 64, all at once by 6 doubling passes (Ladner and
+    Fischer; stride s adds K^s mod d times the entry s back), with a row
+    (K mod d, 0, ...) that scans to the weights K^(j+1) mod d; one scan over
+    the block ends (multiplier K^64 mod d) makes each the carry c into the
+    next block; one pass adds K^(j+1)*c to its entry j.  Quotient limb i is
+    the exact r_(i-1)*(K // d) + (r_(i-1)*(K mod d) + x_i - r_i) / d.
+    On int64 limbs with d < 2^31, a pass takes entries below b below
+    (K^s mod d + 1)*b, so they are reduced mod d (as x - d*(x // d): int64
+    `%` is slower) only before a pass could reach 2^63; the carry pass stays
+    below d^2 + d < 2^63, r_(i-1)*(K mod d) + x_i below d^2 + K < 2^63, and
+    r_(i-1)*(K // d) below K.  Object limbs (multipliers past the int64 limb
+    width) or a larger d take one Python divmod per limb.
     """
     qtop, rem = divmod(top, d)
     if limbs.dtype == object or d >= 2 ** 31:
@@ -133,24 +165,20 @@ def divide_limbs(top: int, limbs: np.ndarray, d: int, K: int):
             quotient[i], rem = divmod(rem * K + x, d)
         limbs[:] = quotient
         return qtop, rem
-    if not len(limbs):
-        return qtop, rem
     Kq, Kr = divmod(K, d)
-    xq = limbs // d
-    xr = limbs - xq * d  # x mod d, without numpy's slower `%`
-    r = xr.copy()
-    r[0] = (Kr * rem + int(r[0])) % d
-    s, A = 1, Kr
-    while s < len(r) and A:  # once A = 0, terms s or more limbs back vanish mod d
-        t = A * r[:-s] + r[s:]
-        r[s:] = t - t // d * d
-        s, A = 2 * s, A * A % d
-    prev = np.empty_like(r)  # r_(i-1)
-    prev[0] = rem
-    prev[1:] = r[:-1]
-    xr += prev * Kr
-    limbs[:] = prev * Kq + xq + xr // d
-    return qtop, int(r[-1])
+    n = len(limbs) + 1  # r_(-1), then one remainder per limb
+    width, blocks = min(n, 64), -(-n // 64)
+    rows = np.zeros((blocks + 1, width), np.int64)
+    r = rows.reshape(-1)
+    r[0], r[1:n], rows[-1, 0] = rem, limbs - limbs // d * d, Kr
+    _affine_scan(rows, Kr, d)
+    ends = rows[:blocks - 1, -1].copy()  # each block's end: the carry into the next
+    _affine_scan(ends, int(rows[-1, -1]), d)
+    carried = rows[1:blocks]
+    carried += rows[-1] * ends[:, None]
+    carried -= carried // d * d
+    limbs[:] = r[:n - 1] * Kq + (r[:n - 1] * Kr + limbs - r[1:n]) // d
+    return qtop, int(r[n - 1])
 
 
 class DigitSequence:

@@ -6,8 +6,8 @@ Certification works by interval enclosure with exact integer endpoints: an
 N-digit prefix P pins alpha inside [P/k^N, (P+1)/k^N], and each end of the
 affine image, scaled by k^count, is an integer computed on limbs of base-k
 digits (one multiply whose carries a prefix scan resolves, then a long
-division by a small integer d whose remainders, an affine recurrence mod d,
-a second prefix scan finds); digits are emitted only where both ends agree.
+division by a small integer d by a two-level scan of its remainders; the
+high end is the low one plus a gap); digits are emitted where both agree.
 The lookahead N grows geometrically until the digits resolve or a cap is
 reached.  Streams carrying an exact rational value skip the enclosure and
 emit digits by exact long division, which also resolves results that sit
@@ -73,13 +73,13 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
     """The digits both ends of the enclosure share, and whether the ends are equal.
 
     For the N-digit prefix P in `digits`, the ends are floor((M*P' + S*k^N) /
-    (d*k^(N-count))) with P' in {P, P+1}.  Each is held as an integer part
-    and the limbs of its first N fractional digits: one multiply by |M| with
-    a carry scan, then one long division by d.  The high end exceeds the low
-    one by |M| before the division, so it is the low end's quotient plus a
-    small integer added at the bottom limb.  Returns the fractional digits
-    both ends share among the first `count` (none when their integer parts
-    differ), and whether the two ends are equal.
+    (d*k^(N-count))) with P' in {P, P+1}.  The low end, an integer part and the
+    limbs of its first N fractional digits, takes one multiply by |M|, a split
+    by x - K*(x // K), one carry scan and one long division by d; the high end
+    is the low end plus a small gap at the bottom limb, and differs only in
+    the limbs that addition's carry chain reaches.  Returns the fractional
+    digits both ends share among the first `count` (none when their integer
+    parts differ), and whether the two ends are equal.
     """
     m = abs(M)
     c, dtype = limb_width(k, m)
@@ -95,7 +95,7 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
         top -= m
     limbs *= m
     high = limbs // K
-    limbs %= K
+    limbs -= high * K
     if len(high):
         top += int(high[0])
         limbs[:-1] += high[1:]
@@ -104,24 +104,26 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
     rem = 0
     if d > 1:
         top, rem = divide_limbs(top, limbs, d, K)
-    upper = limbs.copy()
     gap = (rem + m * k ** pad) // d
-    i = len(upper)
-    while gap and i:
+    i = first = len(limbs)  # the high end is `upper` at limb `first`, the low end's below it
+    while gap > 1 and i:  # the gap's own limbs (gap < K^2), each carry folded into gap
         i -= 1
-        gap, low = divmod(gap, K)
-        upper[i] += low
-    agree = gap + _resolve_carries(upper, K) == 0  # no carry reaches the integer part
+        gap, add = divmod(gap, K)
+        total = int(limbs[i]) + add
+        gap += total >= K
+        if add:
+            first, upper = i, total % K
+    if gap == 1 and i:  # a carry of one passes up a run of K - 1, found by one search
+        stops = np.flatnonzero(limbs[:i] != K - 1) if limbs[i - 1] == K - 1 else [i - 1]
+        if len(stops):
+            first, gap = int(stops[-1]), 0
+            upper = int(limbs[first]) + 1
+    agree = gap == 0  # no carry reaches the integer part
     shared = count if agree else 0
-    used = -(-count // c)
-    if agree and used:
-        differs = upper[:used] != limbs[:used]
-        first = int(differs.argmax())
-        if differs[first]:
-            pair = limbs_to_digits(np.array([limbs[first], upper[first]], dtype), k, c)
-            shared = min(count, first * c + int((pair[:c] != pair[c:]).argmax()))
-            agree = shared == count
-    del upper
+    if agree and first < -(-count // c):
+        pair = limbs_to_digits(np.array([limbs[first], upper], dtype), k, c)
+        shared = min(count, first * c + int((pair[:c] != pair[c:]).argmax()))
+        agree = shared == count
     return limbs_to_digits(limbs[:-(-shared // c)], k, c)[:shared].tobytes(), agree
 
 

@@ -12,11 +12,9 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from fsdim import (Alphabet, DigitSequence, certificate_bound_bits, dim_estimates,
-                   entropy_rate_grid, gen_champernowne, gen_dilution, gen_rational_expansion,
-                   integer_multiple_certificate, select_progression,
+                   entropy_rate_grid, gen_champernowne, gen_rational_expansion,
+                   integer_multiple_certificate,
                    validate_certificate, add_rational_mod1, div_int, mul_int_mod1,
                    mul_rational_mod1, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)

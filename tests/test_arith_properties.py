@@ -10,10 +10,13 @@ the exception type, against tests/oracles.py:certified_affine, the enclosure
 over k^N-sized Fractions.  On the same streams, the pairs of a block table
 are checked against the carries tests/oracles.py:carry_after encloses.  The
 long division's prefix scan and the digit extraction are checked on their own
-against Python-int divmod, with limbs laid out as for any operand.
+against Python-int divmod, with limbs laid out as for any operand, up to
+4097 limbs; streams of up to 3000 digits of k - 1 carry the high end of the
+enclosure through every limb.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -165,13 +168,50 @@ def test_operations_at_carry_and_width_edges(name, operand, seq, count, cap):
 
 
 @st.composite
-def limb_arrays(draw):
-    """(k, c, K, limbs): up to 70 limbs of c base-k digits, as limb_width(k, m) lays them out."""
+def top_runs(draw):
+    """Up to 3 digits, then k - 1 for 300 to 3000 digits."""
     k = draw(st.integers(2, 36))
-    c, dtype = limb_width(k, draw(integers))
+    prefix = draw(st.lists(st.integers(0, k - 1), max_size=3))
+    return DigitSequence(Alphabet(k), bytes(prefix + [k - 1] * draw(st.integers(300, 3000))))
+
+
+@PROPERTY_SETTINGS
+@given(seq=top_runs(), data=st.data(),
+       coef=st.sampled_from([Fraction(1), Fraction(3), Fraction(-1), Fraction(1, 3),
+                             Fraction(7, 12), Fraction(-22, 7), Fraction(2 ** 62 + 3)]),
+       offset=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-5, 9)]))
+def test_affine_maps_carry_through_runs_of_top_digits(seq, coef, offset, data):
+    # the high end is the low end plus a gap at the bottom limb: its carry
+    # climbs every limb of K - 1 up to the prefix, or into the integer part
+    n = seq.length_available
+    count = data.draw(st.sampled_from([0, 1, n // 2, n - 40, n]))
+    cap = data.draw(st.sampled_from([1, 16, 4096]))
+    assert outcome(_certified_affine, seq, coef, offset, count, cap) == outcome(
+        certified_affine, seq, coef, offset, count, cap)
+
+
+@st.composite
+def limb_arrays(draw, sizes=st.integers(0, 70), multipliers=integers):
+    """(k, c, K, limbs): limbs of c base-k digits, as limb_width(k, m) lays them out."""
+    k = draw(st.integers(2, 36))
+    c, dtype = limb_width(k, draw(multipliers))
     K = k ** c
-    values = st.integers(0, K - 1) | st.sampled_from([0, K - 1])
-    return k, c, K, np.array(draw(st.lists(values, max_size=70)), dtype)
+    n = draw(sizes)
+    if n <= 70:
+        values = draw(st.lists(st.integers(0, K - 1) | st.sampled_from([0, K - 1]),
+                               min_size=n, max_size=n))
+    else:  # past what Hypothesis draws one by one: seeded values, 0 and K - 1 among them
+        rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+        values = [rnd.choice((0, K - 1, rnd.randrange(K))) for _ in range(n)]
+    return k, c, K, np.array(values, dtype)
+
+
+def assert_divides_like_python(limbs, top, d, K):
+    dtype = limbs.dtype
+    x = limbs.tolist()
+    qtop, rem = divide_limbs(top, limbs, d, K)
+    assert limbs.dtype == dtype and all(0 <= q < K for q in limbs.tolist())
+    assert (_numeral([qtop] + limbs.tolist(), K), rem) == divmod(_numeral([top] + x, K), d)
 
 
 @PROPERTY_SETTINGS
@@ -182,12 +222,23 @@ def test_divide_limbs_matches_integer_division(limbs, top, d):
     # up to 70 limbs cross the scan's power-of-two steps; d on both sides of
     # its 2^31 gate (past 3 * 2^30, d^2 overflows int64), and object limbs,
     # reach the per-limb loop
-    _, _, K, limbs = limbs
-    dtype = limbs.dtype
-    x = limbs.tolist()
-    qtop, rem = divide_limbs(top, limbs, d, K)
-    assert limbs.dtype == dtype and all(0 <= q < K for q in limbs.tolist())
-    assert (_numeral([qtop] + limbs.tolist(), K), rem) == divmod(_numeral([top] + x, K), d)
+    assert_divides_like_python(limbs[3], top, d, limbs[2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 144, "k", 2 ** 31 - 1, 2 ** 31])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 4097])
+@settings(max_examples=5, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_divide_limbs_at_block_edges(n, d, data):
+    # the remainder scan reads n + 1 entries (top's remainder, then the limbs)
+    # in blocks of 64: 64 limbs or more take the carry step, 4097 a block-end
+    # scan past one block; d = k divides K, so the scan's multiplier is 0 at
+    # once; 2^31 takes the per-limb loop, as object limbs do
+    k, _, K, limbs = data.draw(limb_arrays(st.just(n),
+                                           st.integers(1, 12) | st.integers(2 ** 62, 2 ** 80)))
+    top = data.draw(st.integers(0, 2 ** 70))
+    assert_divides_like_python(limbs, top, k if d == "k" else d, K)
 
 
 @PROPERTY_SETTINGS

@@ -1,4 +1,3 @@
-import math
 import random
 import re
 import time
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, block_frequencies,
                    dim_estimates, entropy_rate_grid, gen_champernowne, gen_dilution,
-                   gen_rational_expansion, normality_deviation, shannon_entropy)
+                   normality_deviation, shannon_entropy)
 from fsdim.blockstats import FEW_CODES, DimensionEstimateGrid, _entropy_from_counts
 from fsdim.dispersion import block_distribution_as_code_vector
 
