@@ -34,7 +34,7 @@ print("champernowne / 7  :", res.digits.prefix_str(60))
 # A stream of 3s could be 1/3 exactly, or could deviate later; 3 * it
 # straddles 1.0 forever, so nothing can be certified from digits alone.
 threes = DigitSequence(alphabet, bytes([3] * 3000))
-res = mul_int_mod1(threes, 3, 10, lookahead_cap=1024)
+res = mul_int_mod1(threes, 3, 10)
 print("3 * (3333...)     : certified", res.certified_count, "digits; unresolved:", res.unresolved)
 
 # The same computation with the exact value attached resolves instantly.

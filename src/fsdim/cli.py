@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 validation or usage error, 2 unresolved carry
 (the result sits on a k-adic point the stream prefix cannot decide within
-the fixed lookahead of 4096 digits, realarith.DEFAULT_LOOKAHEAD_CAP),
+the fixed lookahead of 4096 digits, realarith.LOOKAHEAD_CAP),
 3 search node budget exhausted: `delta exact` (dimensions up to 6) gave an
 upper-bound certificate after 10^6 search nodes.
 """
@@ -135,7 +135,7 @@ def _write(path, text: str) -> None:
 def _read_distribution(path) -> ProbabilityVector:
     with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict) or "p" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("p"), list):
         raise _CliError(f"distribution file {path}: no \"p\" list of probabilities")
     try:
         if any(isinstance(x, bool) for x in data["p"]):

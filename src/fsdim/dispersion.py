@@ -39,7 +39,7 @@ import numpy as np
 
 from .blockstats import BlockDistribution, _prefix_blocks
 from .digitseq import Alphabet, DigitSequence
-from .realarith import DEFAULT_LOOKAHEAD_CAP, UnresolvedCarryError, mul_int_mod1
+from .realarith import UnresolvedCarryError, mul_int_mod1
 
 # block certificates index blocks by integer code; their unobserved columns
 # are implicit, so memory grows with the observed blocks, not with k^l; the
@@ -168,7 +168,7 @@ class SparseStochasticCertificate:
     holds the columns with a single 1 on the diagonal, disjoint from the
     explicit ones: an :class:`UnobservedColumns` for block certificates, so
     every check costs O(explicit entries) rather than O(k^l), else a
-    frozenset.  `declared_m` is the sparsity bound claimed for every row and
+    frozenset copy.  `declared_m` is the sparsity bound claimed for every row and
     column.  The constructor converts rational entries {(row, col): value},
     column j taking the least common multiple of its denominators as its
     mass.  The arrays do not change once set: setting them checks their
@@ -198,6 +198,7 @@ class SparseStochasticCertificate:
             raise ValueError("dimension and declared_m must be positive")
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         flows = _int_array(flows)
+        identity = identity if isinstance(identity, UnobservedColumns) else frozenset(identity)
         self.n, self.declared_m, self.identity_columns = n, declared_m, identity
         self.rows, self.cols, self.flows = rows, cols, flows
         self.columns, self.masses = np.asarray(columns, dtype=np.int64), _int_array(masses)
@@ -689,11 +690,15 @@ def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
 
 
 def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
-    """Inverse of :func:`certificate_to_json_dict`; refuses a repeated entry or identity
-    column, any size or index that is not a JSON integer (bool included) and any
-    entry value that is not a JSON string of a rational."""
-    triples = data["entries"]
-    listed = data.get("identity_columns", [])
+    """Inverse of :func:`certificate_to_json_dict`; refuses any other shape, a repeated
+    entry or identity column, any size or index that is not a JSON integer (bool
+    included) and any entry value that is not a JSON string of a rational."""
+    if not isinstance(data, dict) or not {"n", "declared_m", "entries"} <= data.keys():
+        raise ValueError("a certificate needs n, declared_m and entries")
+    triples, listed = data["entries"], data.get("identity_columns", [])
+    if not (type(triples) is list and type(listed) is list
+            and all(type(t) is list and len(t) == 3 for t in triples)):
+        raise ValueError("entries must be a list of [row, col, value] and identity_columns a list")
     ints = [data["n"], data["declared_m"], *listed, *(x for t in triples for x in t[:2])]
     if any(type(x) is not int for x in ints):
         raise ValueError("n, declared_m and every row and column index must be JSON integers")
@@ -820,7 +825,6 @@ class BlockCoupling(SparseStochasticCertificate):
 
 
 def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
-                                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP,
                                  product_digits: Optional[DigitSequence] = None):
     """Coupling certificate between block statistics of alpha and m*alpha.
 
@@ -842,7 +846,7 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
         raise ValueError("need l >= 1 and n >= 1")
     _certificate_dimension(seq.alphabet.k, l)
     if product_digits is None:
-        product = mul_int_mod1(seq, m, n * l, lookahead_cap)
+        product = mul_int_mod1(seq, m, n * l)
         if product.certified_count < n * l:
             raise UnresolvedCarryError(
                 f"only {product.certified_count} of {n * l} product digits certified")

@@ -8,9 +8,9 @@ affine image, scaled by k^count, is an integer computed on limbs of base-k
 digits (one multiply whose carries a prefix scan resolves, then a long
 division by a small integer d by a two-level scan of its remainders; the
 high end is the low one plus a gap); digits are emitted where both agree.
-The lookahead N grows geometrically until the digits resolve or a cap is
-reached.  Streams carrying an exact rational value skip the enclosure and
-emit digits by exact long division, which also resolves results that sit
+The lookahead N grows geometrically until the digits resolve or it reaches
+`LOOKAHEAD_CAP`.  Streams carrying an exact rational value skip the enclosure
+and emit digits by exact long division, which also resolves results that sit
 exactly on k-adic points (undetectable from any finite stream prefix).
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from .digitseq import (DigitSequence, InsufficientDigitsError, digits_to_limbs, divide_limbs,
                        gen_rational_expansion, limb_width, limbs_to_digits)
 
-DEFAULT_LOOKAHEAD_CAP = 4096
+LOOKAHEAD_CAP = 4096
 
 
 class UnresolvedCarryError(RuntimeError):
@@ -128,7 +128,7 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
 
 
 def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
-                      count: int, lookahead_cap: int) -> CertifiedDigitResult:
+                      count: int) -> CertifiedDigitResult:
     """Certified digits of frac(coef * alpha + offset) for the stream's alpha.
 
     With coef = a/b and offset = p/q, an N-digit prefix P pins the result
@@ -137,8 +137,8 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
     Both are computed on limbs of base-k digits: a multiply by |M| whose
     carries one prefix scan resolves (the k's complement of the digits when
     M < 0), then a long division by the small integer d.  Digits are emitted
-    where the two ends agree; N grows by doubling the guard digits up to the
-    lookahead cap.  Streams with an exact value take the same long division
+    where the two ends agree; N grows by doubling the guard digits up to
+    `LOOKAHEAD_CAP`.  Streams with an exact value take the same long division
     of the exact result instead.
 
     Raises InsufficientDigitsError when a stream without an exact value holds
@@ -148,8 +148,6 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
         raise ValueError("count must be nonnegative")
     if coef == 0:
         raise ValueError("coefficient must be nonzero")
-    if lookahead_cap < 1:
-        raise ValueError("lookahead_cap must be positive")
     k = seq.alphabet.k
 
     if seq.exact_value is not None:
@@ -161,10 +159,12 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
     if count > avail:
         raise InsufficientDigitsError(
             f"requested {count} result digits but the stream has only {avail}")
+    if not count:  # zero of zero digits are certified, and none need reading
+        return CertifiedDigitResult(DigitSequence(seq.alphabet, b""), 0, 0, False)
     M = coef.numerator * offset.denominator
     S = offset.numerator * coef.denominator
     d = coef.denominator * offset.denominator
-    max_read = min(count + lookahead_cap, avail)
+    max_read = min(count + LOOKAHEAD_CAP, avail)
     guard = 8
     while True:
         n_read = min(count + guard, max_read)
@@ -175,33 +175,29 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
         guard *= 2
 
 
-def mul_int_mod1(seq: DigitSequence, m: int, count: int,
-                 lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
+def mul_int_mod1(seq: DigitSequence, m: int, count: int) -> CertifiedDigitResult:
     """Certified digits of frac(m * alpha) for a positive integer m."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    return _certified_affine(seq, Fraction(m), Fraction(0), count, lookahead_cap)
+    return _certified_affine(seq, Fraction(m), Fraction(0), count)
 
 
-def div_int(seq: DigitSequence, b: int, count: int,
-            lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
+def div_int(seq: DigitSequence, b: int, count: int) -> CertifiedDigitResult:
     """Certified digits of alpha / b for a positive integer b."""
     if b < 1:
         raise ValueError("b must be a positive integer")
-    return _certified_affine(seq, Fraction(1, b), Fraction(0), count, lookahead_cap)
+    return _certified_affine(seq, Fraction(1, b), Fraction(0), count)
 
 
-def add_rational_mod1(seq: DigitSequence, q, count: int,
-                      lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
+def add_rational_mod1(seq: DigitSequence, q, count: int) -> CertifiedDigitResult:
     """Certified digits of frac(q + alpha); q is any nonzero rational."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    return _certified_affine(seq, Fraction(1), q, count, lookahead_cap)
+    return _certified_affine(seq, Fraction(1), q, count)
 
 
-def mul_rational_mod1(seq: DigitSequence, q, count: int,
-                      lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
+def mul_rational_mod1(seq: DigitSequence, q, count: int) -> CertifiedDigitResult:
     """Certified digits of frac(|q| * alpha) for nonzero rational q.
 
     Sign is dropped up front (negation preserves all the block statistics of
@@ -211,10 +207,9 @@ def mul_rational_mod1(seq: DigitSequence, q, count: int,
     q = Fraction(q)
     if q == 0:
         raise ValueError("q must be nonzero")
-    return _certified_affine(seq, abs(q), Fraction(0), count, lookahead_cap)
+    return _certified_affine(seq, abs(q), Fraction(0), count)
 
 
-def negate_mod1(seq: DigitSequence, count: int,
-                lookahead_cap: int = DEFAULT_LOOKAHEAD_CAP) -> CertifiedDigitResult:
+def negate_mod1(seq: DigitSequence, count: int) -> CertifiedDigitResult:
     """Certified digits of frac(-alpha)."""
-    return _certified_affine(seq, Fraction(-1), Fraction(0), count, lookahead_cap)
+    return _certified_affine(seq, Fraction(-1), Fraction(0), count)

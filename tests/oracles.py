@@ -17,8 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fsdim import (InsufficientDigitsError, SparseStochasticCertificate, UnresolvedCarryError,
-                   ValidationOutcome, add_rational_mod1, mul_int_mod1, mul_rational_mod1)
+from fsdim import (DigitSequence, InsufficientDigitsError, SparseStochasticCertificate,
+                   UnresolvedCarryError, ValidationOutcome, add_rational_mod1, mul_int_mod1,
+                   mul_rational_mod1)
+from fsdim.realarith import LOOKAHEAD_CAP
 from fsdim.verify import ENTROPY_SLACK, VerificationReport
 
 
@@ -75,15 +77,15 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
     exact_value).  The rational interval enclosure over k^N-sized integers: an N-digit
     prefix pins alpha inside [P/k^N, (P+1)/k^N], the affine image of that
     interval is computed in Fractions, and digits are kept where both ends
-    agree; N grows by doubling the guard digits up to the lookahead cap.
-    Raises what the library raises for the same input.
+    agree; N grows by doubling the guard digits up to the lookahead cap (0
+    reads no guard digit).  A request for no digit on a stream without an
+    exact value reads nothing and is resolved.  Raises what the library
+    raises for the same input.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if coef == 0:
         raise ValueError("coefficient must be nonzero")
-    if lookahead_cap < 1:
-        raise ValueError("lookahead_cap must be positive")
     k = seq.alphabet.k
 
     if seq.exact_value is not None:
@@ -95,6 +97,8 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
     if count > avail:
         raise InsufficientDigitsError(
             f"requested {count} result digits but the stream has only {avail}")
+    if count == 0:
+        return b"", 0, 0, False, None
     kc = k ** count
     max_read = min(count + lookahead_cap, avail)
     guard = 8
@@ -114,6 +118,17 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
             value = (a // k ** (count - certified)) % (k ** certified)
             return (_width_digits(value, k, certified), certified, n_read - count, True, None)
         guard *= 2
+
+
+def lookahead_window(seq, count: int, lookahead: int):
+    """The stream the library's arithmetic reads as if its lookahead cap were
+    `lookahead` (at most fsdim.realarith.LOOKAHEAD_CAP) for `count` result
+    digits: a stream without an exact value cut to min(available, count +
+    lookahead) digits.  A stream with an exact value stays whole; its digits
+    come from the value, not from a lookahead."""
+    if seq.exact_value is not None:
+        return seq
+    return DigitSequence(seq.alphabet, seq.prefix(min(seq.length_available, count + lookahead)))
 
 
 def carry_after(seq, m: int, position: int, lookahead_cap: int) -> int:
@@ -189,21 +204,22 @@ def champernowne_digits(k: int, count: int, order: str) -> bytes:
     return bytes(out[:count])
 
 
-def oscillating_digits(count: int) -> bytes:
+def oscillating_digits(count: int, ratio: int = 4, dense_first: bool = True) -> bytes:
     """`count` base-10 digits of alternating segments, the next Champernowne
-    digits then zeros, the segment lengths growing 4x from 64.  After a
+    digits and zeros, Champernowne's first unless `dense_first` is false, the
+    segment lengths growing `ratio`-fold from 64.  With ratio 4, after a
     Champernowne segment about 4/5 of the digits are Champernowne's, after a
     run of zeros about 1/5, so the sequence has dimension 1/5 and strong
     dimension 4/5: its lower and upper estimates stay far apart."""
     champ = champernowne_digits(10, count, "shortlex")
-    out, used, length, dense = bytearray(), 0, 64, True
+    out, used, length, dense = bytearray(), 0, 64, dense_first
     while len(out) < count:
         if dense:
             out += champ[used:used + length]
             used += length
         else:
             out += bytes(length)
-        length, dense = 4 * length, not dense
+        length, dense = ratio * length, not dense
     return bytes(out[:count])
 
 
@@ -543,12 +559,13 @@ def _naive_dim_estimates(entries, max_block_len: int, tail_fraction: float):
 
 
 def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
-                               tail_fraction: float = 0.5, lookahead_cap: int = 4096,
+                               tail_fraction: float = 0.5, lookahead: int = LOOKAHEAD_CAP,
                                normality_w_len: int = 3):
     """The report of verify_rational_arithmetic, built cell by cell.
 
     The certified streams come from the library's arithmetic, which
-    tests/test_arith_properties.py checks against certified_affine above.
+    tests/test_arith_properties.py checks against certified_affine above,
+    each fed its input through lookahead_window.
     Everything counted from them is naive: each cell is the rational
     certificate of block_certificate, checked by validate_certificate_rational
     against block distributions from naive_block_counts, with entropies from
@@ -558,8 +575,8 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     schedule = sorted(set(n_schedule))
     a, b = q.numerator, q.denominator
     target = min(max_block_len * schedule[-1] + 256, seq.length_available)
-    sum_result = add_rational_mod1(seq, q, target, lookahead_cap)
-    prod_result = mul_rational_mod1(seq, q, target, lookahead_cap)
+    sum_result = add_rational_mod1(lookahead_window(seq, target, lookahead), q, target)
+    prod_result = mul_rational_mod1(lookahead_window(seq, target, lookahead), q, target)
     report = VerificationReport(
         scenario="rational-arithmetic-preservation",
         inputs={"k": k, "q": f"{a}/{b}", "max_block_len": max_block_len, "n_schedule": schedule,
@@ -576,8 +593,8 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
     skipped = []
     for leg, name, m in legs:
         stream = streams[name]
-        product = mul_int_mod1(stream, m, min(max_block_len * schedule[-1],
-                                              stream.length_available), lookahead_cap)
+        count = min(max_block_len * schedule[-1], stream.length_available)
+        product = mul_int_mod1(lookahead_window(stream, count, lookahead), m, count)
         products[leg] = product
         s = _digit_sum(m, k)
         for l in range(1, max_block_len + 1):

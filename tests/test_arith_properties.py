@@ -6,13 +6,14 @@ draws a base in 2..36, a stream shaped to stress carries (random digits, long
 runs of 0 and k-1, all k-1, exact k-adic points, periodic expansions, with
 and without the exact value), an operand on both sides of the int64 limb
 edge, a count and a lookahead cap, and checks every field of the result, or
-the exception type, against tests/oracles.py:certified_affine, the enclosure
-over k^N-sized Fractions.  On the same streams, the pairs of a block table
-are checked against the carries tests/oracles.py:carry_after encloses.  The
-long division's prefix scan and the digit extraction are checked on their own
-against Python-int divmod, with limbs laid out as for any operand, up to
-4097 limbs; streams of up to 3000 digits of k - 1 carry the high end of the
-enclosure through every limb.
+the exception type, on the stream cut that many digits past the count
+(tests/oracles.py:lookahead_window) against tests/oracles.py:certified_affine,
+the enclosure over k^N-sized Fractions, with that cap.  On the same streams,
+the pairs of a block table are checked against the carries
+tests/oracles.py:carry_after encloses.  The long division's prefix scan and
+the digit extraction are checked on their own against Python-int divmod,
+with limbs laid out as for any operand, up to 4097 limbs; streams of up to
+3000 digits of k - 1 carry the high end of the enclosure through every limb.
 """
 
 import itertools
@@ -30,10 +31,10 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedC
                    integer_multiple_certificate, mul_int_mod1, mul_rational_mod1, negate_mod1)
 from fsdim.digitseq import divide_limbs, limb_width, limbs_to_digits
 from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION
-from fsdim.realarith import _certified_affine
+from fsdim.realarith import LOOKAHEAD_CAP, _certified_affine
 
 from oracles import (_digit_sum, _numeral, _width_digits, carry_after, certified_affine,
-                     long_division_digits, shift_in_sum)
+                     long_division_digits, lookahead_window, shift_in_sum)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -88,7 +89,7 @@ OPERATIONS = {
     "div_int": (div_int, integers, lambda b: (Fraction(1, b), Fraction(0))),
     "add_rational_mod1": (add_rational_mod1, rationals, lambda q: (Fraction(1), q)),
     "mul_rational_mod1": (mul_rational_mod1, rationals, lambda q: (abs(q), Fraction(0))),
-    "negate_mod1": (lambda seq, _, count, cap: negate_mod1(seq, count, cap), st.just(None),
+    "negate_mod1": (lambda seq, _, count: negate_mod1(seq, count), st.just(None),
                     lambda _: (Fraction(-1), Fraction(0))),
 }
 
@@ -108,7 +109,7 @@ def outcome(fn, *args):
 def assert_matches_oracle(name, seq, operand, count, cap):
     call, _, affine = OPERATIONS[name]
     coef, offset = affine(operand)
-    assert outcome(call, seq, operand, count, cap) == outcome(
+    assert outcome(call, lookahead_window(seq, count, cap), operand, count) == outcome(
         certified_affine, seq, coef, offset, count, cap)
 
 
@@ -122,7 +123,7 @@ def counts(seq):
 def cases(draw, name):
     seq = draw(streams())
     operand = draw(OPERATIONS[name][1])
-    return seq, operand, draw(counts(seq)), draw(st.sampled_from([0, 1, 3, 16, 4096]))
+    return seq, operand, draw(counts(seq)), draw(st.sampled_from([0, 1, 3, 16, LOOKAHEAD_CAP]))
 
 
 @PROPERTY_SETTINGS
@@ -132,10 +133,10 @@ def test_affine_maps_match_fraction_enclosure(seq, coef, offset, data):
     # negative coefficients with |M| > 1 or d > 1 take the k's complement
     # route that no public operation but negate_mod1 (M = -1) reaches
     count = data.draw(counts(seq))
-    cap = data.draw(st.sampled_from([0, 1, 3, 16, 4096]))
+    cap = data.draw(st.sampled_from([0, 1, 3, 16, LOOKAHEAD_CAP]))
     offset = Fraction(offset)
-    assert outcome(_certified_affine, seq, coef, offset, count, cap) == outcome(
-        certified_affine, seq, coef, offset, count, cap)
+    assert outcome(_certified_affine, lookahead_window(seq, count, cap), coef, offset,
+                   count) == outcome(certified_affine, seq, coef, offset, count, cap)
 
 
 def _all_top(k, n):
@@ -158,7 +159,7 @@ EDGE_OPERANDS = [("mul_int_mod1", m) for m in (3, 2 ** 61 - 1, 2 ** 61, 2 ** 62 
 
 @pytest.mark.parametrize("name, operand", EDGE_OPERANDS)
 @pytest.mark.parametrize("seq, count, cap", [
-    (_all_top(10, 36), 36, 4096),   # the high end is k^N: every digit carries
+    (_all_top(10, 36), 36, LOOKAHEAD_CAP),   # the high end is k^N: every digit carries
     (_all_top(2, 300), 250, 16),
     (_all_top(36, 70), 0, 1),
     (DigitSequence(Alphabet(3), bytes(90)), 60, 3),
@@ -185,9 +186,9 @@ def test_affine_maps_carry_through_runs_of_top_digits(seq, coef, offset, data):
     # climbs every limb of K - 1 up to the prefix, or into the integer part
     n = seq.length_available
     count = data.draw(st.sampled_from([0, 1, n // 2, n - 40, n]))
-    cap = data.draw(st.sampled_from([1, 16, 4096]))
-    assert outcome(_certified_affine, seq, coef, offset, count, cap) == outcome(
-        certified_affine, seq, coef, offset, count, cap)
+    cap = data.draw(st.sampled_from([1, 16, LOOKAHEAD_CAP]))
+    assert outcome(_certified_affine, lookahead_window(seq, count, cap), coef, offset,
+                   count) == outcome(certified_affine, seq, coef, offset, count, cap)
 
 
 @st.composite
@@ -262,11 +263,12 @@ def test_table_residues_match_fraction_carries(seq, data):
     l = data.draw(st.integers(1, 5).filter(lambda l: k ** l <= MAX_CERTIFICATE_DIMENSION))
     # at most one block more than the stream holds
     n = data.draw(st.integers(1, max(avail - r, 0) // l + 1))
-    cap = data.draw(st.sampled_from([1, 3, 16, 4096]))
+    cap = data.draw(st.sampled_from([1, 3, 16, LOOKAHEAD_CAP - r]))
     try:
-        # the product's cap counts from its last digit, the oracle's from the
-        # last shift-in digit r digits later: with cap + r both read as far
-        table = integer_multiple_certificate(seq, m, l, n, cap + r)[0]
+        # the product's lookahead counts from its last digit, the oracle's cap
+        # from the last shift-in digit r digits later: with cap + r both read
+        # as far, so cap + r stays within the library's LOOKAHEAD_CAP
+        table = integer_multiple_certificate(lookahead_window(seq, n * l, cap + r), m, l, n)[0]
     except (InsufficientDigitsError, UnresolvedCarryError) as exc:
         table = exc
     if n * l > avail:

@@ -16,7 +16,7 @@ from fsdim.blockstats import FEW_CODES, DimensionEstimateGrid, _entropy_from_cou
 from fsdim.dispersion import block_distribution_as_code_vector
 
 from oracles import (_naive_dim_estimates, _numeral, entropy_from_counts, naive_block_counts,
-                     sliding_normality_deviation)
+                     oscillating_digits, sliding_normality_deviation)
 
 
 def naive_code_counts(digits: bytes, k: int, l: int, n: int):
@@ -155,6 +155,19 @@ def test_dim_estimates_read_each_entry_once():
     assert time.perf_counter() - start < 1.0
     assert len(grid.entries) == 300
     assert estimates == _naive_dim_estimates([(e.l, e.n, e.h) for e in grid.entries], 200, 0.5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ratio=st.integers(2, 8), dense_first=st.booleans(), count=st.integers(2000, 40_000))
+def test_oscillating_estimates_are_the_tail_window_extremes(ratio, dense_first, count):
+    # lower and upper of a sequence whose rows swing between its dimension and
+    # its strong dimension: each the least over rows of the tail window's
+    # minimum and maximum, so never crossed
+    seq = DigitSequence(Alphabet(10), oscillating_digits(count, ratio, dense_first))
+    grid = entropy_rate_grid(seq, 3, [count // 384 * 2 ** i for i in range(8)])
+    lower, upper = dim_estimates(grid)
+    assert lower <= upper
+    assert (lower, upper) == _naive_dim_estimates([(e.l, e.n, e.h) for e in grid.entries], 3, 0.5)
 
 
 def test_dilution_estimates_near_half():

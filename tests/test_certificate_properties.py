@@ -62,7 +62,7 @@ def build(cell):
     k, l, n, m, digits = cell
     seq = DigitSequence(Alphabet(k), digits)
     try:
-        cert, dist_a, dist_b = integer_multiple_certificate(seq, m, l, n, lookahead_cap=64)
+        cert, dist_a, dist_b = integer_multiple_certificate(seq, m, l, n)
     except UnresolvedCarryError:
         assume(False)
     observed = {oracles._numeral(digits[j * l:(j + 1) * l], k) for j in range(n)}
@@ -384,7 +384,7 @@ def build_table(cell):
     k, l, n, m, digits = cell
     seq = DigitSequence(Alphabet(k), digits)
     try:
-        return integer_multiple_certificate(seq, m, l, n, lookahead_cap=64)[0]
+        return integer_multiple_certificate(seq, m, l, n)[0]
     except UnresolvedCarryError:
         assume(False)
 
@@ -447,13 +447,13 @@ def test_table_matches_rational_builder(cell):
     k, l, n, m, digits = cell
     table = build_table(cell)
     seq = DigitSequence(Alphabet(k), digits)
-    product = mul_int_mod1(seq, m, n * l, 64).digits
+    product = mul_int_mod1(seq, m, n * l).digits
     entries, identity, declared = oracles.block_certificate(seq, product, m, l, n)
     # entries (y, x) in ascending (x, y) order, the table's pair order
     assert list(table.entries.items()) == sorted(entries.items(), key=lambda e: e[0][::-1])
     assert table.identity_columns == identity
     assert table.declared_m == declared
-    assert integer_multiple_certificate(seq, m, l, n, 64)[0].entries == entries
+    assert integer_multiple_certificate(seq, m, l, n)[0].entries == entries
 
 
 @PROPERTY_SETTINGS
@@ -577,7 +577,7 @@ def test_table_checks_marginals_counted_apart_from_pairs(cell, in_source, data):
     # pairs: a table built from a code changed after counting fails its check
     k, l, n, m, digits = cell
     seq = DigitSequence(Alphabet(k), digits)
-    product = mul_int_mod1(seq, m, n * l, 64)
+    product = mul_int_mod1(seq, m, n * l)
     assume(product.certified_count == n * l)
     (source,), (image,) = _prefix_blocks(seq, l, [n]), _prefix_blocks(product.digits, l, [n])
     j = data.draw(st.integers(0, n - 1))

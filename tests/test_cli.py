@@ -96,6 +96,19 @@ def test_arith_unresolved_exit_code(tmp_path, capsys):
     assert diag == {"unresolved_at": 0}
 
 
+def test_arith_zero_digits_resolved(tmp_path, capsys):
+    # no digit requested is none missing: the threes that leave every digit
+    # unresolved still certify zero of zero
+    src = tmp_path / "third.txt"
+    run(tmp_path, "gen", "rational", "--base", "10", "--count", "5000",
+        "--num", "1", "--den", "3", "--out", str(src))
+    out = tmp_path / "tripled.txt"
+    assert dispatch(["arith", "mul-int", "--in", str(src), "--m", "3",
+                     "--count", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "".join(out.read_text().splitlines()[1:]) == ""
+
+
 def test_arith_short_stream_exit_code(tmp_path, capsys):
     src = tmp_path / "c.txt"
     run(tmp_path, "gen", "champernowne", "--base", "10", "--count", "100", "--out", str(src))
@@ -356,6 +369,8 @@ def test_wall_oversized_block_space_exits_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("p_file,detail", [
     ({"n": 2, "q": ["1/2", "1/2"]}, 'no "p" list of probabilities'),
+    ({"p": "10"}, 'no "p" list of probabilities'),
+    ({"p": {"1": "1/2"}}, 'no "p" list of probabilities'),
     ({"n": 2, "p": ["1/0", "1"]}, 'bad entry in "p": Fraction(1, 0)'),
     ({"n": 2, "p": [True, False]}, 'bad entry in "p": a JSON boolean is not a probability'),
     ({"n": 3, "p": ["1/2", "1/2"]}, "n=3 but 2 entries"),

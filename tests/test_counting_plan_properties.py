@@ -15,7 +15,6 @@ strict prefixes of another (so they fit fewer cells of a row) or different
 only at a late digit.
 """
 
-import functools
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 import fsdim.verify
 from fsdim import Alphabet, DigitSequence, InsufficientDigitsError, verify_rational_arithmetic
 from fsdim.blockstats import _count_rows, _prefix_blocks
+from fsdim.realarith import LOOKAHEAD_CAP
 
 import oracles
 
@@ -37,7 +37,7 @@ MAX_BLOCK_LEN = {2: 5, 3: 4, 10: 3}
 
 @st.composite
 def scenarios(draw):
-    """(digit sequence, q, max_block_len, schedule, lookahead cap)."""
+    """(digit sequence, q, max_block_len, schedule, lookahead)."""
     k = draw(st.sampled_from(sorted(MAX_BLOCK_LEN)))
     max_block_len = draw(st.integers(1, MAX_BLOCK_LEN[k]))
     schedule = draw(st.lists(st.integers(1, 90), min_size=1, max_size=4))
@@ -52,8 +52,14 @@ def scenarios(draw):
     else:
         length = cells + draw(st.integers(0, 300))
     digits = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
-    cap = draw(st.sampled_from([2, 4096, 4096]))
-    return DigitSequence(Alphabet(k), bytes(digits)), q, max_block_len, schedule, cap
+    lookahead = draw(st.sampled_from([2, LOOKAHEAD_CAP, LOOKAHEAD_CAP]))
+    return DigitSequence(Alphabet(k), bytes(digits)), q, max_block_len, schedule, lookahead
+
+
+def windowed(operation, lookahead):
+    """The operation fed only `lookahead` digits past each count it is asked for."""
+    return lambda seq, operand, count: operation(
+        oracles.lookahead_window(seq, count, lookahead), operand, count)
 
 
 def outcome(build, *args):
@@ -67,15 +73,15 @@ def outcome(build, *args):
 @PROPERTY_SETTINGS
 @given(scenarios())
 def test_report_matches_per_cell_oracle(scenario):
-    seq, q, max_block_len, schedule, cap = scenario
-    # the library's arithmetic reads at most the drawn cap of lookahead digits,
-    # so a short cap leaves carries unresolved on both sides
-    capped = {name: functools.partial(getattr(fsdim.verify, name), lookahead_cap=cap)
-              for name in ("add_rational_mod1", "mul_rational_mod1", "mul_int_mod1")}
-    with mock.patch.multiple(fsdim.verify, **capped):
+    seq, q, max_block_len, schedule, lookahead = scenario
+    # the library's arithmetic reads at most the drawn number of lookahead
+    # digits, so a short lookahead leaves carries unresolved on both sides
+    cut = {name: windowed(getattr(fsdim.verify, name), lookahead)
+           for name in ("add_rational_mod1", "mul_rational_mod1", "mul_int_mod1")}
+    with mock.patch.multiple(fsdim.verify, **cut):
         report = outcome(verify_rational_arithmetic, seq, q, max_block_len, schedule)
     assert report == outcome(oracles.rational_arithmetic_report,
-                             seq, q, max_block_len, schedule, 0.5, cap)
+                             seq, q, max_block_len, schedule, 0.5, lookahead)
 
 
 @st.composite

@@ -527,13 +527,8 @@ class TestIntegerMultipleCertificate:
     def test_refuses_bad_inputs(self, seq, m, l, n, product, error, message):
         digits = None if product is None else gen_champernowne(Alphabet(10), product)
         with pytest.raises(error) as excinfo:
-            integer_multiple_certificate(seq, m, l, n, lookahead_cap=64, product_digits=digits)
+            integer_multiple_certificate(seq, m, l, n, product_digits=digits)
         assert type(excinfo.value) is error and str(excinfo.value) == message
-
-    @pytest.mark.parametrize("m", [3, 12])
-    def test_refuses_nonpositive_lookahead_cap(self, m):
-        with pytest.raises(ValueError, match="^lookahead_cap must be positive$"):
-            integer_multiple_certificate(CHAMPERNOWNE_100, m, 2, 5, lookahead_cap=0)
 
     def test_worked_example_residues(self):
         # 12 * 0.345 = 4.14: block 34 maps to 14, and (14 - 12*34) mod 100 = 6
@@ -623,6 +618,8 @@ def test_certificate_json_roundtrip():
 REPEATED = "certificate lists an entry or an identity column twice"
 NOT_INTEGER = "n, declared_m and every row and column index must be JSON integers"
 NOT_STRING = 'every entry value must be a JSON string "num/den"'
+NO_FIELD = "a certificate needs n, declared_m and entries"
+NOT_LIST = "entries must be a list of \\[row, col, value\\] and identity_columns a list"
 
 
 @pytest.mark.parametrize("text,message", [
@@ -640,10 +637,31 @@ NOT_STRING = 'every entry value must be a JSON string "num/den"'
     ('{"n": 1, "declared_m": 1, "entries": [[0, 0, true]]}', NOT_STRING),
     ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1.0]]}', NOT_STRING),
     ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1]]}', NOT_STRING),
+    ('{"n": 1, "declared_m": 1}', NO_FIELD),
+    ('{"declared_m": 1, "entries": [[0, 0, "1"]]}', NO_FIELD),
+    ('[1, 1, [[0, 0, "1"]]]', NO_FIELD),
+    ('{"n": 1, "declared_m": 1, "entries": 5}', NOT_LIST),
+    ('{"n": 1, "declared_m": 1, "entries": {"0": [0, 0, "1"]}}', NOT_LIST),
+    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": 3}', NOT_LIST),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0]]}', NOT_LIST),
+    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, "1", "1"]]}', NOT_LIST),
+    ('{"n": 1, "declared_m": 1, "entries": ["00/1"]}', NOT_LIST),
 ], ids=["entry-twice", "identity-twice", "row-half", "column-float", "n-true",
         "declared-m-float", "identity-string", "row-false", "value-over-zero", "value-true",
-        "value-float", "value-int"])
+        "value-float", "value-int", "no-entries", "no-n", "not-object", "entries-int",
+        "entries-object", "identity-int", "entry-pair", "entry-four", "entry-string"])
 def test_certificate_json_refuses_repeats_and_non_integers(text, message):
     import json
     with pytest.raises(ValueError, match=f"^{message}$"):
         certificate_from_json_dict(json.loads(text))
+
+
+def test_certificate_keeps_its_own_identity_columns():
+    # the caller's set may change after construction; the certificate's may not
+    identity = {1}
+    cert = SparseStochasticCertificate(2, {(0, 0): F(1)}, 1, identity)
+    half = [F(1, 2), F(1, 2)]
+    identity.update({0, 1})
+    assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok
+    identity.clear()
+    assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok

@@ -8,7 +8,7 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, add_rationa
                    mul_rational_mod1, negate_mod1)
 from fsdim.realarith import _certified_affine
 
-from oracles import _numeral, frac_digits, product_prefix_digits
+from oracles import _numeral, frac_digits, lookahead_window, product_prefix_digits
 
 A10 = Alphabet(10)
 A2 = Alphabet(2)
@@ -41,10 +41,17 @@ class TestMulInt:
 
     def test_unresolved_at_kadic_point(self):
         # 3 * 0.333... straddles 1.0 at every finite prefix
-        res = mul_int_mod1(bare([3] * 2000), 3, 5, lookahead_cap=512)
+        res = mul_int_mod1(lookahead_window(bare([3] * 2000), 5, 512), 3, 5)
         assert res.unresolved
         assert res.certified_count == 0
         assert res.lookahead_used == 512
+
+    def test_zero_digits_read_nothing(self):
+        # zero of zero digits is not fewer than requested, even where every
+        # digit would be unresolved
+        res = mul_int_mod1(bare([3] * 5000), 3, 0)
+        assert (res.certified_count, res.lookahead_used, res.unresolved) == (0, 0, False)
+        assert res.digits.length_available == 0
 
     def test_exact_fast_path_resolves_kadic(self):
         seq = gen_rational_expansion(Fraction(1, 3), A10, 50)
@@ -175,7 +182,7 @@ class TestMulRational:
     (lambda: div_int(bare([1, 2, 3]), 0, 2), "b must be a positive integer"),
     (lambda: div_int(bare([1, 2, 3]), -2, 2), "b must be a positive integer"),
     (lambda: mul_rational_mod1(bare([1, 2, 3]), 0, 2), "q must be nonzero"),
-    (lambda: _certified_affine(bare([1, 2, 3]), Fraction(0), Fraction(1, 3), 2, 8),
+    (lambda: _certified_affine(bare([1, 2, 3]), Fraction(0), Fraction(1, 3), 2),
      "coefficient must be nonzero"),
 ], ids=["mul-int-count", "add-count", "div-zero", "div-negative", "mul-q-zero",
         "affine-coefficient-zero"])
