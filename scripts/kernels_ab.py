@@ -1,0 +1,105 @@
+"""In-process timings of the digit-to-limb kernels on two source trees.
+
+    python3 scripts/kernels_ab.py PARENT_TREE CHANGE_TREE > kernels.json
+
+loads TREE/src/fsdim of both trees side by side in one process, checks that
+each pair of calls returns the same digits, and prints, for each kernel, the
+minimum over 11 interleaved repeats, alternating which tree goes first, of
+the per-call mean of a timeit batch (about 50 ms per batch), in milliseconds,
+and the minor page faults per call of each side just after.  Inputs are uniform random digits
+from NumPy seed 29.  The kernels:
+
+- digits_to_limbs, base 10, at each tree's own limb_width(10), on the digits
+  of 441 and 11 700 limbs of 18 digits (a preserve-k10 product and an
+  arith-stream stream);
+- the DigitSequence constructor at 7 700 and 200 000 digits;
+- mul_int_mod1(., 7) and div_int(., 7) on a bare stream of 200 512 digits,
+  and gen_rational_expansion(22/101), all at 200 000 digits, in each base of
+  the optional third argument (a comma list; default 2,3,10,13,16,17,20,24,30,36).
+"""
+
+import importlib.util
+import json
+import resource
+import sys
+import timeit
+from fractions import Fraction
+
+import numpy as np
+
+
+def load(name: str, tree: str):
+    """The fsdim package of `tree`, imported under the name `name`."""
+    spec = importlib.util.spec_from_file_location(
+        name, f"{tree}/src/fsdim/__init__.py", submodule_search_locations=[f"{tree}/src/fsdim"])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return sys.modules[f"{name}.digitseq"], sys.modules[f"{name}.realarith"]
+
+
+def best_ms(calls, repeats: int = 11):
+    """Minimum per-call mean of each call over interleaved timeit batches, in ms;
+    the batches alternate which call goes first, since the heap one leaves
+    behind can change the other's page faults."""
+    once = timeit.timeit(calls[0], number=1)
+    number = max(1, int(0.05 / max(once, 1e-7)))
+    best = [float("inf")] * len(calls)
+    for r in range(repeats):
+        for i in (range(len(calls)) if r % 2 == 0 else reversed(range(len(calls)))):
+            best[i] = min(best[i], timeit.timeit(calls[i], number=number) / number)
+    return [round(t * 1e3, 4) for t in best]
+
+
+def faults(call, number: int = 20) -> float:
+    """Minor page faults per call, right after the timing: the heap state
+    that earlier calls left behind decides how many fresh pages a call touches."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(number):
+        call()
+    return round((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / number, 1)
+
+
+def main(parent: str, change: str, bases):
+    trees = load("fsdim_parent", parent), load("fsdim_change", change)
+    rng = np.random.default_rng(29)
+    out = {}
+
+    def record(label, calls, same=lambda a, b: True):
+        if not same(*(call() for call in calls)):
+            raise SystemExit(f"{label}: the two trees return different digits")
+        p, c = best_ms(calls)
+        out[label] = {"parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
+                      "parent_faults": faults(calls[0]), "change_faults": faults(calls[1])}
+
+    for limbs in (441, 11700):
+        digits = rng.integers(0, 10, 18 * limbs, dtype=np.uint8)
+        calls = [lambda d=d: d.digits_to_limbs(digits, 10, *d.limb_width(10)) for d, _ in trees]
+        record(f"digits_to_limbs k=10 @ {18 * limbs} digits", calls)
+    for n in (7700, 200000):
+        digits = rng.integers(0, 10, n, dtype=np.uint8)
+        calls = [lambda d=d: d.DigitSequence(d.Alphabet(10), digits) for d, _ in trees]
+        record(f"DigitSequence k=10 @ {n} digits", calls)
+    count = 200000
+    for k in bases:
+        digits = rng.integers(0, k, count + 512, dtype=np.uint8)
+        streams = [d.DigitSequence(d.Alphabet(k), digits) for d, _ in trees]
+        same = lambda a, b: a.digits.prefix(count) == b.digits.prefix(count)  # noqa: E731
+        record(f"mul_int_mod1(., 7) k={k} @ 2e5 digits",
+               [lambda r=r, s=s: r.mul_int_mod1(s, 7, count) for (_, r), s in zip(trees, streams)],
+               same)
+        record(f"div_int(., 7) k={k} @ 2e5 digits",
+               [lambda r=r, s=s: r.div_int(s, 7, count) for (_, r), s in zip(trees, streams)], same)
+        record(f"gen_rational_expansion(22/101) k={k} @ 2e5 digits",
+               [lambda d=d: d.gen_rational_expansion(Fraction(22, 101), d.Alphabet(k), count)
+                for d, _ in trees],
+               lambda a, b: a.prefix(count) == b.prefix(count))
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) not in (3, 4):
+        sys.exit(__doc__)
+    main(sys.argv[1], sys.argv[2],
+         [int(k) for k in (sys.argv[3] if len(sys.argv) == 4 else "2,3,10,13,16,17,20,24,30,36")
+          .split(",")])

@@ -5,7 +5,8 @@
 #
 # runs the fsdim CLI from TREE/src and writes into OUT generated digits,
 # dimension and verification reports, both suite reports, a block
-# certificate file, a solver witness file and a heavy n = 6 solve's stdout.
+# certificate file, a solver witness file, a heavy n = 6 solve's stdout and
+# certified arithmetic in bases 10, 36 and 2.
 # Run it on two trees and compare every file the first run wrote:
 #
 #   for f in base/*; do cmp "$f" "head/${f#base/}"; done
@@ -67,6 +68,18 @@ status=0
 fsdim verify dilution --digits 40001 --max-block-len 12 \
   --report "$out/dilution-odd.json" > "$out/dilution-odd.stdout" || status=$?
 echo "exit $status" >> "$out/dilution-odd.stdout"
+# certified arithmetic in base 10 and base 2, whose limbs take digits four per
+# word, and in base 36, whose 11-digit limbs do not; each writes digits and stdout
+for src in alpha base36 champ2; do
+  fsdim arith mul-int --in "$out/$src.txt" --m 7 --count 15000 \
+    --out "$out/$src-mul7.txt" > "$out/$src-mul7.stdout"
+  fsdim arith div-int --in "$out/$src.txt" --m 12 --count 15000 \
+    --out "$out/$src-div12.txt" > "$out/$src-div12.stdout"
+  fsdim arith add-q --in "$out/$src.txt" --num 5 --den 7 --count 15000 \
+    --out "$out/$src-add5-7.txt" > "$out/$src-add5-7.stdout"
+  fsdim arith mul-q --in "$out/$src.txt" --num 22 --den 7 --count 15000 \
+    --out "$out/$src-mul22-7.txt" > "$out/$src-mul22-7.stdout"
+done
 for suite in pseudometric contractivity; do
   fsdim verify "$suite" --samples 60 --n-max 5 --seed 3 \
     --report "$out/$suite.json" > "$out/$suite.stdout"

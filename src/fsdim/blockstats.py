@@ -135,6 +135,8 @@ def _prefix_blocks(seq: DigitSequence, l: int, schedule: Sequence[int]):
     else:
         codes = block_codes(seq, l, schedule[-1])
     for n, (values, counts) in zip(schedule, _prefix_counts(codes, k ** l, schedule)):
+        # read-only: a block table built from the cell keeps these arrays as its own
+        values.flags.writeable = counts.flags.writeable = False
         yield BlockDistribution(codes[:n], values, counts, _entropy_from_counts(counts, n))
 
 

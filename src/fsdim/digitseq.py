@@ -52,14 +52,21 @@ class Alphabet:
 def limb_width(k: int, m: int = 1):
     """Digits per limb, and the limb dtype, for base-k limbs multiplied by m.
 
-    int64 limbs hold the largest c with m * k^c < 2^62, provided k^c >= m:
-    then a limb times m stays below 2^62, and a limb plus the carry-in from
-    the limb below stays below 2K, K = k^c.  Multipliers too large for that
-    get Python ints in an object array, with the smallest c that has k^c >= m.
+    int64 limbs hold the largest multiple of 4, c, with m * k^c < 2^62 and
+    k^c >= m: then a limb times m stays below 2^62, a limb plus the carry-in
+    from the limb below stays below 2K, K = k^c, and digits enter the limbs
+    four per word (:func:`digits_to_limbs`).  Where that multiple of 4 keeps
+    under three quarters of the digits of the largest such c (base 36 keeps 11
+    digits, not 8), the limbs take that c instead.  Multipliers too large for
+    either get Python ints in an object array, with the smallest c that has
+    k^c >= m.
     """
     c = 0
     while m * k ** (c + 1) < 2 ** 62:
         c += 1
+    c4 = c - c % 4
+    if c4 and k ** c4 >= m and 4 * c4 >= 3 * c:
+        return c4, np.int64
     if c and k ** c >= m:
         return c, np.int64
     c = 1
@@ -71,18 +78,34 @@ def limb_width(k: int, m: int = 1):
 def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
     """Big-endian limbs of c base-k digits each, and the zero digits padded on the right.
 
-    The limbs hold the digits' numeral times k^pad, built in place by Horner's
-    rule over the uint8 columns from a cast of the first, so no other digit is
-    copied to a wider type; a partial last limb, under c digits, by a plain loop.
+    The limbs hold the digits' numeral times k^pad.  When c is a multiple of 4
+    and the limbs are machine integers, digits enter them four per word
+    (SWAR): widened to little-endian uint16, each uint64 word of four digits
+    d0 d1 d2 d3 becomes the pairs k*d0 + d1 and k*d2 + d3 by one multiply,
+    shift and mask, then their value (k*d0 + d1)*k^2 + k*d2 + d3 < 36^4 by one
+    multiply and shift, and Horner's rule over the c/4 word columns, base k^4,
+    builds the limbs.  Other widths take Horner's rule over the uint8 columns,
+    from a cast of the first, so no other digit is copied to a wider type.  A
+    partial last limb, under c digits, is built by a plain loop.
     """
     n = len(digits)
     full = n // c
     limbs = np.empty(-(-n // c), dtype)
     head = limbs[:full]
-    body = digits[:full * c].reshape(full, c)
+    body, base, width = digits[:full * c], k, c
+    if c % 4 == 0 and dtype != object:
+        # uint64 scalars throughout: NumPy 1.x would promote uint64 and a Python int to float64
+        w = body.astype("<u2").view("<u8")
+        w *= np.uint64(k << 16 | 1)
+        w >>= np.uint64(16)
+        w &= np.uint64(0x0000FFFF0000FFFF)
+        w *= np.uint64(k * k << 32 | 1)
+        w >>= np.uint64(32)
+        body, base, width = w.view("<i8"), k ** 4, c // 4
+    body = body.reshape(full, width)
     head[:] = body[:, 0]
-    for j in range(1, c):
-        head *= k
+    for j in range(1, width):
+        head *= base
         head += body[:, j]
     pad = len(limbs) * c - n
     if pad:
@@ -194,8 +217,8 @@ class DigitSequence:
             digits = digits.tolist()  # bytes() of a wider array would copy its memory
         self._buf = bytes(digits)
         self._exact_value = None
-        bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
-        if bad:
+        if self._buf and np.frombuffer(self._buf, np.uint8).max() >= alphabet.k:
+            bad = self._buf.translate(None, _DIGIT_VALUES[:alphabet.k])
             raise ValueError(f"digit {bad[0]} out of range for base {alphabet.k}")
 
     @property

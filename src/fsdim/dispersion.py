@@ -88,8 +88,8 @@ class UnobservedColumns(Set):
 
     def __init__(self, n: int, observed: Iterable[int]):
         self.n = n
-        observed = np.asarray(observed if isinstance(observed, np.ndarray) else list(observed),
-                              dtype=np.int64)
+        observed = np.array(observed if isinstance(observed, np.ndarray) else list(observed),
+                            dtype=np.int64)  # a copy: the caller's array may change later
         if np.count_nonzero(observed[1:] <= observed[:-1]):  # block tables pass them ascending
             observed = np.unique(observed)
         self.observed = observed
@@ -315,8 +315,9 @@ class SparseStochasticCertificate:
                 bad.append(next(j for j in range(self.n)
                                 if j not in want and j not in self.identity_columns))
             j = min(bad)
-            detail = (f"column {j} sums to {Fraction(got[j], want[j])}" if j in got
-                      else f"column {j} has no entries")
+            detail = (f"column {j} has no entries" if j not in got
+                      else f"column {j} sums to {Fraction(got[j], want[j])}" if j in want
+                      else f"column {j} has entries but no mass")
             return ValidationOutcome(False, "stochastic-columns", detail)
 
         # the columns now hold entries in the order of `columns`
@@ -768,6 +769,8 @@ class BlockCoupling(SparseStochasticCertificate):
 
     def __init__(self, alphabet: Alphabet, l: int, m: int, blocks: int, x, y, count,
                  source_codes, source_counts, image_codes, image_counts):
+        if len(source_codes) != len(source_counts) or len(image_codes) != len(image_counts):
+            raise ValueError("block codes and their counts differ in length")
         self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
         self.image_codes, self.image_counts = image_codes, image_counts
         dimension = _certificate_dimension(alphabet.k, l)

@@ -5,13 +5,15 @@ of frac(m*alpha), frac(alpha/b), frac(q+alpha), frac(|q|*alpha) and so on.
 Certification works by interval enclosure with exact integer endpoints: an
 N-digit prefix P pins alpha inside [P/k^N, (P+1)/k^N], and each end of the
 affine image, scaled by k^count, is an integer computed on limbs of base-k
-digits (one multiply whose carries a prefix scan resolves, then a long
-division by a small integer d by a two-level scan of its remainders; the
-high end is the low one plus a gap); digits are emitted where both agree.
-The lookahead N grows geometrically until the digits resolve or it reaches
-`LOOKAHEAD_CAP`.  Streams carrying an exact rational value skip the enclosure
-and emit digits by exact long division, which also resolves results that sit
-exactly on k-adic points (undetectable from any finite stream prefix).
+digits, which enter the limbs four per machine word (see
+:func:`~fsdim.digitseq.digits_to_limbs`).  The low end takes one multiply,
+whose carries a prefix scan resolves, and a long division by a small integer
+d, by a two-level scan of its remainders; the high end is the low one plus a
+gap.  Digits are emitted where both ends agree.  The lookahead N grows
+geometrically until the digits resolve or it reaches `LOOKAHEAD_CAP`.  Streams
+carrying an exact rational value skip the enclosure and emit digits by exact
+long division, which also resolves results that sit exactly on k-adic points
+(undetectable from any finite stream prefix).
 """
 
 from __future__ import annotations

@@ -367,3 +367,63 @@ def test_read_digit_file_rejects_like_oracle(tmp_path_factory, case, data):
                 insert_bytes(ascii_file, header_end, non_ascii, data)):
         path.write_bytes(raw)
         assert_rejected_like_oracle(path)
+
+
+# ------------------------------------------------ digits into limbs, four per word
+
+MULTIPLIERS = st.integers(1, 12) | st.sampled_from([144, 2 ** 31 - 1, 2 ** 40, 2 ** 61, 2 ** 70])
+
+
+@st.composite
+def limb_layouts(draw):
+    """(k, c, dtype, digits): any width up to limb_width's, half of them multiples
+    of 4, in each dtype that holds k^c - 1, over whole limbs and maybe a partial
+    one of digits that start at an odd byte of their buffer."""
+    k = draw(st.integers(2, 36))
+    c_max, _ = limb_width(k, draw(MULTIPLIERS))
+    c = draw(st.integers(1, c_max).map(lambda w: w - w % 4 or w) | st.integers(1, c_max))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.int64, object]).filter(
+        lambda t: t is object or k ** c - 1 <= np.iinfo(t).max))
+    n = draw(st.integers(0, 6)) * c + draw(st.sampled_from([0, 1, c - 1]) | st.integers(0, c - 1))
+    fill = draw(st.sampled_from([None, None, 0, k - 1]))  # all zeros or all k - 1: limbs at 0, K - 1
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    digits = [rnd.randrange(k) if fill is None else fill for _ in range(n)]
+    return k, c, dtype, np.frombuffer(bytes([0] + digits), np.uint8)[1:]
+
+
+@settings(FILE_SETTINGS, max_examples=300)
+@given(limb_layouts())
+def test_digits_to_limbs_matches_numeral(layout):
+    k, c, dtype, digits = layout
+    limbs, pad = digits_to_limbs(digits, k, c, dtype)
+    assert limbs.dtype == np.dtype(dtype) and len(limbs) == -(-len(digits) // c)
+    assert pad == -len(digits) % c
+    assert all(0 <= x < k ** c for x in limbs.tolist())
+    assert _numeral(limbs.tolist(), k ** c) == _numeral(digits.tolist(), k) * k ** pad
+
+
+@FILE_SETTINGS
+@given(st.integers(2, 36), MULTIPLIERS)
+def test_limb_width_fits_the_multiply(k, m):
+    c, dtype = limb_width(k, m)
+    widest = max((w for w in range(1, 64) if m * k ** w < 2 ** 62), default=0)
+    if dtype is object:  # no int64 width holds k^c >= m
+        assert k ** widest < m and k ** c >= m > k ** (c - 1)
+        return
+    assert m * k ** c < 2 ** 62 and k ** c >= m
+    # four digits per word, unless that keeps under three quarters of the widest width
+    four = widest - widest % 4
+    assert c == (four if four and k ** four >= m and 4 * four >= 3 * widest else widest)
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, np.uint8, np.uint16])
+@pytest.mark.parametrize("at", [0, 500, 999])
+def test_sequence_names_its_first_bad_digit(kind, at):
+    digits = [i % 7 for i in range(1000)]
+    digits[-1] = 8  # out of range too, but after the first
+    digits[at] = 9
+    data = kind(digits) if kind in (bytes, bytearray) else np.array(digits, kind)
+    with pytest.raises(ValueError, match="^digit 9 out of range for base 7$"):
+        DigitSequence(Alphabet(7), data)
+    assert DigitSequence(Alphabet(7), kind() if kind in (bytes, bytearray)
+                         else np.array([], kind)).length_available == 0

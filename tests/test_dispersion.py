@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,8 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, Probability
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
 
 import fsdim.dispersion
-from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, UnobservedColumns, ValidationOutcome,
-                              _coupling_with_degree_bound)
+from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, BlockCoupling, UnobservedColumns,
+                              ValidationOutcome, _coupling_with_degree_bound)
 from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
 
 F = Fraction
@@ -665,3 +666,35 @@ def test_certificate_keeps_its_own_identity_columns():
     assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok
     identity.clear()
     assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok
+
+
+def test_unobserved_columns_keep_their_own_codes():
+    observed = np.array([1, 2])
+    view = UnobservedColumns(4, observed)
+    observed[0] = 3
+    assert sorted(view) == [0, 3]
+
+
+def test_block_table_cannot_change_through_its_cells():
+    # the table keeps the cells' observed codes and counts: they are read-only
+    seq = gen_champernowne(Alphabet(10), 5000)
+    table, source, image = integer_multiple_certificate(seq, 3, 2, 400)
+    for array in (source.values, source.counts, image.values, image.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 99
+    assert table.validate().ok
+
+
+@pytest.mark.parametrize("source_counts, image_counts", [([1], [1, 1]), ([1, 1], [2])])
+def test_block_table_refuses_codes_and_counts_of_different_lengths(source_counts, image_counts):
+    with pytest.raises(ValueError, match="^block codes and their counts differ in length$"):
+        BlockCoupling(Alphabet(10), 1, 1, 2, [0, 1], [0, 1], [1, 1], [0, 1], source_counts,
+                      [0, 1], image_counts)
+
+
+def test_column_with_entries_but_no_mass_is_named():
+    # a table whose mass columns miss an explicit column reports it, not a KeyError
+    cert = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
+    cert._set(2, 1, frozenset(), [0, 1], [0, 1], [1, 1], [0], [1])
+    assert cert._check(None, 1, {}, (np.array([0, 1]), np.array([1, 1]))) == ValidationOutcome(
+        False, "stochastic-columns", "column 1 has entries but no mass")
