@@ -1,4 +1,4 @@
-"""In-process timings of the digit-to-limb kernels on two source trees.
+"""In-process timings of the digit-to-limb kernels and the exact solver on two source trees.
 
     python3 scripts/kernels_ab.py PARENT_TREE CHANGE_TREE > kernels.json
 
@@ -16,14 +16,23 @@ from NumPy seed 29.  The kernels:
 - mul_int_mod1(., 7) and div_int(., 7) on a bare stream of 200 512 digits,
   and gen_rational_expansion(22/101), all at 200 000 digits, in each base of
   the optional third argument (a comma list; default 2,3,10,13,16,17,20,24,30,36).
+
+Then the solver: one pass of delta_exact over the delta-solve pool of seed 1
+(CHANGE_TREE's perfbench workload; 400 triples, pi -> mu, mu -> pi and
+mu -> nu), after checking that both trees give every solve the same m*,
+method, node count and witness file; it prints the minimum over 11
+interleaved passes in milliseconds and the nodes the pass searched per
+second.
 """
 
 import importlib.util
 import json
 import resource
 import sys
+import tempfile
 import timeit
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +44,7 @@ def load(name: str, tree: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return sys.modules[f"{name}.digitseq"], sys.modules[f"{name}.realarith"]
+    return module
 
 
 def best_ms(calls, repeats: int = 11):
@@ -60,8 +69,39 @@ def faults(call, number: int = 20) -> float:
     return round((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / number, 1)
 
 
+def solver_pool(tree: str):
+    """(pi, mu) of every solve in one delta-solve pass at seed 1, as Fraction tuples."""
+    sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench", f"{tree}/tests"]
+    import workloads
+    with tempfile.TemporaryDirectory() as workdir:
+        triples = workloads.DeltaSolve().setup(1, Path(workdir))["triples"]
+    return [(a.p, b.p) for pi, mu, nu in triples for a, b in ((pi, mu), (mu, pi), (mu, nu))]
+
+
+def solver(packages, change: str):
+    """The solver timings on the pool, after checking that both trees solve it alike."""
+    pool = solver_pool(change)
+    runs = []
+    for fsdim in packages:
+        pairs = [(fsdim.ProbabilityVector(a), fsdim.ProbabilityVector(b)) for a, b in pool]
+        results = [fsdim.delta_exact(a, b) for a, b in pairs]
+        runs.append(([(r.m_star, r.method, r.nodes, fsdim.certificate_to_json_dict(r.witness))
+                      for r in results],
+                     lambda f=fsdim.delta_exact, pairs=pairs: [f(a, b) for a, b in pairs]))
+    (parent_solves, _), (change_solves, _) = runs
+    for (a, b), p, c in zip(pool, parent_solves, change_solves):
+        if p != c:
+            raise SystemExit(f"delta_exact({a}, {b}): the two trees give {p} and {c}")
+    nodes = sum(r[2] for r in parent_solves)
+    p, c = best_ms([call for _, call in runs])
+    return {"parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
+            "solves": len(pool), "nodes": nodes, "parent_nodes_per_s": round(nodes / p * 1e3),
+            "change_nodes_per_s": round(nodes / c * 1e3)}
+
+
 def main(parent: str, change: str, bases):
-    trees = load("fsdim_parent", parent), load("fsdim_change", change)
+    packages = load("fsdim_parent", parent), load("fsdim_change", change)
+    trees = [(fsdim.digitseq, fsdim.realarith) for fsdim in packages]
     rng = np.random.default_rng(29)
     out = {}
 
@@ -94,6 +134,7 @@ def main(parent: str, change: str, bases):
                [lambda d=d: d.gen_rational_expansion(Fraction(22, 101), d.Alphabet(k), count)
                 for d, _ in trees],
                lambda a, b: a.prefix(count) == b.prefix(count))
+    out["delta_exact pass @ delta-solve seed 1"] = solver(packages, change)
     print(json.dumps(out, indent=1))
 
 

@@ -436,10 +436,10 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     support forest).  Depth-first search over those moves with per-node
     degree budgets is therefore complete.
 
-    A state is dead when an open node with mass x and d edges left has x
-    above the sum of the d largest open masses on the other side: its
-    later edges go to d distinct open partners (a forest joins no pair
-    twice), each carrying at most the partner's current mass (a flow is
+    A state is dead (:func:`_reachable`) when an open node with mass x and d
+    edges left has x above the sum of the d largest open masses on the other
+    side: its later edges go to d distinct open partners (a forest joins no
+    pair twice), each carrying at most the partner's current mass (a flow is
     the min of its ends' masses, and masses only fall).  d = 0 is the
     plain degree test; at the root it rejects every m below the
     majorization bound.  Failures memoize on the canonical state (sorted
@@ -454,11 +454,6 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
     edges: Dict[Tuple[int, int], int] = {}
     failed: set = set()
 
-    def reachable(side, other) -> bool:
-        # `other` ascends by mass, so reversed it gives the largest masses first
-        top = [0, *itertools.accumulate(x for x, _ in reversed(other))]
-        return all(x <= top[min(d, len(top) - 1)] for x, d in side)
-
     def rec() -> bool:
         nodes[0] += 1
         if budget is not None and nodes[0] > budget:
@@ -466,7 +461,7 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
         if not open_cols and not open_rows:
             return True
         key = cols, rows = (tuple(sorted(open_cols.values())), tuple(sorted(open_rows.values())))
-        if key in failed or not (reachable(cols, rows) and reachable(rows, cols)):
+        if key in failed or not (_reachable(cols, rows) and _reachable(rows, cols)):
             return False
         # branch on one representative per (mass, degrees-left) profile
         col_reps = {}
@@ -493,9 +488,26 @@ def _coupling_with_degree_bound(col_mass: List[int], row_mass: List[int], m: int
         failed.add(key)
         return False
 
-    if rec():
-        return dict(edges)
-    return None
+    try:
+        return dict(edges) if rec() else None
+    finally:
+        del rec  # rec holds itself through its closure: free the memo without the cyclic collector
+
+
+def _reachable(side: Tuple[Tuple[int, int], ...], other: Tuple[Tuple[int, int], ...]) -> bool:
+    """Whether every open (mass, degrees-left) profile x, d of `side` has x at
+    most the sum of the d largest masses of `other`, which ascends by mass
+    (d past its length: all of them)."""
+    top = [0]
+    total = 0
+    for x, _ in reversed(other):
+        total += x
+        top.append(total)
+    last = len(other)
+    for x, d in side:
+        if x > top[d if d < last else last]:
+            return False
+    return True
 
 
 def _complete_columns(entries: Dict, empty: Iterable[int], n: int) -> None:
@@ -776,10 +788,13 @@ class BlockCoupling(SparseStochasticCertificate):
         dimension = _certificate_dimension(alphabet.k, l)
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
         x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        count = _int_array(count)
         if (np.count_nonzero(x[1:] < x[:-1])
                 or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
             order = np.lexsort((y, x))
-            x, y, count = x[order], y[order], _int_array(count)[order]
+            x, y, count = x[order], y[order], count[order]
+        # read-only, as the cells are: the table may hold the caller's own arrays
+        x.flags.writeable = y.flags.writeable = count.flags.writeable = False
         identity = UnobservedColumns(dimension, source_codes)  # its int64 codes are the columns
         self._set(dimension, min(self.row_bound, dimension), identity, y, x, count,
                   identity.observed, source_counts)

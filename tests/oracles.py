@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: digit
 expansion by per-digit long division, block counting by naive slicing,
 dispersion by support-pattern enumeration plus exact-rational max-flow,
-certificate checks in Fractions over the rational entries.  The one
-exception is dispersion_m_unpruned, the solver's leaf-peeling search with
-only the plain degree test: it reaches n = 6, where enumeration cannot, and
-checks the solver's pruning.
+certificate checks in Fractions over the rational entries.  Two
+exceptions: dispersion_m_unpruned, the solver's leaf-peeling search with
+only the plain degree test, reaches n = 6, where enumeration cannot, and
+checks the solver's pruning; reachable_by_accumulate states the pruning's
+dead-state test by prefix sums in one expression, to check the solver's loops.
 Slow is fine; these only run at small sizes.
 """
 
@@ -450,6 +451,15 @@ def dispersion_m_unpruned(pi, mu):
         return rec([(x, m) for x in col_mass], [(x, m) for x in row_mass])
 
     return next((m for m in range(1, n) if feasible(m)), n)
+
+
+def reachable_by_accumulate(side, other):
+    """The search's dead-state test in one expression, the reference for
+    dispersion._reachable: every (mass, degrees left) profile x, d of `side`
+    has x at most the sum of the d largest masses of `other`, which ascends
+    by mass."""
+    top = [0, *itertools.accumulate(x for x, _ in reversed(other))]
+    return all(x <= top[min(d, len(top) - 1)] for x, d in side)
 
 
 def rational_support_counts(cert):

@@ -1,3 +1,5 @@
+import gc
+import json
 import math
 import random
 import time
@@ -18,8 +20,9 @@ from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, Probability
 
 import fsdim.dispersion
 from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, BlockCoupling, UnobservedColumns,
-                              ValidationOutcome, _coupling_with_degree_bound)
-from oracles import dispersion_m_bruteforce, dispersion_m_unpruned, validate_certificate_rational
+                              ValidationOutcome, _coupling_with_degree_bound, _reachable)
+from oracles import (dispersion_m_bruteforce, dispersion_m_unpruned, reachable_by_accumulate,
+                     validate_certificate_rational)
 
 F = Fraction
 CHAMPERNOWNE_100 = gen_champernowne(Alphabet(10), 100)
@@ -219,6 +222,67 @@ def test_node_budget_changes_nothing_it_does_not_cut(monkeypatch, pair, share):
             assert budget < exact.nodes, (pi.p, mu.p, budget)
             assert res.witness.declared_m == res.m_star >= exact.m_star
             assert validate_certificate_rational(res.witness, pi, mu).ok
+
+
+# the n = 5 pair with a zero entry and the heavy n = 6 pair (delta-solve pool
+# triple 114, mu -> pi) that scripts/report_bytes.sh solves
+ZERO_ENTRY_5 = (vec(F(1, 4), 0, F(1, 4), F(1, 3), F(1, 6)),
+                vec(F(1, 5), F(1, 10), F(3, 10), F(1, 4), F(3, 20)))
+HEAVY_6 = (vec(F(2, 15), F(1, 5), F(2, 15), F(1, 15), F(1, 5), F(4, 15)),
+           vec(0, F(4, 13), F(5, 13), F(1, 13), F(3, 13), 0))
+
+
+def test_search_traversal_is_pinned():
+    """m*, method, node count and witness bytes of fixed pairs: one per n = 2..4
+    from random.Random(1), then the two pairs above.  A change to the search
+    order or to its pruning changes these on purpose."""
+    rng = random.Random(1)
+    pairs = [(random_vector(rng, n), random_vector(rng, n)) for n in (2, 3, 4)]
+    pairs += [ZERO_ENTRY_5, HEAVY_6]
+    pinned = [
+        (2, 4, [[0, 0, "4/9"], [0, 1, "1/1"], [1, 0, "5/9"]]),
+        (3, 7, [[0, 0, "192/427"], [0, 1, "1/1"], [1, 0, "67/427"], [1, 2, "1/1"],
+                [2, 0, "24/61"]]),
+        (3, 341, [[0, 1, "1/1"], [0, 2, "86/275"], [0, 3, "457/700"], [1, 0, "1/1"],
+                  [1, 2, "27/55"], [2, 3, "243/700"], [3, 2, "54/275"]]),
+        (2, 122, [[0, 0, "4/5"], [0, 1, "1/1"], [1, 2, "2/5"], [2, 3, "2/5"], [2, 4, "1/1"],
+                  [3, 0, "1/5"], [3, 3, "3/5"], [4, 2, "3/5"]]),
+        (3, 9747, [[1, 0, "1/1"], [1, 4, "34/39"], [2, 1, "1/1"], [2, 2, "11/26"],
+                   [2, 5, "25/52"], [3, 2, "15/26"], [4, 3, "1/1"], [4, 4, "5/39"],
+                   [4, 5, "27/52"]]),
+    ]
+    for (pi, mu), (m_star, nodes, entries) in zip(pairs, pinned):
+        res = delta_exact(pi, mu)
+        assert (res.m_star, res.method, res.nodes) == (m_star, "exact-search", nodes), pi.p
+        assert json.dumps(certificate_to_json_dict(res.witness)) == json.dumps(
+            {"n": pi.n, "declared_m": m_star, "entries": entries, "identity_columns": []})
+
+
+def test_search_leaves_no_cyclic_garbage():
+    # the search's memo and profiles go when it returns, not at the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        delta_exact(*HEAVY_6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+profiles = st.lists(st.tuples(st.integers(1, 40), st.integers(0, 8)), max_size=6).map(
+    lambda p: tuple(sorted(p)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(profiles, profiles)
+@example((), ())
+@example(((5, 0),), ())
+@example(((5, 3),), ((2, 1), (3, 1)))
+@example(((6, 3),), ((2, 1), (3, 1)))
+def test_dead_state_test_matches_reference(side, other):
+    """Open (mass, degrees-left) profiles, ascending as the search keys them:
+    d = 0, d past the other side's length and an empty other side included."""
+    assert _reachable(side, other) == reachable_by_accumulate(side, other)
 
 
 @st.composite
@@ -581,7 +645,6 @@ def test_solver_certificate_json_roundtrip():
     # a witness with a zero-mass column, its reversal and a composition: the
     # file gives back the same flows, masses and identity columns, and the
     # same bytes when written again
-    import json
     from fsdim import certificate_from_json_dict, certificate_to_json_dict
     pi, mu, nu = vec(F(1, 2), F(0), F(1, 2)), vec(F(1, 3), F(1, 3), F(1, 3)), vec(F(1, 6), F(1, 2), F(1, 3))
     witness = delta_exact(pi, mu).witness
@@ -602,7 +665,6 @@ def test_solver_certificate_json_roundtrip():
 
 
 def test_certificate_json_roundtrip():
-    import json
     from fsdim import certificate_from_json_dict, certificate_to_json_dict
     seq = gen_champernowne(Alphabet(2), 2000)
     cert, da, db = integer_multiple_certificate(seq, 3, 3, 600)
@@ -652,7 +714,6 @@ NOT_LIST = "entries must be a list of \\[row, col, value\\] and identity_columns
         "value-float", "value-int", "no-entries", "no-n", "not-object", "entries-int",
         "entries-object", "identity-int", "entry-pair", "entry-four", "entry-string"])
 def test_certificate_json_refuses_repeats_and_non_integers(text, message):
-    import json
     with pytest.raises(ValueError, match=f"^{message}$"):
         certificate_from_json_dict(json.loads(text))
 
@@ -683,6 +744,16 @@ def test_block_table_cannot_change_through_its_cells():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 99
     assert table.validate().ok
+
+
+def test_block_table_cannot_change_through_its_pairs():
+    # pair arrays arriving in (x, y) order are kept, not copied: they are read-only
+    x, y, count = np.array([0, 1]), np.array([0, 1]), np.array([1, 1])
+    table = BlockCoupling(Alphabet(10), 1, 1, 2, x, y, count, [0, 1], [1, 1], [0, 1], [1, 1])
+    for array, value in ((y, 5), (count, 7)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = value
+    assert table.rows.tolist() == [0, 1] and table.validate().ok
 
 
 @pytest.mark.parametrize("source_counts, image_counts", [([1], [1, 1]), ([1, 1], [2])])
