@@ -17,12 +17,19 @@ from NumPy seed 29.  The kernels:
   and gen_rational_expansion(22/101), all at 200 000 digits, in each base of
   the optional third argument (a comma list; default 2,3,10,13,16,17,20,24,30,36).
 
-Then the solver: one pass of delta_exact over the delta-solve pool of seed 1
-(CHANGE_TREE's perfbench workload; 400 triples, pi -> mu, mu -> pi and
-mu -> nu), after checking that both trees give every solve the same m*,
-method, node count and witness file; it prints the minimum over 11
-interleaved passes in milliseconds and the nodes the pass searched per
-second.
+Then the solver, on the delta-solve pool of seed 1 (CHANGE_TREE's perfbench
+workload; 400 triples pi, mu, nu), as the workload calls it:
+
+- one pass of delta_exact over pi -> mu, mu -> pi and mu -> nu of every
+  triple, after checking that both trees give every solve the same m*,
+  method, node count and witness file; it prints the minimum over 11
+  interleaved passes in milliseconds and the nodes the pass searched per
+  second;
+- one pass of reverse_certificate (the mu -> pi witness, reversed) and one of
+  compose_certificates (the mu -> nu witness after the pi -> mu one) over
+  every triple, each tree on its own witnesses, after checking that both
+  trees write the same certificate file for every reversal and composition;
+  it prints the minimum over 11 interleaved passes in milliseconds.
 """
 
 import importlib.util
@@ -70,33 +77,57 @@ def faults(call, number: int = 20) -> float:
 
 
 def solver_pool(tree: str):
-    """(pi, mu) of every solve in one delta-solve pass at seed 1, as Fraction tuples."""
+    """(pi, mu, nu) of every triple of the delta-solve pool at seed 1, as Fraction tuples."""
     sys.path[:0] = [f"{tree}/src", f"{tree}/perfbench", f"{tree}/tests"]
     import workloads
     with tempfile.TemporaryDirectory() as workdir:
         triples = workloads.DeltaSolve().setup(1, Path(workdir))["triples"]
-    return [(a.p, b.p) for pi, mu, nu in triples for a, b in ((pi, mu), (mu, pi), (mu, nu))]
+    return [(pi.p, mu.p, nu.p) for pi, mu, nu in triples]
+
+
+def same_on_both(label: str, inputs, parent, change):
+    """Exit unless the two trees' outputs agree on every input."""
+    for args, p, c in zip(inputs, parent, change):
+        if p != c:
+            raise SystemExit(f"{label}{args}: the two trees give {p} and {c}")
 
 
 def solver(packages, change: str):
     """The solver timings on the pool, after checking that both trees solve it alike."""
     pool = solver_pool(change)
-    runs = []
+    pairs = [(a, b) for pi, mu, nu in pool for a, b in ((pi, mu), (mu, pi), (mu, nu))]
+    solves, reversals, compositions = [], [], []
     for fsdim in packages:
-        pairs = [(fsdim.ProbabilityVector(a), fsdim.ProbabilityVector(b)) for a, b in pool]
-        results = [fsdim.delta_exact(a, b) for a, b in pairs]
-        runs.append(([(r.m_star, r.method, r.nodes, fsdim.certificate_to_json_dict(r.witness))
-                      for r in results],
-                     lambda f=fsdim.delta_exact, pairs=pairs: [f(a, b) for a, b in pairs]))
-    (parent_solves, _), (change_solves, _) = runs
-    for (a, b), p, c in zip(pool, parent_solves, change_solves):
-        if p != c:
-            raise SystemExit(f"delta_exact({a}, {b}): the two trees give {p} and {c}")
-    nodes = sum(r[2] for r in parent_solves)
-    p, c = best_ms([call for _, call in runs])
-    return {"parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
-            "solves": len(pool), "nodes": nodes, "parent_nodes_per_s": round(nodes / p * 1e3),
-            "change_nodes_per_s": round(nodes / c * 1e3)}
+        vectors = [tuple(map(fsdim.ProbabilityVector, triple)) for triple in pool]
+        results = [[fsdim.delta_exact(a, b) for a, b in ((pi, mu), (mu, pi), (mu, nu))]
+                   for pi, mu, nu in vectors]
+        to_json = fsdim.certificate_to_json_dict
+        solves.append(([(r.m_star, r.method, r.nodes, to_json(r.witness))
+                        for triple in results for r in triple],
+                       lambda f=fsdim.delta_exact, v=vectors: [
+                           f(a, b) for pi, mu, nu in v for a, b in ((pi, mu), (mu, pi), (mu, nu))]))
+        reverse = [(fsdim.reverse_certificate, (r2.witness, mu, pi))
+                   for (pi, mu, _), (_, r2, _) in zip(vectors, results)]
+        compose = [(fsdim.compose_certificates, (r3.witness, r1.witness, pi, mu, nu))
+                   for (pi, mu, nu), (r1, _, r3) in zip(vectors, results)]
+        for calls, out in ((reverse, reversals), (compose, compositions)):
+            out.append(([to_json(f(*args)) for f, args in calls],
+                        lambda calls=calls: [f(*args) for f, args in calls]))
+    same_on_both("delta_exact", pairs, solves[0][0], solves[1][0])
+    same_on_both("reverse_certificate", pool, reversals[0][0], reversals[1][0])
+    same_on_both("compose_certificates", pool, compositions[0][0], compositions[1][0])
+    nodes = sum(r[2] for r in solves[0][0])
+    p, c = best_ms([call for _, call in solves])
+    out = {"delta_exact pass @ delta-solve seed 1": {
+        "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
+        "solves": len(pairs), "nodes": nodes, "parent_nodes_per_s": round(nodes / p * 1e3),
+        "change_nodes_per_s": round(nodes / c * 1e3)}}
+    for label, runs in (("reverse_certificate", reversals), ("compose_certificates", compositions)):
+        p, c = best_ms([call for _, call in runs])
+        out[f"{label} pass @ delta-solve seed 1"] = {
+            "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
+            "calls": len(pool)}
+    return out
 
 
 def main(parent: str, change: str, bases):
@@ -134,7 +165,7 @@ def main(parent: str, change: str, bases):
                [lambda d=d: d.gen_rational_expansion(Fraction(22, 101), d.Alphabet(k), count)
                 for d, _ in trees],
                lambda a, b: a.prefix(count) == b.prefix(count))
-    out["delta_exact pass @ delta-solve seed 1"] = solver(packages, change)
+    out.update(solver(packages, change))
     print(json.dumps(out, indent=1))
 
 

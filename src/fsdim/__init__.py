@@ -23,7 +23,7 @@ from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
                          compose_certificates, delta_exact, integer_multiple_certificate,
                          majorizes, reverse_certificate, validate_certificate)
 from .realarith import (CertifiedDigitResult, UnresolvedCarryError, add_rational_mod1, div_int,
-                        mul_int_mod1, mul_rational_mod1, negate_mod1)
+                        mul_int_mod1, mul_rational_mod1)
 from .verify import (VerificationReport, verify_contractivity_suite,
                      verify_dilution_counterexample, verify_pseudometric_suite,
                      verify_rational_arithmetic)
@@ -41,7 +41,7 @@ __all__ = [
     "certificate_to_json_dict", "compose_certificates",
     "delta_exact", "dim_estimates", "div_int", "entropy_rate_grid", "gen_champernowne",
     "gen_dilution", "gen_rational_expansion", "integer_multiple_certificate",
-    "majorizes", "mul_int_mod1", "mul_rational_mod1", "negate_mod1",
+    "majorizes", "mul_int_mod1", "mul_rational_mod1",
     "normality_deviation", "read_digit_file", "reverse_certificate",
     "select_progression", "shannon_entropy",
     "validate_certificate", "verify_contractivity_suite",

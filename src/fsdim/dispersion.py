@@ -17,12 +17,16 @@ bound; enough slack always exists), so they are completed greedily.
 
 Everything is exact; entropies alone are floats.  A certificate is itself a
 transportation plan: positive integer flows B_ij and one positive integer
-mass c_j per explicit column, with a_ij = B_ij / c_j.  The solver's
-witnesses are its integer couplings, and block certificates between alpha
-and m*alpha (:class:`BlockCoupling`) are joint-count tables whose masses are
-the source block counts.  Every condition is checked as an equality or
-comparison of integer sums.  Fractions appear only where rational entries
-come in or go out: the constructor, reversal and composition, and files.
+mass c_j per explicit column, with a_ij = B_ij / c_j.  Two types hold one,
+each in its natural form.  :class:`SparseStochasticCertificate` holds the
+solver's witnesses, reversals and compositions (n <= MAX_EXACT_DIMENSION,
+so at most n^2 entries) as plain-Python dicts of integers, with any set of
+identity columns.  :class:`BlockCoupling` holds a joint-count table between
+alpha and m*alpha (up to MAX_CERTIFICATE_DIMENSION columns) as int64 arrays
+whose masses are the source block counts, its identity columns implicit.
+Every condition is checked as an equality or comparison of integer sums.
+Fractions appear only where rational entries come in or go out: the
+constructor, the `entries` view and files.
 """
 
 from __future__ import annotations
@@ -130,119 +134,86 @@ class UnobservedColumns(Set):
         return f"UnobservedColumns(n={self.n}, observed={len(self.observed)} codes)"
 
 
-def _identity_mask(identity: Set, codes: np.ndarray) -> np.ndarray:
-    """Which of `codes`, all nonnegative, are identity columns."""
-    if isinstance(identity, UnobservedColumns):
-        return (codes < identity.n) & ~_in_sorted(codes, identity.observed)
-    return np.fromiter(map(identity.__contains__, codes.tolist()), dtype=bool, count=len(codes))
-
-
-def _any_identity(identity: Set, codes: np.ndarray) -> bool:
-    """Whether any of `codes`, ascending, distinct and nonnegative, is an identity column."""
-    if (isinstance(identity, UnobservedColumns) and 0 < len(identity.observed) <= len(codes)
-            and codes[-1] < identity.n):
-        # distinct codes in range(identity.n) that are no identity columns are
-        # observed codes; as many as those or more, they are the observed codes
-        return not _same(codes, identity.observed)
-    return bool(np.count_nonzero(_identity_mask(identity, codes)))
-
-
-def _int_array(values) -> np.ndarray:
-    """Exact integers: int64 where they fit, Python ints otherwise."""
-    try:
-        return np.asarray(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    return len(a) == len(b) and not np.count_nonzero(a != b)
-
-
 class SparseStochasticCertificate:
     """Column-stochastic nonnegative matrix held as integer flows over column masses.
 
-    Explicit column j has a positive integer mass c_j (`columns` ascending,
-    `masses`) and its entries positive integer flows B_ij (`rows`, `cols`,
-    `flows`, in column order), so a_ij = B_ij / c_j.  `identity_columns`
-    holds the columns with a single 1 on the diagonal, disjoint from the
-    explicit ones: an :class:`UnobservedColumns` for block certificates, so
-    every check costs O(explicit entries) rather than O(k^l), else a
-    frozenset copy.  `declared_m` is the sparsity bound claimed for every row and
-    column.  The constructor converts rational entries {(row, col): value},
-    column j taking the least common multiple of its denominators as its
-    mass.  The arrays do not change once set: setting them checks their
-    structure and caches the groupings and largest degrees every check reads.
+    Explicit column j has a positive integer mass c_j (`masses`, {j: c_j})
+    and its entries positive integer flows B_ij (`flows`, {(i, j): B_ij}), so
+    a_ij = B_ij / c_j with each column in lowest terms.  `identity_columns`
+    is a frozenset copy of the columns holding a single 1 on the diagonal,
+    disjoint from the explicit ones.  `declared_m` is the sparsity bound
+    claimed for every row and column.  The constructor converts rational
+    entries {(row, col): value}, column j taking the least common multiple of
+    its denominators as its mass; the solver builds its witnesses, reversals
+    and compositions from integer flows instead.  Plain Python throughout,
+    for the solver's dimensions (n <= MAX_EXACT_DIMENSION); block tables are
+    :class:`BlockCoupling`.
     """
 
-    __slots__ = ("n", "declared_m", "identity_columns", "rows", "cols", "flows", "columns",
-                 "masses", "_col_bounds", "_row_order", "_row_bounds", "_row_codes", "_maxima",
-                 "_entries")
+    __slots__ = ("n", "declared_m", "identity_columns", "flows", "masses", "_maxima", "_entries")
 
     def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int,
                  identity_columns: Set = frozenset()):
-        values = {key: v if type(v) is Fraction else Fraction(v)  # in column order
-                  for key, v in sorted(entries.items(), key=lambda item: item[0][1])}
+        values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
         mass: Dict[int, int] = {}
         for (_, j), v in values.items():
             mass[j] = math.lcm(mass.get(j, 1), v.denominator)
-        columns = sorted(mass)
-        self._set(n, declared_m, identity_columns, [i for i, _ in values], [j for _, j in values],
-                  [v.numerator * (mass[j] // v.denominator) for (_, j), v in values.items()],
-                  columns, [mass[j] for j in columns])
+        self._set(n, declared_m, identity_columns,
+                  {key: v.numerator * (mass[key[1]] // v.denominator) for key, v in values.items()},
+                  mass)
+        self._entries = values
 
-    def _set(self, n: int, declared_m: int, identity: Set, rows, cols, flows, columns, masses):
-        """Hold the flows, in column order (`cols` ascending), over the masses
-        of `columns` (ascending) after checking their structure."""
+    @classmethod
+    def _from_flows(cls, n: int, flows: Dict[Tuple[int, int], int], masses: Dict[int, int],
+                    declared_m: int) -> "SparseStochasticCertificate":
+        """The certificate of positive integer flows over positive masses."""
+        cert = cls.__new__(cls)
+        cert._set(n, declared_m, frozenset(), flows, masses)
+        return cert
+
+    def _set(self, n: int, declared_m: int, identity: Set, flows: Dict[Tuple[int, int], int],
+             masses: Dict[int, int]) -> None:
+        """Hold the flows over the masses of their columns after checking their
+        structure, each column divided by the gcd of its mass and flows, so that
+        equal entries are equal flows and masses however they were made."""
         if n < 1 or declared_m < 1:
             raise ValueError("dimension and declared_m must be positive")
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        flows = _int_array(flows)
-        identity = identity if isinstance(identity, UnobservedColumns) else frozenset(identity)
+        rows: Dict[int, int] = {}
+        cols: Dict[int, int] = {}
+        g = dict(masses)
+        try:
+            for (i, j), b in flows.items():
+                if not (0 <= i < n and 0 <= j < n and b > 0):
+                    raise ValueError(f"entry outside range({n}) or flow not positive")
+                rows[i] = rows.get(i, 0) + 1
+                cols[j] = cols.get(j, 0) + 1
+                g[j] = math.gcd(g[j], b)
+        except KeyError:
+            j = min(j for _, j in flows if j not in masses)
+            raise ValueError(f"column {j} has entries but no mass") from None
+        if any(d > 1 for d in g.values()):
+            flows = {key: b // g[key[1]] for key, b in flows.items()}
+            masses = {j: c // g[j] for j, c in masses.items()}
+        identity = frozenset(identity)
+        if identity and not (0 <= min(identity) and max(identity) < n):
+            raise ValueError("identity column outside dimension")
+        if not identity.isdisjoint(masses):
+            raise ValueError("identity columns collide with explicit entries")
         self.n, self.declared_m, self.identity_columns = n, declared_m, identity
-        self.rows, self.cols, self.flows = rows, cols, flows
-        self.columns, self.masses = np.asarray(columns, dtype=np.int64), _int_array(masses)
-        self._col_bounds = col_bounds = _bounds(cols)
-        self._row_order = rows.argsort(kind="stable")
-        by_row = rows[self._row_order]
-        self._row_bounds = row_bounds = _bounds(by_row)
-        self._row_codes = row_codes = by_row[row_bounds[:-1]]
-        if len(cols) and (min(cols[0], row_codes[0]) < 0 or max(cols[-1], row_codes[-1]) >= n
-                          or flows.min() < 1):
-            raise ValueError(f"entry outside range({n}) or flow not positive")
-        if flows.dtype == np.int64 and len(flows) and int(flows.max()) * len(flows) >= 2 ** 63:
-            self.flows = flows.astype(object)  # column sums must not overflow
-        row_degrees = row_bounds[1:] - row_bounds[:-1]
-        row_max = int(row_degrees.max(initial=0))
-        col_max = int((col_bounds[1:] - col_bounds[:-1]).max(initial=0))
-        if identity:
-            if not (identity.n <= n if isinstance(identity, UnobservedColumns)
-                    else 0 <= min(identity) and max(identity) < n):
-                raise ValueError("identity column outside dimension")
-            if _any_identity(identity, cols[col_bounds[:-1]]):
-                raise ValueError("identity columns collide with explicit entries")
-            # an identity 1 raises the largest degree only in a row of that degree
-            row_max = max(row_max + _any_identity(identity, row_codes[row_degrees == row_max]), 1)
-            col_max = max(col_max, 1)
-        self._maxima = row_max, col_max
-        self._entries = None
-
-    def _degrees(self) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-        """(codes, entries) of the rows and columns holding entries; rows count their identity 1."""
-        rows, cols = self._row_bounds, self._col_bounds
-        row_degrees = rows[1:] - rows[:-1]
-        if self.identity_columns:
-            row_degrees = row_degrees + _identity_mask(self.identity_columns, self._row_codes)
-        return (self._row_codes, row_degrees), (self.cols[cols[:-1]], cols[1:] - cols[:-1])
+        self.flows, self.masses, self._entries = flows, masses, None
+        # an identity 1 adds to its row; a row holding only that 1 has degree 1
+        one = 1 if identity else 0
+        self._maxima = (max([d + (i in identity) for i, d in rows.items()] or [one]),
+                        max([*cols.values(), one]))
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
-        """{(row, col): a_ij} of the explicit entries, made from the flows on first
-        use.  A view for reading: writing to it changes no flow and no check."""
+        """{(row, col): a_ij} of the explicit entries, kept from the constructor or
+        made from the flows on first use.  A view for reading: writing to it
+        changes no flow and no check."""
         if self._entries is None:
-            masses = self.masses[np.searchsorted(self.columns, self.cols)]
-            self._entries = {(i, j): Fraction(b, c) for i, j, b, c in zip(
-                self.rows.tolist(), self.cols.tolist(), self.flows.tolist(), masses.tolist())}
+            self._entries = {key: Fraction(b, self.masses[key[1]])
+                             for key, b in self.flows.items()}
         return self._entries
 
     def triples(self) -> Iterable[Tuple[int, int, Fraction]]:
@@ -254,12 +225,12 @@ class SparseStochasticCertificate:
             yield j, j, one
 
     def support_counts(self) -> Tuple[Counter, Counter]:
-        """Entries per row and per column, identity columns included (O(n) for those)."""
-        row_degrees, col_degrees = self._degrees()
+        """Entries per row and per column, identity columns included."""
         rows = Counter(dict.fromkeys(self.identity_columns, 1))
         cols = Counter(rows)
-        dict.update(rows, _sparse(*row_degrees))  # row degrees already count the identity 1
-        cols.update(_sparse(*col_degrees))
+        for i, j in self.flows:
+            rows[i] += 1
+            cols[j] += 1
         return rows, cols
 
     def max_degrees(self) -> Tuple[int, int]:
@@ -270,61 +241,63 @@ class SparseStochasticCertificate:
         """
         return self._maxima
 
+    def _columns(self) -> Dict[int, Tuple[int, List[Tuple[int, int]]]]:
+        """{column j: (c_j, [(row i, B_ij), ...])}, an identity column as (1, [(j, 1)])."""
+        columns: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {
+            j: (c, []) for j, c in self.masses.items()}
+        for (i, j), b in self.flows.items():
+            columns[j][1].append((i, b))
+        columns.update((j, (1, [(j, 1)])) for j in self.identity_columns)
+        return columns
+
     def apply(self, pi) -> Dict[int, Fraction]:
-        """Sparse product A*pi as {row: value}, zero rows omitted."""
-        weights, scale, hits, _ = _scaled(self, pi, {})
-        # no column check precedes: products in Python ints cannot overflow
-        weights = weights.astype(object)[np.searchsorted(self.columns, self.cols)]
-        codes, values = self._image(weights, hits)
-        return {i: Fraction(v, scale) for i, v in zip(codes.tolist(), values.tolist())}
+        """Sparse product A*pi as {row: value}, rows ascending, zero rows omitted."""
+        image, scale = self._image(_as_dict(pi, self.n), ())
+        return {i: Fraction(image[i], scale) for i in sorted(image)}
 
-    def _image(self, weights, hits: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """(rows ascending, values) of the nonzero entries of L*A*pi, from each entry's
-        column weight w_j * L (None: all 1) and `hits` as in :meth:`_check`."""
-        codes = self._row_codes
-        values = (self.flows if weights is None else self.flows * weights)[self._row_order]
-        if len(codes) < len(values):  # some row holds several entries
-            values = np.add.reduceat(values, self._row_bounds[:-1])
-        if hits:
-            codes = np.concatenate((codes, np.fromiter(hits, dtype=np.int64, count=len(hits))))
-            values = np.concatenate((values, _int_array(list(hits.values()))))
-            order = codes.argsort(kind="stable")
-            starts = _bounds(codes[order])[:-1]
-            codes, values = codes[order][starts], np.add.reduceat(values[order], starts)
-        if np.count_nonzero(values) < len(values):
-            codes, values = codes[values != 0], values[values != 0]
-        return codes, values
+    def _image(self, pi: Dict, denominators) -> Tuple[Dict[int, int], int]:
+        """({row i: (A*pi)_i * L} of the nonzero rows, L), L the least common
+        multiple of the denominators of every pi_j / c_j, of pi on the identity
+        columns and of `denominators`."""
+        masses, weights, hits = self.masses, {}, {}
+        for j, v in pi.items():
+            if j in masses:
+                weights[j] = (v.numerator, v.denominator * masses[j])
+            elif j in self.identity_columns:
+                hits[j] = v
+        scale = math.lcm(*[d for _, d in weights.values()],
+                         *[v.denominator for v in hits.values()], *denominators)
+        image = {j: v.numerator * (scale // v.denominator) for j, v in hits.items()}
+        weights = {j: a * (scale // d) for j, (a, d) in weights.items()}
+        for (i, j), b in self.flows.items():
+            if j in weights:
+                image[i] = image.get(i, 0) + b * weights[j]
+        return {i: v for i, v in image.items() if v}, scale
 
-    def _check(self, weights: Optional[np.ndarray], scale: int, hits: Dict[int, int],
-               target: Tuple[np.ndarray, np.ndarray]) -> "ValidationOutcome":
-        """Conditions (i)-(iii) of :func:`validate_certificate` in integers, all
-        scaled by L = `scale`, from the output of :func:`_scaled` (`weights`,
-        w_j * L per explicit column or None where all are 1, is int64 only where
-        no sum of its products with the flows can overflow once the columns
-        check).  Where several rows or columns break a condition, the least
-        index is reported."""
-        bounds, codes, sums = self._col_bounds, self.cols, self.flows
-        if len(bounds) <= len(codes):  # some column holds several entries
-            codes, sums = codes[bounds[:-1]], np.add.reduceat(sums, bounds[:-1])
-        # mass columns and identity columns are disjoint, so coverage is a count
-        covered = len(self.columns) + len(self.identity_columns) == self.n
-        if not (covered and _same(codes, self.columns) and _same(sums, self.masses)):
-            got, want = _sparse(codes, sums), _sparse(self.columns, self.masses)
-            bad = [j for j in got.keys() | want.keys() if got.get(j) != want.get(j)]
+    def _check(self, pi, mu) -> "ValidationOutcome":
+        """Conditions (i)-(iii) of :func:`validate_certificate` in Python integers:
+        each column's flows against its mass, then A*pi against mu with both
+        scaled by the L of :meth:`_image`.  Where several rows or columns break
+        a condition, the least index is reported."""
+        n, identity, masses = self.n, self.identity_columns, self.masses
+        sums: Dict[int, int] = {}
+        for (_, j), b in self.flows.items():
+            sums[j] = sums.get(j, 0) + b
+        # mass and identity columns are disjoint, so coverage is a count
+        covered = len(masses) + len(identity) == n
+        if not covered or sums != masses:
+            bad = [j for j, c in masses.items() if sums.get(j) != c]
             if not covered:
-                bad.append(next(j for j in range(self.n)
-                                if j not in want and j not in self.identity_columns))
+                bad.append(next(j for j in range(n) if j not in masses and j not in identity))
             j = min(bad)
-            detail = (f"column {j} has no entries" if j not in got
-                      else f"column {j} sums to {Fraction(got[j], want[j])}" if j in want
-                      else f"column {j} has entries but no mass")
-            return ValidationOutcome(False, "stochastic-columns", detail)
+            return ValidationOutcome(False, "stochastic-columns",
+                                     f"column {j} sums to {Fraction(sums[j], masses[j])}"
+                                     if j in sums else f"column {j} has no entries")
 
-        # the columns now hold entries in the order of `columns`
-        image_codes, image = self._image(
-            None if weights is None else np.repeat(weights, bounds[1:] - bounds[:-1]), hits)
-        if not (_same(image_codes, target[0]) and _same(image, target[1])):
-            got, want = _sparse(image_codes, image), _sparse(*target)
+        mu = _as_dict(mu, n)
+        got, scale = self._image(_as_dict(pi, n), [v.denominator for v in mu.values()])
+        want = {i: v.numerator * (scale // v.denominator) for i, v in mu.items()}
+        if got != want:
             i = min(c for c in got.keys() | want.keys() if got.get(c, 0) != want.get(c, 0))
             return ValidationOutcome(False, "marginal-map",
                                      f"(A*pi)[{i}] = {Fraction(got.get(i, 0), scale)} "
@@ -332,18 +305,18 @@ class SparseStochasticCertificate:
 
         declared = self.declared_m
         if max(self._maxima) > declared:
-            for name, (codes, degrees) in zip(("row", "column"), self._degrees()):
-                if degrees.max() > declared:
-                    i = int(np.argmax(degrees > declared))
-                    detail = f"{name} {codes[i]} has {degrees[i]} > {declared} entries"
-                    return ValidationOutcome(False, "support-bound", detail)
+            for name, counts in zip(("row", "column"), self.support_counts()):
+                over = [i for i, d in counts.items() if d > declared]
+                if over:
+                    i = min(over)
+                    return ValidationOutcome(False, "support-bound",
+                                             f"{name} {i} has {counts[i]} > {declared} entries")
         return ValidationOutcome(True)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(n={self.n}, declared_m={self.declared_m}, "
-                f"rows={self.rows.tolist()}, cols={self.cols.tolist()}, "
-                f"flows={self.flows.tolist()}, columns={self.columns.tolist()}, "
-                f"masses={self.masses.tolist()}, identity_columns={self.identity_columns!r})")
+                f"flows={self.flows}, masses={self.masses}, "
+                f"identity_columns={self.identity_columns!r})")
 
 
 @dataclass
@@ -375,49 +348,20 @@ def _as_dict(vec, n: int) -> Dict:
     return {j: v for j, v in vec.items() if v}
 
 
-def _scaled(cert: SparseStochasticCertificate, pi, mu):
-    """`pi` and `mu` as the integers :meth:`SparseStochasticCertificate._check` takes:
-    w_j = pi_j / c_j in lowest terms on each explicit column, pi_j on each
-    identity column, and L the least common multiple of their denominators
-    and those of mu.  Returns (w_j * L for each explicit column, L,
-    {identity column j: pi_j * L}, (rows ascending, mu_i * L)), nonzero only.
-    """
-    n = cert.n
-    pi, mu = _as_dict(pi, n), _as_dict(mu, n)
-    masses = cert.masses.tolist()
-    w = []
-    for j, c in zip(cert.columns.tolist(), masses):
-        v = pi.get(j, 0)
-        num, den = v.numerator, v.denominator * c
-        g = math.gcd(num, den)
-        w.append((num // g, den // g))
-    hits = {}
-    if cert.identity_columns:
-        keys = np.array([j for j in pi if j >= 0], dtype=np.int64)
-        hits = {j: pi[j] for j in keys[_identity_mask(cert.identity_columns, keys)].tolist()}
-    scale = math.lcm(*{d for _, d in w}, *[v.denominator for v in hits.values()],
-                     *{v.denominator for v in mu.values()})
-    hits = {j: v.numerator * (scale // v.denominator) for j, v in hits.items()}
-    weights = [a * (scale // d) for a, d in w]
-    # with stochastic columns no product B_ij * w_j * L and no partial row sum exceeds this
-    bound = sum(abs(x) * c for x, c in zip(weights, masses)) + sum(map(abs, hits.values()))
-    rows = sorted(mu)
-    return (np.array(weights, dtype=np.int64 if bound.bit_length() < 63 else object), scale, hits,
-            (np.array(rows, dtype=np.int64),
-             _int_array([mu[i].numerator * (scale // mu[i].denominator) for i in rows])))
-
-
-def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> ValidationOutcome:
+def validate_certificate(cert, pi, mu) -> ValidationOutcome:
     """Check conditions (i) columns stochastic, (ii) A*pi = mu, (iii) sparsity.
 
+    `cert` is a :class:`SparseStochasticCertificate` or a :class:`BlockCoupling`;
     `pi` and `mu` may be :class:`ProbabilityVector`, sequences, or sparse
     {index: value} dicts (missing indices are zero).  A passing outcome
     certifies dispersion(pi, mu) <= log2(declared_m).  The first violated
     condition is reported, at its least row or column index; structurally
-    malformed certificates raise instead.  All three are integer checks
-    (:meth:`SparseStochasticCertificate._check`).
+    malformed certificates raise instead.  All three are integer checks, each
+    type running its own: :meth:`SparseStochasticCertificate._check` on dicts
+    of Python integers, which a block table runs on its pairs read as such
+    dicts (its :meth:`BlockCoupling.validate` decides on its int64 arrays).
     """
-    return cert._check(*_scaled(cert, pi, mu))
+    return cert._check(pi, mu)
 
 
 class _BudgetExceeded(Exception):
@@ -510,14 +454,15 @@ def _reachable(side: Tuple[Tuple[int, int], ...], other: Tuple[Tuple[int, int], 
     return True
 
 
-def _complete_columns(entries: Dict, empty: Iterable[int], n: int) -> None:
-    """Give each column of `empty` in turn a single 1, in the row with the least
-    entries so far (the least such row on a tie)."""
-    support = Counter(i for i, _ in entries)
-    for j in empty:
-        target = min(range(n), key=support.__getitem__)
-        entries[(target, j)] = 1
-        support[target] += 1
+def _complete_columns(flows: Dict[Tuple[int, int], int], masses: Dict[int, int], n: int) -> None:
+    """Give each column without a mass in turn, ascending, a single flow 1 over
+    mass 1, in the row with the least entries so far (the least such row on a tie)."""
+    support = Counter(i for i, _ in flows)
+    for j in range(n):
+        if j not in masses:
+            target = min(range(n), key=support.__getitem__)
+            flows[target, j] = masses[j] = 1
+            support[target] += 1
 
 
 def delta_exact(pi, mu) -> DispersionResult:
@@ -542,10 +487,11 @@ def delta_exact(pi, mu) -> DispersionResult:
         raise ValueError(f"dimension {n} exceeds exact-solver cap {MAX_EXACT_DIMENSION}")
 
     scale = math.lcm(*(x.denominator for x in pi.p), *(x.denominator for x in mu.p))
-    cols_pos = [j for j in range(n) if pi[j] > 0]
-    rows_pos = [i for i in range(n) if mu[i] > 0]
-    col_mass = [int(pi[j] * scale) for j in cols_pos]
-    row_mass = [int(mu[i] * scale) for i in rows_pos]
+    pi_mass, mu_mass = ([x.numerator * (scale // x.denominator) for x in v.p] for v in (pi, mu))
+    cols_pos = [j for j in range(n) if pi_mass[j]]
+    rows_pos = [i for i in range(n) if mu_mass[i]]
+    col_mass = [pi_mass[j] for j in cols_pos]
+    row_mass = [mu_mass[i] for i in rows_pos]
     nodes = [0]
 
     method = "exact-search"
@@ -562,9 +508,9 @@ def delta_exact(pi, mu) -> DispersionResult:
     # column j holds its flows over the mass pi(j) * scale; a zero-mass column
     # gets a single 1 in a row with minimal current support
     flows = {(rows_pos[i], cols_pos[j]): f for (j, i), f in flows.items() if f}
-    _complete_columns(flows, [j for j in range(n) if pi[j] == 0], n)
-    witness = SparseStochasticCertificate(
-        n, {(i, j): Fraction(f, int(pi[j] * scale) or 1) for (i, j), f in flows.items()}, m or 1)
+    masses = {j: pi_mass[j] for j in cols_pos}
+    _complete_columns(flows, masses, n)
+    witness = SparseStochasticCertificate._from_flows(n, flows, masses, m or 1)
     if m is None:
         witness.declared_m = max(witness.max_degrees())
     outcome = validate_certificate(witness, pi, mu)
@@ -588,19 +534,26 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
         raise ValueError(f"input certificate invalid: {outcome.violation} ({outcome.detail})")
     n = cert.n
     pi, mu = _as_dict(pi, n), _as_dict(mu, n)
-    row_sums: Dict[int, Fraction] = defaultdict(Fraction)
-    for i, j, v in cert.triples():
-        row_sums[i] += v
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    for i, j, v in cert.triples():
-        # A entry a_ij contributes to A' entry a'_{ji}
-        pj = pi.get(i, 0)
-        w = v * mu.get(j, 0) / pj if pj > 0 else v / row_sums[i]
-        if w != 0:
-            entries[(j, i)] = entries.get((j, i), Fraction(0)) + w
-    covered = {j for (_, j) in entries}
-    _complete_columns(entries, [j for j in range(n) if j not in covered], n)
-    reversed_cert = SparseStochasticCertificate(n, entries, cert.declared_m)
+    rows: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
+    for j, (c, col) in cert._columns().items():
+        for i, b in col:
+            rows[i].append((j, b, c))
+    # column i of A' holds row i of A, as flows over a mass
+    flows: Dict[Tuple[int, int], int] = {}
+    masses: Dict[int, int] = {}
+    for i, row in rows.items():
+        p = pi.get(i, 0)
+        if p > 0:  # B_ij * mu(j) * L / c_j over pi(i) * L, entries with mu(j) = 0 dropped
+            row = [(j, b * mu[j].numerator, c * mu[j].denominator) for j, b, c in row if j in mu]
+            scale = math.lcm(p.denominator, *[d for _, _, d in row])
+            masses[i] = p.numerator * (scale // p.denominator)
+        else:  # B_ij * L / c_j over their sum
+            scale = math.lcm(*[c for _, _, c in row])
+            masses[i] = sum(b * (scale // c) for _, b, c in row)
+        for j, b, d in row:
+            flows[j, i] = b * (scale // d)
+    _complete_columns(flows, masses, n)
+    reversed_cert = SparseStochasticCertificate._from_flows(n, flows, masses, cert.declared_m)
     check = validate_certificate(reversed_cert, pi, mu)
     if not check.ok:
         raise AssertionError(f"reversed certificate invalid: {check.detail}")
@@ -620,16 +573,21 @@ def compose_certificates(outer: SparseStochasticCertificate, inner: SparseStocha
         outcome = validate_certificate(cert, src, dst)
         if not outcome.ok:
             raise ValueError(f"{name} certificate invalid: {outcome.violation} ({outcome.detail})")
-    by_col: Dict[int, List[Tuple[int, Fraction]]] = defaultdict(list)
-    for i, j, v in outer.triples():
-        by_col[j].append((i, v))
-    entries: Dict[Tuple[int, int], Fraction] = defaultdict(Fraction)
-    for t, j, v1 in inner.triples():
-        for i, v2 in by_col.get(t, ()):
-            entries[(i, j)] += v2 * v1
-    entries = {key: v for key, v in entries.items() if v != 0}
-    product = SparseStochasticCertificate(inner.n, entries,
-                                          inner.declared_m * outer.declared_m)
+    # column j of the product: sum over t of B_tj / c_j times outer's column t,
+    # B'_it / c'_t, as flows over c_j * L for L the lcm of those c'_t
+    by_col = outer._columns()
+    flows: Dict[Tuple[int, int], int] = {}
+    masses: Dict[int, int] = {}
+    for j, (c, col) in inner._columns().items():
+        scale = math.lcm(*[by_col[t][0] for t, _ in col])
+        masses[j] = c * scale
+        for t, b in col:
+            c_t, outer_col = by_col[t]
+            b *= scale // c_t
+            for i, b_t in outer_col:
+                flows[i, j] = flows.get((i, j), 0) + b * b_t
+    product = SparseStochasticCertificate._from_flows(inner.n, flows, masses,
+                                                      inner.declared_m * outer.declared_m)
     check = validate_certificate(product, pi, nu)
     if not check.ok:
         raise AssertionError(f"composed certificate invalid: {check.detail}")
@@ -757,11 +715,18 @@ def _in_sorted(values: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return codes[at] == values
 
 
-def _sparse(codes: np.ndarray, values: np.ndarray) -> Dict[int, int]:
-    return dict(zip(codes.tolist(), values.tolist()))
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return len(a) == len(b) and not np.count_nonzero(a != b)
 
 
-class BlockCoupling(SparseStochasticCertificate):
+def _all_in(codes: np.ndarray, columns: np.ndarray) -> bool:
+    """Whether the ascending, distinct `codes` all occur in the ascending `columns`,
+    both in range(n): as many codes as columns or more, they must be the columns."""
+    return _same(codes, columns) if len(codes) >= len(columns) else bool(
+        _in_sorted(codes, columns).all())
+
+
+class BlockCoupling:
     """The aligned l-block pairs of alpha and m*alpha as a certificate of integer flows.
 
     Column x is a block code among the first `blocks` l-blocks of alpha, its
@@ -774,10 +739,19 @@ class BlockCoupling(SparseStochasticCertificate):
     distributions every w_x * L of :func:`validate_certificate` is 1 for
     L = `blocks` and mu_y * L is the image count of y, the integers
     :meth:`validate` checks.  `declared_m` is `row_bound` capped at k^l.
+
+    Everything is an int64 array: the read-only pairs `cols` (x), `rows` (y)
+    and `flows` (their counts), and the mass columns `columns` (the observed
+    source codes, ascending) with `masses`.  `identity_columns` is the
+    :class:`UnobservedColumns` of `columns`, so every check costs O(pairs)
+    rather than O(k^l).  It reads like a :class:`SparseStochasticCertificate`:
+    `entries`, `triples()`, `support_counts()`, `max_degrees()` and `apply()`.
     """
 
     __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts", "col_bound",
-                 "row_bound")
+                 "row_bound", "n", "declared_m", "identity_columns", "rows", "cols", "flows",
+                 "columns", "masses", "_col_bounds", "_row_order", "_row_bounds", "_row_codes",
+                 "_maxima", "_entries")
 
     def __init__(self, alphabet: Alphabet, l: int, m: int, blocks: int, x, y, count,
                  source_codes, source_counts, image_codes, image_counts):
@@ -785,19 +759,41 @@ class BlockCoupling(SparseStochasticCertificate):
             raise ValueError("block codes and their counts differ in length")
         self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
         self.image_codes, self.image_counts = image_codes, image_counts
-        dimension = _certificate_dimension(alphabet.k, l)
+        self.n = n = _certificate_dimension(alphabet.k, l)
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        count = _int_array(count)
+        self.declared_m = min(self.row_bound, n)
+        x, y, count = (np.asarray(a, dtype=np.int64) for a in (x, y, count))
         if (np.count_nonzero(x[1:] < x[:-1])
                 or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
             order = np.lexsort((y, x))
             x, y, count = x[order], y[order], count[order]
-        # read-only, as the cells are: the table may hold the caller's own arrays
+        # read-only, as the cells are: the table may hold the caller's own
+        # arrays, but not a view, whose base would still be writable
+        x, y, count = (a if a.flags.owndata else a.copy() for a in (x, y, count))
         x.flags.writeable = y.flags.writeable = count.flags.writeable = False
-        identity = UnobservedColumns(dimension, source_codes)  # its int64 codes are the columns
-        self._set(dimension, min(self.row_bound, dimension), identity, y, x, count,
-                  identity.observed, source_counts)
+        self.rows, self.cols, self.flows = y, x, count
+        self.identity_columns = identity = UnobservedColumns(n, source_codes)
+        self.columns, self.masses = identity.observed, np.asarray(source_counts, dtype=np.int64)
+        self._col_bounds = col_bounds = _bounds(x)
+        self._row_order = y.argsort(kind="stable")
+        by_row = y[self._row_order]
+        self._row_bounds = row_bounds = _bounds(by_row)
+        self._row_codes = row_codes = by_row[row_bounds[:-1]]
+        if len(x) and (min(x[0], row_codes[0]) < 0 or max(x[-1], row_codes[-1]) >= n
+                       or count.min() < 1):
+            raise ValueError(f"entry outside range({n}) or flow not positive")
+        if not _all_in(x[col_bounds[:-1]], self.columns):  # a code not observed is an identity
+            raise ValueError("identity columns collide with explicit entries")
+        row_degrees = row_bounds[1:] - row_bounds[:-1]
+        row_max = int(row_degrees.max(initial=0))
+        col_max = int((col_bounds[1:] - col_bounds[:-1]).max(initial=0))
+        if identity:
+            # an identity 1 raises the largest degree only in a row of that degree
+            row_max = max(row_max + (not _all_in(row_codes[row_degrees == row_max], self.columns)),
+                          1)
+            col_max = max(col_max, 1)
+        self._maxima = row_max, col_max
+        self._entries = None
 
     @classmethod
     def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: BlockDistribution,
@@ -819,6 +815,39 @@ class BlockCoupling(SparseStochasticCertificate):
         return cls(alphabet, l, m, source.n, x, y, counts, source.values, source.counts,
                    image.values, image.counts)
 
+    @property
+    def entries(self) -> Dict[Tuple[int, int], Fraction]:
+        """{(row, col): a_ij} of the explicit entries, made from the flows on first
+        use.  A view for reading: writing to it changes no flow and no check."""
+        if self._entries is None:
+            self._entries = self._as_witness().entries
+        return self._entries
+
+    triples = SparseStochasticCertificate.triples
+    max_degrees = SparseStochasticCertificate.max_degrees
+
+    def support_counts(self) -> Tuple[Counter, Counter]:
+        """Entries per row and per column, identity columns included (O(n) for those)."""
+        return self._as_witness().support_counts()
+
+    def apply(self, pi) -> Dict[int, Fraction]:
+        """Sparse product A*pi as {row: value}, rows ascending, zero rows omitted."""
+        return self._as_witness().apply(pi)
+
+    def _check(self, pi, mu) -> ValidationOutcome:
+        return self._as_witness()._check(pi, mu)
+
+    def _as_witness(self) -> SparseStochasticCertificate:
+        """The table as a :class:`SparseStochasticCertificate` for the checks and
+        views that take any pi: its pairs and masses as dicts, O(pairs), and its
+        identity columns still implicit."""
+        cert = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
+        cert.n, cert.declared_m, cert._maxima = self.n, self.declared_m, self._maxima
+        cert.identity_columns, cert._entries = self.identity_columns, None
+        cert.flows = dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.flows.tolist()))
+        cert.masses = dict(zip(self.columns.tolist(), self.masses.tolist()))
+        return cert
+
     def validate(self) -> ValidationOutcome:
         """:func:`validate_certificate` against the two block distributions, then a
         guard from how multiplication acts on blocks: block j of m*alpha is
@@ -828,10 +857,27 @@ class BlockCoupling(SparseStochasticCertificate):
         floor(m*tau_j) is a carry in [0, s], s the base-k digit sum of m, plus
         what the next floor(log_k m) digits of alpha contribute, so each
         output block is a function of the input block, that carry and those
-        digits."""
-        outcome = self._check(None, self.blocks, {}, (self.image_codes, self.image_counts))
-        if not outcome.ok:
-            return outcome
+        digits.
+
+        Conditions (i)-(iii) are decided on the arrays: each w_x * L is 1, so
+        the column sums must be the masses and the row sums the image counts.
+        Only a table that breaks one takes :meth:`_check` for the reported
+        condition and index."""
+        bounds, codes, sums = self._col_bounds, self.cols, self.flows
+        if len(bounds) <= len(codes):  # some column holds several entries
+            codes, sums = codes[bounds[:-1]], np.add.reduceat(sums, bounds[:-1])
+        image = self.flows[self._row_order]
+        if len(self._row_codes) < len(image):  # some row holds several entries
+            image = np.add.reduceat(image, self._row_bounds[:-1])
+        if not (_same(codes, self.columns) and _same(sums, self.masses)
+                and _same(self._row_codes, self.image_codes) and _same(image, self.image_counts)
+                and max(self._maxima) <= self.declared_m):
+            pi, mu = ({x: Fraction(c, self.blocks) for x, c in zip(keys.tolist(), counts.tolist())}
+                      for keys, counts in ((self.columns, self.masses),
+                                           (self.image_codes, self.image_counts)))
+            outcome = self._check(pi, mu)
+            if not outcome.ok:
+                return outcome
         residue = self.rows - (self.m % self.n) * self.cols
         residue -= residue // self.n * self.n
         if residue.max(initial=0) >= self.m:

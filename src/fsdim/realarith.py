@@ -210,8 +210,3 @@ def mul_rational_mod1(seq: DigitSequence, q, count: int) -> CertifiedDigitResult
     if q == 0:
         raise ValueError("q must be nonzero")
     return _certified_affine(seq, abs(q), Fraction(0), count)
-
-
-def negate_mod1(seq: DigitSequence, count: int) -> CertifiedDigitResult:
-    """Certified digits of frac(-alpha)."""
-    return _certified_affine(seq, Fraction(-1), Fraction(0), count)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
                    add_rational_mod1, div_int, gen_rational_expansion,
-                   integer_multiple_certificate, mul_int_mod1, mul_rational_mod1, negate_mod1)
+                   integer_multiple_certificate, mul_int_mod1, mul_rational_mod1)
 from fsdim.digitseq import divide_limbs, limb_width, limbs_to_digits
 from fsdim.dispersion import MAX_CERTIFICATE_DIMENSION
 from fsdim.realarith import LOOKAHEAD_CAP, _certified_affine
@@ -89,8 +89,9 @@ OPERATIONS = {
     "div_int": (div_int, integers, lambda b: (Fraction(1, b), Fraction(0))),
     "add_rational_mod1": (add_rational_mod1, rationals, lambda q: (Fraction(1), q)),
     "mul_rational_mod1": (mul_rational_mod1, rationals, lambda q: (abs(q), Fraction(0))),
-    "negate_mod1": (lambda seq, _, count: negate_mod1(seq, count), st.just(None),
-                    lambda _: (Fraction(-1), Fraction(0))),
+    # frac(-alpha): the k's complement route, which only _certified_affine reaches
+    "negate_mod1": (lambda seq, _, count: _certified_affine(seq, Fraction(-1), Fraction(0), count),
+                    st.just(None), lambda _: (Fraction(-1), Fraction(0))),
 }
 
 
@@ -130,8 +131,8 @@ def cases(draw, name):
 @given(seq=streams(), coef=rationals.map(lambda q: -q) | rationals, offset=st.just(0) | rationals,
        data=st.data())
 def test_affine_maps_match_fraction_enclosure(seq, coef, offset, data):
-    # negative coefficients with |M| > 1 or d > 1 take the k's complement
-    # route that no public operation but negate_mod1 (M = -1) reaches
+    # negative coefficients take the k's complement route, which no public
+    # operation reaches
     count = data.draw(counts(seq))
     cap = data.draw(st.sampled_from([0, 1, 3, 16, LOOKAHEAD_CAP]))
     offset = Fraction(offset)

@@ -5,7 +5,7 @@ import pytest
 
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, add_rational_mod1,
                    div_int, gen_champernowne, gen_rational_expansion, mul_int_mod1,
-                   mul_rational_mod1, negate_mod1)
+                   mul_rational_mod1)
 from fsdim.realarith import _certified_affine
 
 from oracles import _numeral, frac_digits, lookahead_window, product_prefix_digits
@@ -206,7 +206,7 @@ def test_enclosure_soundness_random_rationals():
             (div_int(stream, b, 256), alpha / b),
             (add_rational_mod1(stream, q, 256), q + alpha),
             (mul_rational_mod1(stream, q, 256), abs(q) * alpha),
-            (negate_mod1(stream, 256), -alpha),
+            (_certified_affine(stream, Fraction(-1), Fraction(0), 256), -alpha),
         ]
         for res, exact in cases:
             want = frac_digits(exact, 10, 256)
@@ -215,7 +215,7 @@ def test_enclosure_soundness_random_rationals():
 
 def test_negation_is_digit_complement_for_nonterminating():
     seq = gen_champernowne(A2, 400)
-    res = negate_mod1(seq, 300)
+    res = _certified_affine(seq, Fraction(-1), Fraction(0), 300)
     assert res.certified_count == 300
     assert res.digits.prefix(300) == bytes(1 - d for d in seq.prefix(300))
 

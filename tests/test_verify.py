@@ -10,9 +10,9 @@ import fsdim.dispersion
 import fsdim.verify
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, dim_estimates,
                    entropy_rate_grid, gen_champernowne, gen_dilution, gen_rational_expansion,
-                   negate_mod1, select_progression,
-                   verify_contractivity_suite, verify_dilution_counterexample,
+                   select_progression, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
+from fsdim.realarith import _certified_affine
 
 import oracles
 
@@ -325,11 +325,12 @@ class TestReports:
 
 
 class TestNegationInvariance:
+    # frac(-alpha) through _certified_affine's k's complement route
     def test_grid_invariant_under_negation_for_nonterminating_stream(self):
         # frac(-alpha) digits are the (k-1)-complement, a relabeling, so
         # every grid entry matches exactly
         seq = gen_champernowne(Alphabet(2), 6000)
-        neg = negate_mod1(seq, 6000 - 16)
+        neg = _certified_affine(seq, Fraction(-1), Fraction(0), 6000 - 16)
         g1 = entropy_rate_grid(seq, 3, [200, 1500])
         g2 = entropy_rate_grid(neg.digits, 3, [200, 1500])
         assert [(e.l, e.n, e.h) for e in g1.entries] == [(e.l, e.n, e.h) for e in g2.entries]
@@ -337,7 +338,7 @@ class TestNegationInvariance:
     def test_negation_of_rational_grid_close_despite_boundary(self):
         import math
         seq = gen_rational_expansion(Fraction(22, 101), Alphabet(10), 4000)
-        neg = negate_mod1(seq, 3000)
+        neg = _certified_affine(seq, Fraction(-1), Fraction(0), 3000)
         for l, n in ((1, 1000), (2, 800)):
             g1 = entropy_rate_grid(seq, l, [n]).entries[-1].h
             g2 = entropy_rate_grid(neg.digits, l, [n]).entries[-1].h
