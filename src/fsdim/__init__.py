@@ -19,7 +19,7 @@ from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
                          SparseStochasticCertificate, UnobservedColumns, ValidationOutcome,
                          block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
-                         certificate_from_json_dict, certificate_to_json_dict,
+                         certificate_to_json_dict,
                          compose_certificates, delta_exact, integer_multiple_certificate,
                          majorizes, reverse_certificate, validate_certificate)
 from .realarith import (CertifiedDigitResult, UnresolvedCarryError, add_rational_mod1, div_int,
@@ -37,8 +37,7 @@ __all__ = [
     "SparseStochasticCertificate", "UnobservedColumns",
     "UnresolvedCarryError", "ValidationOutcome", "VerificationReport", "add_rational_mod1",
     "block_distribution_as_code_vector", "block_frequencies", "build_banded_worst_case",
-    "certificate_bound_bits", "certificate_from_json_dict",
-    "certificate_to_json_dict", "compose_certificates",
+    "certificate_bound_bits", "certificate_to_json_dict", "compose_certificates",
     "delta_exact", "dim_estimates", "div_int", "entropy_rate_grid", "gen_champernowne",
     "gen_dilution", "gen_rational_expansion", "integer_multiple_certificate",
     "majorizes", "mul_int_mod1", "mul_rational_mod1",

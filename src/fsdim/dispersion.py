@@ -20,8 +20,8 @@ transportation plan: positive integer flows B_ij and one positive integer
 mass c_j per explicit column, with a_ij = B_ij / c_j.  Two types hold one,
 each in its natural form.  :class:`SparseStochasticCertificate` holds the
 solver's witnesses, reversals and compositions (n <= MAX_EXACT_DIMENSION,
-so at most n^2 entries) as plain-Python dicts of integers, with any set of
-identity columns.  :class:`BlockCoupling` holds a joint-count table between
+so at most n^2 entries) as plain-Python dicts of integers, every column
+explicit.  :class:`BlockCoupling` holds a joint-count table between
 alpha and m*alpha (up to MAX_CERTIFICATE_DIMENSION columns) as int64 arrays
 whose masses are the source block counts, its identity columns implicit.
 Every condition is checked as an equality or comparison of integer sums.
@@ -139,26 +139,25 @@ class SparseStochasticCertificate:
 
     Explicit column j has a positive integer mass c_j (`masses`, {j: c_j})
     and its entries positive integer flows B_ij (`flows`, {(i, j): B_ij}), so
-    a_ij = B_ij / c_j with each column in lowest terms.  `identity_columns`
-    is a frozenset copy of the columns holding a single 1 on the diagonal,
-    disjoint from the explicit ones.  `declared_m` is the sparsity bound
-    claimed for every row and column.  The constructor converts rational
-    entries {(row, col): value}, column j taking the least common multiple of
-    its denominators as its mass; the solver builds its witnesses, reversals
-    and compositions from integer flows instead.  Plain Python throughout,
-    for the solver's dimensions (n <= MAX_EXACT_DIMENSION); block tables are
-    :class:`BlockCoupling`.
+    a_ij = B_ij / c_j with each column in lowest terms.  Every column is
+    explicit, so `identity_columns` is empty; only a block table's view
+    (:meth:`BlockCoupling._as_witness`) holds any, for the checks.
+    `declared_m` is the sparsity bound claimed for every row and column.  The
+    constructor converts rational entries {(row, col): value}, column j taking
+    the least common multiple of its denominators as its mass; the solver
+    builds its witnesses, reversals and compositions from integer flows
+    instead.  Plain Python throughout, for the solver's dimensions
+    (n <= MAX_EXACT_DIMENSION); block tables are :class:`BlockCoupling`.
     """
 
     __slots__ = ("n", "declared_m", "identity_columns", "flows", "masses", "_maxima", "_entries")
 
-    def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int,
-                 identity_columns: Set = frozenset()):
+    def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int):
         values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
         mass: Dict[int, int] = {}
         for (_, j), v in values.items():
             mass[j] = math.lcm(mass.get(j, 1), v.denominator)
-        self._set(n, declared_m, identity_columns,
+        self._set(n, declared_m,
                   {key: v.numerator * (mass[key[1]] // v.denominator) for key, v in values.items()},
                   mass)
         self._entries = values
@@ -168,10 +167,10 @@ class SparseStochasticCertificate:
                     declared_m: int) -> "SparseStochasticCertificate":
         """The certificate of positive integer flows over positive masses."""
         cert = cls.__new__(cls)
-        cert._set(n, declared_m, frozenset(), flows, masses)
+        cert._set(n, declared_m, flows, masses)
         return cert
 
-    def _set(self, n: int, declared_m: int, identity: Set, flows: Dict[Tuple[int, int], int],
+    def _set(self, n: int, declared_m: int, flows: Dict[Tuple[int, int], int],
              masses: Dict[int, int]) -> None:
         """Hold the flows over the masses of their columns after checking their
         structure, each column divided by the gcd of its mass and flows, so that
@@ -194,17 +193,9 @@ class SparseStochasticCertificate:
         if any(d > 1 for d in g.values()):
             flows = {key: b // g[key[1]] for key, b in flows.items()}
             masses = {j: c // g[j] for j, c in masses.items()}
-        identity = frozenset(identity)
-        if identity and not (0 <= min(identity) and max(identity) < n):
-            raise ValueError("identity column outside dimension")
-        if not identity.isdisjoint(masses):
-            raise ValueError("identity columns collide with explicit entries")
-        self.n, self.declared_m, self.identity_columns = n, declared_m, identity
+        self.n, self.declared_m, self.identity_columns = n, declared_m, frozenset()
         self.flows, self.masses, self._entries = flows, masses, None
-        # an identity 1 adds to its row; a row holding only that 1 has degree 1
-        one = 1 if identity else 0
-        self._maxima = (max([d + (i in identity) for i, d in rows.items()] or [one]),
-                        max([*cols.values(), one]))
+        self._maxima = max(rows.values(), default=0), max(cols.values(), default=0)
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
@@ -215,14 +206,6 @@ class SparseStochasticCertificate:
             self._entries = {key: Fraction(b, self.masses[key[1]])
                              for key, b in self.flows.items()}
         return self._entries
-
-    def triples(self) -> Iterable[Tuple[int, int, Fraction]]:
-        """All nonzero entries as (row, col, value), identity columns included."""
-        one = Fraction(1)
-        for (i, j), v in self.entries.items():
-            yield i, j, v
-        for j in self.identity_columns:
-            yield j, j, one
 
     def support_counts(self) -> Tuple[Counter, Counter]:
         """Entries per row and per column, identity columns included."""
@@ -242,12 +225,11 @@ class SparseStochasticCertificate:
         return self._maxima
 
     def _columns(self) -> Dict[int, Tuple[int, List[Tuple[int, int]]]]:
-        """{column j: (c_j, [(row i, B_ij), ...])}, an identity column as (1, [(j, 1)])."""
+        """{column j: (c_j, [(row i, B_ij), ...])}."""
         columns: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {
             j: (c, []) for j, c in self.masses.items()}
         for (i, j), b in self.flows.items():
             columns[j][1].append((i, b))
-        columns.update((j, (1, [(j, 1)])) for j in self.identity_columns)
         return columns
 
     def apply(self, pi) -> Dict[int, Fraction]:
@@ -315,8 +297,7 @@ class SparseStochasticCertificate:
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(n={self.n}, declared_m={self.declared_m}, "
-                f"flows={self.flows}, masses={self.masses}, "
-                f"identity_columns={self.identity_columns!r})")
+                f"flows={self.flows}, masses={self.masses})")
 
 
 @dataclass
@@ -338,13 +319,15 @@ class DispersionResult:
 
 
 def _as_dict(vec, n: int) -> Dict:
-    """{index: value} of the nonzero entries of a sparse dict, a ProbabilityVector
-    or a sequence of length n."""
+    """{index: value} of the nonzero entries of a sparse dict with keys in
+    range(n), a ProbabilityVector or a sequence of length n."""
     if not isinstance(vec, dict):
         values = vec.p if isinstance(vec, ProbabilityVector) else [Fraction(v) for v in vec]
         if len(values) != n:
             raise ValueError("vector dimension does not match certificate")
         vec = dict(enumerate(values))
+    elif not all(0 <= j < n for j in vec):
+        raise ValueError(f"vector index outside range({n})")
     return {j: v for j, v in vec.items() if v}
 
 
@@ -356,7 +339,8 @@ def validate_certificate(cert, pi, mu) -> ValidationOutcome:
     {index: value} dicts (missing indices are zero).  A passing outcome
     certifies dispersion(pi, mu) <= log2(declared_m).  The first violated
     condition is reported, at its least row or column index; structurally
-    malformed certificates raise instead.  All three are integer checks, each
+    malformed certificates, and vectors of another dimension or with an index
+    outside range(n), raise instead.  All three are integer checks, each
     type running its own: :meth:`SparseStochasticCertificate._check` on dicts
     of Python integers, which a block table runs on its pairs read as such
     dicts (its :meth:`BlockCoupling.validate` decides on its int64 arrays).
@@ -520,6 +504,13 @@ def delta_exact(pi, mu) -> DispersionResult:
     return DispersionResult(m_star, math.log2(m_star), witness, method, nodes[0])
 
 
+def _refuse_block_tables(*certs) -> None:
+    """Reversal and composition read a witness's columns, which a block table
+    does not hold as such."""
+    if not all(isinstance(cert, SparseStochasticCertificate) for cert in certs):
+        raise ValueError("reversal and composition take solver certificates")
+
+
 def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStochasticCertificate:
     """Certificate for (pi -> mu) from one for (mu -> pi), same sparsity bound.
 
@@ -529,6 +520,7 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
     empty; it is completed with a single 1 in a row with slack, which always
     exists within the bound.
     """
+    _refuse_block_tables(cert)
     outcome = validate_certificate(cert, mu, pi)
     if not outcome.ok:
         raise ValueError(f"input certificate invalid: {outcome.violation} ({outcome.detail})")
@@ -567,6 +559,7 @@ def compose_certificates(outer: SparseStochasticCertificate, inner: SparseStocha
     `inner` must validate pi -> mu and `outer` mu -> nu; the product's
     support can be smaller than the declared m1*m2 but never larger.
     """
+    _refuse_block_tables(outer, inner)
     if inner.n != outer.n:
         raise ValueError("inner dimension mismatch")
     for cert, src, dst, name in ((inner, pi, mu, "inner"), (outer, mu, nu, "outer")):
@@ -648,8 +641,8 @@ def certificate_bound_bits(m: int, k: int, l: int) -> float:
 def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
     """JSON-ready form: sparse [row, col, "num/den"] triplets.
 
-    Identity columns are listed separately to keep block-indexed
-    certificates compact.
+    Identity columns, which only block tables have, are listed separately
+    to keep those compact.
     """
     return {
         "n": cert.n,
@@ -658,31 +651,6 @@ def certificate_to_json_dict(cert: SparseStochasticCertificate) -> Dict:
                     for (i, j), v in sorted(cert.entries.items())],
         "identity_columns": sorted(cert.identity_columns),
     }
-
-
-def certificate_from_json_dict(data: Dict) -> SparseStochasticCertificate:
-    """Inverse of :func:`certificate_to_json_dict`; refuses any other shape, a repeated
-    entry or identity column, any size or index that is not a JSON integer (bool
-    included) and any entry value that is not a JSON string of a rational."""
-    if not isinstance(data, dict) or not {"n", "declared_m", "entries"} <= data.keys():
-        raise ValueError("a certificate needs n, declared_m and entries")
-    triples, listed = data["entries"], data.get("identity_columns", [])
-    if not (type(triples) is list and type(listed) is list
-            and all(type(t) is list and len(t) == 3 for t in triples)):
-        raise ValueError("entries must be a list of [row, col, value] and identity_columns a list")
-    ints = [data["n"], data["declared_m"], *listed, *(x for t in triples for x in t[:2])]
-    if any(type(x) is not int for x in ints):
-        raise ValueError("n, declared_m and every row and column index must be JSON integers")
-    if any(type(v) is not str for t in triples for v in t[2:]):
-        raise ValueError('every entry value must be a JSON string "num/den"')
-    try:
-        entries = {(i, j): Fraction(v) for i, j, v in triples}
-    except ZeroDivisionError:
-        raise ValueError("an entry value has denominator 0") from None
-    identity = frozenset(listed)
-    if len(entries) < len(triples) or len(identity) < len(listed):
-        raise ValueError("certificate lists an entry or an identity column twice")
-    return SparseStochasticCertificate(data["n"], entries, data["declared_m"], identity)
 
 
 def block_distribution_as_code_vector(dist: BlockDistribution) -> Dict[int, Fraction]:
@@ -744,8 +712,9 @@ class BlockCoupling:
     and `flows` (their counts), and the mass columns `columns` (the observed
     source codes, ascending) with `masses`.  `identity_columns` is the
     :class:`UnobservedColumns` of `columns`, so every check costs O(pairs)
-    rather than O(k^l).  It reads like a :class:`SparseStochasticCertificate`:
-    `entries`, `triples()`, `support_counts()`, `max_degrees()` and `apply()`.
+    rather than O(k^l).  It shares `entries` and `max_degrees()` with
+    :class:`SparseStochasticCertificate`, whose checks it runs on the pairs
+    read as that type (:meth:`_as_witness`).
     """
 
     __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts", "col_bound",
@@ -823,23 +792,14 @@ class BlockCoupling:
             self._entries = self._as_witness().entries
         return self._entries
 
-    triples = SparseStochasticCertificate.triples
     max_degrees = SparseStochasticCertificate.max_degrees
-
-    def support_counts(self) -> Tuple[Counter, Counter]:
-        """Entries per row and per column, identity columns included (O(n) for those)."""
-        return self._as_witness().support_counts()
-
-    def apply(self, pi) -> Dict[int, Fraction]:
-        """Sparse product A*pi as {row: value}, rows ascending, zero rows omitted."""
-        return self._as_witness().apply(pi)
 
     def _check(self, pi, mu) -> ValidationOutcome:
         return self._as_witness()._check(pi, mu)
 
     def _as_witness(self) -> SparseStochasticCertificate:
-        """The table as a :class:`SparseStochasticCertificate` for the checks and
-        views that take any pi: its pairs and masses as dicts, O(pairs), and its
+        """The table as a :class:`SparseStochasticCertificate` for the checks that
+        take any pi and mu: its pairs and masses as dicts, O(pairs), and its
         identity columns still implicit."""
         cert = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
         cert.n, cert.declared_m, cert._maxima = self.n, self.declared_m, self._maxima

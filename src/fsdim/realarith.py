@@ -76,26 +76,18 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
 
     For the N-digit prefix P in `digits`, the ends are floor((M*P' + S*k^N) /
     (d*k^(N-count))) with P' in {P, P+1}.  The low end, an integer part and the
-    limbs of its first N fractional digits, takes one multiply by |M|, a split
+    limbs of its first N fractional digits, takes one multiply by M > 0, a split
     by x - K*(x // K), one carry scan and one long division by d; the high end
     is the low end plus a small gap at the bottom limb, and differs only in
     the limbs that addition's carry chain reaches.  Returns the fractional
     digits both ends share among the first `count` (none when their integer
     parts differ), and whether the two ends are equal.
     """
-    m = abs(M)
-    c, dtype = limb_width(k, m)
+    c, dtype = limb_width(k, M)
     K = k ** c
     limbs, pad = digits_to_limbs(digits, k, c, dtype)
     top = S
-    if M < 0:
-        # -m*P' = m*(k^N - P') - m*k^N, and k^N - P' is C + 1 or C for the
-        # digit complement C = k^N - 1 - P: the low end is m*C, the high m*(C + 1)
-        limbs = (K - 1) - limbs
-        if pad:
-            limbs[-1] -= k ** pad - 1
-        top -= m
-    limbs *= m
+    limbs *= M
     high = limbs // K
     limbs -= high * K
     if len(high):
@@ -106,7 +98,7 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
     rem = 0
     if d > 1:
         top, rem = divide_limbs(top, limbs, d, K)
-    gap = (rem + m * k ** pad) // d
+    gap = (rem + M * k ** pad) // d
     i = first = len(limbs)  # the high end is `upper` at limb `first`, the low end's below it
     while gap > 1 and i:  # the gap's own limbs (gap < K^2), each carry folded into gap
         i -= 1
@@ -136,20 +128,21 @@ def _certified_affine(seq: DigitSequence, coef: Fraction, offset: Fraction,
     With coef = a/b and offset = p/q, an N-digit prefix P pins the result
     between two integers scaled by k^-count, floor((M*P' + S*k^N) /
     (d*k^(N-count))) for P' in {P, P+1}, where M = a*q, S = p*b and d = b*q.
-    Both are computed on limbs of base-k digits: a multiply by |M| whose
-    carries one prefix scan resolves (the k's complement of the digits when
-    M < 0), then a long division by the small integer d.  Digits are emitted
-    where the two ends agree; N grows by doubling the guard digits up to
-    `LOOKAHEAD_CAP`.  Streams with an exact value take the same long division
-    of the exact result instead.
+    Both are computed on limbs of base-k digits: a multiply by M whose
+    carries one prefix scan resolves, then a long division by the small
+    integer d.  The coefficient must be positive; the operations reach a
+    negative q by a negative offset or by dropping its sign.  Digits are
+    emitted where the two ends agree; N grows by doubling the guard digits up
+    to `LOOKAHEAD_CAP`.  Streams with an exact value take the same long
+    division of the exact result instead.
 
     Raises InsufficientDigitsError when a stream without an exact value holds
     fewer than `count` digits; `unresolved` is kept for k-adic boundaries.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if coef == 0:
-        raise ValueError("coefficient must be nonzero")
+    if coef <= 0:
+        raise ValueError("coefficient must be positive")
     k = seq.alphabet.k
 
     if seq.exact_value is not None:

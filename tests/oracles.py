@@ -15,12 +15,12 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
-from fsdim import (DigitSequence, InsufficientDigitsError, SparseStochasticCertificate,
-                   UnresolvedCarryError, ValidationOutcome, add_rational_mod1, mul_int_mod1,
-                   mul_rational_mod1)
+from fsdim import (DigitSequence, InsufficientDigitsError, UnresolvedCarryError,
+                   ValidationOutcome, add_rational_mod1, mul_int_mod1, mul_rational_mod1)
 from fsdim.realarith import LOOKAHEAD_CAP
 from fsdim.verify import ENTROPY_SLACK, VerificationReport
 
@@ -85,8 +85,8 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if coef == 0:
-        raise ValueError("coefficient must be nonzero")
+    if coef <= 0:
+        raise ValueError("coefficient must be positive")
     k = seq.alphabet.k
 
     if seq.exact_value is not None:
@@ -107,9 +107,8 @@ def certified_affine(seq, coef: Fraction, offset: Fraction, count: int, lookahea
         n_read = min(count + guard, max_read)
         prefix_value = _numeral(seq.prefix(n_read), k)
         scale = k ** n_read
-        e1 = coef * Fraction(prefix_value, scale) + offset
-        e2 = coef * Fraction(prefix_value + 1, scale) + offset
-        lo, hi = (e1, e2) if coef > 0 else (e2, e1)
+        lo = coef * Fraction(prefix_value, scale) + offset
+        hi = coef * Fraction(prefix_value + 1, scale) + offset
         a = math.floor(lo * kc)
         b = math.floor(hi * kc)
         if a == b:
@@ -473,6 +472,21 @@ def rational_support_counts(cert):
     return rows, cols
 
 
+def certificate_record(n, entries, identity_columns, declared_m):
+    """A certificate as the plain record of what validate_certificate_rational
+    and rational_support_counts read: {(row, col): Fraction} entries and the
+    identity columns, which hold no entries."""
+    return SimpleNamespace(n=n, entries=entries, identity_columns=identity_columns,
+                           declared_m=declared_m)
+
+
+def written_certificate_record(data):
+    """A certificate file's JSON (certificate_to_json_dict) as a plain record.
+    fsdim writes these files and reads none back."""
+    return certificate_record(data["n"], {(i, j): Fraction(v) for i, j, v in data["entries"]},
+                              frozenset(data["identity_columns"]), data["declared_m"])
+
+
 def validate_certificate_rational(cert, pi, mu):
     """validate_certificate in Fractions over `cert.entries`: the reference the
     library's integer check is compared with.
@@ -490,6 +504,8 @@ def validate_certificate_rational(cert, pi, mu):
             if len(vec) != n:
                 raise ValueError("vector dimension does not match certificate")
             vec = dict(enumerate(vec))
+        elif not all(0 <= j < n for j in vec):
+            raise ValueError(f"vector index outside range({n})")
         vectors.append({j: Fraction(v) for j, v in vec.items() if v})
     pi, mu = vectors
     identity = cert.identity_columns
@@ -616,7 +632,7 @@ def rational_arithmetic_report(seq, q: Fraction, max_block_len: int, n_schedule,
                                     "reason": "insufficient certified digits"})
                     continue
                 entries, identity, declared = block_certificate(stream, product.digits, m, l, n)
-                cert = SparseStochasticCertificate(k ** l, entries, declared, identity)
+                cert = certificate_record(k ** l, entries, identity, declared)
                 source = _naive_code_counts(stream.prefix(n * l), k, l, n)
                 image = _naive_code_counts(product.digits.prefix(n * l), k, l, n)
                 outcome = validate_certificate_rational(

@@ -7,10 +7,11 @@ entries).  Both report the first condition broken at its least row or column
 index, so outcomes, violation names and detail strings must all agree.
 
 A block certificate keeps its unobserved columns as an UnobservedColumns view.
-The first tests rebuild the same certificate with the identity columns written
-out as frozenset(range(k^l) - observed), the observed codes taken by naive
-slicing, and check that both forms behave alike, on valid and on corrupted
-certificates.
+The first tests rebuild the same matrix as a SparseStochasticCertificate with
+each identity column written out as an entry (j, j): 1, the observed codes
+taken by naive slicing, and check that both forms behave alike, on valid and on
+corrupted certificates; a corrupted block certificate is rebuilt as a table
+from its altered entries.
 
 The block table (BlockCoupling) is itself the certificate: its entries equal
 the rational builder in tests/oracles.py, its validate() agrees with the
@@ -21,10 +22,12 @@ counts are counted apart from its pairs.  Small random certificates, exact
 solver witnesses and their reversals and compositions are checked against the
 reference too, valid and with one flow, mass or entry changed, and so are fixed
 edge cases: a column over its sparsity bound, flows and masses beyond int64,
-and the reversal and composition of a certificate with an identity column.
+and the reversal and composition of a certificate with a column holding a
+single 1 on its diagonal.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -67,10 +70,14 @@ def build(cell):
         assume(False)
     observed = {oracles._numeral(digits[j * l:(j + 1) * l], k) for j in range(n)}
     materialized = SparseStochasticCertificate(
-        cert.n, dict(cert.entries), cert.declared_m,
-        frozenset(set(range(k ** l)) - observed))
+        cert.n, written_out(cert.entries, set(range(k ** l)) - observed), cert.declared_m)
     return (cert, materialized, block_distribution_as_code_vector(dist_a),
             block_distribution_as_code_vector(dist_b), observed)
+
+
+def written_out(entries, identity):
+    """`entries` with each identity column j written out as an entry (j, j): 1."""
+    return {**entries, **{(j, j): Fraction(1) for j in identity}}
 
 
 def outcome_tuple(cert, pi, mu):
@@ -88,22 +95,31 @@ def assert_matches_reference(cert, pi, mu):
     assert outcome_tuple(cert, pi, mu) == reference_tuple(cert, pi, mu)
     rows, cols = oracles.rational_support_counts(cert)
     assert cert.max_degrees() == (max(rows.values(), default=0), max(cols.values(), default=0))
-    assert cert.support_counts() == (rows, cols)
+    # a table's support counts are those of the witness view its checks run on
+    witness = cert._as_witness() if isinstance(cert, BlockCoupling) else cert
+    assert witness.support_counts() == (rows, cols)
 
 
 def assert_same_behaviour(implicit, materialized, pi, mu):
     assert outcome_tuple(implicit, pi, mu) == outcome_tuple(materialized, pi, mu)
     assert_matches_reference(implicit, pi, mu)
-    for cert in (implicit, materialized):
-        rows, cols = cert.support_counts()
-        assert cert.max_degrees() == (max(rows.values(), default=0),
-                                      max(cols.values(), default=0))
+    assert_matches_reference(materialized, pi, mu)
 
 
-def with_entries(cert, entries, identity=None, declared_m=None):
-    return SparseStochasticCertificate(
-        cert.n, entries, cert.declared_m if declared_m is None else declared_m,
-        cert.identity_columns if identity is None else identity)
+def table_with_entries(table, entries, declared_m=None):
+    """The block table holding rational `entries` as flows over per-column
+    masses (the lcm of each column's denominators), its identity columns the
+    table's own; `declared_m` replaces its declared bound."""
+    masses = {}
+    for (_, x), v in entries.items():
+        masses[x] = math.lcm(masses.get(x, 1), v.denominator)
+    keys = sorted(entries)
+    made = replace_pairs(table, [x for _, x in keys], [y for y, _ in keys],
+                         [(entries[key] * masses[key[1]]).numerator for key in keys],
+                         source=(table.columns, [masses.get(x, 1) for x in table.columns.tolist()]))
+    if declared_m is not None:
+        made.declared_m = declared_m
+    return made
 
 
 @PROPERTY_SETTINGS
@@ -121,7 +137,7 @@ def test_mass_on_identity_column_agrees(cell, data):
     # half the mass moved onto an unobserved block j passes through its
     # identity column unchanged: A(pi/2 + e_j/2) = mu/2 + e_j/2
     implicit, materialized, pi, mu, _ = build(cell)
-    identity = sorted(materialized.identity_columns)
+    identity = sorted(implicit.identity_columns)
     assume(identity)
     j = identity[data.draw(st.integers(0, len(identity) - 1))]
     half = Fraction(1, 2)
@@ -130,11 +146,11 @@ def test_mass_on_identity_column_agrees(cell, data):
     mu_j[j] = mu_j.get(j, 0) + half
     assert validate_certificate(implicit, pi_j, mu_j).ok
     assert_same_behaviour(implicit, materialized, pi_j, mu_j)
-    assert implicit.apply(pi_j) == materialized.apply(pi_j) == mu_j
+    assert implicit._as_witness().apply(pi_j) == materialized.apply(pi_j) == mu_j
 
 
 def test_identity_only_certificate_degrees():
-    cert = SparseStochasticCertificate(3, {}, 1, UnobservedColumns(3, ()))
+    cert = SparseStochasticCertificate(3, written_out({}, range(3)), 1)
     assert cert.max_degrees() == (1, 1)
     assert validate_certificate(cert, {0: Fraction(1)}, {0: Fraction(1)}).ok
 
@@ -142,8 +158,8 @@ def test_identity_only_certificate_degrees():
 @PROPERTY_SETTINGS
 @given(block_cells(), st.data())
 def test_identity_view_matches_frozenset(cell, data):
-    implicit, materialized, _, _, observed = build(cell)
-    view, frozen = implicit.identity_columns, materialized.identity_columns
+    implicit, _, _, _, observed = build(cell)
+    view, frozen = implicit.identity_columns, frozenset(range(implicit.n)) - observed
     assert len(view) == len(frozen)
     assert list(view) == sorted(frozen)
     assert view == frozen and frozen == view
@@ -170,8 +186,10 @@ def test_altered_entry_agrees(cell, data):
     factor = Fraction(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
     entries = dict(implicit.entries)
     entries[key] *= factor
-    assert_same_behaviour(with_entries(implicit, entries),
-                          with_entries(materialized, entries), pi, mu)
+    identity = implicit.identity_columns
+    assert_same_behaviour(table_with_entries(implicit, entries),
+                          SparseStochasticCertificate(implicit.n, written_out(entries, identity),
+                                                      implicit.declared_m), pi, mu)
 
 
 @PROPERTY_SETTINGS
@@ -180,7 +198,7 @@ def test_extra_entry_in_identity_row_agrees(cell, data):
     # move half of an entry (y, x) into an identity row j: columns stay
     # stochastic and mu is moved to match, so only the support bound can fail
     implicit, materialized, pi, mu, _ = build(cell)
-    identity = sorted(materialized.identity_columns)
+    identity = sorted(implicit.identity_columns)
     assume(identity)
     j = identity[data.draw(st.integers(0, len(identity) - 1))]
     keys = sorted(implicit.entries)
@@ -195,8 +213,8 @@ def test_extra_entry_in_identity_row_agrees(cell, data):
     moved = {i: v for i, v in moved.items() if v != 0}
     row_j = 1 + sum(1 for (i, _) in entries if i == j)
     declared = data.draw(st.integers(max(1, row_j - 2), row_j))
-    a = with_entries(implicit, entries, declared_m=declared)
-    b = with_entries(materialized, entries, declared_m=declared)
+    a = table_with_entries(implicit, entries, declared_m=declared)
+    b = SparseStochasticCertificate(implicit.n, written_out(entries, identity), declared)
     assert_same_behaviour(a, b, pi, moved)
     ok, violation, _ = outcome_tuple(a, pi, moved)
     if declared < row_j:
@@ -206,14 +224,19 @@ def test_extra_entry_in_identity_row_agrees(cell, data):
 @PROPERTY_SETTINGS
 @given(block_cells(), st.data())
 def test_dropped_identity_column_agrees(cell, data):
+    # j given a source count but no pair: it leaves the identity view and
+    # holds no entries
     implicit, materialized, pi, mu, observed = build(cell)
-    identity = sorted(materialized.identity_columns)
+    identity = sorted(implicit.identity_columns)
     assume(identity)
     j = identity[data.draw(st.integers(0, len(identity) - 1))]
-    a = with_entries(implicit, dict(implicit.entries),
-                     identity=UnobservedColumns(implicit.n, observed | {j}))
-    b = with_entries(materialized, dict(materialized.entries),
-                     identity=materialized.identity_columns - {j})
+    masses = dict(zip(implicit.columns.tolist(), implicit.masses.tolist()))
+    columns = sorted(observed | {j})
+    a = replace_pairs(implicit, implicit.cols, implicit.rows, implicit.flows,
+                      source=(columns, [masses.get(x, 1) for x in columns]))
+    entries = dict(materialized.entries)
+    del entries[(j, j)]
+    b = SparseStochasticCertificate(implicit.n, entries, implicit.declared_m)
     assert_same_behaviour(a, b, pi, mu)
     assert outcome_tuple(a, pi, mu) == (False, "stochastic-columns", f"column {j} has no entries")
 
@@ -221,15 +244,14 @@ def test_dropped_identity_column_agrees(cell, data):
 @PROPERTY_SETTINGS
 @given(block_cells(), st.data())
 def test_entry_colliding_with_identity_column_raises(cell, data):
-    implicit, materialized, _, _, _ = build(cell)
-    identity = sorted(materialized.identity_columns)
+    implicit, _, _, _, _ = build(cell)
+    identity = sorted(implicit.identity_columns)
     assume(identity)
     j = identity[data.draw(st.integers(0, len(identity) - 1))]
     entries = dict(implicit.entries)
     entries[(data.draw(st.integers(0, implicit.n - 1)), j)] = Fraction(1)
-    for cert in (implicit, materialized):
-        with pytest.raises(ValueError, match="collide"):
-            with_entries(cert, entries)
+    with pytest.raises(ValueError, match="collide"):
+        table_with_entries(implicit, entries)
 
 
 # ------------------------------------------- small certificates of any origin
@@ -242,11 +264,12 @@ def probability_vectors(draw, n):
 
 @st.composite
 def small_certificates(draw):
-    """(rational entries, identity columns, declared_m, pi, mu, solver-made certificate or None).
+    """(rational entries, declared_m, pi, mu, solver-made certificate or None).
 
-    Random sparse matrices, half of them made column-stochastic with mu their
-    exact image of pi, or exact solver witnesses and their reversals and
-    compositions for pi -> mu, whose rational entries are taken as they are."""
+    Random sparse matrices, some columns a single 1 on the diagonal, half of
+    them made column-stochastic with mu their exact image of pi, or exact
+    solver witnesses and their reversals and compositions for pi -> mu, whose
+    rational entries are taken as they are."""
     n = draw(st.integers(1, 4))
     pi, mu, nu = (draw(probability_vectors(n)) for _ in range(3))
     kind = draw(st.sampled_from(["random", "witness", "reverse", "compose"]))
@@ -255,7 +278,7 @@ def small_certificates(draw):
                 "reverse": lambda: reverse_certificate(delta_exact(mu, pi).witness, mu, pi),
                 "compose": lambda: compose_certificates(delta_exact(nu, mu).witness,
                                                         delta_exact(pi, nu).witness, pi, nu, mu)}[kind]()
-        return dict(made.entries), made.identity_columns, made.declared_m, pi, mu, made
+        return dict(made.entries), made.declared_m, pi, mu, made
     explicit = draw(st.sets(st.integers(0, n - 1)))
     spare = sorted(set(range(n)) - explicit)
     identity = frozenset(draw(st.sets(st.sampled_from(spare)))) if spare else frozenset()
@@ -263,44 +286,44 @@ def small_certificates(draw):
     for j in sorted(explicit):
         for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
             entries[(i, j)] = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    entries = written_out(entries, identity)
     if draw(st.booleans()):
-        totals = {j: sum(v for (_, jj), v in entries.items() if jj == j) for j in explicit}
+        totals = {j: sum(v for (_, jj), v in entries.items() if jj == j) for _, j in entries}
         entries = {(i, j): v / totals[j] for (i, j), v in entries.items()}
         image = {}
         for (i, j), v in entries.items():
             image[i] = image.get(i, 0) + v * pi[j]
-        for j in identity:
-            image[j] = image.get(j, 0) + pi[j]
         mu = {i: v for i, v in image.items() if v}
-    return entries, identity, draw(st.integers(1, n)), pi, mu, None
+    return entries, draw(st.integers(1, n)), pi, mu, None
 
 
-def image_of(entries, identity, pi):
+def image_of(entries, pi):
     mu = [Fraction(0)] * len(pi.p)
     for (i, j), v in entries.items():
         mu[i] += v * pi[j]
-    for j in identity:
-        mu[j] += pi[j]
     return ProbabilityVector(tuple(mu))
 
 
 def stochastic(entries, identity, declared, pi):
-    """The small_certificates tuple of a column-stochastic matrix, mu its image of pi."""
-    return entries, frozenset(identity), declared, pi, image_of(entries, identity, pi), None
+    """The small_certificates tuple of a column-stochastic matrix, its identity
+    columns written out, mu its image of pi."""
+    entries = written_out(entries, identity)
+    return entries, declared, pi, image_of(entries, pi), None
 
 
 def through_identity_columns():
-    """Reversal and composition of a certificate with an identity column, which
-    read that column through triples()."""
-    entries = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (0, 1): Fraction(1)}
+    """Reversal and composition of a certificate whose column 2 holds a single
+    1 on the diagonal, as an identity column does."""
+    entries = written_out({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2), (0, 1): Fraction(1)},
+                          {2})
     pi = ProbabilityVector((Fraction(1, 2), Fraction(1, 6), Fraction(1, 3)))
-    mu = image_of(entries, {2}, pi)
-    nu = image_of(entries, {2}, mu)
-    cert = SparseStochasticCertificate(3, entries, 2, frozenset({2}))
+    mu = image_of(entries, pi)
+    nu = image_of(entries, mu)
+    cert = SparseStochasticCertificate(3, entries, 2)
     reverse = reverse_certificate(cert, pi, mu)
     compose = compose_certificates(cert, cert, pi, mu, nu)
-    return [(dict(reverse.entries), reverse.identity_columns, reverse.declared_m, mu, pi, reverse),
-            (dict(compose.entries), compose.identity_columns, compose.declared_m, pi, nu, compose)]
+    return [(dict(reverse.entries), reverse.declared_m, mu, pi, reverse),
+            (dict(compose.entries), compose.declared_m, pi, nu, compose)]
 
 
 HALVES = ProbabilityVector((Fraction(1, 2), Fraction(1, 2)))
@@ -312,15 +335,15 @@ EDGE_CERTIFICATES = [
     stochastic({(0, 0): Fraction(1, 2 ** 70), (1, 0): Fraction(2 ** 70 - 1, 2 ** 70)}, {1}, 2,
                HALVES),
     # flows that fit int64 but whose column sum does not
-    ({(0, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1), (1, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1)},
-     frozenset({1}), 2, HALVES, HALVES, None),
+    (written_out({(0, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1),
+                  (1, 0): Fraction(2 ** 62 + 1, 2 ** 63 - 1)}, {1}), 2, HALVES, HALVES, None),
     *through_identity_columns(),
 ]
 
 
 @PROPERTY_SETTINGS
 @given(small_certificates(),
-       st.sampled_from(["none", "flow", "mass", "extra", "dropped", "identity"]),
+       st.sampled_from(["none", "flow", "mass", "extra", "dropped"]),
        st.sampled_from(["vector", "list", "dict"]), st.data())
 @example(EDGE_CERTIFICATES[0], "none", "vector", None)
 @example(EDGE_CERTIFICATES[1], "none", "vector", None)
@@ -328,7 +351,7 @@ EDGE_CERTIFICATES = [
 @example(EDGE_CERTIFICATES[3], "none", "dict", None)
 @example(EDGE_CERTIFICATES[4], "none", "vector", None)
 def test_small_certificates_match_rational_reference(made, change, form, data):
-    entries, identity, declared, pi, mu, solved = made
+    entries, declared, pi, mu, solved = made
     entries = dict(entries)
     if change != "none":
         assume(entries)
@@ -343,15 +366,9 @@ def test_small_certificates_match_rational_reference(made, change, form, data):
             free = [r for r in range(len(pi.p)) if (r, j) not in entries]
             assume(free)
             entries[(data.draw(st.sampled_from(free)), j)] = factor
-        elif change == "dropped":
+        else:  # dropped
             del entries[(i, j)]
-        else:  # an entry in an identity column is malformed, not merely invalid
-            assume(identity)
-            entries[(i, data.draw(st.sampled_from(sorted(identity))))] = factor
-            with pytest.raises(ValueError, match="collide"):
-                SparseStochasticCertificate(len(pi.p), entries, declared, identity)
-            return
-    cert = SparseStochasticCertificate(len(pi.p), entries, declared, identity)
+    cert = SparseStochasticCertificate(len(pi.p), entries, declared)
     assert cert.entries == entries
 
     def shaped(v):

@@ -157,9 +157,16 @@ def test_delta_certificate_cli(tmp_path, capsys):
     assert all(len(triple) == 3 and "/" in triple[2] for triple in stored["entries"])
 
 
+def written_certificate(path):
+    """The certificate file at `path` as the rational reference's plain record."""
+    from oracles import written_certificate_record
+    return written_certificate_record(json.loads(path.read_text()))
+
+
 def test_delta_exact_witness_file(tmp_path, capsys):
-    from fsdim import ProbabilityVector, certificate_from_json_dict, validate_certificate
+    from fsdim import ProbabilityVector
     from fractions import Fraction
+    from oracles import validate_certificate_rational
     pi = tmp_path / "p.json"
     mu = tmp_path / "u.json"
     pi.write_text(json.dumps({"n": 3, "p": ["1/2", "1/2", "0"]}))
@@ -168,15 +175,16 @@ def test_delta_exact_witness_file(tmp_path, capsys):
     run(tmp_path, "delta", "exact", "--pi", str(pi), "--mu", str(mu),
         "--witness", str(witness))
     assert json.loads(capsys.readouterr().out.strip())["m"] == 2
-    cert = certificate_from_json_dict(json.loads(witness.read_text()))
+    cert = written_certificate(witness)
+    assert cert.declared_m == 2
     p_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
     m_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-    assert validate_certificate(cert, p_vec, m_vec).ok
+    assert validate_certificate_rational(cert, p_vec, m_vec).ok
 
 
 def test_delta_exact_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch):
     import fsdim.dispersion
-    from fsdim import ProbabilityVector, certificate_from_json_dict
+    from fsdim import ProbabilityVector
     from fractions import Fraction
     from oracles import validate_certificate_rational
     monkeypatch.setattr(fsdim.dispersion, "SEARCH_NODE_BUDGET", 0)
@@ -189,7 +197,7 @@ def test_delta_exact_exhausted_budget_exits_three(tmp_path, capsys, monkeypatch)
         "--witness", str(witness), expect=3)
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["method"] == "certificate-upper-bound"
-    cert = certificate_from_json_dict(json.loads(witness.read_text()))
+    cert = written_certificate(witness)
     assert cert.declared_m == payload["m"] >= 2
     p_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
     m_vec = ProbabilityVector((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))

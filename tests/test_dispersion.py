@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, ProbabilityVector,
                    SparseStochasticCertificate, UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
-                   certificate_bound_bits, certificate_from_json_dict, certificate_to_json_dict,
+                   certificate_bound_bits, certificate_to_json_dict,
                    compose_certificates, delta_exact,
                    gen_champernowne, gen_rational_expansion, integer_multiple_certificate,
                    majorizes, reverse_certificate, shannon_entropy, validate_certificate)
@@ -23,7 +23,7 @@ import fsdim.dispersion
 from fsdim.dispersion import (MAX_CERTIFICATE_DIMENSION, BlockCoupling, UnobservedColumns,
                               ValidationOutcome, _coupling_with_degree_bound, _reachable)
 from oracles import (dispersion_m_bruteforce, dispersion_m_unpruned, reachable_by_accumulate,
-                     validate_certificate_rational)
+                     validate_certificate_rational, written_certificate_record)
 
 F = Fraction
 CHAMPERNOWNE_100 = gen_champernowne(Alphabet(10), 100)
@@ -500,6 +500,7 @@ class TestMajorizes:
 
 IDENTITY_2 = SparseStochasticCertificate(2, {(0, 0): F(1), (1, 1): F(1)}, 1)
 HALVES = vec(F(1, 2), F(1, 2))
+TABLE_100 = integer_multiple_certificate(CHAMPERNOWNE_100, 3, 2, 10)[0]  # base 10, l = 2
 
 
 @pytest.mark.parametrize("call,message", [
@@ -509,20 +510,32 @@ HALVES = vec(F(1, 2), F(1, 2))
      "dimension and declared_m must be positive"),
     (lambda: SparseStochasticCertificate(2, {(0, 2): F(1)}, 1),
      r"entry outside range\(2\) or flow not positive"),
-    (lambda: SparseStochasticCertificate(2, {(0, 0): F(1)}, 1, {2}),
-     "identity column outside dimension"),
     (lambda: validate_certificate(IDENTITY_2, vec(F(1, 3), F(1, 3), F(1, 3)), HALVES),
      "vector dimension does not match certificate"),
+    (lambda: validate_certificate(IDENTITY_2, {0: F(1, 2), 7: F(1, 2)}, {0: F(1, 2)}),
+     r"vector index outside range\(2\)"),
+    (lambda: validate_certificate(TABLE_100, {0: F(1, 2), 10 ** 6: F(1, 2)}, {0: F(1)}),
+     r"vector index outside range\(100\)"),
+    (lambda: validate_certificate_rational(IDENTITY_2, {0: F(1, 2), 7: F(1, 2)}, {0: F(1, 2)}),
+     r"vector index outside range\(2\)"),
+    (lambda: validate_certificate_rational(TABLE_100, {0: F(1, 2), 10 ** 6: F(1, 2)}, {0: F(1)}),
+     r"vector index outside range\(100\)"),
     (lambda: delta_exact(HALVES, vec(1, 0, 0)), "dimension mismatch: 2 vs 3"),
     (lambda: compose_certificates(IDENTITY_2, SparseStochasticCertificate(
         3, {(i, i): F(1) for i in range(3)}, 1), HALVES, HALVES, HALVES),
      "inner dimension mismatch"),
     (lambda: compose_certificates(IDENTITY_2, IDENTITY_2, HALVES, vec(1, 0), HALVES),
      r"inner certificate invalid: marginal-map \(\(A\*pi\)\[0\] = 1/2 != 1\)"),
+    (lambda: reverse_certificate(TABLE_100, HALVES, HALVES),
+     "reversal and composition take solver certificates"),
+    (lambda: compose_certificates(IDENTITY_2, TABLE_100, HALVES, HALVES, HALVES),
+     "reversal and composition take solver certificates"),
     (lambda: build_banded_worst_case(3, 4), "need 1 <= m <= n"),
     (lambda: build_banded_worst_case(3, 0), "need 1 <= m <= n"),
-], ids=["observed-code", "zero-dimension", "zero-declared-m", "entry-outside", "identity-outside",
-        "vector-dimension", "solver-dimensions", "compose-dimensions", "compose-invalid-inner",
+], ids=["observed-code", "zero-dimension", "zero-declared-m", "entry-outside",
+        "vector-dimension", "witness-vector-index", "table-vector-index",
+        "reference-witness-vector-index", "reference-table-vector-index", "solver-dimensions",
+        "compose-dimensions", "compose-invalid-inner", "reverse-table", "compose-table",
         "banded-m-above-n", "banded-m-zero"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -571,8 +584,7 @@ class TestIntegerMultipleCertificate:
         seq = gen_champernowne(Alphabet(2), 1000)
         cert, da, db = integer_multiple_certificate(seq, 1, 3, 200)
         assert code_counts(da) == code_counts(db)
-        rows, cols = cert.support_counts()
-        assert max(rows.values()) == 1 and max(cols.values()) == 1
+        assert cert.max_degrees() == (1, 1)
         assert certificate_bound_bits(1, 2, 3) == 1.0  # log2(1*(1+1)*1)
 
     def test_champernowne_supports_within_bounds(self):
@@ -582,9 +594,9 @@ class TestIntegerMultipleCertificate:
                                        block_distribution_as_code_vector(da),
                                        block_distribution_as_code_vector(db))
         assert outcome.ok
-        rows, cols = cert.support_counts()
-        assert max(cols.values()) <= 9   # (s+1)*m = 3*3
-        assert max(rows.values()) <= 9   # g*(s+1)*m with g = gcd(3, 16) = 1
+        rows, cols = cert.max_degrees()
+        assert cols <= 9   # (s+1)*m = 3*3
+        assert rows <= 9   # g*(s+1)*m with g = gcd(3, 16) = 1
 
     def test_entropy_gap_within_bound_and_constant_in_l_and_n(self):
         seq = gen_champernowne(Alphabet(2), 9000)
@@ -675,89 +687,70 @@ def test_certificate_soundness_bounds_exact_solution():
         assert delta_exact(pi, nu).m_star <= comp.declared_m
 
 
-def test_solver_certificate_json_roundtrip():
-    # a witness with a zero-mass column, its reversal and a composition: the
-    # file gives back the same flows, masses and identity columns, and the
-    # same bytes when written again
-    from fsdim import certificate_from_json_dict, certificate_to_json_dict
+def _solver_certificates():
     pi, mu, nu = vec(F(1, 2), F(0), F(1, 2)), vec(F(1, 3), F(1, 3), F(1, 3)), vec(F(1, 6), F(1, 2), F(1, 3))
     witness = delta_exact(pi, mu).witness
     assert [v for (_, j), v in witness.entries.items() if j == 1] == [1]  # the zero-mass column
-    product = delta_exact(vec(F(1, 3), F(2, 3)), vec(F(1, 2), F(1, 2))).witness  # m* = n
-    certs = [witness, product, reverse_certificate(delta_exact(mu, pi).witness, mu, pi),
-             compose_certificates(delta_exact(mu, nu).witness, witness, pi, mu, nu)]
-    for cert in certs:
-        text = json.dumps(certificate_to_json_dict(cert), indent=2)
-        back = certificate_from_json_dict(json.loads(text))
-        assert (back.flows, back.masses) == (cert.flows, cert.masses)
-        assert back.identity_columns == cert.identity_columns
-        assert (back.n, back.declared_m) == (cert.n, cert.declared_m)
-        assert json.dumps(certificate_to_json_dict(back), indent=2) == text
+    pi2, mu2 = vec(F(1, 3), F(2, 3)), vec(F(1, 2), F(1, 2))
+    return {
+        "witness-zero-mass-column": (witness, pi, mu),
+        "witness-m-equals-n": (delta_exact(pi2, mu2).witness, pi2, mu2),
+        "reversal": (reverse_certificate(delta_exact(mu, pi).witness, mu, pi), pi, mu),
+        "composition": (compose_certificates(delta_exact(mu, nu).witness, witness, pi, mu, nu),
+                        pi, nu),
+        "identity-wrong-marginal": (IDENTITY_2, HALVES, vec(1, 0)),
+    }
 
 
-def test_certificate_json_roundtrip():
-    from fsdim import certificate_from_json_dict, certificate_to_json_dict
-    seq = gen_champernowne(Alphabet(2), 2000)
-    cert, da, db = integer_multiple_certificate(seq, 3, 3, 600)
-    data = json.loads(json.dumps(certificate_to_json_dict(cert)))
-    back = certificate_from_json_dict(data)
-    assert back.n == cert.n and back.declared_m == cert.declared_m
-    assert back.entries == cert.entries
-    assert back.identity_columns == cert.identity_columns
-    assert validate_certificate(back,
-                                block_distribution_as_code_vector(da),
-                                block_distribution_as_code_vector(db)).ok
+def _block_table_case(name):
+    if name == "block-table-unobserved":  # base 10, l = 2: most columns unobserved
+        cert, da, db = integer_multiple_certificate(CHAMPERNOWNE_100, 3, 2, 10)
+    else:  # base 2, l = 3: every column observed
+        cert, da, db = integer_multiple_certificate(gen_champernowne(Alphabet(2), 2000), 3, 3, 600)
+    return cert, block_distribution_as_code_vector(da), block_distribution_as_code_vector(db)
 
 
-REPEATED = "certificate lists an entry or an identity column twice"
-NOT_INTEGER = "n, declared_m and every row and column index must be JSON integers"
-NOT_STRING = 'every entry value must be a JSON string "num/den"'
-NO_FIELD = "a certificate needs n, declared_m and entries"
-NOT_LIST = "entries must be a list of \\[row, col, value\\] and identity_columns a list"
+WRITTEN_CASES = ["witness-zero-mass-column", "witness-m-equals-n", "reversal", "composition",
+                 "identity-wrong-marginal", "block-table-unobserved", "block-table-observed"]
 
 
-@pytest.mark.parametrize("text,message", [
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [0, 0, "1"], [1, 1, "1"]]}', REPEATED),
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": [1, 1]}',
-     REPEATED),
-    ('{"n": 2, "declared_m": 1, "entries": [[0.5, 0, "1"], [1, 1, "1"]]}', NOT_INTEGER),
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [1, 1.0, "1"]]}', NOT_INTEGER),
-    ('{"n": true, "declared_m": 1, "entries": [[0, 0, "1"]]}', NOT_INTEGER),
-    ('{"n": 2, "declared_m": 1.0, "entries": [[0, 0, "1"], [1, 1, "1"]]}', NOT_INTEGER),
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": ["1"]}',
-     NOT_INTEGER),
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"], [false, 1, "1"]]}', NOT_INTEGER),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, "1/0"]]}', "an entry value has denominator 0"),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, true]]}', NOT_STRING),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1.0]]}', NOT_STRING),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, 1]]}', NOT_STRING),
-    ('{"n": 1, "declared_m": 1}', NO_FIELD),
-    ('{"declared_m": 1, "entries": [[0, 0, "1"]]}', NO_FIELD),
-    ('[1, 1, [[0, 0, "1"]]]', NO_FIELD),
-    ('{"n": 1, "declared_m": 1, "entries": 5}', NOT_LIST),
-    ('{"n": 1, "declared_m": 1, "entries": {"0": [0, 0, "1"]}}', NOT_LIST),
-    ('{"n": 2, "declared_m": 1, "entries": [[0, 0, "1"]], "identity_columns": 3}', NOT_LIST),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0]]}', NOT_LIST),
-    ('{"n": 1, "declared_m": 1, "entries": [[0, 0, "1", "1"]]}', NOT_LIST),
-    ('{"n": 1, "declared_m": 1, "entries": ["00/1"]}', NOT_LIST),
-], ids=["entry-twice", "identity-twice", "row-half", "column-float", "n-true",
-        "declared-m-float", "identity-string", "row-false", "value-over-zero", "value-true",
-        "value-float", "value-int", "no-entries", "no-n", "not-object", "entries-int",
-        "entries-object", "identity-int", "entry-pair", "entry-four", "entry-string"])
-def test_certificate_json_refuses_repeats_and_non_integers(text, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        certificate_from_json_dict(json.loads(text))
+def written_case(name):
+    if name.startswith("block-table"):
+        return _block_table_case(name)
+    return _solver_certificates()[name]
 
 
-def test_certificate_keeps_its_own_identity_columns():
-    # the caller's set may change after construction; the certificate's may not
-    identity = {1}
-    cert = SparseStochasticCertificate(2, {(0, 0): F(1)}, 1, identity)
-    half = [F(1, 2), F(1, 2)]
-    identity.update({0, 1})
-    assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok
-    identity.clear()
-    assert cert.identity_columns == {1} and validate_certificate(cert, half, half).ok
+@pytest.mark.parametrize("name", WRITTEN_CASES)
+def test_written_certificate_is_its_matrix(name):
+    # the file lists every entry once, as [row, col, "num/den"] in order, and
+    # the identity columns apart: only a block table has any
+    cert = written_case(name)[0]
+    text = json.dumps(certificate_to_json_dict(cert), indent=2)
+    data = json.loads(text)
+    assert type(data["n"]) is int and type(data["declared_m"]) is int
+    assert all(type(i) is int and type(j) is int and type(v) is str and "/" in v
+               for i, j, v in data["entries"])
+    cells = [(i, j) for i, j, _ in data["entries"]]
+    assert cells == sorted(set(cells))
+    assert data["identity_columns"] == sorted(set(data["identity_columns"]))
+    assert not set(data["identity_columns"]) & {j for _, j in cells}
+    assert bool(data["identity_columns"]) == (name == "block-table-unobserved")
+    record = written_certificate_record(data)
+    assert (record.n, record.declared_m) == (cert.n, cert.declared_m)
+    assert record.entries == cert.entries
+    assert record.identity_columns == cert.identity_columns
+    assert json.dumps(data, indent=2) == text
+
+
+@pytest.mark.parametrize("name", WRITTEN_CASES)
+def test_written_certificate_validates_like_the_certificate(name):
+    cert, pi, mu = written_case(name)
+    record = written_certificate_record(json.loads(json.dumps(certificate_to_json_dict(cert))))
+    outcome = validate_certificate(cert, pi, mu)
+    reference = validate_certificate_rational(record, pi, mu)
+    assert (reference.ok, reference.violation, reference.detail) == \
+        (outcome.ok, outcome.violation, outcome.detail)
+    assert outcome.ok == (name != "identity-wrong-marginal")
 
 
 def test_unobserved_columns_keep_their_own_codes():

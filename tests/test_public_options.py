@@ -16,7 +16,6 @@ import fsdim
 ALLOWED = {
     ("gen_champernowne", "order"): "fsdim gen --order",
     ("integer_multiple_certificate", "product_digits"): "perfbench/workloads.py:148",
-    ("SparseStochasticCertificate.__init__", "identity_columns"): "certificate_from_json_dict",
     ("verify_dilution_counterexample", "max_block_len"): "fsdim verify dilution --max-block-len",
     ("verify_pseudometric_suite", "sample_count"): "fsdim verify pseudometric --samples",
     ("verify_pseudometric_suite", "n_max"): "fsdim verify pseudometric --n-max",

@@ -150,6 +150,22 @@ class TestMulRational:
         pos = mul_rational_mod1(seq, Fraction(1, 4), 4)
         assert neg.digits.prefix(4) == pos.digits.prefix(4)
 
+    @pytest.mark.parametrize("seq, q", [
+        (gen_champernowne(A2, 400), Fraction(-1)),
+        (gen_champernowne(A10, 400), Fraction(-22, 7)),
+        (bare(gen_champernowne(A10, 400).prefix(400)), Fraction(-3, 1000)),
+    ], ids=["base2-minus-one", "base10-minus-22/7", "bare-minus-3/1000"])
+    def test_negative_multiplier_on_nonterminating_streams(self, seq, q):
+        # -q*alpha mod 1 is frac(-|q|*alpha); its block statistics are those of
+        # |q|*alpha (TestNegationInvariance), so the sign goes and nothing else
+        neg, pos = mul_rational_mod1(seq, q, 300), mul_rational_mod1(seq, -q, 300)
+        assert neg.certified_count == pos.certified_count > 0
+        assert neg.digits.prefix(neg.certified_count) == pos.digits.prefix(pos.certified_count)
+        prefix = _numeral(seq.prefix(400), seq.alphabet.k)
+        lo = frac_digits(Fraction(prefix, seq.alphabet.k ** 400) * -q, seq.alphabet.k,
+                         neg.certified_count)
+        assert neg.digits.prefix(neg.certified_count) == lo
+
     def test_composition_consistency(self):
         # multiplying the one-shot |a|/b stream back by b recovers the
         # digits of |a|*alpha mod 1 (always), and div-after-mul agrees with
@@ -183,9 +199,11 @@ class TestMulRational:
     (lambda: div_int(bare([1, 2, 3]), -2, 2), "b must be a positive integer"),
     (lambda: mul_rational_mod1(bare([1, 2, 3]), 0, 2), "q must be nonzero"),
     (lambda: _certified_affine(bare([1, 2, 3]), Fraction(0), Fraction(1, 3), 2),
-     "coefficient must be nonzero"),
+     "coefficient must be positive"),
+    (lambda: _certified_affine(bare([1, 2, 3]), Fraction(-1), Fraction(0), 2),
+     "coefficient must be positive"),
 ], ids=["mul-int-count", "add-count", "div-zero", "div-negative", "mul-q-zero",
-        "affine-coefficient-zero"])
+        "affine-coefficient-zero", "affine-coefficient-negative"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -206,18 +224,10 @@ def test_enclosure_soundness_random_rationals():
             (div_int(stream, b, 256), alpha / b),
             (add_rational_mod1(stream, q, 256), q + alpha),
             (mul_rational_mod1(stream, q, 256), abs(q) * alpha),
-            (_certified_affine(stream, Fraction(-1), Fraction(0), 256), -alpha),
         ]
         for res, exact in cases:
             want = frac_digits(exact, 10, 256)
             assert res.digits.prefix(res.certified_count) == want[:res.certified_count]
-
-
-def test_negation_is_digit_complement_for_nonterminating():
-    seq = gen_champernowne(A2, 400)
-    res = _certified_affine(seq, Fraction(-1), Fraction(0), 300)
-    assert res.certified_count == 300
-    assert res.digits.prefix(300) == bytes(1 - d for d in seq.prefix(300))
 
 
 def test_partial_certification_reports_common_prefix():
