@@ -50,7 +50,7 @@ fsdim gen champernowne --base 2 --order integers --count 100000 --out "$out/int2
 fsdim gen champernowne --base 36 --count 50000 --out "$out/base36.txt"
 fsdim dim --in "$out/int2.txt" --max-block-len 8 \
   --blocks 1000,4000,12500 --report "$out/dim.json"
-# grid rows l > 62 of base 2 count their blocks as l-byte digit strings
+# grid rows l > 62 of base 2 count their blocks by Python-int codes
 fsdim dim --in "$out/int2.txt" --max-block-len 70 \
   --blocks 100,400,1400 --report "$out/dim-long.json"
 fsdim dim --in "$out/champ2.txt" --max-block-len 200 \

@@ -11,6 +11,7 @@ staying honest about finite scale.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,9 +28,9 @@ class BlockDistribution(NamedTuple):
     """The first n aligned l-blocks of one stream, counted: their keys `codes`
     in block order, the observed keys `values` ascending with their positive
     `counts` (which sum to n), and the Shannon entropy of those counts in
-    bits.  Keys are base-k block codes, most significant digit first; grid
-    rows key blocks beyond 62 bits by their l digit bytes (np.void) instead,
-    whose memcmp order is base-k code order."""
+    bits.  Keys are base-k block codes, most significant digit first, at
+    every block length: int32 or int64 arrays up to 62 bits, Python ints (an
+    object array) beyond."""
 
     codes: np.ndarray
     values: np.ndarray
@@ -88,9 +89,7 @@ def block_frequencies(seq: DigitSequence, l: int, n: int) -> BlockDistribution:
     """
     if l < 1 or n < 1:
         raise ValueError("need l >= 1 and n >= 1")
-    codes = block_codes(seq, l, n)
-    (values, counts), = _prefix_counts(codes, seq.alphabet.k ** l, [n])
-    return BlockDistribution(codes, values, counts, _entropy_from_counts(counts, n))
+    return next(_prefix_blocks(seq, l, [n]))
 
 
 # below this many observed codes a Counter groups equal counts faster than numpy
@@ -129,12 +128,9 @@ def _entropy_from_counts(counts, n: int) -> float:
 def _prefix_blocks(seq: DigitSequence, l: int, schedule: Sequence[int]):
     """Yield the BlockDistribution of the first n aligned l-blocks of `seq` for
     each n of the ascending `schedule`, counting the nested prefixes in one pass."""
-    k = seq.alphabet.k
-    if l * math.log2(k) > 62:
-        codes = seq.prefix_array(schedule[-1] * l).view(np.dtype((np.void, l)))
-    else:
-        codes = block_codes(seq, l, schedule[-1])
-    for n, (values, counts) in zip(schedule, _prefix_counts(codes, k ** l, schedule)):
+    codes = block_codes(seq, l, schedule[-1])
+    space = seq.alphabet.k ** l
+    for n, (values, counts) in zip(schedule, _prefix_counts(codes, space, schedule)):
         # read-only: a block table built from the cell keeps these arrays as its own
         values.flags.writeable = counts.flags.writeable = False
         yield BlockDistribution(codes[:n], values, counts, _entropy_from_counts(counts, n))
@@ -188,7 +184,10 @@ def _grid_schedule(max_block_len: int, n_schedule: Sequence[int]) -> List[int]:
     """The sorted distinct block counts of a grid, after checking both axes."""
     if max_block_len < 1:
         raise ValueError("max_block_len must be >= 1")
-    schedule = sorted(set(int(n) for n in n_schedule))
+    try:
+        schedule = sorted(set(map(operator.index, n_schedule)))
+    except TypeError:
+        raise ValueError("n_schedule entries must be integers") from None
     if not schedule or schedule[0] < 1:
         raise ValueError("n_schedule must be nonempty with positive entries")
     return schedule

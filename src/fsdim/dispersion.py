@@ -18,15 +18,14 @@ bound; enough slack always exists), so they are completed greedily.
 Everything is exact; entropies alone are floats.  A certificate is itself a
 transportation plan: positive integer flows B_ij and one positive integer
 mass c_j per explicit column, with a_ij = B_ij / c_j.  Two types hold one,
-each in its natural form.  :class:`SparseStochasticCertificate` holds the
-solver's witnesses, reversals and compositions (n <= MAX_EXACT_DIMENSION,
-so at most n^2 entries) as plain-Python dicts of integers, every column
-explicit.  :class:`BlockCoupling` holds a joint-count table between
-alpha and m*alpha (up to MAX_CERTIFICATE_DIMENSION columns) as int64 arrays
-whose masses are the source block counts, its identity columns implicit.
-Every condition is checked as an equality or comparison of integer sums.
-Fractions appear only where rational entries come in or go out: the
-constructor, the `entries` view and files.
+each in its natural form and each checking itself: a
+:class:`SparseStochasticCertificate` (solver witnesses, reversals and
+compositions, n <= MAX_EXACT_DIMENSION) in plain-Python dicts of integers,
+checked against any pi and mu by :func:`validate_certificate`, and a
+:class:`BlockCoupling` (a joint-count table of alpha and m*alpha) in int64
+arrays, its identity columns implicit, checked against the two block counts
+it was built from.  Every check compares integer sums; Fractions appear only
+where rational entries come in or go out: the constructor, `entries` and files.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,36 +76,22 @@ class ProbabilityVector:
         return self.p[j]
 
 
-class UnobservedColumns(Set):
-    """The codes in range(n) outside `observed`, without listing them.
-
-    Identity columns of a block certificate are the block codes that never
-    occur in the source; this set answers membership, length and iteration
-    from the observed codes alone, kept as an ascending array, so it costs
-    O(observed) memory whatever n is.  It compares equal to any set with the
-    same members.
-    """
+class UnobservedColumns:
+    """The codes in range(n) outside `observed`, without listing them: a block
+    table's identity columns, the block codes that never occur in the source,
+    counted and iterated ascending from the observed codes alone (kept as an
+    ascending array), so in O(observed) memory whatever n is."""
 
     __slots__ = ("n", "observed")
 
-    def __init__(self, n: int, observed: Iterable[int]):
+    def __init__(self, n: int, observed: Sequence[int]):
         self.n = n
-        observed = np.array(observed if isinstance(observed, np.ndarray) else list(observed),
-                            dtype=np.int64)  # a copy: the caller's array may change later
+        observed = np.array(observed, dtype=np.int64)  # a copy: the caller's array may change
         if np.count_nonzero(observed[1:] <= observed[:-1]):  # block tables pass them ascending
             observed = np.unique(observed)
         self.observed = observed
         if len(self.observed) and not (self.observed[0] >= 0 and self.observed[-1] < n):
             raise ValueError(f"observed code outside range({n})")
-
-    def __contains__(self, j) -> bool:
-        # as in a frozenset of ints: a member is any hashable equal to one of them
-        hash(j)
-        try:
-            i = int(j.real)
-        except (AttributeError, TypeError, ValueError, OverflowError):
-            return False
-        return i == j and 0 <= i < self.n and not _in_sorted(np.array([i]), self.observed)[0]
 
     def __len__(self) -> int:
         return self.n - len(self.observed)
@@ -117,18 +101,6 @@ class UnobservedColumns(Set):
         observed = self.observed.tolist()
         return itertools.chain.from_iterable(
             map(range, [0] + [c + 1 for c in observed], observed + [self.n]))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UnobservedColumns):
-            return self.n == other.n and np.array_equal(self.observed, other.observed)
-        if not isinstance(other, Set):
-            return NotImplemented
-        return len(self) == len(other) and all(j in other for j in self)
-
-    @classmethod
-    def _from_iterable(cls, it):
-        # results of set operators are plain frozensets
-        return frozenset(it)
 
     def __repr__(self) -> str:
         return f"UnobservedColumns(n={self.n}, observed={len(self.observed)} codes)"
@@ -140,17 +112,17 @@ class SparseStochasticCertificate:
     Explicit column j has a positive integer mass c_j (`masses`, {j: c_j})
     and its entries positive integer flows B_ij (`flows`, {(i, j): B_ij}), so
     a_ij = B_ij / c_j with each column in lowest terms.  Every column is
-    explicit, so `identity_columns` is empty; only a block table's view
-    (:meth:`BlockCoupling._as_witness`) holds any, for the checks.
-    `declared_m` is the sparsity bound claimed for every row and column.  The
-    constructor converts rational entries {(row, col): value}, column j taking
-    the least common multiple of its denominators as its mass; the solver
-    builds its witnesses, reversals and compositions from integer flows
+    explicit, so `identity_columns` is always empty; only a block table has
+    any.  `declared_m` is the sparsity bound claimed for every row and column.
+    The constructor converts rational entries {(row, col): value}, column j
+    taking the least common multiple of its denominators as its mass; the
+    solver builds its witnesses, reversals and compositions from integer flows
     instead.  Plain Python throughout, for the solver's dimensions
     (n <= MAX_EXACT_DIMENSION); block tables are :class:`BlockCoupling`.
     """
 
-    __slots__ = ("n", "declared_m", "identity_columns", "flows", "masses", "_maxima", "_entries")
+    __slots__ = ("n", "declared_m", "flows", "masses", "_maxima", "_entries")
+    identity_columns = frozenset()
 
     def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int):
         values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
@@ -193,7 +165,7 @@ class SparseStochasticCertificate:
         if any(d > 1 for d in g.values()):
             flows = {key: b // g[key[1]] for key, b in flows.items()}
             masses = {j: c // g[j] for j, c in masses.items()}
-        self.n, self.declared_m, self.identity_columns = n, declared_m, frozenset()
+        self.n, self.declared_m = n, declared_m
         self.flows, self.masses, self._entries = flows, masses, None
         self._maxima = max(rows.values(), default=0), max(cols.values(), default=0)
 
@@ -208,20 +180,12 @@ class SparseStochasticCertificate:
         return self._entries
 
     def support_counts(self) -> Tuple[Counter, Counter]:
-        """Entries per row and per column, identity columns included."""
-        rows = Counter(dict.fromkeys(self.identity_columns, 1))
-        cols = Counter(rows)
-        for i, j in self.flows:
-            rows[i] += 1
-            cols[j] += 1
-        return rows, cols
+        """Entries per row and per column."""
+        return Counter(i for i, _ in self.flows), Counter(j for _, j in self.flows)
 
     def max_degrees(self) -> Tuple[int, int]:
-        """(largest row support, largest column support), identity columns included.
-
-        An identity column j is a column of degree 1 and adds 1 to row j; a
-        row holding only its identity entry has degree 1.
-        """
+        """(largest row support, largest column support); a block table's
+        identity column j counts as a column of degree 1 and adds 1 to row j."""
         return self._maxima
 
     def _columns(self) -> Dict[int, Tuple[int, List[Tuple[int, int]]]]:
@@ -239,17 +203,11 @@ class SparseStochasticCertificate:
 
     def _image(self, pi: Dict, denominators) -> Tuple[Dict[int, int], int]:
         """({row i: (A*pi)_i * L} of the nonzero rows, L), L the least common
-        multiple of the denominators of every pi_j / c_j, of pi on the identity
-        columns and of `denominators`."""
-        masses, weights, hits = self.masses, {}, {}
-        for j, v in pi.items():
-            if j in masses:
-                weights[j] = (v.numerator, v.denominator * masses[j])
-            elif j in self.identity_columns:
-                hits[j] = v
-        scale = math.lcm(*[d for _, d in weights.values()],
-                         *[v.denominator for v in hits.values()], *denominators)
-        image = {j: v.numerator * (scale // v.denominator) for j, v in hits.items()}
+        multiple of the denominators of every pi_j / c_j and of `denominators`."""
+        masses, image = self.masses, {}
+        weights = {j: (v.numerator, v.denominator * masses[j]) for j, v in pi.items()
+                   if j in masses}
+        scale = math.lcm(*[d for _, d in weights.values()], *denominators)
         weights = {j: a * (scale // d) for j, (a, d) in weights.items()}
         for (i, j), b in self.flows.items():
             if j in weights:
@@ -261,16 +219,16 @@ class SparseStochasticCertificate:
         each column's flows against its mass, then A*pi against mu with both
         scaled by the L of :meth:`_image`.  Where several rows or columns break
         a condition, the least index is reported."""
-        n, identity, masses = self.n, self.identity_columns, self.masses
+        n, masses = self.n, self.masses
         sums: Dict[int, int] = {}
         for (_, j), b in self.flows.items():
             sums[j] = sums.get(j, 0) + b
-        # mass and identity columns are disjoint, so coverage is a count
-        covered = len(masses) + len(identity) == n
+        # every mass column is in range(n), so coverage is a count
+        covered = len(masses) == n
         if not covered or sums != masses:
             bad = [j for j, c in masses.items() if sums.get(j) != c]
             if not covered:
-                bad.append(next(j for j in range(n) if j not in masses and j not in identity))
+                bad.append(next(j for j in range(n) if j not in masses))
             j = min(bad)
             return ValidationOutcome(False, "stochastic-columns",
                                      f"column {j} sums to {Fraction(sums[j], masses[j])}"
@@ -331,20 +289,21 @@ def _as_dict(vec, n: int) -> Dict:
     return {j: v for j, v in vec.items() if v}
 
 
-def validate_certificate(cert, pi, mu) -> ValidationOutcome:
+def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> ValidationOutcome:
     """Check conditions (i) columns stochastic, (ii) A*pi = mu, (iii) sparsity.
 
-    `cert` is a :class:`SparseStochasticCertificate` or a :class:`BlockCoupling`;
-    `pi` and `mu` may be :class:`ProbabilityVector`, sequences, or sparse
-    {index: value} dicts (missing indices are zero).  A passing outcome
-    certifies dispersion(pi, mu) <= log2(declared_m).  The first violated
-    condition is reported, at its least row or column index; structurally
-    malformed certificates, and vectors of another dimension or with an index
-    outside range(n), raise instead.  All three are integer checks, each
-    type running its own: :meth:`SparseStochasticCertificate._check` on dicts
-    of Python integers, which a block table runs on its pairs read as such
-    dicts (its :meth:`BlockCoupling.validate` decides on its int64 arrays).
+    `cert` is a :class:`SparseStochasticCertificate`; `pi` and `mu` may be
+    :class:`ProbabilityVector`, sequences, or sparse {index: value} dicts
+    (missing indices are zero).  A passing outcome certifies
+    dispersion(pi, mu) <= log2(declared_m).  The first violated condition is
+    reported, at its least row or column index; structurally malformed
+    certificates, and vectors of another dimension or with an index outside
+    range(n), raise instead, and so does a block table, which checks itself
+    against the block counts it was built from (:meth:`BlockCoupling.validate`).
     """
+    if not isinstance(cert, SparseStochasticCertificate):
+        raise ValueError("validate_certificate takes solver certificates; "
+                         "a block table checks itself: BlockCoupling.validate()")
     return cert._check(pi, mu)
 
 
@@ -504,13 +463,6 @@ def delta_exact(pi, mu) -> DispersionResult:
     return DispersionResult(m_star, math.log2(m_star), witness, method, nodes[0])
 
 
-def _refuse_block_tables(*certs) -> None:
-    """Reversal and composition read a witness's columns, which a block table
-    does not hold as such."""
-    if not all(isinstance(cert, SparseStochasticCertificate) for cert in certs):
-        raise ValueError("reversal and composition take solver certificates")
-
-
 def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStochasticCertificate:
     """Certificate for (pi -> mu) from one for (mu -> pi), same sparsity bound.
 
@@ -520,7 +472,6 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
     empty; it is completed with a single 1 in a row with slack, which always
     exists within the bound.
     """
-    _refuse_block_tables(cert)
     outcome = validate_certificate(cert, mu, pi)
     if not outcome.ok:
         raise ValueError(f"input certificate invalid: {outcome.violation} ({outcome.detail})")
@@ -559,7 +510,6 @@ def compose_certificates(outer: SparseStochasticCertificate, inner: SparseStocha
     `inner` must validate pi -> mu and `outer` mu -> nu; the product's
     support can be smaller than the declared m1*m2 but never larger.
     """
-    _refuse_block_tables(outer, inner)
     if inner.n != outer.n:
         raise ValueError("inner dimension mismatch")
     for cert, src, dst, name in ((inner, pi, mu, "inner"), (outer, mu, nu, "outer")):
@@ -694,27 +644,38 @@ def _all_in(codes: np.ndarray, columns: np.ndarray) -> bool:
         _in_sorted(codes, columns).all())
 
 
+def _spread(keys: np.ndarray, codes: np.ndarray, values) -> np.ndarray:
+    """`values` of the `codes` at their places among the ascending `keys`, 0 elsewhere."""
+    out = np.zeros(len(keys), dtype=np.int64)
+    out[np.searchsorted(keys, codes)] = values
+    return out
+
+
+def _frozen(a) -> np.ndarray:
+    """`a` as a read-only int64 array, as the cells' arrays are: the caller's
+    own array where it is one, else a copy (a view's base would stay writable)."""
+    a = np.asarray(a, dtype=np.int64)
+    a = a if a.flags.owndata else a.copy()
+    a.flags.writeable = False
+    return a
+
+
 class BlockCoupling:
     """The aligned l-block pairs of alpha and m*alpha as a certificate of integer flows.
 
     Column x is a block code among the first `blocks` l-blocks of alpha, its
     mass the number of those blocks equal to x; its flow into row y counts
-    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y,
-    pairs in ascending (x, y) order.  Block codes absent from alpha are the
-    implicit identity columns.  The masses and the image block counts are
-    counted from each code stream on its own, never from the pairs, so the
-    column and row checks compare two independent counts.  Against the block
-    distributions every w_x * L of :func:`validate_certificate` is 1 for
-    L = `blocks` and mu_y * L is the image count of y, the integers
-    :meth:`validate` checks.  `declared_m` is `row_bound` capped at k^l.
+    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y.
+    Block codes absent from alpha are the implicit identity columns
+    (`identity_columns`, an :class:`UnobservedColumns`), so every check costs
+    O(pairs) rather than O(k^l).  `declared_m` is `row_bound` capped at k^l.
 
-    Everything is an int64 array: the read-only pairs `cols` (x), `rows` (y)
-    and `flows` (their counts), and the mass columns `columns` (the observed
-    source codes, ascending) with `masses`.  `identity_columns` is the
-    :class:`UnobservedColumns` of `columns`, so every check costs O(pairs)
-    rather than O(k^l).  It shares `entries` and `max_degrees()` with
-    :class:`SparseStochasticCertificate`, whose checks it runs on the pairs
-    read as that type (:meth:`_as_witness`).
+    Everything is a read-only int64 array: the pairs `cols` (x), `rows` (y)
+    and `flows` (their counts) in ascending (x, y) order, the observed source
+    codes `columns` (ascending) with their `masses`, and the `image_codes`
+    with their `image_counts`.  The marginals are counted from each code
+    stream on its own, never from the pairs, so :meth:`validate` compares two
+    independent counts.  `entries` gives the matrix as Fractions for reading.
     """
 
     __slots__ = ("alphabet", "l", "m", "blocks", "image_codes", "image_counts", "col_bound",
@@ -727,7 +688,7 @@ class BlockCoupling:
         if len(source_codes) != len(source_counts) or len(image_codes) != len(image_counts):
             raise ValueError("block codes and their counts differ in length")
         self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
-        self.image_codes, self.image_counts = image_codes, image_counts
+        self.image_codes, self.image_counts = _frozen(image_codes), _frozen(image_counts)
         self.n = n = _certificate_dimension(alphabet.k, l)
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
         self.declared_m = min(self.row_bound, n)
@@ -736,13 +697,10 @@ class BlockCoupling:
                 or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
             order = np.lexsort((y, x))
             x, y, count = x[order], y[order], count[order]
-        # read-only, as the cells are: the table may hold the caller's own
-        # arrays, but not a view, whose base would still be writable
-        x, y, count = (a if a.flags.owndata else a.copy() for a in (x, y, count))
-        x.flags.writeable = y.flags.writeable = count.flags.writeable = False
+        x, y, count = (_frozen(a) for a in (x, y, count))
         self.rows, self.cols, self.flows = y, x, count
         self.identity_columns = identity = UnobservedColumns(n, source_codes)
-        self.columns, self.masses = identity.observed, np.asarray(source_counts, dtype=np.int64)
+        self.columns, self.masses = identity.observed, _frozen(source_counts)
         self._col_bounds = col_bounds = _bounds(x)
         self._row_order = y.argsort(kind="stable")
         by_row = y[self._row_order]
@@ -786,58 +744,66 @@ class BlockCoupling:
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
-        """{(row, col): a_ij} of the explicit entries, made from the flows on first
-        use.  A view for reading: writing to it changes no flow and no check."""
+        """{(row, col): a_ij} of the explicit entries, made from the flows and
+        masses on first use.  A view for reading: writing to it changes no flow
+        and no check."""
         if self._entries is None:
-            self._entries = self._as_witness().entries
+            masses = self.masses[np.searchsorted(self.columns, self.cols)].tolist()
+            self._entries = {key: Fraction(b, c) for key, b, c in zip(
+                zip(self.rows.tolist(), self.cols.tolist()), self.flows.tolist(), masses)}
         return self._entries
 
     max_degrees = SparseStochasticCertificate.max_degrees
 
-    def _check(self, pi, mu) -> ValidationOutcome:
-        return self._as_witness()._check(pi, mu)
-
-    def _as_witness(self) -> SparseStochasticCertificate:
-        """The table as a :class:`SparseStochasticCertificate` for the checks that
-        take any pi and mu: its pairs and masses as dicts, O(pairs), and its
-        identity columns still implicit."""
-        cert = SparseStochasticCertificate.__new__(SparseStochasticCertificate)
-        cert.n, cert.declared_m, cert._maxima = self.n, self.declared_m, self._maxima
-        cert.identity_columns, cert._entries = self.identity_columns, None
-        cert.flows = dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.flows.tolist()))
-        cert.masses = dict(zip(self.columns.tolist(), self.masses.tolist()))
-        return cert
-
     def validate(self) -> ValidationOutcome:
-        """:func:`validate_certificate` against the two block distributions, then a
-        guard from how multiplication acts on blocks: block j of m*alpha is
+        """Conditions (i)-(iii) of :func:`validate_certificate` against the two
+        block distributions, where every w_x * L is 1 for L = `blocks` and
+        mu_y * L is the image count of y: (i) column sums against the masses,
+        (ii) row sums against the image counts, (iii) row degrees, 1 more in an
+        unobserved row, then column degrees against `declared_m`; each decided
+        and reported on the arrays, at its least failing code.  Then a guard
+        from how multiplication acts on blocks: block j of m*alpha is
         (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
         block j of alpha, so a pair with (y - m*x) mod k^l > m - 1 fails as
         "residue-identity".  Multiplication is thus finite-state on blocks:
         floor(m*tau_j) is a carry in [0, s], s the base-k digit sum of m, plus
-        what the next floor(log_k m) digits of alpha contribute, so each
-        output block is a function of the input block, that carry and those
-        digits.
-
-        Conditions (i)-(iii) are decided on the arrays: each w_x * L is 1, so
-        the column sums must be the masses and the row sums the image counts.
-        Only a table that breaks one takes :meth:`_check` for the reported
-        condition and index."""
+        what the next floor(log_k m) digits of alpha contribute, so each output
+        block is a function of the input block, that carry and those digits."""
         bounds, codes, sums = self._col_bounds, self.cols, self.flows
         if len(bounds) <= len(codes):  # some column holds several entries
             codes, sums = codes[bounds[:-1]], np.add.reduceat(sums, bounds[:-1])
-        image = self.flows[self._row_order]
-        if len(self._row_codes) < len(image):  # some row holds several entries
+        columns, masses = self.columns, self.masses
+        if not (_same(codes, columns) and _same(sums, masses)):
+            # every pair's column is observed, and a column without pairs sums to 0
+            total = _spread(columns, codes, sums)
+            t = int(np.argmax((total != masses) | (total == 0)))
+            return ValidationOutcome(False, "stochastic-columns", f"column {columns[t]} " + (
+                f"sums to {Fraction(int(total[t]), int(masses[t]))}" if total[t]
+                else "has no entries"))
+
+        row_codes, image = self._row_codes, self.flows[self._row_order]
+        if len(row_codes) < len(image):  # some row holds several entries
             image = np.add.reduceat(image, self._row_bounds[:-1])
-        if not (_same(codes, self.columns) and _same(sums, self.masses)
-                and _same(self._row_codes, self.image_codes) and _same(image, self.image_counts)
-                and max(self._maxima) <= self.declared_m):
-            pi, mu = ({x: Fraction(c, self.blocks) for x, c in zip(keys.tolist(), counts.tolist())}
-                      for keys, counts in ((self.columns, self.masses),
-                                           (self.image_codes, self.image_counts)))
-            outcome = self._check(pi, mu)
-            if not outcome.ok:
-                return outcome
+        if not (_same(row_codes, self.image_codes) and _same(image, self.image_counts)):
+            keys = np.union1d(row_codes, self.image_codes)
+            got, want = _spread(keys, row_codes, image), _spread(keys, self.image_codes,
+                                                                 self.image_counts)
+            t = int(np.argmax(got != want))
+            if got[t] != want[t]:  # else the codes differ only where a count is 0
+                return ValidationOutcome(False, "marginal-map", f"(A*pi)[{keys[t]}] = "
+                                         f"{Fraction(int(got[t]), self.blocks)} != "
+                                         f"{Fraction(int(want[t]), self.blocks)}")
+
+        declared = self.declared_m
+        if max(self._maxima) > declared:
+            rows = self._row_bounds[1:] - self._row_bounds[:-1] + ~_in_sorted(row_codes, columns)
+            for name, keys, degrees in (("row", row_codes, rows),
+                                        ("column", codes, bounds[1:] - bounds[:-1])):
+                t = int(np.argmax(degrees > declared))
+                if degrees[t] > declared:
+                    return ValidationOutcome(False, "support-bound", f"{name} {keys[t]} has "
+                                             f"{degrees[t]} > {declared} entries")
+
         residue = self.rows - (self.m % self.n) * self.cols
         residue -= residue // self.n * self.n
         if residue.max(initial=0) >= self.m:

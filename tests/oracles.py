@@ -508,7 +508,7 @@ def validate_certificate_rational(cert, pi, mu):
             raise ValueError(f"vector index outside range({n})")
         vectors.append({j: Fraction(v) for j, v in vec.items() if v})
     pi, mu = vectors
-    identity = cert.identity_columns
+    identity = frozenset(cert.identity_columns)
 
     sums = defaultdict(Fraction)
     for (_, j), v in cert.entries.items():

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from fsdim import (Alphabet, DigitSequence, certificate_bound_bits, dim_estimates,
                    entropy_rate_grid, gen_champernowne, gen_rational_expansion,
-                   integer_multiple_certificate,
-                   validate_certificate, add_rational_mod1, div_int, mul_int_mod1,
+                   integer_multiple_certificate, add_rational_mod1, div_int, mul_int_mod1,
                    mul_rational_mod1, verify_contractivity_suite, verify_dilution_counterexample,
                    verify_pseudometric_suite, verify_rational_arithmetic)
 from oracles import _digit_sum, entropy_from_counts, frac_digits, numpy_block_counts
@@ -53,8 +52,9 @@ def test_criterion_2_contractivity_suite():
 
 
 def test_criterion_3_integer_multiple_certificates():
-    # each table is checked against block counts it did not produce: alpha's
-    # and the certified product's digits, counted by a matrix product and np.unique
+    # each table's marginals are compared with block counts it did not produce,
+    # alpha's and the certified product's digits counted by a matrix product and
+    # np.unique, and the table checks its pairs against those marginals
     start = time.monotonic()
     for k in (2, 10):
         seq = gen_champernowne(Alphabet(k), 100_000)
@@ -67,10 +67,10 @@ def test_criterion_3_integer_multiple_certificates():
                 cert, _, _ = integer_multiple_certificate(seq, m, l, n, product_digits=product)
                 pi, mu = (numpy_block_counts(digits.prefix_array(n * l), k, l, n)
                           for digits in (seq, product))
-                outcome = validate_certificate(
-                    cert,
-                    {x: Fraction(c, n) for x, c in pi.items()},
-                    {y: Fraction(c, n) for y, c in mu.items()})
+                assert dict(zip(cert.columns.tolist(), cert.masses.tolist())) == pi, (k, m, l)
+                assert dict(zip(cert.image_codes.tolist(), cert.image_counts.tolist())) == mu, \
+                    (k, m, l)
+                outcome = cert.validate()
                 assert outcome.ok, (k, m, l, outcome.violation, outcome.detail)
                 row_max, col_max = cert.max_degrees()
                 g = math.gcd(m, k ** l)

@@ -218,8 +218,10 @@ CHAMP_2 = gen_champernowne(Alphabet(2), 64)
     (lambda: shannon_entropy([1.5, -0.5]), "probabilities must be exact rationals"),
     (lambda: dim_estimates(DimensionEstimateGrid(Alphabet(2), 2, (10,))), "empty grid"),
     (lambda: normality_deviation(CHAMP_2, 0, 10), "w_max_len must be >= 1"),
+    (lambda: entropy_rate_grid(CHAMP_2, 3, [2.5, 7.9]), "n_schedule entries must be integers"),
 ], ids=["distribution-n", "frequencies-l", "frequencies-n",
-        "entropy-exact-negative", "entropy-float", "empty-grid", "normality-w"])
+        "entropy-exact-negative", "entropy-float", "empty-grid", "normality-w",
+        "grid-n-not-integer"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

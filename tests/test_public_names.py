@@ -1,8 +1,8 @@
 """Every public name of the package has a caller outside the tests.
 
 A name that only the tests use is code kept for the tests alone.  This lists
-every name in fsdim.__all__ and every public method and property of the two
-certificate types, and looks for a reference to each in the program's own
+every name in fsdim.__all__ and every public method and property of each
+class among them, and looks for a reference to each in the program's own
 Python files: src/fsdim, demos/, scripts/ and perfbench/*.py.  The name's own
 definition does not count, nor does src/fsdim/__init__.py, which only
 re-exports.  A reference is a name or attribute read in code, or a word in a
@@ -57,7 +57,7 @@ def read_words(source: str, skip=range(0)) -> set:
 def public_names() -> dict:
     """{name: (its definition, the word that references it)}."""
     names = {name: (getattr(fsdim, name), name) for name in fsdim.__all__}
-    for cls in (fsdim.SparseStochasticCertificate, fsdim.BlockCoupling):
+    for cls in [value for value, _ in names.values() if inspect.isclass(value)]:
         for attr, value in vars(cls).items():
             if attr.startswith("_"):
                 continue
