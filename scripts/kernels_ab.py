@@ -1,4 +1,4 @@
-"""In-process timings of the digit-to-limb kernels and the exact solver on two source trees.
+"""In-process timings of the digit-to-limb kernels, block tables and the exact solver on two trees.
 
     python3 scripts/kernels_ab.py PARENT_TREE CHANGE_TREE > kernels.json
 
@@ -16,6 +16,13 @@ from NumPy seed 29.  The kernels:
 - mul_int_mod1(., 7) and div_int(., 7) on a bare stream of 200 512 digits,
   and gen_rational_expansion(22/101), all at 200 000 digits, in each base of
   the optional third argument (a comma list; default 2,3,10,13,16,17,20,24,30,36).
+
+Then the block tables, as preserve-k10 builds them: integer_multiple_certificate
+with m = 3 and the product passed precomputed, then validate(), for l = 1..6,
+on the Champernowne base-10 window of 6n + 512 digits from digit 100 000, at
+n = 125 and at n = 1250, after checking that both trees write the same
+certificate file for every cell.  It prints the six cells' time for each n and
+the fixed cost per cell, the time per cell extrapolated to n = 0 from the two.
 
 Then the solver, on the delta-solve pool of seed 1 (CHANGE_TREE's perfbench
 workload; 400 triples pi, mu, nu), as the workload calls it:
@@ -130,6 +137,33 @@ def solver(packages, change: str):
     return out
 
 
+def block_tables(packages):
+    """The block-table timings, after checking that both trees build every table alike."""
+    out, per_n = {}, {}
+    for n in (125, 1250):
+        calls, files = [], []
+        for fsdim in packages:
+            total = 100_000 + 6 * n + 512
+            digits = fsdim.gen_champernowne(fsdim.Alphabet(10), total).prefix(total)[100_000:]
+            seq = fsdim.DigitSequence(fsdim.Alphabet(10), digits)
+            product = fsdim.mul_int_mod1(seq, 3, 6 * n).digits
+
+            def build(l, f=fsdim, s=seq, p=product, n=n):
+                return f.integer_multiple_certificate(s, 3, l, n, product_digits=p)[0]
+            files.append([fsdim.certificate_to_json_dict(build(l)) for l in range(1, 7)])
+            calls.append(lambda build=build: [build(l).validate() for l in range(1, 7)])
+        same_on_both("integer_multiple_certificate", [(3, l, n) for l in range(1, 7)], *files)
+        per_n[n] = best_ms(calls)
+        p, c = per_n[n]
+        out[f"block tables m=3 l=1..6 + validate @ n={n}"] = {
+            "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3)}
+    # t(n) = a + b*n per cell: a from the two block counts
+    p, c = ((per_n[125][i] * 1250 - per_n[1250][i] * 125) / 1125 / 6 for i in (0, 1))
+    out["block table fixed cost per cell"] = {
+        "parent_ms": round(p, 4), "change_ms": round(c, 4), "change_vs_parent": round(c / p - 1, 3)}
+    return out
+
+
 def main(parent: str, change: str, bases):
     packages = load("fsdim_parent", parent), load("fsdim_change", change)
     trees = [(fsdim.digitseq, fsdim.realarith) for fsdim in packages]
@@ -165,6 +199,7 @@ def main(parent: str, change: str, bases):
                [lambda d=d: d.gen_rational_expansion(Fraction(22, 101), d.Alphabet(k), count)
                 for d, _ in trees],
                lambda a, b: a.prefix(count) == b.prefix(count))
+    out.update(block_tables(packages))
     out.update(solver(packages, change))
     print(json.dumps(out, indent=1))
 

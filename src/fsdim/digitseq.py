@@ -9,6 +9,7 @@ which downstream arithmetic uses as an exact fast path.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,9 +87,15 @@ def digits_to_limbs(digits: np.ndarray, k: int, c: int, dtype):
     multiply and shift, and Horner's rule over the c/4 word columns, base k^4,
     builds the limbs.  Other widths take Horner's rule over the uint8 columns,
     from a cast of the first, so no other digit is copied to a wider type.  A
-    partial last limb, under c digits, is built by a plain loop.
+    partial last limb, under c digits, is built by a plain loop.  Python-int
+    limbs (dtype object) of up to 640 digits, the least limit Python may set
+    on int() from text, are each read by one int() from their digit characters.
     """
     n = len(digits)
+    if dtype == object and c <= sys.int_info.str_digits_check_threshold:
+        pad = -n % c
+        text = (digits.tobytes().translate(_VALUE_TO_CHAR) + b"0" * pad).decode("ascii")
+        return np.array([int(text[i:i + c], k) for i in range(0, n + pad, c)], dtype=object), pad
     full = n // c
     limbs = np.empty(-(-n // c), dtype)
     head = limbs[:full]

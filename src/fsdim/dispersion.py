@@ -22,10 +22,11 @@ each in its natural form and each checking itself: a
 :class:`SparseStochasticCertificate` (solver witnesses, reversals and
 compositions, n <= MAX_EXACT_DIMENSION) in plain-Python dicts of integers,
 checked against any pi and mu by :func:`validate_certificate`, and a
-:class:`BlockCoupling` (a joint-count table of alpha and m*alpha) in int64
-arrays, its identity columns implicit, checked against the two block counts
-it was built from.  Every check compares integer sums; Fractions appear only
-where rational entries come in or go out: the constructor, `entries` and files.
+:class:`BlockCoupling` (a joint-count table of alpha and m*alpha) in NumPy
+arrays, built from the two counted cells of alpha and m*alpha, its identity
+columns implicit, checked against the cells' block counts.  Every check
+compares integer sums; Fractions appear only where rational entries come in
+or go out: the constructor, `entries` and files.
 """
 
 from __future__ import annotations
@@ -79,18 +80,18 @@ class ProbabilityVector:
 class UnobservedColumns:
     """The codes in range(n) outside `observed`, without listing them: a block
     table's identity columns, the block codes that never occur in the source,
-    counted and iterated ascending from the observed codes alone (kept as an
-    ascending array), so in O(observed) memory whatever n is."""
+    counted and iterated ascending from the observed codes alone (strictly
+    ascending, as a cell's values are), so in O(observed) memory whatever n is."""
 
     __slots__ = ("n", "observed")
 
     def __init__(self, n: int, observed: Sequence[int]):
         self.n = n
-        observed = np.array(observed, dtype=np.int64)  # a copy: the caller's array may change
-        if np.count_nonzero(observed[1:] <= observed[:-1]):  # block tables pass them ascending
-            observed = np.unique(observed)
-        self.observed = observed
-        if len(self.observed) and not (self.observed[0] >= 0 and self.observed[-1] < n):
+        # a copy: the caller's array may change
+        self.observed = observed = np.array(observed, dtype=np.int64)
+        if np.count_nonzero(observed[1:] <= observed[:-1]):
+            raise ValueError("observed codes are not strictly ascending")
+        if len(observed) and not (observed[0] >= 0 and observed[-1] < n):
             raise ValueError(f"observed code outside range({n})")
 
     def __len__(self) -> int:
@@ -651,30 +652,25 @@ def _spread(keys: np.ndarray, codes: np.ndarray, values) -> np.ndarray:
     return out
 
 
-def _frozen(a) -> np.ndarray:
-    """`a` as a read-only int64 array, as the cells' arrays are: the caller's
-    own array where it is one, else a copy (a view's base would stay writable)."""
-    a = np.asarray(a, dtype=np.int64)
-    a = a if a.flags.owndata else a.copy()
-    a.flags.writeable = False
-    return a
-
-
 class BlockCoupling:
     """The aligned l-block pairs of alpha and m*alpha as a certificate of integer flows.
 
-    Column x is a block code among the first `blocks` l-blocks of alpha, its
-    mass the number of those blocks equal to x; its flow into row y counts
-    the blocks j < `blocks` with block_j(alpha) = x and block_j(m*alpha) = y.
-    Block codes absent from alpha are the implicit identity columns
-    (`identity_columns`, an :class:`UnobservedColumns`), so every check costs
-    O(pairs) rather than O(k^l).  `declared_m` is `row_bound` capped at k^l.
+    Built from the two counted cells of one (l, n), `source` (alpha) and
+    `image` (m*alpha): column x is a block code among the first `blocks` = n
+    l-blocks of alpha, its mass the number of those blocks equal to x; its
+    flow into row y counts the blocks j < n with block_j(alpha) = x and
+    block_j(m*alpha) = y.  Block codes absent from alpha are the implicit
+    identity columns (`identity_columns`, an :class:`UnobservedColumns`), so
+    every check costs O(pairs) rather than O(k^l).  `declared_m` is
+    `row_bound` capped at k^l.
 
-    Everything is a read-only int64 array: the pairs `cols` (x), `rows` (y)
-    and `flows` (their counts) in ascending (x, y) order, the observed source
-    codes `columns` (ascending) with their `masses`, and the `image_codes`
-    with their `image_counts`.  The marginals are counted from each code
-    stream on its own, never from the pairs, so :meth:`validate` compares two
+    The pairs `cols` (x), `rows` (y) and `flows` (their counts) are read-only
+    int64 arrays in ascending (x, y) order, counted by one in-place sort of
+    the keys x*k^l + y of the cells' codes.  The observed source codes
+    `columns` with their `masses`, and the `image_codes` with their
+    `image_counts`, are the cells' own values and counts, which the counting
+    plan makes read-only.  The marginals are counted from each code stream on
+    its own, never from the pairs, so :meth:`validate` compares two
     independent counts.  `entries` gives the matrix as Fractions for reading.
     """
 
@@ -683,32 +679,39 @@ class BlockCoupling:
                  "columns", "masses", "_col_bounds", "_row_order", "_row_bounds", "_row_codes",
                  "_maxima", "_entries")
 
-    def __init__(self, alphabet: Alphabet, l: int, m: int, blocks: int, x, y, count,
-                 source_codes, source_counts, image_codes, image_counts):
-        if len(source_codes) != len(source_counts) or len(image_codes) != len(image_counts):
-            raise ValueError("block codes and their counts differ in length")
-        self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, blocks
-        self.image_codes, self.image_counts = _frozen(image_codes), _frozen(image_counts)
+    def __init__(self, alphabet: Alphabet, l: int, m: int, source: BlockDistribution,
+                 image: BlockDistribution):
         self.n = n = _certificate_dimension(alphabet.k, l)
+        if source.n != image.n:
+            raise ValueError("source and image cells count different numbers of blocks")
+        for cell in (source, image):
+            if len(cell.values) != len(cell.counts):
+                raise ValueError("block codes and their counts differ in length")
+            if cell.n and not (cell.codes.min() >= 0 and cell.codes.max() < n):
+                raise ValueError(f"block code outside range({n})")
+        self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, source.n
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)
         self.declared_m = min(self.row_bound, n)
-        x, y, count = (np.asarray(a, dtype=np.int64) for a in (x, y, count))
-        if (np.count_nonzero(x[1:] < x[:-1])
-                or np.count_nonzero((x[1:] == x[:-1]) & (y[1:] <= y[:-1]))):
-            order = np.lexsort((y, x))
-            x, y, count = x[order], y[order], count[order]
-        x, y, count = (_frozen(a) for a in (x, y, count))
+        self.identity_columns = identity = UnobservedColumns(n, source.values)
+        self.columns, self.masses = source.values, source.counts
+        self.image_codes, self.image_counts = image.values, image.counts
+        keys = source.codes.astype(np.int64)
+        keys *= n
+        keys += image.codes
+        keys.sort()
+        bounds = _bounds(keys)
+        y, count = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+        del keys, bounds  # free the keys before the table groups its pairs
+        x = y // n  # numpy divides by a scalar faster than it takes a remainder
+        y -= x * n
+        for a in (x, y, count):
+            a.flags.writeable = False
         self.rows, self.cols, self.flows = y, x, count
-        self.identity_columns = identity = UnobservedColumns(n, source_codes)
-        self.columns, self.masses = identity.observed, _frozen(source_counts)
         self._col_bounds = col_bounds = _bounds(x)
         self._row_order = y.argsort(kind="stable")
         by_row = y[self._row_order]
         self._row_bounds = row_bounds = _bounds(by_row)
         self._row_codes = row_codes = by_row[row_bounds[:-1]]
-        if len(x) and (min(x[0], row_codes[0]) < 0 or max(x[-1], row_codes[-1]) >= n
-                       or count.min() < 1):
-            raise ValueError(f"entry outside range({n}) or flow not positive")
         if not _all_in(x[col_bounds[:-1]], self.columns):  # a code not observed is an identity
             raise ValueError("identity columns collide with explicit entries")
         row_degrees = row_bounds[1:] - row_bounds[:-1]
@@ -721,26 +724,6 @@ class BlockCoupling:
             col_max = max(col_max, 1)
         self._maxima = row_max, col_max
         self._entries = None
-
-    @classmethod
-    def from_codes(cls, alphabet: Alphabet, l: int, m: int, source: BlockDistribution,
-                   image: BlockDistribution) -> "BlockCoupling":
-        """The table of two counted cells of n = source.n blocks: the
-        aligned pairs are counted by one in-place sort of the keys x*k^l + y of
-        the cells' codes, and the masses and the image counts are the cells'
-        own values and counts."""
-        dimension = _certificate_dimension(alphabet.k, l)
-        keys = source.codes.astype(np.int64)
-        keys *= dimension
-        keys += image.codes
-        keys.sort()
-        bounds = _bounds(keys)
-        y, counts = keys[bounds[:-1]], bounds[1:] - bounds[:-1]
-        del keys, bounds  # free the keys before the table groups its pairs
-        x = y // dimension  # numpy divides by a scalar faster than it takes a remainder
-        y -= x * dimension
-        return cls(alphabet, l, m, source.n, x, y, counts, source.values, source.counts,
-                   image.values, image.counts)
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
@@ -849,4 +832,4 @@ def integer_multiple_certificate(seq: DigitSequence, m: int, l: int, n: int,
             f"precomputed product covers {product_digits.length_available} "
             f"of {n * l} digits")
     (source,), (image,) = _prefix_blocks(seq, l, [n]), _prefix_blocks(product_digits, l, [n])
-    return BlockCoupling.from_codes(seq.alphabet, l, m, source, image), source, image
+    return BlockCoupling(seq.alphabet, l, m, source, image), source, image

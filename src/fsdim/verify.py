@@ -95,7 +95,7 @@ def _certificate_cell(leg: str, m: int, source: BlockDistribution,
     its product frac(m * stream): an integer joint-count table checked against
     the plan's marginals, with the plan's entropies.  Appends its record and
     any violation."""
-    table = BlockCoupling.from_codes(alphabet, l, m, source, image)
+    table = BlockCoupling(alphabet, l, m, source, image)
     bound = math.log2(table.row_bound)
     h_a, h_b = source.bits, image.bits
     outcome = table.validate()

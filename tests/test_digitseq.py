@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fsdim import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
@@ -391,8 +391,14 @@ def limb_layouts(draw):
     return k, c, dtype, np.frombuffer(bytes([0] + digits), np.uint8)[1:]
 
 
+# Python-int limbs past 640 digits, where int() from text may be refused, take Horner's rule
+LONG_LIMBS = np.frombuffer(bytes(random.Random(640).choices(range(10), k=3 * 641 + 5)), np.uint8)
+
+
 @settings(FILE_SETTINGS, max_examples=300)
 @given(limb_layouts())
+@example((10, 640, object, LONG_LIMBS))
+@example((10, 641, object, LONG_LIMBS))
 def test_digits_to_limbs_matches_numeral(layout):
     k, c, dtype, digits = layout
     limbs, pad = digits_to_limbs(digits, k, c, dtype)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fsdim import (Alphabet, DigitSequence, InsufficientDigitsError, ProbabilityVector,
-                   SparseStochasticCertificate, UnresolvedCarryError,
+from fsdim import (Alphabet, BlockDistribution, DigitSequence, InsufficientDigitsError,
+                   ProbabilityVector, SparseStochasticCertificate, UnresolvedCarryError,
                    block_distribution_as_code_vector, build_banded_worst_case,
                    certificate_bound_bits, certificate_to_json_dict,
                    compose_certificates, delta_exact,
@@ -508,6 +508,8 @@ TABLE_REFUSED = (r"validate_certificate takes solver certificates; "
 
 @pytest.mark.parametrize("call,message", [
     (lambda: UnobservedColumns(4, [1, 4]), r"observed code outside range\(4\)"),
+    (lambda: UnobservedColumns(4, [2, 1]), "observed codes are not strictly ascending"),
+    (lambda: UnobservedColumns(4, [1, 1, 2]), "observed codes are not strictly ascending"),
     (lambda: SparseStochasticCertificate(0, {}, 1), "dimension and declared_m must be positive"),
     (lambda: SparseStochasticCertificate(2, {(0, 0): F(1)}, 0),
      "dimension and declared_m must be positive"),
@@ -533,11 +535,11 @@ TABLE_REFUSED = (r"validate_certificate takes solver certificates; "
     (lambda: compose_certificates(TABLE_100, TABLE_100, HALVES, HALVES, HALVES), TABLE_REFUSED),
     (lambda: build_banded_worst_case(3, 4), "need 1 <= m <= n"),
     (lambda: build_banded_worst_case(3, 0), "need 1 <= m <= n"),
-], ids=["observed-code", "zero-dimension", "zero-declared-m", "entry-outside",
-        "vector-dimension", "witness-vector-index", "table-vector-index",
-        "reference-witness-vector-index", "reference-table-vector-index", "solver-dimensions",
-        "compose-dimensions", "compose-invalid-inner", "reverse-table", "compose-table",
-        "banded-m-above-n", "banded-m-zero"])
+], ids=["observed-code", "unsorted-observed", "repeated-observed", "zero-dimension",
+        "zero-declared-m", "entry-outside", "vector-dimension", "witness-vector-index",
+        "table-vector-index", "reference-witness-vector-index", "reference-table-vector-index",
+        "solver-dimensions", "compose-dimensions", "compose-invalid-inner", "reverse-table",
+        "compose-table", "banded-m-above-n", "banded-m-zero"])
 def test_refuses_bad_arguments(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -767,47 +769,45 @@ def test_block_table_cannot_change_through_its_cells():
 
 
 def test_block_table_cannot_change_through_its_pairs():
-    # pair and marginal arrays arriving as int64 in (x, y) order are kept, not
-    # copied: they are read-only
-    x, y, count = np.array([0, 1]), np.array([0, 1]), np.array([1, 1])
-    masses, image_codes, image_counts = np.array([1, 1]), np.array([0, 1]), np.array([1, 1])
-    table = BlockCoupling(Alphabet(10), 1, 1, 2, x, y, count, [0, 1], masses, image_codes,
-                          image_counts)
-    for array, value in ((y, 5), (count, 7), (masses, 5), (image_codes, 3), (image_counts, 2)):
+    # the table counts its pairs from the cells' codes into arrays of its own: they are read-only
+    table = integer_multiple_certificate(gen_champernowne(Alphabet(10), 5000), 3, 2, 400)[0]
+    for array in (table.rows, table.cols, table.flows):
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = value
-    assert table.rows.tolist() == [0, 1] and table.validate().ok
-
-
-@pytest.mark.parametrize("name", ["masses", "image_codes", "image_counts"])
-def test_block_table_holds_its_marginals_as_its_own_arrays(name):
-    # lists, views and other integer types are copied into read-only int64 arrays
-    source = np.array([1, 9, 1, 9])
-    table = BlockCoupling(Alphabet(10), 1, 1, 2, [0, 1], [0, 1], [1, 1], [0, 1], source[::2],
-                          [0, 1], np.array([1, 1], dtype=np.int32))
-    array = getattr(table, name)
-    assert type(array) is np.ndarray and array.dtype == np.int64 and not array.flags.writeable
-    source[0] = 5
+            array[0] = 5
     assert table.validate().ok
 
 
-@pytest.mark.parametrize("source_counts, image_counts", [([1], [1, 1]), ([1, 1], [2])])
-def test_block_table_refuses_codes_and_counts_of_different_lengths(source_counts, image_counts):
-    with pytest.raises(ValueError, match="^block codes and their counts differ in length$"):
-        BlockCoupling(Alphabet(10), 1, 1, 2, [0, 1], [0, 1], [1, 1], [0, 1], source_counts,
-                      [0, 1], image_counts)
+def hand_cell(codes, values, counts) -> BlockDistribution:
+    """A cell holding `codes` and the marginal `values`, `counts` (its entropy is not read)."""
+    return BlockDistribution(*(np.asarray(a, dtype=np.int64) for a in (codes, values, counts)),
+                             0.0)
+
+
+PAIRED = hand_cell([0, 1, 1], [0, 1], [1, 2])
+
+
+@pytest.mark.parametrize("source, image, message", [
+    (hand_cell([0, 1], [0, 1], [1]), hand_cell([0, 1], [0, 1], [1, 1]),
+     "block codes and their counts differ in length"),
+    (hand_cell([0, 1], [0, 1], [1, 1]), hand_cell([0, 1], [0, 1], [2]),
+     "block codes and their counts differ in length"),
+    # code 1 counted 2 and code 0 counted 1, listed in that order: the masses
+    # would land on the wrong columns
+    (hand_cell([1, 0, 1], [1, 0], [2, 1]), PAIRED, "observed codes are not strictly ascending"),
+    (hand_cell([0, 1, 1], [0, 1, 1], [1, 1, 1]), PAIRED,
+     "observed codes are not strictly ascending"),
+    (hand_cell([0, 2, 1], [0, 1, 2], [1, 1, 1]), PAIRED, r"block code outside range\(2\)"),
+    (PAIRED, hand_cell([0, -1, 1], [-1, 0, 1], [1, 1, 1]), r"block code outside range\(2\)"),
+    (PAIRED, hand_cell([0, 1], [0, 1], [1, 1]),
+     "source and image cells count different numbers of blocks"),
+], ids=["source-counts", "image-counts", "unsorted-observed", "repeated-observed",
+        "source-code", "image-code", "block-counts"])
+def test_block_table_refuses_malformed_cells(source, image, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlockCoupling(Alphabet(2), 1, 1, source, image)
 
 
 def test_column_with_entries_but_no_mass_is_named():
     # flows in a column without a mass are refused by name, not with a KeyError
     with pytest.raises(ValueError, match="column 1 has entries but no mass"):
         SparseStochasticCertificate._from_flows(3, {(0, 0): 1, (1, 1): 1, (2, 2): 1}, {0: 1}, 1)
-
-
-def test_block_table_cannot_change_through_views_of_its_pairs():
-    # pair arrays that are views are copied: their base stays writable
-    base = np.array([0, 1, 2])
-    table = BlockCoupling(Alphabet(10), 1, 1, 2, base[:2], base[:2], np.ones(2, dtype=np.int64),
-                          [0, 1], [1, 1], [0, 1], [1, 1])
-    base[1] = 5
-    assert table.rows.tolist() == table.cols.tolist() == [0, 1] and table.validate().ok

@@ -2,8 +2,8 @@
 
 A parameter with a default is a setting.  Settings that no program sets are
 deleted, so this lists every defaulted parameter of the functions in
-fsdim.__all__, of the certificate constructor and of the block table's two
-constructors, and compares the list with the allowlist below, which names
+fsdim.__all__, of the certificate constructor and of the block table's
+constructor, and compares the list with the allowlist below, which names
 for each entry the caller that sets it.  A new option fails here until it
 has such a caller.
 """
@@ -31,7 +31,6 @@ def public_callables():
                  if inspect.isfunction(getattr(fsdim, name))}
     functions["SparseStochasticCertificate.__init__"] = fsdim.SparseStochasticCertificate.__init__
     functions["BlockCoupling.__init__"] = fsdim.BlockCoupling.__init__
-    functions["BlockCoupling.from_codes"] = fsdim.BlockCoupling.from_codes
     return functions
 
 
