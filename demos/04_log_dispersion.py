@@ -40,13 +40,11 @@ print("composed witness validates :", validate_certificate(comp, pi, nu).ok,
 
 # The banded matrix is the extremal m-sparse spreader: applied to the
 # sorted source it majorizes any m-sparse image, forcing the entropy chain.
-p4 = ProbabilityVector((F(2, 5), F(3, 10), F(1, 5), F(1, 10)))
-banded = build_banded_worst_case(4, 2)
-spread = banded.apply(list(p4.p))
-r_vec = tuple(spread.get(i, F(0)) for i in range(4))
-print("banded spread of p         :", [str(x) for x in r_vec])
+p4 = ProbabilityVector((F(2, 5), F(3, 10), F(1, 5), F(1, 10)))  # sorted descending
+spread = build_banded_worst_case(4, 2).apply(p4)
+print("banded spread of p         :", [str(x) for x in spread])
 print("spread majorizes uniform-ish images:",
-      majorizes(r_vec, (F(3, 10), F(3, 10), F(1, 5), F(1, 5))))
+      majorizes(spread, (F(3, 10), F(3, 10), F(1, 5), F(1, 5))))
 print("H(p) =", round(shannon_entropy(p4), 4),
-      "<= H(spread) + log2(2) =", round(shannon_entropy(ProbabilityVector(r_vec)) + 1, 4),
+      "<= H(spread) + log2(2) =", round(shannon_entropy(spread) + 1, 4),
       "(the sparse spreader can lower entropy by at most 1 bit)")

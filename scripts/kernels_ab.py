@@ -36,9 +36,15 @@ workload; 400 triples pi, mu, nu), as the workload calls it:
   compose_certificates (the mu -> nu witness after the pi -> mu one) over
   every triple, each tree on its own witnesses, after checking that both
   trees write the same certificate file for every reversal and composition;
-  it prints the minimum over 11 interleaved passes in milliseconds.
+  it prints the minimum over 11 interleaved passes in milliseconds;
+- one pass of validate_certificate over the three witnesses of every triple,
+  each against its own pi and mu, as every solve, reversal and composition
+  checks its output, after checking that both trees give every check the
+  same outcome; it prints the minimum over 11 interleaved passes in
+  milliseconds.
 """
 
+import dataclasses
 import importlib.util
 import json
 import resource
@@ -103,7 +109,7 @@ def solver(packages, change: str):
     """The solver timings on the pool, after checking that both trees solve it alike."""
     pool = solver_pool(change)
     pairs = [(a, b) for pi, mu, nu in pool for a, b in ((pi, mu), (mu, pi), (mu, nu))]
-    solves, reversals, compositions = [], [], []
+    solves, reversals, compositions, validations = [], [], [], []
     for fsdim in packages:
         vectors = [tuple(map(fsdim.ProbabilityVector, triple)) for triple in pool]
         results = [[fsdim.delta_exact(a, b) for a, b in ((pi, mu), (mu, pi), (mu, nu))]
@@ -117,23 +123,29 @@ def solver(packages, change: str):
                    for (pi, mu, _), (_, r2, _) in zip(vectors, results)]
         compose = [(fsdim.compose_certificates, (r3.witness, r1.witness, pi, mu, nu))
                    for (pi, mu, nu), (r1, _, r3) in zip(vectors, results)]
-        for calls, out in ((reverse, reversals), (compose, compositions)):
-            out.append(([to_json(f(*args)) for f, args in calls],
+        validate = [(fsdim.validate_certificate, (r.witness, a, b))
+                    for (pi, mu, nu), (r1, r2, r3) in zip(vectors, results)
+                    for r, a, b in ((r1, pi, mu), (r2, mu, pi), (r3, mu, nu))]
+        for calls, out, form in ((reverse, reversals, to_json), (compose, compositions, to_json),
+                                 (validate, validations, dataclasses.astuple)):
+            out.append(([form(f(*args)) for f, args in calls],
                         lambda calls=calls: [f(*args) for f, args in calls]))
     same_on_both("delta_exact", pairs, solves[0][0], solves[1][0])
     same_on_both("reverse_certificate", pool, reversals[0][0], reversals[1][0])
     same_on_both("compose_certificates", pool, compositions[0][0], compositions[1][0])
+    same_on_both("validate_certificate", pairs, validations[0][0], validations[1][0])
     nodes = sum(r[2] for r in solves[0][0])
     p, c = best_ms([call for _, call in solves])
     out = {"delta_exact pass @ delta-solve seed 1": {
         "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
         "solves": len(pairs), "nodes": nodes, "parent_nodes_per_s": round(nodes / p * 1e3),
         "change_nodes_per_s": round(nodes / c * 1e3)}}
-    for label, runs in (("reverse_certificate", reversals), ("compose_certificates", compositions)):
+    for label, runs in (("reverse_certificate", reversals), ("compose_certificates", compositions),
+                        ("validate_certificate", validations)):
         p, c = best_ms([call for _, call in runs])
         out[f"{label} pass @ delta-solve seed 1"] = {
             "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3),
-            "calls": len(pool)}
+            "calls": len(runs[0][0])}
     return out
 
 

@@ -9,14 +9,14 @@ make dimension preservation under rational arithmetic checkable at finite
 scale.
 """
 
-from .blockstats import (BlockDistribution, DimensionEstimateGrid, GridEntry,
+from .blockstats import (BlockDistribution, DimensionEstimateGrid, GridEntry, ProbabilityVector,
                          block_frequencies, dim_estimates, entropy_rate_grid,
                          normality_deviation, shannon_entropy)
 from .digitseq import (Alphabet, DigitFileError, DigitSequence, InsufficientDigitsError,
                        gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, select_progression, write_digit_file)
-from .dispersion import (BlockCoupling, DispersionResult, ProbabilityVector,
-                         SparseStochasticCertificate, UnobservedColumns, ValidationOutcome,
+from .dispersion import (BlockCoupling, DispersionResult, SparseStochasticCertificate,
+                         UnobservedColumns, ValidationOutcome,
                          block_distribution_as_code_vector,
                          build_banded_worst_case, certificate_bound_bits,
                          certificate_to_json_dict,

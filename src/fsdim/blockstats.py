@@ -15,7 +15,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,22 +136,52 @@ def _prefix_blocks(seq: DigitSequence, l: int, schedule: Sequence[int]):
         yield BlockDistribution(codes[:n], values, counts, _entropy_from_counts(counts, n))
 
 
-def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits of exact probabilities, with the 0*log(1/0) = 0 convention.
+@dataclass(frozen=True)
+class ProbabilityVector:
+    """Exact rational probability vector, and the one rule for what is one:
+    entries are exact rationals (Fractions or ints, held as Fractions), none
+    negative, summing to exactly 1.  A dict is refused, since a vector lists
+    every entry."""
 
-    Takes a vector of Fractions (or ints), or anything holding one under a
-    ``p`` attribute; the entries must be nonnegative and sum to exactly 1.
-    A :class:`BlockDistribution` carries its entropy as ``bits``.
+    p: Tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if isinstance(self.p, dict):
+            raise ValueError("probabilities must be a sequence, not a dict")
+        p = tuple(self.p)
+        if not all(isinstance(x, (Fraction, int)) for x in p):
+            raise ValueError("probabilities must be exact rationals")
+        if any(x < 0 for x in p):
+            raise ValueError("negative probability")
+        if sum(p) != 1:
+            raise ValueError(f"probabilities sum to {sum(p)}, expected exactly 1")
+        object.__setattr__(self, "p", tuple(x if type(x) is Fraction else Fraction(x) for x in p))
+
+    @property
+    def n(self) -> int:
+        return len(self.p)
+
+    def __getitem__(self, j: int) -> Fraction:
+        return self.p[j]
+
+
+def _probability_vector(vec, n: Optional[int] = None) -> ProbabilityVector:
+    """`vec` itself if it is a ProbabilityVector, else the ProbabilityVector of
+    its entries; of dimension `n` where one is given."""
+    if not isinstance(vec, ProbabilityVector):
+        vec = ProbabilityVector(vec)
+    if n is not None and vec.n != n:
+        raise ValueError(f"dimension mismatch: {n} vs {vec.n}")
+    return vec
+
+
+def shannon_entropy(dist) -> float:
+    """Shannon entropy in bits of a probability vector (a :class:`ProbabilityVector`,
+    or a sequence read as one), with the 0*log(1/0) = 0 convention.  A
+    :class:`BlockDistribution` carries its entropy as ``bits``.
     """
-    probs = list(dist.p) if hasattr(dist, "p") else list(dist)
-    if not all(isinstance(p, (Fraction, int)) for p in probs):
-        raise ValueError("probabilities must be exact rationals")
-    total = sum(probs)
-    if total != 1:
-        raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-    if any(p < 0 for p in probs):
-        raise ValueError("negative probability")
-    return max(math.fsum(-float(p) * math.log2(float(p)) for p in probs if p > 0), 0.0)
+    return max(math.fsum(-float(p) * math.log2(float(p))
+                         for p in _probability_vector(dist).p if p > 0), 0.0)
 
 
 @dataclass

@@ -15,11 +15,11 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .blockstats import dim_estimates, entropy_rate_grid
+from .blockstats import ProbabilityVector, dim_estimates, entropy_rate_grid
 from .digitseq import (Alphabet, gen_champernowne, gen_dilution, gen_rational_expansion,
                        read_digit_file, write_digit_file)
-from .dispersion import (ProbabilityVector, certificate_bound_bits, certificate_to_json_dict,
-                         delta_exact, integer_multiple_certificate)
+from .dispersion import (certificate_bound_bits, certificate_to_json_dict, delta_exact,
+                         integer_multiple_certificate)
 from .realarith import (UnresolvedCarryError, add_rational_mod1, div_int, mul_int_mod1,
                         mul_rational_mod1)
 from .verify import (verify_contractivity_suite, verify_dilution_counterexample,

@@ -25,8 +25,9 @@ checked against any pi and mu by :func:`validate_certificate`, and a
 :class:`BlockCoupling` (a joint-count table of alpha and m*alpha) in NumPy
 arrays, built from the two counted cells of alpha and m*alpha, its identity
 columns implicit, checked against the cells' block counts.  Every check
-compares integer sums; Fractions appear only where rational entries come in
-or go out: the constructor, `entries` and files.
+compares integer sums; Fractions appear only in the probability vectors pi
+and mu, each a :class:`ProbabilityVector`, and where entries go out:
+`entries` and files.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blockstats import BlockDistribution, _prefix_blocks
+from .blockstats import BlockDistribution, ProbabilityVector, _prefix_blocks, _probability_vector
 from .digitseq import Alphabet, DigitSequence
 from .realarith import UnresolvedCarryError, mul_int_mod1
 
@@ -54,27 +55,6 @@ MAX_CERTIFICATE_DIMENSION = 16_777_216
 # upper bound: a count, so the same inputs give the same result under any load
 MAX_EXACT_DIMENSION = 6
 SEARCH_NODE_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Exact rational probability vector: entries >= 0 summing to exactly 1."""
-
-    p: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", tuple(Fraction(x) for x in self.p))
-        if any(x < 0 for x in self.p):
-            raise ValueError("negative probability")
-        if sum(self.p) != 1:
-            raise ValueError(f"entries sum to {sum(self.p)}, expected exactly 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.p)
-
-    def __getitem__(self, j: int) -> Fraction:
-        return self.p[j]
 
 
 class UnobservedColumns:
@@ -115,41 +95,22 @@ class SparseStochasticCertificate:
     a_ij = B_ij / c_j with each column in lowest terms.  Every column is
     explicit, so `identity_columns` is always empty; only a block table has
     any.  `declared_m` is the sparsity bound claimed for every row and column.
-    The constructor converts rational entries {(row, col): value}, column j
-    taking the least common multiple of its denominators as its mass; the
-    solver builds its witnesses, reversals and compositions from integer flows
-    instead.  Plain Python throughout, for the solver's dimensions
+    Plain Python throughout, for the solver's dimensions
     (n <= MAX_EXACT_DIMENSION); block tables are :class:`BlockCoupling`.
     """
 
     __slots__ = ("n", "declared_m", "flows", "masses", "_maxima", "_entries")
     identity_columns = frozenset()
 
-    def __init__(self, n: int, entries: Dict[Tuple[int, int], Fraction], declared_m: int):
-        values = {key: v if type(v) is Fraction else Fraction(v) for key, v in entries.items()}
-        mass: Dict[int, int] = {}
-        for (_, j), v in values.items():
-            mass[j] = math.lcm(mass.get(j, 1), v.denominator)
-        self._set(n, declared_m,
-                  {key: v.numerator * (mass[key[1]] // v.denominator) for key, v in values.items()},
-                  mass)
-        self._entries = values
-
-    @classmethod
-    def _from_flows(cls, n: int, flows: Dict[Tuple[int, int], int], masses: Dict[int, int],
-                    declared_m: int) -> "SparseStochasticCertificate":
-        """The certificate of positive integer flows over positive masses."""
-        cert = cls.__new__(cls)
-        cert._set(n, declared_m, flows, masses)
-        return cert
-
-    def _set(self, n: int, declared_m: int, flows: Dict[Tuple[int, int], int],
-             masses: Dict[int, int]) -> None:
+    def __init__(self, n: int, flows: Dict[Tuple[int, int], int], masses: Dict[int, int],
+                 declared_m: int):
         """Hold the flows over the masses of their columns after checking their
         structure, each column divided by the gcd of its mass and flows, so that
         equal entries are equal flows and masses however they were made."""
         if n < 1 or declared_m < 1:
             raise ValueError("dimension and declared_m must be positive")
+        if not all(0 <= j < n and c > 0 for j, c in masses.items()):
+            raise ValueError(f"mass outside range({n}) or not positive")
         rows: Dict[int, int] = {}
         cols: Dict[int, int] = {}
         g = dict(masses)
@@ -172,9 +133,9 @@ class SparseStochasticCertificate:
 
     @property
     def entries(self) -> Dict[Tuple[int, int], Fraction]:
-        """{(row, col): a_ij} of the explicit entries, kept from the constructor or
-        made from the flows on first use.  A view for reading: writing to it
-        changes no flow and no check."""
+        """{(row, col): a_ij} of the explicit entries, made from the flows on
+        first use.  A view for reading: writing to it changes no flow and no
+        check."""
         if self._entries is None:
             self._entries = {key: Fraction(b, self.masses[key[1]])
                              for key, b in self.flows.items()}
@@ -197,17 +158,17 @@ class SparseStochasticCertificate:
             columns[j][1].append((i, b))
         return columns
 
-    def apply(self, pi) -> Dict[int, Fraction]:
-        """Sparse product A*pi as {row: value}, rows ascending, zero rows omitted."""
-        image, scale = self._image(_as_dict(pi, self.n), ())
-        return {i: Fraction(image[i], scale) for i in sorted(image)}
+    def apply(self, pi) -> Tuple[Fraction, ...]:
+        """The product A*pi of a probability vector pi: its n rows, zeros included."""
+        image, scale = self._image(_probability_vector(pi, self.n), ())
+        return tuple(Fraction(image.get(i, 0), scale) for i in range(self.n))
 
-    def _image(self, pi: Dict, denominators) -> Tuple[Dict[int, int], int]:
+    def _image(self, pi: ProbabilityVector, denominators) -> Tuple[Dict[int, int], int]:
         """({row i: (A*pi)_i * L} of the nonzero rows, L), L the least common
         multiple of the denominators of every pi_j / c_j and of `denominators`."""
-        masses, image = self.masses, {}
-        weights = {j: (v.numerator, v.denominator * masses[j]) for j, v in pi.items()
-                   if j in masses}
+        p, image = pi.p, {}
+        weights = {j: (p[j].numerator, p[j].denominator * c) for j, c in self.masses.items()
+                   if p[j]}
         scale = math.lcm(*[d for _, d in weights.values()], *denominators)
         weights = {j: a * (scale // d) for j, (a, d) in weights.items()}
         for (i, j), b in self.flows.items():
@@ -215,7 +176,7 @@ class SparseStochasticCertificate:
                 image[i] = image.get(i, 0) + b * weights[j]
         return {i: v for i, v in image.items() if v}, scale
 
-    def _check(self, pi, mu) -> "ValidationOutcome":
+    def _check(self, pi: ProbabilityVector, mu: ProbabilityVector) -> "ValidationOutcome":
         """Conditions (i)-(iii) of :func:`validate_certificate` in Python integers:
         each column's flows against its mass, then A*pi against mu with both
         scaled by the L of :meth:`_image`.  Where several rows or columns break
@@ -235,9 +196,8 @@ class SparseStochasticCertificate:
                                      f"column {j} sums to {Fraction(sums[j], masses[j])}"
                                      if j in sums else f"column {j} has no entries")
 
-        mu = _as_dict(mu, n)
-        got, scale = self._image(_as_dict(pi, n), [v.denominator for v in mu.values()])
-        want = {i: v.numerator * (scale // v.denominator) for i, v in mu.items()}
+        got, scale = self._image(pi, [v.denominator for v in mu.p if v])
+        want = {i: v.numerator * (scale // v.denominator) for i, v in enumerate(mu.p) if v}
         if got != want:
             i = min(c for c in got.keys() | want.keys() if got.get(c, 0) != want.get(c, 0))
             return ValidationOutcome(False, "marginal-map",
@@ -277,35 +237,22 @@ class DispersionResult:
     nodes: int  # search calls summed over every m tried; not part of any report
 
 
-def _as_dict(vec, n: int) -> Dict:
-    """{index: value} of the nonzero entries of a sparse dict with keys in
-    range(n), a ProbabilityVector or a sequence of length n."""
-    if not isinstance(vec, dict):
-        values = vec.p if isinstance(vec, ProbabilityVector) else [Fraction(v) for v in vec]
-        if len(values) != n:
-            raise ValueError("vector dimension does not match certificate")
-        vec = dict(enumerate(values))
-    elif not all(0 <= j < n for j in vec):
-        raise ValueError(f"vector index outside range({n})")
-    return {j: v for j, v in vec.items() if v}
-
-
 def validate_certificate(cert: SparseStochasticCertificate, pi, mu) -> ValidationOutcome:
     """Check conditions (i) columns stochastic, (ii) A*pi = mu, (iii) sparsity.
 
-    `cert` is a :class:`SparseStochasticCertificate`; `pi` and `mu` may be
-    :class:`ProbabilityVector`, sequences, or sparse {index: value} dicts
-    (missing indices are zero).  A passing outcome certifies
+    `cert` is a :class:`SparseStochasticCertificate`; `pi` and `mu` are
+    probability vectors of its dimension, each a :class:`ProbabilityVector` or
+    a sequence read as one.  A passing outcome certifies
     dispersion(pi, mu) <= log2(declared_m).  The first violated condition is
-    reported, at its least row or column index; structurally malformed
-    certificates, and vectors of another dimension or with an index outside
-    range(n), raise instead, and so does a block table, which checks itself
-    against the block counts it was built from (:meth:`BlockCoupling.validate`).
+    reported, at its least row or column index; a vector that is not a
+    probability vector of dimension n raises instead, and so does a block
+    table, which checks itself against the block counts it was built from
+    (:meth:`BlockCoupling.validate`).
     """
     if not isinstance(cert, SparseStochasticCertificate):
         raise ValueError("validate_certificate takes solver certificates; "
                          "a block table checks itself: BlockCoupling.validate()")
-    return cert._check(pi, mu)
+    return cert._check(_probability_vector(pi, cert.n), _probability_vector(mu, cert.n))
 
 
 class _BudgetExceeded(Exception):
@@ -422,10 +369,8 @@ def delta_exact(pi, mu) -> DispersionResult:
     search still gives a witness: the result is flagged
     "certificate-upper-bound" and its m_star is the witness's largest degree.
     """
-    pi = pi if isinstance(pi, ProbabilityVector) else ProbabilityVector(tuple(pi))
-    mu = mu if isinstance(mu, ProbabilityVector) else ProbabilityVector(tuple(mu))
-    if pi.n != mu.n:
-        raise ValueError(f"dimension mismatch: {pi.n} vs {mu.n}")
+    pi = _probability_vector(pi)
+    mu = _probability_vector(mu, pi.n)
     n = pi.n
     if n > MAX_EXACT_DIMENSION:
         raise ValueError(f"dimension {n} exceeds exact-solver cap {MAX_EXACT_DIMENSION}")
@@ -454,7 +399,7 @@ def delta_exact(pi, mu) -> DispersionResult:
     flows = {(rows_pos[i], cols_pos[j]): f for (j, i), f in flows.items() if f}
     masses = {j: pi_mass[j] for j in cols_pos}
     _complete_columns(flows, masses, n)
-    witness = SparseStochasticCertificate._from_flows(n, flows, masses, m or 1)
+    witness = SparseStochasticCertificate(n, flows, masses, m or 1)
     if m is None:
         witness.declared_m = max(witness.max_degrees())
     outcome = validate_certificate(witness, pi, mu)
@@ -473,11 +418,11 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
     empty; it is completed with a single 1 in a row with slack, which always
     exists within the bound.
     """
+    pi, mu = _probability_vector(pi), _probability_vector(mu)
     outcome = validate_certificate(cert, mu, pi)
     if not outcome.ok:
         raise ValueError(f"input certificate invalid: {outcome.violation} ({outcome.detail})")
     n = cert.n
-    pi, mu = _as_dict(pi, n), _as_dict(mu, n)
     rows: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
     for j, (c, col) in cert._columns().items():
         for i, b in col:
@@ -486,9 +431,9 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
     flows: Dict[Tuple[int, int], int] = {}
     masses: Dict[int, int] = {}
     for i, row in rows.items():
-        p = pi.get(i, 0)
+        p = pi[i]
         if p > 0:  # B_ij * mu(j) * L / c_j over pi(i) * L, entries with mu(j) = 0 dropped
-            row = [(j, b * mu[j].numerator, c * mu[j].denominator) for j, b, c in row if j in mu]
+            row = [(j, b * mu[j].numerator, c * mu[j].denominator) for j, b, c in row if mu[j]]
             scale = math.lcm(p.denominator, *[d for _, _, d in row])
             masses[i] = p.numerator * (scale // p.denominator)
         else:  # B_ij * L / c_j over their sum
@@ -497,7 +442,7 @@ def reverse_certificate(cert: SparseStochasticCertificate, mu, pi) -> SparseStoc
         for j, b, d in row:
             flows[j, i] = b * (scale // d)
     _complete_columns(flows, masses, n)
-    reversed_cert = SparseStochasticCertificate._from_flows(n, flows, masses, cert.declared_m)
+    reversed_cert = SparseStochasticCertificate(n, flows, masses, cert.declared_m)
     check = validate_certificate(reversed_cert, pi, mu)
     if not check.ok:
         raise AssertionError(f"reversed certificate invalid: {check.detail}")
@@ -513,6 +458,7 @@ def compose_certificates(outer: SparseStochasticCertificate, inner: SparseStocha
     """
     if inner.n != outer.n:
         raise ValueError("inner dimension mismatch")
+    pi, mu, nu = _probability_vector(pi), _probability_vector(mu), _probability_vector(nu)
     for cert, src, dst, name in ((inner, pi, mu, "inner"), (outer, mu, nu, "outer")):
         outcome = validate_certificate(cert, src, dst)
         if not outcome.ok:
@@ -530,8 +476,8 @@ def compose_certificates(outer: SparseStochasticCertificate, inner: SparseStocha
             b *= scale // c_t
             for i, b_t in outer_col:
                 flows[i, j] = flows.get((i, j), 0) + b * b_t
-    product = SparseStochasticCertificate._from_flows(inner.n, flows, masses,
-                                                      inner.declared_m * outer.declared_m)
+    product = SparseStochasticCertificate(inner.n, flows, masses,
+                                          inner.declared_m * outer.declared_m)
     check = validate_certificate(product, pi, nu)
     if not check.ok:
         raise AssertionError(f"composed certificate invalid: {check.detail}")
@@ -548,30 +494,17 @@ def build_banded_worst_case(n: int, m: int) -> SparseStochasticCertificate:
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    one = Fraction(1)
-    entries = {}
-    for i in range(n):
-        for j in range(i * m, min((i + 1) * m, n)):
-            entries[(i, j)] = one
-    return SparseStochasticCertificate(n, entries, m)
+    return SparseStochasticCertificate(n, {(j // m, j): 1 for j in range(n)},
+                                       dict.fromkeys(range(n), 1), m)
 
 
 def majorizes(x, y) -> bool:
-    """True iff sorted-descending x weakly dominates y with equal totals."""
-    xs = sorted((Fraction(v) for v in x), reverse=True)
-    ys = sorted((Fraction(v) for v in y), reverse=True)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if sum(xs) != sum(ys):
-        return False
-    total_x = Fraction(0)
-    total_y = Fraction(0)
-    for a, b in zip(xs, ys):
-        total_x += a
-        total_y += b
-        if total_x < total_y:
-            return False
-    return True
+    """True iff the probability vector x majorizes y, one of the same dimension:
+    each partial sum of x sorted descending is at least that of y."""
+    x = _probability_vector(x)
+    y = _probability_vector(y, x.n)
+    return all(a >= b for a, b in zip(itertools.accumulate(sorted(x.p, reverse=True)),
+                                      itertools.accumulate(sorted(y.p, reverse=True))))
 
 
 def _coupling_bounds(m: int, k: int, l: int) -> Tuple[int, int]:
@@ -684,10 +617,12 @@ class BlockCoupling:
         self.n = n = _certificate_dimension(alphabet.k, l)
         if source.n != image.n:
             raise ValueError("source and image cells count different numbers of blocks")
+        if not source.n:
+            raise ValueError("cells of no blocks certify nothing")
         for cell in (source, image):
             if len(cell.values) != len(cell.counts):
                 raise ValueError("block codes and their counts differ in length")
-            if cell.n and not (cell.codes.min() >= 0 and cell.codes.max() < n):
+            if not (cell.codes.min() >= 0 and cell.codes.max() < n):
                 raise ValueError(f"block code outside range({n})")
         self.alphabet, self.l, self.m, self.blocks = alphabet, l, m, source.n
         self.col_bound, self.row_bound = _coupling_bounds(m, alphabet.k, l)

@@ -45,13 +45,13 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .blockstats import (TAIL_FRACTION, BlockDistribution, _count_rows, _grid_from_bits,
-                         _grid_schedule, _grids, dim_estimates, normality_deviation,
-                         shannon_entropy)
+from .blockstats import (TAIL_FRACTION, BlockDistribution, ProbabilityVector, _count_rows,
+                         _grid_from_bits, _grid_schedule, _grids, dim_estimates,
+                         normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
-from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ProbabilityVector,
-                         _certificate_dimension, build_banded_worst_case, compose_certificates,
-                         delta_exact, majorizes, reverse_certificate)
+from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, _certificate_dimension,
+                         build_banded_worst_case, compose_certificates, delta_exact, majorizes,
+                         reverse_certificate)
 from .realarith import CertifiedDigitResult, add_rational_mod1, mul_int_mod1, mul_rational_mod1
 
 ENTROPY_SLACK = 2.0 ** -30
@@ -420,15 +420,13 @@ def _contractivity_check(solve, pi, mu, _nu):
     h_pi = shannon_entropy(pi)
     h_mu = shannon_entropy(mu)
 
-    pi_sorted = sorted(pi.p, reverse=True)
     banded = build_banded_worst_case(pi.n, m)
-    spread = banded.apply(list(pi_sorted))
-    r_vec = tuple(spread.get(i, Fraction(0)) for i in range(pi.n))
-    h_r = shannon_entropy(ProbabilityVector(r_vec))
+    spread = ProbabilityVector(banded.apply(sorted(pi.p, reverse=True)))
+    h_r = shannon_entropy(spread)
 
     checks = [
         ("contractive", abs(h_pi - h_mu) <= res.delta_bits + ENTROPY_SLACK),
-        ("banded-majorizes", majorizes(r_vec, mu.p)),
+        ("banded-majorizes", majorizes(spread, mu)),
         ("H(r) <= H(mu)", h_r <= h_mu + ENTROPY_SLACK),
         ("H(pi) <= H(r) + log2(m)", h_pi <= h_r + math.log2(m) + ENTROPY_SLACK),
     ]
