@@ -1,4 +1,4 @@
-"""In-process timings of the digit-to-limb kernels, block tables and the exact solver on two trees.
+"""In-process timings of the digit kernels, block tables, verify and the exact solver on two trees.
 
     python3 scripts/kernels_ab.py PARENT_TREE CHANGE_TREE > kernels.json
 
@@ -23,6 +23,12 @@ on the Champernowne base-10 window of 6n + 512 digits from digit 100 000, at
 n = 125 and at n = 1250, after checking that both trees write the same
 certificate file for every cell.  It prints the six cells' time for each n and
 the fixed cost per cell, the time per cell extrapolated to n = 0 from the two.
+
+Then one verify_rational_arithmetic call at preserve-k10's shape, on the
+n = 1250 window above, with l <= 6 and the one block count n = 1250, at q = 3
+and at q = 1/3, after checking that both trees write the same report JSON.
+It prints the minimum over 11 interleaved repeats in milliseconds: the
+in-process cost of the call that preserve-k10 times end to end with to_json.
 
 Then the solver, on the delta-solve pool of seed 1 (CHANGE_TREE's perfbench
 workload; 400 triples pi, mu, nu), as the workload calls it:
@@ -176,6 +182,23 @@ def block_tables(packages):
     return out
 
 
+def verify(packages):
+    """The verify timings at preserve-k10's shape, after checking that both trees report alike."""
+    out = {}
+    total = 100_000 + 6 * 1250 + 512
+    for q in (Fraction(3), Fraction(1, 3)):
+        calls = []
+        for fsdim in packages:
+            digits = fsdim.gen_champernowne(fsdim.Alphabet(10), total).prefix(total)[100_000:]
+            seq = fsdim.DigitSequence(fsdim.Alphabet(10), digits)
+            calls.append(lambda f=fsdim, s=seq: f.verify_rational_arithmetic(s, q, 6, [1250]))
+        same_on_both("verify_rational_arithmetic", [(q,)], *([call().to_json()] for call in calls))
+        p, c = best_ms(calls)
+        out[f"verify_rational_arithmetic q={q} l=1..6 @ n=1250"] = {
+            "parent_ms": p, "change_ms": c, "change_vs_parent": round(c / p - 1, 3)}
+    return out
+
+
 def main(parent: str, change: str, bases):
     packages = load("fsdim_parent", parent), load("fsdim_change", change)
     trees = [(fsdim.digitseq, fsdim.realarith) for fsdim in packages]
@@ -212,6 +235,7 @@ def main(parent: str, change: str, bases):
                 for d, _ in trees],
                lambda a, b: a.prefix(count) == b.prefix(count))
     out.update(block_tables(packages))
+    out.update(verify(packages))
     out.update(solver(packages, change))
     print(json.dumps(out, indent=1))
 

@@ -29,6 +29,11 @@ fsdim verify wall --in "$out/alpha.txt" --base 10 --num 3 --den 1 \
   --max-block-len 6 --blocks 250,500,1250 --report "$out/wall3.json" > "$out/wall3.stdout"
 fsdim verify wall --in "$out/alpha.txt" --base 10 --num 1 --den 3 \
   --max-block-len 6 --blocks 250,500,1250 --report "$out/wall13.json" > "$out/wall13.stdout"
+# q = -1: every leg multiplies by 1 onto its source's own digits, so each of
+# the 72 records is the identity record, written without a table; the report
+# holds the pass status, so stdout is not kept
+fsdim verify wall --in "$out/alpha.txt" --base 10 --num -1 --den 1 \
+  --max-block-len 6 --blocks 250,500,1250 --report "$out/wall-neg1.json" > /dev/null
 # base 2 at the certificate cap k^l = 2^24: pair keys reach 2^48 and nearly
 # every row of the longest blocks is an identity row
 fsdim gen champernowne --base 2 --count 60000 --out "$out/champ2.txt"

@@ -140,6 +140,8 @@ def _read_distribution(path) -> ProbabilityVector:
     try:
         if any(isinstance(x, bool) for x in data["p"]):
             raise TypeError("a JSON boolean is not a probability")
+        if any(isinstance(x, float) for x in data["p"]):  # Fraction() would read it as exact
+            raise TypeError("probabilities must be exact rationals")
         entries = tuple(Fraction(x) for x in data["p"])
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _CliError(f"distribution file {path}: bad entry in \"p\": {exc}") from exc

@@ -7,9 +7,10 @@ preservation results:
   the q+alpha / q*alpha reduction chain, the coupling certificate between
   block statistics bounds the entropy difference by log2(g*(s+1)*m) bits,
   capped by log2(m^2 (s+1)) independently of block and prefix length; each
-  certificate is an integer joint-count table checked in integers, and the
-  legs that reach one image (|a|*alpha, and b*alpha) must agree digit for
-  digit;
+  certificate is an integer joint-count table checked in integers, or the
+  identity for an m = 1 leg whose image shares its source's counted cell
+  (cells are shared only between equal digits); the legs that reach one
+  image (|a|*alpha, and b*alpha) must agree digit for digit;
 * bounded estimate gaps: dimension estimates of alpha and its images agree
   within an empirically pinned tolerance at fixed grid scale;
 * axiom suites: pseudometric axioms and entropy contractivity of the exact
@@ -49,9 +50,9 @@ from .blockstats import (TAIL_FRACTION, BlockDistribution, ProbabilityVector, _c
                          _grid_from_bits, _grid_schedule, _grids, dim_estimates,
                          normality_deviation, shannon_entropy)
 from .digitseq import Alphabet, DigitSequence, gen_champernowne, gen_dilution, select_progression
-from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, _certificate_dimension,
-                         build_banded_worst_case, compose_certificates, delta_exact, majorizes,
-                         reverse_certificate)
+from .dispersion import (MAX_EXACT_DIMENSION, BlockCoupling, ValidationOutcome,
+                         _certificate_dimension, _coupling_bounds, build_banded_worst_case,
+                         compose_certificates, delta_exact, majorizes, reverse_certificate)
 from .realarith import CertifiedDigitResult, add_rational_mod1, mul_int_mod1, mul_rational_mod1
 
 ENTROPY_SLACK = 2.0 ** -30
@@ -94,21 +95,28 @@ def _certificate_cell(leg: str, m: int, source: BlockDistribution,
     """Check cell (l, n) of one leg, from the counted blocks of its stream and of
     its product frac(m * stream): an integer joint-count table checked against
     the plan's marginals, with the plan's entropies.  Appends its record and
-    any violation."""
-    table = BlockCoupling(alphabet, l, m, source, image)
-    bound = math.log2(table.row_bound)
+    any violation.  An m = 1 leg whose image is its source's own cell writes
+    the identity record and builds no table: the plan shares a cell only
+    between equal digits, and equal digits under x1 pair each block with
+    itself, so both degrees are 1, the marginals agree and every residue
+    (y - x) mod k^l is 0.  Other cells, shared ones with m > 1 too, get a table."""
+    col_bound, row_bound = _coupling_bounds(m, alphabet.k, l)
+    if m == 1 and source is image:
+        outcome, row_support, col_support = ValidationOutcome(True), 1, 1
+    else:
+        table = BlockCoupling(alphabet, l, m, source, image)
+        outcome, (row_support, col_support) = table.validate(), table.max_degrees()
+    bound = math.log2(row_bound)
     h_a, h_b = source.bits, image.bits
-    outcome = table.validate()
-    row_support, col_support = table.max_degrees()
     delta_h = abs(h_a - h_b)
     ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
-          and col_support <= table.col_bound and row_support <= table.row_bound)
+          and col_support <= col_bound and row_support <= row_bound)
     records.append({
         "leg": leg, "m": m, "l": l, "n": n,
         "h_source": h_a, "h_image": h_b, "delta_h": delta_h,
         "bound_bits": bound,
-        "col_support": col_support, "col_bound": table.col_bound,
-        "row_support": row_support, "row_bound": table.row_bound,
+        "col_support": col_support, "col_bound": col_bound,
+        "row_support": row_support, "row_bound": row_bound,
         "valid": outcome.ok, "passed": ok,
     })
     if not ok:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fsdim import ProbabilityVector
 from fsdim.cli import dispatch
 
 
@@ -401,6 +402,25 @@ def test_delta_exact_infinite_probability_exits_one(tmp_path, capsys, p_text):
     mu.write_text(json.dumps({"n": 2, "p": ["1/2", "1/2"]}))
     assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
     assert capsys.readouterr().err.startswith(f"error: distribution file {pi}: bad entry in \"p\"")
+
+
+def test_delta_exact_refuses_floats_and_reads_strings_and_ints(tmp_path, capsys):
+    # Fraction(0.5) is exact and Fraction(0.1) is not 1/10: a float would be
+    # read as its binary fraction, so every float is refused as ProbabilityVector refuses it
+    with pytest.raises(ValueError) as refused:
+        ProbabilityVector((0.5, 0.5))
+    pi = tmp_path / "p.json"
+    mu = tmp_path / "u.json"
+    mu.write_text(json.dumps({"p": ["1/2", 0, "1/2"]}))
+    for p in ([0.5, 0, 0.5], [0.1, 0, 0.9], ["1/2", 0.0, "1/2"]):
+        pi.write_text(json.dumps({"p": p}))
+        assert dispatch(["delta", "exact", "--pi", str(pi), "--mu", str(mu)]) == 1
+        assert capsys.readouterr().err == \
+            f'error: distribution file {pi}: bad entry in "p": {refused.value}\n'
+    pi.write_text(json.dumps({"p": [1, "0", 0]}))
+    run(tmp_path, "delta", "exact", "--pi", str(pi), "--mu", str(mu))
+    assert json.loads(capsys.readouterr().out) == {"m": 2, "delta_bits": 1.0,
+                                                   "method": "exact-search"}
 
 
 @pytest.mark.parametrize("suite,samples", [("pseudometric", "-1"), ("contractivity", "0")])

@@ -1,9 +1,12 @@
 import collections
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fsdim.blockstats
 import fsdim.dispersion
@@ -285,6 +288,115 @@ class TestRationalArithmetic:
         gaps = report.details["estimate_gaps"]
         assert set(gaps) == {"q-alpha", "q-plus-alpha"}
         assert all(gap["lower"] <= 0.1 and gap["upper"] <= 0.1 for gap in gaps.values()), gaps
+
+
+LEG_SOURCES = {"alpha-times-|a|": "alpha", "q-alpha-times-b": "q-alpha",
+               "alpha-times-b": "alpha", "q-plus-alpha-times-b": "q-plus-alpha"}
+
+
+def _verify_counting_tables(seq, q, max_block_len, schedule):
+    """The report of verify_rational_arithmetic, the cells its counting plan
+    yielded by (l, n), and how many block tables it built and validated."""
+    cells, tables = {}, collections.Counter()
+    count_rows = fsdim.verify._count_rows
+
+    def kept(*args):
+        for l, n, counted in count_rows(*args):
+            cells[l, n] = dict(counted)
+            yield l, n, counted
+
+    class Counted(fsdim.dispersion.BlockCoupling):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            tables["built"] += 1
+            super().__init__(*args)
+
+        def validate(self):
+            tables["validated"] += 1
+            return super().validate()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fsdim.verify, "_count_rows", kept)
+        patch.setattr(fsdim.verify, "BlockCoupling", Counted)
+        report = verify_rational_arithmetic(seq, q, max_block_len, schedule)
+    return report, cells, (tables["built"], tables["validated"])
+
+
+def _table_record(rec, cell, alphabet):
+    """The record of rec's cell as the m = 1 table of the cell with itself gives it."""
+    table = fsdim.dispersion.BlockCoupling(alphabet, rec["l"], 1, cell, cell)
+    outcome = table.validate()
+    row_support, col_support = table.max_degrees()
+    return {"leg": rec["leg"], "m": 1, "l": rec["l"], "n": rec["n"],
+            "h_source": cell.bits, "h_image": cell.bits, "delta_h": 0.0,
+            "bound_bits": math.log2(table.row_bound),
+            "col_support": col_support, "col_bound": table.col_bound,
+            "row_support": row_support, "row_bound": table.row_bound,
+            "valid": outcome.ok,
+            "passed": (outcome.ok and col_support <= table.col_bound
+                       and row_support <= table.row_bound)}
+
+
+def _check_identity_records(seq, q):
+    """Run preserve-k10's shape (l <= 6, n = 1250) at q and check every record
+    written without a table against the table's; returns the tables built."""
+    report, cells, (built, validated) = _verify_counting_tables(seq, q, 6, [1250])
+    assert report.passes, report.violations
+    assert len(report.records) == 24 and built == validated
+
+    def cell(rec, name):
+        return cells[rec["l"], rec["n"]][name]
+    identity = [rec for rec in report.records if rec["m"] == 1]
+    # an image multiplied by 1 has its source's digits, so the plan shares their cell
+    assert all(cell(rec, LEG_SOURCES[rec["leg"]]) is cell(rec, rec["leg"]) for rec in identity)
+    for rec in identity:
+        assert rec == _table_record(rec, cell(rec, rec["leg"]), seq.alphabet)
+    assert built == 24 - len(identity)
+    return built
+
+
+CHAMPERNOWNE_10 = gen_champernowne(Alphabet(10), 6 * 1250 + 512)
+
+
+class TestIdentityLegs:
+    @pytest.mark.parametrize("q, tables", [(Fraction(3), 6), (Fraction(1, 3), 18),
+                                           (Fraction(-1), 0)])
+    def test_m_one_legs_on_a_shared_cell_build_no_table(self, q, tables):
+        # q = 3: three legs multiply by b = 1; q = 1/3: one by |a| = 1; q = -1: all four
+        assert _check_identity_records(CHAMPERNOWNE_10, q) == tables
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-99, 99).filter(bool), st.booleans())
+    def test_identity_records_equal_the_tables_records(self, a, invert):
+        q = Fraction(1, a) if invert else Fraction(a)
+        legs_by_one = (abs(q.numerator) == 1) + 3 * (q.denominator == 1)
+        assert _check_identity_records(CHAMPERNOWNE_10, q) == 24 - 6 * legs_by_one
+
+    def test_m_one_image_with_other_digits_gets_a_table(self, monkeypatch):
+        # a x1 product one digit off its source counts a cell of its own, so
+        # its table is built, and its pairs fail the residue check
+        mul = fsdim.verify.mul_int_mod1
+
+        def one_digit_off(seq, m, count):
+            result = mul(seq, m, count)
+            digits = bytearray(result.digits.prefix(result.certified_count))
+            digits[10] = (digits[10] + (m == 1)) % 10
+            return dataclasses.replace(result, digits=DigitSequence(Alphabet(10), bytes(digits)))
+        monkeypatch.setattr(fsdim.verify, "mul_int_mod1", one_digit_off)
+        report, _, tables = _verify_counting_tables(CHAMPERNOWNE_10, Fraction(3), 6, [1250])
+        assert tables == (24, 24)
+        assert [rec["valid"] for rec in report.records if rec["m"] == 1] == [False] * 18
+
+    def test_shared_cell_of_a_multiplier_above_one_gets_a_table(self):
+        # 3 * 0 = 0: every leg's image shares its source's cell, and the
+        # |a| = 3 leg still builds and validates one table per cell
+        seq = DigitSequence(Alphabet(10), bytes(6 * 1250 + 512))
+        report, cells, tables = _verify_counting_tables(seq, Fraction(3), 6, [1250])
+        assert report.passes, report.violations
+        assert all(cells[rec["l"], rec["n"]][LEG_SOURCES[rec["leg"]]]
+                   is cells[rec["l"], rec["n"]][rec["leg"]] for rec in report.records)
+        assert tables == (6, 6)
+        assert [rec["valid"] for rec in report.records if rec["m"] == 3] == [True] * 6
 
 
 class TestReports:
