@@ -4,9 +4,10 @@
 #   scripts/report_bytes.sh TREE OUT
 #
 # runs the fsdim CLI from TREE/src and writes into OUT generated digits,
-# dimension and verification reports, both suite reports, a block
-# certificate file, a solver witness file, a heavy n = 6 solve's stdout and
-# certified arithmetic in bases 10, 36 and 2.
+# dimension and verification reports (wall runs that pass, that skip cells
+# and that fail among them), both suite reports, a block certificate file, a
+# solver witness file, a heavy n = 6 solve's stdout and certified arithmetic
+# in bases 10, 36 and 2.
 # Run it on two trees and compare every file the first run wrote:
 #
 #   for f in base/*; do cmp "$f" "head/${f#base/}"; done
@@ -34,6 +35,22 @@ fsdim verify wall --in "$out/alpha.txt" --base 10 --num 1 --den 3 \
 # holds the pass status, so stdout is not kept
 fsdim verify wall --in "$out/alpha.txt" --base 10 --num -1 --den 1 \
   --max-block-len 6 --blocks 250,500,1250 --report "$out/wall-neg1.json" > /dev/null
+# 10 000 Champernowne digits, then 10 000 nines: no leg certifies a digit of
+# the run of nines, so both streams report their certified count and each
+# leg skips its cells at n = 4000 for l >= 3 (40 records, 8 skipped cells)
+fsdim gen champernowne --base 10 --count 10000 --out "$out/champ10k.txt"
+{ cat "$out/champ10k.txt"; head -c 10000 /dev/zero | tr '\0' 9; echo; } > "$out/nines.txt"
+fsdim verify wall --in "$out/nines.txt" --base 10 --num 3 --den 1 \
+  --max-block-len 4 --blocks 500,1000,4000 --report "$out/wall-nines.json" > "$out/wall-nines.stdout"
+# 0.4999... = 1/2 at q = 1/2: q*alpha certifies 1 digit and q+alpha none, so
+# neither fits a grid cell and every leg cell is skipped; the run reports FAIL
+# and exits 1, and the status goes into the compared stdout
+{ echo k=10; printf 4; head -c 19999 /dev/zero | tr '\0' 9; echo; } > "$out/half.txt"
+status=0
+fsdim verify wall --in "$out/half.txt" --base 10 --num 1 --den 2 \
+  --max-block-len 4 --blocks 500,1000,4000 --report "$out/wall-half.json" \
+  > "$out/wall-half.stdout" || status=$?
+echo "exit $status" >> "$out/wall-half.stdout"
 # base 2 at the certificate cap k^l = 2^24: pair keys reach 2^48 and nearly
 # every row of the longest blocks is an identity row
 fsdim gen champernowne --base 2 --count 60000 --out "$out/champ2.txt"

@@ -683,10 +683,11 @@ class BlockCoupling:
         from how multiplication acts on blocks: block j of m*alpha is
         (m*x + floor(m*tau_j)) mod k^l with tau_j in [0, 1) the tail after
         block j of alpha, so a pair with (y - m*x) mod k^l > m - 1 fails as
-        "residue-identity".  Multiplication is thus finite-state on blocks:
-        floor(m*tau_j) is a carry in [0, s], s the base-k digit sum of m, plus
-        what the next floor(log_k m) digits of alpha contribute, so each output
-        block is a function of the input block, that carry and those digits."""
+        "residue-identity".  So a passing table's column x reaches only the rows
+        (m*x + c) mod k^l, c < m, at most min(m, k^l) of them, and row y at most
+        min(g*m + 1, k^l) columns: per c, the 0 or g = gcd(m, k^l) roots of
+        m*x = y - c (mod k^l), and an unobserved column y's identity 1.  Both lie
+        within (s+1)*m and g*(s+1)*m, s >= 1 the base-k digit sum of m."""
         bounds, codes, sums = self._col_bounds, self.cols, self.flows
         if len(bounds) <= len(codes):  # some column holds several entries
             codes, sums = codes[bounds[:-1]], np.add.reduceat(sums, bounds[:-1])

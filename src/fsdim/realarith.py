@@ -51,7 +51,7 @@ class CertifiedDigitResult:
 
 
 def _resolve_carries(limbs: np.ndarray, K: int) -> int:
-    """Reduce big-endian limbs, each at most 2K - 2, to base K in place.
+    """Reduce big-endian limbs, at least one, each at most 2K - 2, to base K in place.
 
     A limb of at least K generates a carry, a limb equal to K - 1 passes an
     incoming carry on, and any other limb absorbs it.  The carry into a limb
@@ -61,8 +61,6 @@ def _resolve_carries(limbs: np.ndarray, K: int) -> int:
     of the top limb.
     """
     n = len(limbs)
-    if not n:
-        return 0
     generates = np.append(limbs >= K, False)  # index n: no carry enters the bottom limb
     stops = np.where(limbs != K - 1, np.arange(n), n)
     nearest = np.minimum.accumulate(stops[::-1])[::-1]  # nearest stop at or below each limb
@@ -74,7 +72,7 @@ def _resolve_carries(limbs: np.ndarray, K: int) -> int:
 def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count: int):
     """The digits both ends of the enclosure share, and whether the ends are equal.
 
-    For the N-digit prefix P in `digits`, the ends are floor((M*P' + S*k^N) /
+    For the N-digit prefix P in `digits`, N >= 1, the ends are floor((M*P' + S*k^N) /
     (d*k^(N-count))) with P' in {P, P+1}.  The low end, an integer part and the
     limbs of its first N fractional digits, takes one multiply by M > 0, a split
     by x - K*(x // K), one carry scan and one long division by d; the high end
@@ -90,9 +88,8 @@ def _enclosure_digits(digits: np.ndarray, k: int, M: int, S: int, d: int, count:
     limbs *= M
     high = limbs // K
     limbs -= high * K
-    if len(high):
-        top += int(high[0])
-        limbs[:-1] += high[1:]
+    top += int(high[0])
+    limbs[:-1] += high[1:]
     del high
     top += _resolve_carries(limbs, K)
     rem = 0

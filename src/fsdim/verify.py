@@ -9,8 +9,10 @@ preservation results:
   capped by log2(m^2 (s+1)) independently of block and prefix length; each
   certificate is an integer joint-count table checked in integers, or the
   identity for an m = 1 leg whose image shares its source's counted cell
-  (cells are shared only between equal digits); the legs that reach one
-  image (|a|*alpha, and b*alpha) must agree digit for digit;
+  (cells are shared only between equal digits); a cell passes when its table
+  validates and its entropy difference is within the bound, the residue
+  guard keeping a valid table's supports within m and g*m + 1; the legs that
+  reach one image (|a|*alpha, and b*alpha) must agree digit for digit;
 * bounded estimate gaps: dimension estimates of alpha and its images agree
   within an empirically pinned tolerance at fixed grid scale;
 * axiom suites: pseudometric axioms and entropy contractivity of the exact
@@ -42,7 +44,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,17 +91,17 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _certificate_cell(leg: str, m: int, source: BlockDistribution,
-                      image: BlockDistribution, alphabet: Alphabet, l: int, n: int,
-                      records: List, violations: List):
-    """Check cell (l, n) of one leg, from the counted blocks of its stream and of
-    its product frac(m * stream): an integer joint-count table checked against
-    the plan's marginals, with the plan's entropies.  Appends its record and
-    any violation.  An m = 1 leg whose image is its source's own cell writes
-    the identity record and builds no table: the plan shares a cell only
-    between equal digits, and equal digits under x1 pair each block with
-    itself, so both degrees are 1, the marginals agree and every residue
-    (y - x) mod k^l is 0.  Other cells, shared ones with m > 1 too, get a table."""
+def _certificate_cell(leg: str, m: int, source: BlockDistribution, image: BlockDistribution,
+                      alphabet: Alphabet, l: int, n: int) -> Tuple[Dict, Optional[str]]:
+    """Check cell (l, n) of one leg, from the counted blocks of its stream and
+    of its product frac(m * stream): an integer joint-count table checked
+    against the plan's marginals, with the plan's entropies.  Returns the
+    record and the violation, None when the table validates (which keeps its
+    supports within their bounds) and |dH| <= log2(row bound).  An m = 1 leg
+    whose image is its source's own cell writes the identity record and builds
+    no table: the plan shares a cell only between equal digits, and equal
+    digits under x1 pair each block with itself, so both degrees are 1, the
+    marginals agree and every residue (y - x) mod k^l is 0."""
     col_bound, row_bound = _coupling_bounds(m, alphabet.k, l)
     if m == 1 and source is image:
         outcome, row_support, col_support = ValidationOutcome(True), 1, 1
@@ -109,19 +111,19 @@ def _certificate_cell(leg: str, m: int, source: BlockDistribution,
     bound = math.log2(row_bound)
     h_a, h_b = source.bits, image.bits
     delta_h = abs(h_a - h_b)
-    ok = (outcome.ok and delta_h <= bound + ENTROPY_SLACK
-          and col_support <= col_bound and row_support <= row_bound)
-    records.append({
+    ok = outcome.ok and delta_h <= bound + ENTROPY_SLACK
+    record = {
         "leg": leg, "m": m, "l": l, "n": n,
         "h_source": h_a, "h_image": h_b, "delta_h": delta_h,
         "bound_bits": bound,
         "col_support": col_support, "col_bound": col_bound,
         "row_support": row_support, "row_bound": row_bound,
         "valid": outcome.ok, "passed": ok,
-    })
-    if not ok:
-        detail = outcome.detail if not outcome.ok else f"|dH|={delta_h} > {bound}"
-        violations.append(f"{leg} l={l} n={n}: {detail}")
+    }
+    if ok:
+        return record, None
+    detail = outcome.detail if not outcome.ok else f"|dH|={delta_h} > {bound}"
+    return record, f"{leg} l={l} n={n}: {detail}"
 
 
 def _image_mismatch(leg_a: str, image_a: CertifiedDigitResult,
@@ -181,18 +183,18 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
         report.details["product_certified"] = prod_result.certified_count
 
     streams = {"alpha": seq_alpha, "q-alpha": prod_result.digits, "q-plus-alpha": sum_result.digits}
-    legs = [
-        ("alpha-times-|a|", "alpha", abs(a)),
-        ("q-alpha-times-b", "q-alpha", b),
-        ("alpha-times-b", "alpha", b),
-        ("q-plus-alpha-times-b", "q-plus-alpha", b),
-    ]
+    legs = {  # leg: (source stream, multiplier)
+        "alpha-times-|a|": ("alpha", abs(a)),
+        "q-alpha-times-b": ("q-alpha", b),
+        "alpha-times-b": ("alpha", b),
+        "q-plus-alpha-times-b": ("q-plus-alpha", b),
+    }
     # one multiplication per leg covers every (l, n) cell of that leg
     products = {leg: mul_int_mod1(streams[name], m,
                                   min(max_block_len * schedule[-1],
                                       streams[name].length_available))
-                for leg, name, m in legs}
-    cells = {leg: ([], []) for leg, _, _ in legs}  # records, violations
+                for leg, (name, m) in legs.items()}
+    cells = {leg: {} for leg in legs}  # leg: {(l, n): (record, violation)}
     bits = {name: {} for name in streams}
     # each stream's grid cells cover its legs' source cells; an image, which
     # holds its certified digits only, has its legs' cells
@@ -200,17 +202,16 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     for l, n, counted in _count_rows(digits, max_block_len, schedule):
         for name in streams.keys() & counted.keys():
             bits[name][l, n] = counted[name].bits
-        for leg, name, m in legs:
+        for leg, (name, m) in legs.items():
             if leg in counted:
-                _certificate_cell(leg, m, counted[name], counted[leg], seq_alpha.alphabet, l, n,
-                                  *cells[leg])
-    for records, violations in cells.values():
-        report.records.extend(records)
-        report.violations.extend(violations)
-    built = {(r["leg"], r["l"], r["n"]) for r in report.records}
+                cells[leg][l, n] = _certificate_cell(leg, m, counted[name], counted[leg],
+                                                     seq_alpha.alphabet, l, n)
+    for leg_cells in cells.values():
+        report.records.extend(record for record, _ in leg_cells.values())
+        report.violations.extend(violation for _, violation in leg_cells.values() if violation)
     skipped_cells = [{"leg": leg, "l": l, "n": n, "reason": "insufficient certified digits"}
-                     for leg, _, _ in legs for l in range(1, max_block_len + 1) for n in schedule
-                     if (leg, l, n) not in built]
+                     for leg in legs for l in range(1, max_block_len + 1) for n in schedule
+                     if (l, n) not in cells[leg]]
     # the legs pair up on one image: b*frac(|q|*alpha) = |a|*alpha and
     # b*frac(q + alpha) = b*alpha (mod 1), so each pair's certified digits agree
     for leg_a, leg_b in (("alpha-times-|a|", "q-alpha-times-b"),
@@ -243,8 +244,8 @@ def verify_rational_arithmetic(seq_alpha: DigitSequence, q, max_block_len: int,
     if norm_n >= 1:
         # a derived stream holds its certified digits only, which may be fewer than target
         report.details["normality_deviation"] = {
-            name: float(normality_deviation(stream, w_len, max(1, min(
-                norm_n, stream.length_available - w_len + 1))))
+            name: float(normality_deviation(stream, w_len,
+                                            min(norm_n, stream.length_available - w_len + 1)))
             for name, stream in streams.items() if stream.length_available >= w_len
         }
 

@@ -32,6 +32,13 @@ reference too, valid and with one flow or mass changed, one flow added or one
 dropped, and so are fixed edge cases: a column over its sparsity bound, flows and masses beyond int64,
 and the reversal and composition of a certificate with a column holding a
 single 1 on its diagonal.
+
+The residue guard alone bounds a valid table's supports (BlockCoupling.validate):
+column support at most min(m, k^l), row support at most min(g*m + 1, k^l).
+That is checked on program-built tables, on the rational builder's entries and
+on hand-built tables of any pairs that pass the guard; it is why the wall
+check's cell verdict, tested last on hand-built cells, reads only validity and
+the entropy difference.
 """
 
 import dataclasses
@@ -605,6 +612,62 @@ def test_residue_guard_catches_balanced_pair(cell, data):
         assert integer_view(bad)[0] == reference and reference[1] == "support-bound"
 
 
+def residue_degree_bounds(m, k, l):
+    """(row, column) support bounds that the residue guard alone gives a table
+    that passes it: min(gcd(m, k^l)*m + 1, k^l) and min(m, k^l)."""
+    dimension = k ** l
+    return min(math.gcd(m, dimension) * m + 1, dimension), min(m, dimension)
+
+
+@PROPERTY_SETTINGS
+@given(coupling_cells())
+def test_residue_guard_bounds_supports(cell):
+    # validate()'s lemma, on the integer table and on the rational builder's
+    # entries: a valid table's supports lie within the guard's bounds, which
+    # lie within (s+1)*m and g*(s+1)*m
+    k, l, n, m, digits = cell
+    table = build_table(cell)
+    assert table.validate().ok
+    row_bound, col_bound = residue_degree_bounds(m, k, l)
+    assert row_bound <= table.row_bound and col_bound <= table.col_bound
+    row_max, col_max = table.max_degrees()
+    assert row_max <= row_bound and col_max <= col_bound
+    seq = DigitSequence(Alphabet(k), digits)
+    product = mul_int_mod1(seq, m, n * l).digits
+    rows, cols = oracles.rational_support_counts(oracles.certificate_record(
+        k ** l, *oracles.block_certificate(seq, product, m, l, n)))
+    assert (max(rows.values()), max(cols.values())) == (row_max, col_max)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([2, 3, 6, 10, 16]), st.integers(1, 7), st.data())
+def test_residue_guard_bounds_supports_of_any_passing_table(k, l, data):
+    # pairs that pass the guard, y = (m*x + c) mod k^l with c < m, whatever
+    # digits would give them: into one drawn row, every root x of
+    # m*x = y - c (mod k^l) for up to 8 values of c, 8 roots each, so that row
+    # can reach g*m + 1; then pairs from random columns
+    dimension = k ** l
+    assume(dimension <= 2 ** 24)
+    m = data.draw(st.integers(1, dimension + 3))
+    g = math.gcd(m, dimension)
+    row = data.draw(st.integers(0, dimension - 1))
+    inverse = pow(m // g, -1, dimension // g)
+    x = [(row - c) // g * inverse % (dimension // g) + root * (dimension // g)
+         for c in range(min(m, 8)) if (row - c) % g == 0 for root in range(min(g, 8))]
+    y = [row] * len(x)
+    for xx, c in data.draw(st.lists(st.tuples(st.integers(0, dimension - 1),
+                                              st.integers(0, m - 1)), max_size=40)):
+        x.append(xx)
+        y.append((m * xx + c) % dimension)
+    assume(x)
+    source, image = (hand_cell(codes, *np.unique(codes, return_counts=True)) for codes in (x, y))
+    table = BlockCoupling(Alphabet(k), l, m, source, image)
+    assert table.validate().ok
+    row_bound, col_bound = residue_degree_bounds(m, k, l)
+    row_max, col_max = table.max_degrees()
+    assert row_max <= row_bound and col_max <= col_bound
+
+
 @PROPERTY_SETTINGS
 @given(coupling_cells(), st.booleans(), st.data())
 def test_table_checks_marginals_counted_apart_from_pairs(cell, in_source, data):
@@ -662,3 +725,26 @@ def test_mismatched_paired_images_are_a_violation(monkeypatch):
     assert "alpha-times-|a| and q-alpha-times-b images differ at digit 100 of 2700" \
         in report.violations
     assert not any("alpha-times-b and" in v for v in report.violations)
+
+
+def test_certificate_cell_verdict():
+    # a cell passes exactly when its table validates and |dH| is within
+    # log2(row bound): 1 bit for m = 1 in base 2
+    cell_verdict = fsdim.verify._certificate_cell
+    paired = hand_cell([0, 1], [0, 1], [1, 1])
+    record, violation = cell_verdict("leg", 1, paired._replace(bits=1.0), paired, Alphabet(2),
+                                     1, 2)
+    assert violation is None and record["valid"] and record["passed"]
+    assert (record["row_support"], record["col_support"]) == (1, 1)
+    record, violation = cell_verdict("leg", 1, paired._replace(bits=1.5), paired, Alphabet(2),
+                                     1, 2)
+    assert record["valid"] and not record["passed"]
+    assert (record["delta_h"], record["bound_bits"]) == (1.5, 1.0)
+    assert violation == "leg l=1 n=2: |dH|=1.5 > 1.0"
+    # both blocks map to 1: pair (0, 1) breaks the residue identity of x1
+    source, image = paired, hand_cell([1, 1], [1], [2])
+    record, violation = cell_verdict("leg", 1, source, image, Alphabet(2), 1, 2)
+    outcome = BlockCoupling(Alphabet(2), 1, 1, source, image).validate()
+    assert outcome.violation == "residue-identity"
+    assert not record["valid"] and not record["passed"] and record["delta_h"] == 0.0
+    assert violation == f"leg l=1 n=2: {outcome.detail}"
